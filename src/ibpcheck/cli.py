@@ -14,7 +14,13 @@ import sys
 from pathlib import Path as FilePath
 
 from .core_graph import PathCapExceeded
-from .equilibrium import EquilibriumResult, solve_icwe, verify_wardrop
+from .equilibrium import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
+    EquilibriumResult,
+    solve_icwe,
+    verify_wardrop,
+)
 from .errors import (
     IbpcheckError,
     InstanceFileError,
@@ -25,6 +31,7 @@ from .errors import (
 )
 from .instance_io import load_instance, save_instance
 from .paradox import (
+    DEFAULT_DECISION_THRESHOLD,
     GadgetVariant,
     IBPInstance,
     check_ibp,
@@ -239,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the equilibrium of a game file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=50_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-ibp", help="compare latencies before/after the extension")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--threshold", type=float, default=DEFAULT_DECISION_THRESHOLD)
     p.set_defaults(func=cmd_check_ibp)
 
     p = sub.add_parser("synthesize", help="construct a paradox witness instance")
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--threshold", type=float, default=DEFAULT_DECISION_THRESHOLD)
     p.add_argument("--rate-lo", type=int, default=1)
     p.add_argument("--rate-hi", type=int, default=10)
     p.add_argument("--coeff-lo", type=int, default=0)

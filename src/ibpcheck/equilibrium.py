@@ -9,8 +9,13 @@ and every equilibrium induces the same per-edge latencies.
 Two solver backends:
 
 * ``cg``    -- pairwise conditional-gradient on path flows: per type, shift
-  mass from the costliest used path to the cheapest feasible path, step size
-  by exact polynomial line search.  Works for any polynomial latencies.
+  mass from the costliest used path to the cheapest feasible path.  One cost
+  core serves the whole iteration: a table of cached edge latencies, updated
+  only on the edges a shift moves, from which path costs, the line search's
+  starting slope and the per-sweep convergence test are all read.  The step
+  size is the zero of the move's potential derivative: closed form when the
+  moved edges are affine, safeguarded Newton otherwise.  Works for any
+  polynomial latencies.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, solve the equal-latency linear system per support, keep the
   first support whose solution is feasible and optimal.  Serves as the
@@ -23,7 +28,6 @@ single-threaded procedures, so independent games may be solved concurrently.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -386,59 +390,67 @@ def _solve_exact(
 # -- conditional-gradient backend ----------------------------------------------------
 
 
-def _line_search_shift(
-    game: RoutingGame,
-    edge_flows: Mapping[str, float],
-    source: Path,
-    target: Path,
+def _line_search(
+    gain: Sequence[tuple[tuple[float, ...], float]],
+    drop: Sequence[tuple[tuple[float, ...], float]],
+    slope: float,
     gamma_max: float,
 ) -> float:
-    """Amount to move from `source` to `target` minimizing the potential.
+    """Amount in [0, gamma_max] to move onto the `gain` edges off the `drop` edges.
 
-    The potential restricted to the move is a polynomial in the shifted
-    amount with a nondecreasing derivative (convexity), so the minimizer is
-    the derivative's zero crossing: closed form for affine latencies,
-    bisection otherwise.
+    Each edge is given as (latency coefficients without trailing zeros,
+    current flow).  The move's potential derivative
+    g(gamma) = sum_gain l(f + gamma) - sum_drop l(f - gamma) is nondecreasing
+    (convexity) and equals `slope` at 0, so the minimizer is its zero
+    crossing: closed form when every edge is affine, otherwise safeguarded
+    Newton on Horner evaluations inside the sign-change bracket, stopping once
+    a step is below the resolution of the flows it moves.
     """
-    gain = set(target) - set(source)
-    drop = set(source) - set(target)
-    deriv = [0.0]  # coefficients of dPhi/dgamma
-
-    def accumulate(coeffs: tuple[float, ...], f: float, s: float, sign: float) -> None:
-        # sign * latency(f + s * gamma), expanded in powers of gamma
-        for m, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            if m >= len(deriv):
-                deriv.extend([0.0] * (m - len(deriv) + 1))
-            for k in range(m + 1):
-                deriv[k] += sign * c * math.comb(m, k) * f ** (m - k) * s**k
-
-    for eid in gain:
-        accumulate(game.latencies[eid].coefficients, edge_flows.get(eid, 0.0), 1.0, 1.0)
-    for eid in drop:
-        accumulate(game.latencies[eid].coefficients, edge_flows.get(eid, 0.0), -1.0, -1.0)
-
-    def value(x: float) -> float:
-        acc = 0.0
-        for c in reversed(deriv):
-            acc = acc * x + c
-        return acc
-
-    if deriv[0] >= 0.0:
+    if slope >= 0.0:
         return 0.0
-    if value(gamma_max) <= 0.0:
+    rise = 0.0
+    for coeffs, _ in (*gain, *drop):
+        if len(coeffs) > 2:
+            break
+        if len(coeffs) == 2:
+            rise += coeffs[1]
+    else:  # every edge affine: g is a line
+        if slope + rise * gamma_max <= 0.0:
+            return gamma_max
+        return min(-slope / rise, gamma_max)
+    moves = [(c, f, 1.0) for c, f in gain] + [(c, f, -1.0) for c, f in drop]
+
+    def g(gamma: float) -> tuple[float, float]:
+        value = deriv = 0.0
+        for coeffs, f, sign in moves:
+            x = f + sign * gamma
+            v = d = 0.0
+            for c in reversed(coeffs):
+                d = d * x + v
+                v = v * x + c
+            value += sign * v
+            deriv += d
+        return value, deriv
+
+    value, _ = g(gamma_max)
+    if value <= 0.0:
         return gamma_max
-    if all(c == 0.0 for c in deriv[2:]):  # affine: exact crossing
-        return min(max(-deriv[0] / deriv[1], 0.0), gamma_max)
     lo, hi = 0.0, gamma_max
+    gamma = gamma_max * slope / (slope - value)  # regula falsi start
+    resolution = 2.0**-50 * (gamma_max + max(f for _, f, _ in moves))
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if value(mid) < 0.0:
-            lo = mid
+        value, deriv = g(gamma)
+        if value < 0.0:
+            lo = gamma
+        elif value > 0.0:
+            hi = gamma
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return gamma
+        step = gamma - value / deriv if deriv > 0.0 else 0.5 * (lo + hi)
+        if abs(step - gamma) <= resolution:
+            return min(max(step, lo), hi)
+        gamma = step if lo < step < hi else 0.5 * (lo + hi)
+    return gamma
 
 
 def _start_flows(
@@ -446,24 +458,24 @@ def _start_flows(
     type_paths: Sequence[tuple[Path, ...]],
     flow_eps: float,
     start_seed: Optional[int],
-) -> list[dict[Path, float]]:
+) -> list[dict[int, float]]:
+    """Per type, flow by index into type_paths: all on the first path, or
+    spread at random when a seed is given."""
     rng = random.Random(start_seed) if start_seed is not None else None
-    flows: list[dict[Path, float]] = []
+    flows: list[dict[int, float]] = []
     for j, t in enumerate(game.types):
         if t.rate <= flow_eps or not type_paths[j]:
             flows.append({})
             continue
         if rng is None:
-            flows.append({type_paths[j][0]: t.rate})
+            flows.append({0: t.rate})
         else:
             weights = [rng.random() + 1e-9 for _ in type_paths[j]]
             total = sum(weights)
-            alloc = {
-                p: t.rate * w / total for p, w in zip(type_paths[j], weights)
-            }
+            alloc = {k: t.rate * w / total for k, w in enumerate(weights)}
             # force exact conservation
             drift = t.rate - sum(alloc.values())
-            alloc[type_paths[j][0]] += drift
+            alloc[0] += drift
             flows.append(alloc)
     return flows
 
@@ -476,46 +488,98 @@ def _solve_cg(
     flow_eps: float,
     start_seed: Optional[int],
 ) -> EquilibriumResult:
+    """Pairwise conditional gradient over one table of cached edge latencies.
+
+    Edges and paths are renumbered; flows[j] maps path index to flow and keeps
+    the insertion order of the path-keyed result.  A path's cost is the sum
+    of its cached edge latencies in path order, the same floats as
+    `RoutingGame.path_latency`; a shift re-evaluates only the edges it moves.
+    """
+    edge_ids = sorted(game.latencies)
+    position = {eid: e for e, eid in enumerate(edge_ids)}
+    functions = [game.latencies[eid] for eid in edge_ids]
+    coeffs = [fn.coefficients[: fn.degree + 1] for fn in functions]
+    paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
+    edge_sets = [[frozenset(p) for p in tp] for tp in paths]
     flows = _start_flows(game, type_paths, flow_eps, start_seed)
-    edge_flows = _edge_flows_of(flows)
+    edge_flow = [0.0] * len(edge_ids)
+    edge_lat = [0.0] * len(edge_ids)
+    lat = edge_lat.__getitem__
+    costs: dict[int, list[float]] = {}  # per type, valid until the next shift
+
+    def load_edges() -> None:
+        # same summation order as _edge_flows_of, hence the same floats
+        edge_flow[:] = [0.0] * len(edge_ids)
+        for j, f in enumerate(flows):
+            for k, amount in f.items():
+                for e in paths[j][k]:
+                    edge_flow[e] += amount
+        edge_lat[:] = [fn(x) for fn, x in zip(functions, edge_flow)]
+        costs.clear()
+
+    load_edges()
     active = [j for j in _active_types(game, flow_eps) if len(type_paths[j]) > 1]
 
-    def apply_shift(j: int, source: Path, target: Path, gamma: float) -> None:
-        remaining = flows[j].get(source, 0.0) - gamma
-        if remaining <= flow_eps * 1e-3:
-            gamma += remaining  # empty the source exactly
-            remaining = 0.0
-        if remaining == 0.0:
-            flows[j].pop(source, None)
-        else:
-            flows[j][source] = remaining
-        flows[j][target] = flows[j].get(target, 0.0) + gamma
-        for eid in set(target) - set(source):
-            edge_flows[eid] = edge_flows.get(eid, 0.0) + gamma
-        for eid in set(source) - set(target):
-            edge_flows[eid] = edge_flows.get(eid, 0.0) - gamma
+    def path_costs(j: int) -> list[float]:
+        cost = costs.get(j)
+        if cost is None:
+            cost = costs[j] = [sum(map(lat, p)) for p in paths[j]]
+        return cost
 
-    result = _build_result(game, type_paths, flows, "cg", 0, flow_eps)
-    if result.max_wardrop_violation <= tolerance:
-        return result
-    for sweep in range(1, max_iterations + 1):
+    def wardrop_gap() -> float:
+        gap = 0.0
         for j in active:
-            lat = {p: game.path_latency(p, edge_flows) for p in type_paths[j]}
-            best = min(type_paths[j], key=lambda p: (lat[p], p))
-            used = [p for p in type_paths[j] if flows[j].get(p, 0.0) > flow_eps]
-            worst = max(used, key=lambda p: (lat[p], p))
-            if worst == best or lat[worst] - lat[best] <= tolerance * 1e-3:
-                continue
-            gamma = _line_search_shift(
-                game, edge_flows, worst, best, flows[j][worst]
-            )
-            if gamma > 0.0:
-                apply_shift(j, worst, best, gamma)
+            cost = path_costs(j)
+            used = [cost[k] for k, x in flows[j].items() if x > flow_eps]
+            if used:
+                gap = max(gap, max(used) - min(cost))
+        return gap
 
-        result = _build_result(game, type_paths, flows, "cg", sweep, flow_eps)
-        if result.max_wardrop_violation <= tolerance:
-            return result
-    raise DidNotConverge(max_iterations, result.max_wardrop_violation)
+    def shift_each_type() -> None:
+        for j in active:
+            cost = path_costs(j)
+            best = cost.index(min(cost))
+            _, worst = max((cost[k], k) for k, x in flows[j].items() if x > flow_eps)
+            if worst == best or cost[worst] - cost[best] <= tolerance * 1e-3:
+                continue
+            gain = edge_sets[j][best] - edge_sets[j][worst]
+            drop = edge_sets[j][worst] - edge_sets[j][best]
+            gamma = _line_search(
+                [(coeffs[e], edge_flow[e]) for e in gain],
+                [(coeffs[e], edge_flow[e]) for e in drop],
+                sum(map(lat, gain)) - sum(map(lat, drop)),
+                flows[j][worst],
+            )
+            if gamma <= 0.0:
+                continue
+            remaining = flows[j][worst] - gamma
+            if remaining <= flow_eps * 1e-3:
+                gamma += remaining  # empty the source exactly
+                del flows[j][worst]
+            else:
+                flows[j][worst] = remaining
+            flows[j][best] = flows[j].get(best, 0.0) + gamma
+            for e in gain:
+                edge_flow[e] += gamma
+                edge_lat[e] = functions[e](edge_flow[e])
+            for e in drop:
+                edge_flow[e] -= gamma
+                edge_lat[e] = functions[e](edge_flow[e])
+            costs.clear()
+
+    for sweep in range(max_iterations + 1):
+        if sweep:
+            shift_each_type()
+        gap = wardrop_gap()
+        if gap <= tolerance:
+            path_flows = [
+                {type_paths[j][k]: x for k, x in f.items()} for j, f in enumerate(flows)
+            ]
+            result = _build_result(game, type_paths, path_flows, "cg", sweep, flow_eps)
+            if result.max_wardrop_violation <= tolerance:
+                return result
+            load_edges()  # the running edge sums drifted across the tolerance
+    raise DidNotConverge(max_iterations, gap)
 
 
 # -- public solver ---------------------------------------------------------------------

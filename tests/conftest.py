@@ -262,6 +262,82 @@ def random_sli_chain_game(rng: random.Random, max_blocks=4):
     return RoutingGame(graph, latencies, types)
 
 
+def _lattice_path(rng: random.Random, rows, cols, start, end):
+    """Edge ids of a random shortest lattice path between two grid corners."""
+    (r, c), (r1, c1) = start, end
+    dr, dc = (1 if r1 > r else -1), (1 if c1 > c else -1)
+    moves = ["r"] * abs(r1 - r) + ["c"] * abs(c1 - c)
+    rng.shuffle(moves)
+    path = []
+    for move in moves:
+        if move == "r":
+            path.append(f"v{min(r, r + dr)}_{c}")
+            r += dr
+        else:
+            path.append(f"h{r}_{min(c, c + dc)}")
+            c += dc
+    return path
+
+
+GRID_LATENCY_DEGREES = (1, 2, 4)
+
+
+def random_grid_game(rng: random.Random, degree, rows=3, cols=4, sparse=False):
+    """Three types on a rows x cols lattice with latencies of degree 1, 2 or 4.
+
+    Types 0 and 2 travel between the top-left and bottom-right corners, type
+    1 between the other two.  Dense: type 0 knows every edge, the others a
+    random lattice path plus each other edge with probability 0.7.  Sparse:
+    every type knows the union of two random lattice paths, so the game has
+    few enough paths for the exact backend.  Degree 4 is the BPR function
+    t0 (1 + 0.15 (x / capacity)^4).
+    """
+    vertices = [f"g{r}_{c}" for r in range(rows) for c in range(cols)]
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}"))
+            if r + 1 < rows:
+                edges.append((f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}"))
+    all_edges = sorted(e[0] for e in edges)
+    corners = [((0, 0), (rows - 1, cols - 1)), ((0, cols - 1), (rows - 1, 0))]
+    graph = MultiGraph(
+        vertices,
+        edges,
+        [(f"g{a[0]}_{a[1]}", f"g{b[0]}_{b[1]}") for a, b in corners],
+    )
+
+    def latency():
+        t0 = rng.uniform(1.0, 10.0)
+        if degree == 4:
+            capacity = rng.uniform(2.0, 6.0)
+            return LatencyFunction((t0, 0.0, 0.0, 0.0, 0.15 * t0 / capacity**4))
+        coeffs = [t0, rng.uniform(0.5, 4.0)]
+        if degree == 2:
+            coeffs.append(rng.uniform(0.05, 0.5))
+        return LatencyFunction(coeffs)
+
+    while True:
+        latencies = {eid: latency() for eid in all_edges}
+        types = []
+        for j, od in enumerate((0, 1, 0)):
+            start, end = corners[od]
+            info = set(_lattice_path(rng, rows, cols, start, end))
+            if sparse:
+                info |= set(_lattice_path(rng, rows, cols, start, end))
+            elif j == 0:
+                info = set(all_edges)
+            else:
+                info |= {e for e in all_edges if rng.random() < 0.7}
+            types.append(TravelerType(float(rng.randint(2, 6)), od, info))
+        if not sparse or sum(
+            len(enumerate_simple_paths(graph, *graph.od_pairs[t.od_index], t.info_set))
+            for t in types
+        ) <= 12:
+            return RoutingGame(graph, latencies, types)
+
+
 @pytest.fixture
 def gadget_graph_a():
     return gadget_multigraph("origin")

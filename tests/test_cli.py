@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ibpcheck.cli import main
+from ibpcheck.cli import build_parser, main
+from ibpcheck.equilibrium import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from ibpcheck.instance_io import (
     instance_to_dict,
     load_instance,
@@ -12,6 +13,7 @@ from ibpcheck.instance_io import (
     save_instance,
 )
 from ibpcheck.errors import InstanceFileError
+from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -292,3 +294,13 @@ def test_exit_codes_are_a_function_of_verdicts(capsys):
     code_occurs, _, _ = run_cli(capsys, "check-ibp", str(FIXTURES / "gadget.json"))
     code_no, _, _ = run_cli(capsys, "check-ibp", str(FIXTURES / "gadget_dominated.json"))
     assert (code_free, code_not, code_occurs, code_no) == (0, 10, 20, 0)
+
+
+def test_parser_defaults_are_the_module_constants():
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "f.json"])
+    assert (solve.tol, solve.max_iters) == (DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS)
+    check = parser.parse_args(["check-ibp", "f.json"])
+    assert (check.tol, check.threshold) == (DEFAULT_TOLERANCE, DEFAULT_DECISION_THRESHOLD)
+    search = parser.parse_args(["search", "f.json"])
+    assert search.threshold == DEFAULT_DECISION_THRESHOLD

@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck.equilibrium import (
+    DEFAULT_TOLERANCE,
     LatencyFunction,
     RoutingGame,
     TravelerType,
@@ -15,6 +17,7 @@ from ibpcheck.equilibrium import (
     feasible_paths,
     solve_icwe,
     verify_wardrop,
+    _line_search,
 )
 from ibpcheck.errors import (
     BackendUnavailable,
@@ -24,9 +27,11 @@ from ibpcheck.errors import (
 )
 
 from conftest import (
+    GRID_LATENCY_DEGREES,
     gadget_game,
     pigou_game,
     random_affine_game,
+    random_grid_game,
     random_sli_chain_game,
 )
 
@@ -186,6 +191,176 @@ def test_cg_handles_quadratic_latency():
 def test_did_not_converge_when_no_iterations_allowed():
     with pytest.raises(DidNotConverge):
         solve_icwe(gadget_game(extended=True), backend="cg", max_iterations=0)
+
+
+def _grid_games(seed, per_degree=2, **kwargs):
+    rng = random.Random(seed)
+    return [
+        random_grid_game(rng, degree, **kwargs)
+        for degree in GRID_LATENCY_DEGREES
+        for _ in range(per_degree)
+    ]
+
+
+def test_cg_reported_violation_matches_the_independent_check_on_grids():
+    for game in _grid_games(3407):
+        result = solve_icwe(game, backend="cg")
+        report = verify_wardrop(game, result, epsilon=DEFAULT_TOLERANCE)
+        assert report.passed
+        assert result.max_wardrop_violation == pytest.approx(
+            report.max_violation, rel=1e-12, abs=0.0
+        )
+
+
+def test_same_start_seed_gives_identical_flows_on_grids():
+    for game in _grid_games(5113, per_degree=1):
+        first = solve_icwe(game, backend="cg", start_seed=17)
+        second = solve_icwe(game, backend="cg", start_seed=17)
+        assert [list(f.items()) for f in first.path_flows] == [
+            list(f.items()) for f in second.path_flows
+        ]
+
+
+def test_did_not_converge_without_iterations_on_grids():
+    for game in _grid_games(2029, per_degree=1):
+        with pytest.raises(DidNotConverge) as info:
+            solve_icwe(game, backend="cg", max_iterations=0)
+        assert info.value.violation > DEFAULT_TOLERANCE
+
+
+def test_backends_agree_on_sparse_affine_grids():
+    rng = random.Random(7321)
+    for _ in range(3):
+        game = random_grid_game(rng, 1, sparse=True)
+        exact = solve_icwe(game, backend="exact")
+        cg = solve_icwe(game, backend="cg")
+        for eid in game.graph.edge_ids:
+            le = game.latencies[eid](exact.edge_flows.get(eid, 0.0))
+            lc = game.latencies[eid](cg.edge_flows.get(eid, 0.0))
+            assert abs(le - lc) <= 1e-6
+
+
+# -- line search ------------------------------------------------------------------------
+
+
+def _line_search_shift(game, edge_flows, source, target, gamma_max):
+    """Reference line search: binomial expansion of the move's potential
+    derivative around the current flows, then 100 bisection steps."""
+    gain = set(target) - set(source)
+    drop = set(source) - set(target)
+    deriv = [0.0]  # coefficients of dPhi/dgamma
+
+    def accumulate(coeffs, f, s, sign):
+        # sign * latency(f + s * gamma), expanded in powers of gamma
+        for m, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            if m >= len(deriv):
+                deriv.extend([0.0] * (m - len(deriv) + 1))
+            for k in range(m + 1):
+                deriv[k] += sign * c * math.comb(m, k) * f ** (m - k) * s**k
+
+    for eid in gain:
+        accumulate(game.latencies[eid].coefficients, edge_flows.get(eid, 0.0), 1.0, 1.0)
+    for eid in drop:
+        accumulate(game.latencies[eid].coefficients, edge_flows.get(eid, 0.0), -1.0, -1.0)
+
+    def value(x):
+        acc = 0.0
+        for c in reversed(deriv):
+            acc = acc * x + c
+        return acc
+
+    if deriv[0] >= 0.0:
+        return 0.0
+    if value(gamma_max) <= 0.0:
+        return gamma_max
+    if all(c == 0.0 for c in deriv[2:]):  # affine: exact crossing
+        return min(max(-deriv[0] / deriv[1], 0.0), gamma_max)
+    lo, hi = 0.0, gamma_max
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _exact_root(game, edge_flows, source, target, gamma_max):
+    """The move's optimal shift in rational arithmetic, to 2**-90 gamma_max."""
+
+    def g(gamma):
+        total = Fraction(0)
+        moves = ((set(target) - set(source), 1), (set(source) - set(target), -1))
+        for eids, sign in moves:
+            for eid in eids:
+                x = Fraction(edge_flows[eid]) + sign * gamma
+                acc = Fraction(0)
+                for c in reversed(game.latencies[eid].coefficients):
+                    acc = acc * x + Fraction(c)
+                total += sign * acc
+        return total
+
+    lo, hi = Fraction(0), Fraction(gamma_max)
+    if g(lo) >= 0:
+        return 0.0
+    if g(hi) <= 0:
+        return gamma_max
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def _random_move(rng):
+    """Random source/target paths over parallel edges, possibly sharing some."""
+    degree = rng.randint(1, 4)
+    eids = [f"e{i}" for i in range(rng.randint(2, 7))]
+    latencies = {}
+    for eid in eids:
+        coeffs = [rng.uniform(0.0, 10.0) for _ in range(rng.randint(0, degree) + 1)]
+        latencies[eid] = LatencyFunction([c if rng.random() < 0.7 else 0.0 for c in coeffs])
+    graph = MultiGraph(["s", "t"], [(eid, "s", "t") for eid in eids], [("s", "t")])
+    game = RoutingGame(graph, latencies, [])
+    rng.shuffle(eids)
+    split = rng.randint(1, len(eids) - 1)
+    shared = [eid for eid in eids if rng.random() < 0.2]
+    target = tuple(eids[:split] + [e for e in shared if e not in eids[:split]])
+    source = tuple(eids[split:] + [e for e in shared if e in eids[:split]])
+    gamma_max = 10 ** rng.uniform(-9.0, 3.0)
+    edge_flows = {
+        eid: 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-3.0, 4.0) for eid in eids
+    }
+    for eid in source:  # source edges carry at least the source path's flow
+        edge_flows[eid] = max(edge_flows[eid], gamma_max)
+    return game, edge_flows, source, target, gamma_max
+
+
+def test_line_search_matches_the_bisection_oracle():
+    rng = random.Random(1994)
+    for _ in range(2000):
+        game, edge_flows, source, target, gamma_max = _random_move(rng)
+        lat = game.latencies
+
+        def edges(eids):
+            return [(lat[e].coefficients[: lat[e].degree + 1], edge_flows[e]) for e in eids]
+
+        gain, drop = set(target) - set(source), set(source) - set(target)
+        slope = sum(lat[e](edge_flows[e]) for e in gain) - sum(
+            lat[e](edge_flows[e]) for e in drop
+        )
+        got = _line_search(edges(gain), edges(drop), slope, gamma_max)
+        want = _line_search_shift(game, edge_flows, source, target, gamma_max)
+        bound = 1e-12 * max(1.0, gamma_max)
+        if abs(got - want) > bound:
+            # The oracle expands around f and cancels catastrophically when
+            # f - gamma is near 0; exact arithmetic decides who is right.
+            exact = _exact_root(game, edge_flows, source, target, gamma_max)
+            assert abs(got - exact) <= bound < abs(want - exact)
 
 
 # -- verification -------------------------------------------------------------------
