@@ -25,7 +25,6 @@ from .equilibrium import (
     beckmann_potential,
     block_local_game,
     check_series_decomposition,
-    equilibrium_latency,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -83,7 +82,6 @@ __all__ = [
     "decide_ibp_free",
     "decompose_blocks",
     "enumerate_simple_paths",
-    "equilibrium_latency",
     "extended_game",
     "feasible_paths",
     "find_gadget_embedding",

@@ -5,9 +5,11 @@ no loops, and a list of origin-destination (OD) terminal pairs.  All values
 are immutable; every operation returns fresh objects, so everything here is
 safe to call from multiple threads.
 
-Path enumeration is exhaustive by design: the networks this package targets
-are desk-scale, and a configurable cap (default 10,000 paths) converts the
-worst-case exponential blowup into an explicit error.
+OD subnetworks and their block chains come from one walk of the whole
+graph's block-cut tree (`block_chains`), in linear time per OD pair.  Path
+enumeration is exhaustive and capped (default 10,000 paths, past which it
+raises); it serves `validate`'s coverage check, failure witnesses and the
+test oracles, not the topology verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
 DEFAULT_PATH_CAP = 10_000
 
 Path = tuple[str, ...]  # ordered edge-id sequence
+ChainBlock = tuple[frozenset[str], str, str]  # block edges, entry, leave
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,12 @@ class Subnetwork:
         return self.parent.induced(self.edge_subset, [self.terminal_pair])
 
     @cached_property
+    def chain(self) -> tuple[ChainBlock, ...]:
+        """The terminals' block chain inside the subnetwork's own edges."""
+        _, _, (chain,) = block_chains(self.graph, [self.terminal_pair])
+        return chain
+
+    @cached_property
     def paths(self) -> tuple[Path, ...]:
         o, d = self.terminal_pair
         return enumerate_simple_paths(
@@ -277,14 +286,18 @@ class Subnetwork:
 def od_subnetwork(
     graph: MultiGraph, i: int, max_paths: int = DEFAULT_PATH_CAP
 ) -> Subnetwork:
-    """Union of all simple o_i-d_i paths, as a terminal-marked subnetwork."""
+    """Union of all simple o_i-d_i paths, as a terminal-marked subnetwork.
+
+    Read off the blocks of the pair's block chain; `max_paths` caps the
+    enumeration of the subnetwork's `paths`, which only witnesses need.
+    """
     o, d = graph.od_pairs[i]
-    paths = enumerate_simple_paths(graph, o, d, max_paths=max_paths)
-    if not paths:
-        raise NoPath(f"terminals {o!r} and {d!r} are disconnected")
-    edges = frozenset(eid for p in paths for eid in p)
+    _, _, (chain,) = block_chains(graph, [(o, d)])
     return Subnetwork(
-        parent=graph, edge_subset=edges, terminal_pair=(o, d), max_paths=max_paths
+        parent=graph,
+        edge_subset=frozenset().union(*(edges for edges, _, _ in chain)),
+        terminal_pair=(o, d),
+        max_paths=max_paths,
     )
 
 
@@ -316,7 +329,7 @@ class BlockDecomposition:
         return self.blocks[block_id].edges
 
 
-def _biconnected(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str]]:
+def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str]]:
     """Hopcroft-Tarjan on a multigraph; parallel edges share one block.
 
     Only the entering edge id is skipped at each vertex, so a second parallel
@@ -375,103 +388,71 @@ def _biconnected(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str]]:
     return blocks, cuts
 
 
-def _chain_of(sub: Subnetwork) -> list[tuple[frozenset[str], str, str]]:
-    """Ordered block chain of a single-OD subnetwork with per-block terminals.
+def block_chains(
+    graph: MultiGraph, pairs: Iterable[tuple[str, str]]
+) -> tuple[list[frozenset[str]], set[str], list[tuple[ChainBlock, ...]]]:
+    """Blocks and cut vertices of the graph, and the block chain of each pair.
 
-    Every OD subnetwork is a chain in its block-cut tree: each block lies on
-    the unique tree path between the terminals, entered and left at distinct
-    cut vertices.
+    A pair's chain lists the blocks on the block-cut-tree path from o to d,
+    each with the vertex where the path enters and leaves it.  In a
+    2-connected block every edge lies on a simple path between any two
+    distinct vertices, so the chain's blocks are exactly the blocks of the
+    o-d subnetwork and their union is every edge on a simple o-d path.
+    Raises NoPath when a pair is disconnected.
     """
-    o, d = sub.terminal_pair
-    g = sub.graph
-    blocks, cuts = _biconnected(g)
-    if len(blocks) == 1:
-        return [(blocks[0], o, d)]
-
-    vertex_blocks: dict[str, list[int]] = {v: [] for v in g.vertices}
-    block_vertices: list[set[str]] = []
+    blocks, cuts = biconnected_blocks(graph)
+    # tree nodes: a block is its index, a cut vertex is its name
+    tree: dict[object, list] = {v: [] for v in cuts}
+    home: dict[str, int] = {}  # non-cut vertex -> its only block
     for bi, bl in enumerate(blocks):
-        vs = {v for eid in bl for v in g.endpoints(eid)}
-        block_vertices.append(vs)
-        for v in vs:
-            vertex_blocks[v].append(bi)
-
-    # block-cut tree nodes: ("b", i) and ("c", v)
-    def start_node(vertex: str):
-        if vertex in cuts:
-            return ("c", vertex)
-        return ("b", vertex_blocks[vertex][0])
-
-    adj: dict[tuple, list[tuple]] = {}
-    for bi in range(len(blocks)):
-        adj[("b", bi)] = []
-    for v in cuts:
-        adj[("c", v)] = []
-    for v in cuts:
-        for bi in vertex_blocks[v]:
-            adj[("c", v)].append(("b", bi))
-            adj[("b", bi)].append(("c", v))
-
-    src, dst = start_node(o), start_node(d)
-    prev: dict[tuple, tuple] = {src: src}
-    queue = deque([src])
-    while queue and dst not in prev:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in prev:
-                prev[nxt] = cur
-                queue.append(nxt)
-    if dst not in prev:
-        raise NoPath(f"block-cut tree disconnects {o!r} from {d!r}")
-    node_path = [dst]
-    while node_path[-1] != src:
-        node_path.append(prev[node_path[-1]])
-    node_path.reverse()
-
-    chain = []
-    entry = o
-    for node in node_path:
-        if node[0] != "b":
-            continue
-        bi = node[1]
-        idx = node_path.index(node)
-        if idx + 1 < len(node_path):
-            leave = node_path[idx + 1][1]  # following cut vertex
-        else:
-            leave = d
-        chain.append((blocks[bi], entry, leave))
-        entry = leave
-    return chain
-
-
-def decompose_blocks(
-    graph: MultiGraph, max_paths: int = DEFAULT_PATH_CAP
-) -> BlockDecomposition:
-    """Biconnected blocks of the whole graph plus the per-OD block chains.
-
-    Chain blocks are blocks of the OD subnetwork; for validated graphs these
-    coincide with blocks of the whole graph, which lets each chain link refer
-    to a global block id.
-    """
-    global_blocks, cuts = _biconnected(graph)
-    by_edges = {bl: i for i, bl in enumerate(global_blocks)}
+        tree[bi] = []
+        for v in {w for eid in bl for w in graph.endpoints(eid)}:
+            if v in cuts:
+                tree[v].append(bi)
+                tree[bi].append(v)
+            else:
+                home[v] = bi
 
     chains = []
-    for i in range(len(graph.od_pairs)):
-        sub = od_subnetwork(graph, i, max_paths=max_paths)
-        links = []
-        for edges, entry, leave in _chain_of(sub):
-            if edges not in by_edges:
-                raise InvalidNetwork(
-                    f"OD {i} chain block {sorted(edges)} is not a block of the graph"
-                )
-            links.append(ChainLink(by_edges[edges], entry, leave))
-        chains.append(tuple(links))
+    for o, d in pairs:
+        src = o if o in cuts else home.get(o)
+        dst = d if d in cuts else home.get(d)
+        prev: dict[object, object] = {src: None}
+        queue = deque([src])
+        while queue and dst not in prev:
+            cur = queue.popleft()
+            for nxt in tree.get(cur, ()):  # an isolated terminal has no node
+                if nxt not in prev:
+                    prev[nxt] = cur
+                    queue.append(nxt)
+        if dst is None or dst not in prev:
+            raise NoPath(f"terminals {o!r} and {d!r} are disconnected")
+        nodes = [dst]
+        while prev[nodes[-1]] is not None:
+            nodes.append(prev[nodes[-1]])
+        nodes.reverse()
+        chain = []
+        entry = o
+        for k, node in enumerate(nodes):
+            if isinstance(node, int):
+                leave = nodes[k + 1] if k + 1 < len(nodes) else d
+                chain.append((blocks[node], entry, leave))
+                entry = leave
+        chains.append(tuple(chain))
+    return blocks, cuts, chains
 
+
+def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
+    """Biconnected blocks of the whole graph plus the per-OD block chains."""
+    blocks, cuts, chains = block_chains(graph, graph.od_pairs)
+    block_id = {bl: i for i, bl in enumerate(blocks)}
     return BlockDecomposition(
-        blocks=tuple(Block(i, bl) for i, bl in enumerate(global_blocks)),
+        blocks=tuple(Block(i, bl) for i, bl in enumerate(blocks)),
         cut_vertices=frozenset(cuts),
-        chains=tuple(chains),
+        chains=tuple(
+            tuple(ChainLink(block_id[edges], entry, leave) for edges, entry, leave in chain)
+            for chain in chains
+        ),
     )
 
 

@@ -182,11 +182,6 @@ class EquilibriumResult:
     iterations: int
 
 
-def equilibrium_latency(result: EquilibriumResult, j: int) -> float:
-    """Common latency of type j's used paths; 0 for rate-0 types."""
-    return result.type_latencies[j]
-
-
 @dataclass(frozen=True)
 class TypeWardropCheck:
     type_index: int
@@ -538,8 +533,11 @@ def _solve_cg(
     def shift_each_type() -> None:
         for j in active:
             cost = path_costs(j)
+            used = [(cost[k], k) for k, x in flows[j].items() if x > flow_eps]
+            if not used:
+                continue  # spread below flow_eps everywhere, as wardrop_gap sees it
             best = cost.index(min(cost))
-            _, worst = max((cost[k], k) for k, x in flows[j].items() if x > flow_eps)
+            _, worst = max(used)
             if worst == best or cost[worst] - cost[best] <= tolerance * 1e-3:
                 continue
             gain = edge_sets[j][best] - edge_sets[j][worst]

@@ -27,10 +27,10 @@ from .core_graph import (
     MultiGraph,
     Path,
     apply_embedding_step,
+    biconnected_blocks,
     enumerate_simple_paths,
     is_cycle,
 )
-from .core_graph import _biconnected  # deliberate: same decomposition everywhere
 from .equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -290,13 +290,13 @@ def lift_instance(
 # -- gadget embedding search -------------------------------------------------------------
 
 
-def _all_cycles(g: MultiGraph) -> list[tuple[str, ...]]:
+def _all_cycles(g: MultiGraph, max_paths: int) -> list[tuple[str, ...]]:
     """Every simple cycle once, as an edge tuple starting at its least edge id."""
     cycles = []
     for eid in sorted(g.edge_ids):
         a, b = g.endpoints(eid)
         allowed = {e for e in g.edge_ids if e > eid}
-        for path in enumerate_simple_paths(g, b, a, allowed):
+        for path in enumerate_simple_paths(g, b, a, allowed, max_paths=max_paths):
             cycles.append((eid,) + path)
     cycles.sort(key=lambda c: (len(c), tuple(sorted(c))))
     return cycles
@@ -437,12 +437,12 @@ def find_gadget_embedding(
         raise PreconditionViolated("terminal sets coincide; block is coincident")
     if is_cycle(block):
         raise IsCycleError("cycles are immune; no gadget embedding exists")
-    blocks, _ = _biconnected(block)
+    blocks, _ = biconnected_blocks(block)
     if len(blocks) != 1:
         raise PreconditionViolated("input is not 2-connected")
 
     terminals = set0 | set1
-    cycles = _all_cycles(block)
+    cycles = _all_cycles(block, max_paths)
     for pair_a_idx in (0, 1):
         pair_a = frozenset(block.od_pairs[pair_a_idx])
         for cycle in cycles:

@@ -6,9 +6,14 @@ either coincident (same terminal set in both) or a cycle.  This module
 recognizes the single-OD classes and renders that verdict with a witness for
 the failing condition.
 
-SP recognition runs by terminal-aware series/parallel reduction; the literal
-opposite-traversal definition is exposed separately as a (worst-case
-exponential) cross-check oracle and for witness extraction.
+No recognizer enumerates paths.  One terminal-aware series/parallel
+reduction decides SP and, by carrying LI and single-path flags through its
+merges, the recursive LI definition; SLI requires LI of every block of the
+OD chain, which `core_graph.block_chains` reads off the block-cut tree; the
+same chain checks that every edge lies on a terminal path.  The literal
+definitions -- no edge crossed in opposite directions, every path owning a
+private edge -- enumerate paths; they are the test oracles and run on the
+verdict path only to extract a witness after a failed SP or LI test.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional
 from .core_graph import (
     DEFAULT_PATH_CAP,
     BlockDecomposition,
+    ChainBlock,
     MultiGraph,
     Path,
     Subnetwork,
@@ -28,7 +34,13 @@ from .core_graph import (
     od_subnetwork,
     validate,
 )
-from .errors import InvalidNetwork, NotSingleOd, PreconditionNotSli
+from .errors import (
+    EdgeNotFound,
+    InvalidNetwork,
+    NoPath,
+    NotSingleOd,
+    PreconditionNotSli,
+)
 
 IBP_FREE = "ibp-free"
 NOT_IBP_FREE = "not-ibp-free"
@@ -113,51 +125,60 @@ class TopologyReport:
 # -- series-parallel ------------------------------------------------------------
 
 
-def _check_single_od(net: Subnetwork) -> None:
-    covered = {eid for p in net.paths for eid in p}
+def _check_single_od(net: Subnetwork) -> tuple[ChainBlock, ...]:
+    """The terminals' block chain, once every edge is known to lie on it."""
+    try:
+        chain = net.chain
+    except (InvalidNetwork, EdgeNotFound, NoPath):
+        chain = ()  # a terminal or an edge is missing, or they are disconnected
+    covered = frozenset().union(*(edges for edges, _, _ in chain))
     if covered != net.edge_subset:
         stray = sorted(net.edge_subset - covered)
         raise NotSingleOd(f"edges on no terminal path: {stray}")
+    return chain
 
 
-def _sp_reducible(edges: dict[str, tuple[str, str]], s: str, t: str) -> bool:
-    """Iterated series/parallel reduction down to a single terminal edge."""
-    edges = dict(edges)
-    fresh = itertools.count()
-    while True:
-        if len(edges) == 1:
-            (u, v) = next(iter(edges.values()))
-            return {u, v} == {s, t}
-        changed = False
-        # parallel: collapse edge groups with identical endpoints
-        groups: dict[frozenset[str], list[str]] = {}
-        for eid, (u, v) in edges.items():
-            groups.setdefault(frozenset((u, v)), []).append(eid)
-        for group in groups.values():
-            if len(group) > 1:
-                for eid in sorted(group)[1:]:
-                    del edges[eid]
-                changed = True
-        # series: splice out one non-terminal degree-2 vertex
-        incidence: dict[str, list[str]] = {}
-        for eid, (u, v) in edges.items():
-            incidence.setdefault(u, []).append(eid)
-            incidence.setdefault(v, []).append(eid)
-        for v in sorted(incidence):
-            if v in (s, t) or len(incidence[v]) != 2:
-                continue
-            ea, eb = incidence[v]
-            other_a = next(w for w in edges[ea] if w != v)
-            other_b = next(w for w in edges[eb] if w != v)
-            if other_a == other_b:
-                continue  # parallel pair through v; next pass collapses it
-            del edges[ea]
-            del edges[eb]
-            edges[f"~sp{next(fresh)}"] = (other_a, other_b)
-            changed = True
-            break
-        if not changed:
-            return False
+def _sp_reduce(
+    graph: MultiGraph, edge_subset: frozenset[str], s: str, t: str
+) -> tuple[bool, bool]:
+    """Series/parallel reduction down to a single terminal edge.
+
+    Returns (is SP, is LI).  Parallel edges merge as they appear, so the
+    shrinking network stays simple and a worklist of vertices whose degree
+    changed finds every series splice (Valdes, Tarjan & Lawler 1982).  Each
+    edge stands for a subnetwork and carries two flags, LI and path (a
+    single path), which evaluate the recursive LI definition bottom-up: a
+    parallel merge is LI iff both parts are, and is never a path; a series
+    splice is LI iff both parts are and one is a path, and is a path iff
+    both are.
+    """
+    flags: dict[frozenset[str], tuple[bool, bool]] = {}  # edge -> (LI, path)
+    neighbours: dict[str, set[str]] = {}
+
+    def add(u: str, v: str, li: bool, path: bool) -> None:
+        edge = frozenset((u, v))
+        if edge in flags:
+            li, path = li and flags[edge][0], False
+        flags[edge] = (li, path)
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+
+    for eid in edge_subset:
+        add(*graph.endpoints(eid), True, True)
+    work = list(neighbours)
+    while work:
+        v = work.pop()
+        if v in (s, t) or len(neighbours.get(v, ())) != 2:
+            continue
+        a, b = neighbours.pop(v)
+        li_a, path_a = flags.pop(frozenset((v, a)))
+        li_b, path_b = flags.pop(frozenset((v, b)))
+        neighbours[a].discard(v)
+        neighbours[b].discard(v)
+        add(a, b, li_a and li_b and (path_a or path_b), path_a and path_b)
+        work += (a, b)
+    sp = flags.keys() == {frozenset((s, t))}
+    return sp, sp and flags[frozenset((s, t))][0]
 
 
 def _oriented_edge_directions(
@@ -192,9 +213,7 @@ def is_series_parallel_by_definition(
 def is_series_parallel(net: Subnetwork) -> tuple[bool, Optional[OppositeTraversal]]:
     """Reduction-based SP test; witness extracted on failure."""
     _check_single_od(net)
-    s, t = net.terminal_pair
-    edge_map = {eid: net.parent.endpoints(eid) for eid in net.edge_subset}
-    if _sp_reducible(edge_map, s, t):
+    if _sp_reduce(net.parent, net.edge_subset, *net.terminal_pair)[0]:
         return True, None
     ok, witness = is_series_parallel_by_definition(net)
     if ok:
@@ -208,7 +227,11 @@ def is_series_parallel(net: Subnetwork) -> tuple[bool, Optional[OppositeTraversa
 def is_linearly_independent(
     net: Subnetwork,
 ) -> tuple[bool, Optional[PathWithoutPrivateEdge]]:
-    """Every OD path must own an edge no other OD path uses."""
+    """Every OD path must own an edge no other OD path uses.
+
+    The literal definition, exponential in the path count: the oracle for
+    the recursive recognizer and the source of failure witnesses.
+    """
     _check_single_od(net)
     paths = net.paths
     for idx, path in enumerate(paths):
@@ -221,80 +244,13 @@ def is_linearly_independent(
     return True, None
 
 
-def _parallel_branches(graph: MultiGraph, s: str, t: str) -> list[frozenset[str]]:
-    """Edge classes of the parallel decomposition between s and t.
-
-    Each connected component of the graph minus {s, t} spans one branch; every
-    direct s-t edge is its own branch.
-    """
-    comp_of: dict[str, int] = {}
-    n = 0
-    for v in graph.vertices:
-        if v in (s, t) or v in comp_of:
-            continue
-        comp_of[v] = n
-        stack = [v]
-        while stack:
-            cur = stack.pop()
-            for _, other in graph.adjacency[cur]:
-                if other in (s, t) or other in comp_of:
-                    continue
-                comp_of[other] = n
-                stack.append(other)
-        n += 1
-    branches: dict[object, set[str]] = {}
-    for eid, u, v in graph.edges:
-        if {u, v} == {s, t}:
-            branches[("direct", eid)] = {eid}
-            continue
-        interior = u if u not in (s, t) else v
-        branches.setdefault(("comp", comp_of[interior]), set()).add(eid)
-    return [frozenset(b) for _, b in sorted(branches.items(), key=lambda kv: sorted(kv[1]))]
-
-
 def is_linearly_independent_recursive(net: Subnetwork) -> bool:
-    """Recursive recognizer: single edge, parallel of LI, or edge + LI in series."""
+    """Recursive recognizer: single edge, parallel of LI, or edge + LI in series.
+
+    The definition is evaluated bottom-up along the series/parallel reduction.
+    """
     _check_single_od(net)
-    return _li_rec(net.graph, net.terminal_pair[0], net.terminal_pair[1])
-
-
-def _li_rec(graph: MultiGraph, s: str, t: str) -> bool:
-    if len(graph.edge_ids) == 1:
-        (eid,) = graph.edge_ids
-        return frozenset(graph.endpoints(eid)) == frozenset((s, t))
-
-    chain = _raw_chain(graph, s, t)
-    if len(chain) >= 2:
-        first_edges, _, first_leave = chain[0]
-        last_edges, last_entry, _ = chain[-1]
-        if len(first_edges) == 1:
-            rest = _merge_chain(graph, chain[1:])
-            if _li_rec(rest, first_leave, t):
-                return True
-        if len(last_edges) == 1:
-            front = _merge_chain(graph, chain[:-1])
-            if _li_rec(front, s, last_entry):
-                return True
-        return False
-
-    branches = _parallel_branches(graph, s, t)
-    if len(branches) < 2:
-        return False
-    return all(
-        _li_rec(graph.induced(branch, [(s, t)]), s, t) for branch in branches
-    )
-
-
-def _raw_chain(graph: MultiGraph, s: str, t: str):
-    from .core_graph import _chain_of
-
-    sub = Subnetwork(parent=graph, edge_subset=graph.edge_ids, terminal_pair=(s, t))
-    return _chain_of(sub)
-
-
-def _merge_chain(graph: MultiGraph, chain) -> MultiGraph:
-    edges = frozenset(eid for block, _, _ in chain for eid in block)
-    return graph.induced(edges, [(chain[0][1], chain[-1][2])])
+    return _sp_reduce(net.parent, net.edge_subset, *net.terminal_pair)[1]
 
 
 # -- series of linearly independent ------------------------------------------------
@@ -310,28 +266,25 @@ class SliChainBlock:
 
 def is_sli(net: Subnetwork) -> tuple[bool, tuple[SliChainBlock, ...]]:
     """Decompose into the OD block chain and require each block to be LI."""
-    _check_single_od(net)
-    chain_blocks = []
-    ok = True
-    for edges, entry, leave in _raw_chain(net.graph, *net.terminal_pair):
-        block_net = Subnetwork(
-            parent=net.parent, edge_subset=edges, terminal_pair=(entry, leave)
+    chain_blocks = tuple(
+        SliChainBlock(
+            edges=edges,
+            origin=entry,
+            destination=leave,
+            is_li=_sp_reduce(net.parent, edges, entry, leave)[1],
         )
-        li, _ = is_linearly_independent(block_net)
-        chain_blocks.append(
-            SliChainBlock(edges=edges, origin=entry, destination=leave, is_li=li)
-        )
-        ok = ok and li
-    return ok, tuple(chain_blocks)
+        for edges, entry, leave in _check_single_od(net)
+    )
+    return all(b.is_li for b in chain_blocks), chain_blocks
 
 
 def classify_single_od(net: Subnetwork) -> SingleOdClass:
     sp, sp_witness = is_series_parallel(net)
     if not sp:
         return SingleOdClass(is_sp=False, is_li=False, is_sli=False, witness=sp_witness)
-    li, li_witness = is_linearly_independent(net)
-    if li:
+    if is_linearly_independent_recursive(net):
         return SingleOdClass(is_sp=True, is_li=True, is_sli=True, witness=None)
+    _, li_witness = is_linearly_independent(net)
     sli, _ = is_sli(net)
     return SingleOdClass(is_sp=True, is_li=False, is_sli=sli, witness=li_witness)
 
@@ -344,15 +297,14 @@ def classify_common_blocks(
     i: int,
     j: int,
     decomposition: Optional[BlockDecomposition] = None,
-    max_paths: int = DEFAULT_PATH_CAP,
 ) -> PairwiseEntry:
     """Classify each block shared by subnetworks i and j.
 
     Requires both subnetworks to be SLI (otherwise blocks sharing an edge need
     not coincide).  Terminal order is ignored when testing coincidence.
     """
-    sub_i = od_subnetwork(g, i, max_paths=max_paths)
-    sub_j = od_subnetwork(g, j, max_paths=max_paths)
+    sub_i = od_subnetwork(g, i)
+    sub_j = od_subnetwork(g, j)
     for idx, sub in ((i, sub_i), (j, sub_j)):
         ok, _ = is_sli(sub)
         if not ok:
@@ -362,7 +314,7 @@ def classify_common_blocks(
     if not intersection:
         return PairwiseEntry(disjoint=True, verdicts=(), induced_matches=True)
 
-    dec = decomposition or decompose_blocks(g, max_paths=max_paths)
+    dec = decomposition or decompose_blocks(g)
     chain_i = {dec.block_edges(l.block_id): l for l in dec.chains[i]}
     chain_j = {dec.block_edges(l.block_id): l for l in dec.chains[j]}
 
@@ -413,7 +365,7 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
             f"uncovered_vertices={list(report.uncovered_vertices)}"
         )
 
-    dec = decompose_blocks(g, max_paths=max_paths)
+    dec = decompose_blocks(g)
     per_od = []
     for i in range(len(g.od_pairs)):
         per_od.append(classify_single_od(od_subnetwork(g, i, max_paths=max_paths)))
@@ -427,7 +379,7 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
     for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
         if not (per_od[i].is_sli and per_od[j].is_sli):
             continue
-        entry = classify_common_blocks(g, i, j, decomposition=dec, max_paths=max_paths)
+        entry = classify_common_blocks(g, i, j, decomposition=dec)
         pairwise.append(((i, j), entry))
         if failure is not None:
             continue
@@ -451,7 +403,7 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
     )
 
 
-def check_sufficient_coincident(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> bool:
+def check_sufficient_coincident(g: MultiGraph) -> bool:
     """Stricter sufficient condition: every common block coincident.
 
     Implies the full verdict is IBP-free, but not conversely: a shared cycle
@@ -459,13 +411,13 @@ def check_sufficient_coincident(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP
     """
     per_od = []
     for i in range(len(g.od_pairs)):
-        ok, _ = is_sli(od_subnetwork(g, i, max_paths=max_paths))
+        ok, _ = is_sli(od_subnetwork(g, i))
         per_od.append(ok)
     if not all(per_od):
         return False
-    dec = decompose_blocks(g, max_paths=max_paths)
+    dec = decompose_blocks(g)
     for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
-        entry = classify_common_blocks(g, i, j, decomposition=dec, max_paths=max_paths)
+        entry = classify_common_blocks(g, i, j, decomposition=dec)
         if entry.disjoint:
             continue
         if not entry.induced_matches:

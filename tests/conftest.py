@@ -110,6 +110,22 @@ def chain_with_gadget_middle():
     )
 
 
+def diamonds_in_series(k):
+    """k two-path diamonds joined at cut vertices: SLI, 2^k simple paths."""
+    joints = [f"j{i}" for i in range(k + 1)]
+    edges = []
+    for i in range(k):
+        a, b = f"a{i}", f"b{i}"
+        edges += [
+            (f"d{i}p", joints[i], a),
+            (f"d{i}q", a, joints[i + 1]),
+            (f"d{i}r", joints[i], b),
+            (f"d{i}s", b, joints[i + 1]),
+        ]
+    vertices = joints + [f"{x}{i}" for i in range(k) for x in "ab"]
+    return MultiGraph(vertices, edges, [(joints[0], joints[-1])])
+
+
 def cycle_graph(n_vertices, od_pairs):
     vs = [f"c{i}" for i in range(n_vertices)]
     edges = [

@@ -6,6 +6,8 @@ from ibpcheck.core_graph import (
     EmbeddingStep,
     MultiGraph,
     apply_embedding_step,
+    biconnected_blocks,
+    connected_components,
     decompose_blocks,
     enumerate_simple_paths,
     is_cycle,
@@ -187,6 +189,41 @@ def test_od_subnetwork_idempotent_on_random_graphs():
         assert again.edge_subset == sub.edge_subset
 
 
+def _chain_by_enumeration(g: MultiGraph, o: str, d: str):
+    """The OD chain from the subnetwork's own blocks, walked from o to d."""
+    paths = enumerate_simple_paths(g, o, d, max_paths=100000)
+    sub = g.induced({eid for p in paths for eid in p}, [(o, d)])
+    blocks, _ = biconnected_blocks(sub)
+    vertices = {bl: {w for eid in bl for w in sub.endpoints(eid)} for bl in blocks}
+    chain, entry, rest = [], o, set(blocks)
+    while rest:
+        (bl,) = [b for b in rest if entry in vertices[b]]
+        rest.remove(bl)
+        if rest:
+            (leave,) = {w for w in vertices[bl] if any(w in vertices[b] for b in rest)}
+        else:
+            leave = d
+        chain.append((bl, entry, leave))
+        entry = leave
+    return chain
+
+
+def test_chains_match_enumerated_subnetworks_on_random_graphs():
+    rng = random.Random(20241018)
+    for _ in range(150):
+        g = random_connected_multigraph(rng, max_vertices=8, max_extra=5)
+        if len(g.vertices) < 2:
+            continue
+        pairs = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.randint(1, 3))]
+        g = MultiGraph(g.vertices, g.edges, pairs)
+        dec = decompose_blocks(g)
+        for i, (o, d) in enumerate(pairs):
+            paths = enumerate_simple_paths(g, o, d, max_paths=100000)
+            assert od_subnetwork(g, i).edge_subset == {eid for p in paths for eid in p}
+            chain = [(dec.block_edges(l.block_id), l.origin, l.destination) for l in dec.chains[i]]
+            assert chain == _chain_by_enumeration(g, o, d)
+
+
 # -- block decomposition -----------------------------------------------------------
 
 
@@ -246,25 +283,21 @@ def test_four_block_chain_order_and_terminals():
 
 
 def test_blocks_partition_edges_on_random_graphs():
-    from ibpcheck.core_graph import _biconnected
-
     rng = random.Random(99)
     for _ in range(40):
         g = random_connected_multigraph(rng)
-        blocks, _ = _biconnected(g)
+        blocks, _ = biconnected_blocks(g)
         all_edges = [eid for bl in blocks for eid in bl]
         assert sorted(all_edges) == sorted(g.edge_ids)
 
 
 def test_cut_vertex_removal_disconnects_random_graphs():
-    from ibpcheck.core_graph import _biconnected, connected_components
-
     rng = random.Random(123)
     for _ in range(30):
         g = random_connected_multigraph(rng, max_vertices=7)
         if len(g.vertices) < 3:
             continue
-        _, cuts = _biconnected(g)
+        _, cuts = biconnected_blocks(g)
         for v in g.vertices:
             kept = [e for e in g.edges if v not in (e[1], e[2])]
             rest = [w for w in g.vertices if w != v]

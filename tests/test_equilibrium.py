@@ -13,7 +13,6 @@ from ibpcheck.equilibrium import (
     beckmann_potential,
     block_local_game,
     check_series_decomposition,
-    equilibrium_latency,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -126,7 +125,7 @@ def test_pigou_routes_everything_on_the_congestible_edge(backend):
     result = solve_icwe(pigou_game(), backend=backend)
     assert result.edge_flows.get("fast", 0.0) == pytest.approx(1.0, abs=1e-9)
     assert result.edge_flows.get("flat", 0.0) == pytest.approx(0.0, abs=1e-9)
-    assert equilibrium_latency(result, 0) == pytest.approx(1.0, abs=1e-9)
+    assert result.type_latencies[0] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant", ["origin", "destination"])
@@ -162,7 +161,23 @@ def test_rate_zero_type_gets_latency_zero():
         game.graph, game.latencies, list(game.types) + [TravelerType(0.0, 0, ())]
     )
     result = solve_icwe(padded)
-    assert equilibrium_latency(result, 2) == 0.0
+    assert result.type_latencies[2] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_type_spread_below_flow_eps_is_skipped_in_sweeps(seed):
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t"), ("c", "s", "t")], [("s", "t")])
+    latencies = {
+        "a": LatencyFunction((0.0, 1.0)),
+        "b": LatencyFunction((1.0, 1.0)),
+        "c": LatencyFunction((2.0, 1.0)),
+    }
+    everything = {"a", "b", "c"}
+    game = RoutingGame(
+        g, latencies, [TravelerType(1.0, 0, everything), TravelerType(2e-9, 0, everything)]
+    )
+    result = solve_icwe(game, backend="cg", start_seed=seed)
+    assert verify_wardrop(game, result).passed
 
 
 def test_exact_backend_rejects_nonaffine():

@@ -213,9 +213,26 @@ def test_k4_embedding_replays_to_gadget_shape():
     assert _is_gadget_shaped(replayed)
 
 
+def test_max_paths_reaches_the_cycle_enumeration():
+    from ibpcheck.paradox import _is_gadget_shaped
+
+    rows, cols = 4, 7  # some edge closes more than 10,000 cycles
+    edges = [(f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}") for r in range(rows - 1) for c in range(cols)]
+    block = MultiGraph(
+        [f"g{r}_{c}" for r in range(rows) for c in range(cols)],
+        edges,
+        [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")],
+    )
+    replayed = block
+    for step in find_gadget_embedding(block, max_paths=100_000):
+        replayed = apply_embedding_step(replayed, step)
+    assert _is_gadget_shaped(replayed)
+
+
 def test_embedding_dichotomy_on_random_two_od_blocks():
     """2-connected non-coincident blocks: cycle XOR gadget-embeddable."""
-    from ibpcheck.core_graph import _biconnected, od_subnetwork
+    from ibpcheck.core_graph import biconnected_blocks, od_subnetwork
     from ibpcheck.topology import is_sli
     from conftest import random_connected_multigraph
 
@@ -226,7 +243,7 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
         g = random_connected_multigraph(rng, max_vertices=5, max_extra=4)
         if len(g.vertices) < 3:
             continue
-        blocks, _ = _biconnected(g)
+        blocks, _ = biconnected_blocks(g)
         if len(blocks) != 1:
             continue
         vs = sorted(g.vertices)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ibpcheck.core_graph import MultiGraph, Subnetwork, od_subnetwork
+from ibpcheck.core_graph import MultiGraph, Subnetwork, decompose_blocks, od_subnetwork
 from ibpcheck.errors import NotSingleOd, PreconditionNotSli
 from ibpcheck.topology import (
     CYCLE,
@@ -25,6 +25,7 @@ from ibpcheck.topology import (
 
 from conftest import (
     chain_with_gadget_middle,
+    diamonds_in_series,
     doubled_series_pairs_in_parallel,
     gadget_multigraph,
     random_single_od_subnetwork,
@@ -148,13 +149,27 @@ def test_class_containment_and_recognizer_agreement():
         assert sp == sp_def
         li, _ = is_linearly_independent(net)
         assert li == is_linearly_independent_recursive(net)
-        sli, _ = is_sli(net)
+        sli, chain = is_sli(net)
+        for b in chain:
+            block = Subnetwork(net.parent, b.edges, (b.origin, b.destination))
+            assert b.is_li == is_linearly_independent(block)[0]
         if li:
             assert sli
         if sli:
             assert sp
         checked += 1
     assert checked == 80
+
+
+def test_recognizers_need_no_path_enumeration():
+    g = diamonds_in_series(20)  # 2^20 simple paths, far above the default cap
+    net = od_subnetwork(g, 0)
+    assert net.edge_subset == g.edge_ids
+    assert len(decompose_blocks(g).chains[0]) == 20
+    assert is_series_parallel(net) == (True, None)
+    ok, chain = is_sli(net)
+    assert ok and len(chain) == 20
+    assert not is_linearly_independent_recursive(net)
 
 
 # -- common blocks ---------------------------------------------------------------------
