@@ -49,6 +49,7 @@ from .topology import (
     TopologyReport,
     check_sufficient_coincident,
     classify_common_blocks,
+    common_blocks,
     decide_ibp_free,
     is_linearly_independent,
     is_series_parallel,
@@ -78,6 +79,7 @@ __all__ = [
     "check_series_decomposition",
     "check_sufficient_coincident",
     "classify_common_blocks",
+    "common_blocks",
     "cycle_diagnostics",
     "decide_ibp_free",
     "decompose_blocks",

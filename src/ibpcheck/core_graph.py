@@ -8,7 +8,7 @@ safe to call from multiple threads.
 OD subnetworks and their block chains come from one walk of the whole
 graph's block-cut tree (`block_chains`), in linear time per OD pair.  Path
 enumeration is exhaustive and capped (default 10,000 paths, past which it
-raises); it serves `validate`'s coverage check, failure witnesses and the
+raises); it serves `validate`'s coverage check, witnesses on demand and the
 test oracles, not the topology verdict.
 """
 
@@ -327,6 +327,13 @@ class BlockDecomposition:
 
     def block_edges(self, block_id: int) -> frozenset[str]:
         return self.blocks[block_id].edges
+
+    def chain_blocks(self, i: int) -> tuple[ChainBlock, ...]:
+        """OD i's chain as (block edges, entry, leave) triples."""
+        return tuple(
+            (self.block_edges(link.block_id), link.origin, link.destination)
+            for link in self.chains[i]
+        )
 
 
 def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str]]:

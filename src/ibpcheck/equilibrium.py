@@ -28,6 +28,7 @@ single-threaded procedures, so independent games may be solved concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -70,8 +71,10 @@ class LatencyFunction:
         coeffs = tuple(float(c) for c in coefficients)
         if not coeffs:
             coeffs = (0.0,)
-        if any(c < 0 for c in coeffs):
-            raise InvalidNetwork(f"negative latency coefficient in {coeffs}")
+        if not all(0.0 <= c < math.inf for c in coeffs):
+            raise InvalidNetwork(
+                f"latency coefficients must be finite and nonnegative: {coeffs}"
+            )
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x: float) -> float:
@@ -112,8 +115,8 @@ class TravelerType:
     info_set: frozenset[str]
 
     def __init__(self, rate: float, od_index: int, info_set: Iterable[str]):
-        if rate < 0:
-            raise InvalidNetwork("traveler rate must be nonnegative")
+        if not 0.0 <= rate < math.inf:
+            raise InvalidNetwork("traveler rate must be finite and nonnegative")
         object.__setattr__(self, "rate", float(rate))
         object.__setattr__(self, "od_index", int(od_index))
         object.__setattr__(self, "info_set", frozenset(info_set))

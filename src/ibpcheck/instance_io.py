@@ -36,6 +36,10 @@ def _check_fields(obj: dict, allowed: set, where: str) -> None:
     _require(not unknown, where, f"unknown fields {sorted(unknown)}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtension]]:
     _check_fields(data, _TOP_FIELDS, "top level")
     _require(
@@ -72,7 +76,7 @@ def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtensi
         _require(
             isinstance(coeffs, list)
             and coeffs
-            and all(isinstance(c, (int, float)) for c in coeffs),
+            and all(_is_number(c) for c in coeffs),
             where,
             "latency must be a nonempty coefficient array (constant first)",
         )
@@ -102,13 +106,10 @@ def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtensi
         _check_fields(typ, _TYPE_FIELDS, where)
         for field in _TYPE_FIELDS:
             _require(field in typ, where, f"missing field {field!r}")
-        _require(
-            isinstance(typ["rate"], (int, float)) and typ["rate"] >= 0,
-            where,
-            "rate must be a nonnegative number",
-        )
+        _require(_is_number(typ["rate"]), where, "rate must be a number")
         _require(
             isinstance(typ["od_index"], int)
+            and not isinstance(typ["od_index"], bool)
             and 0 <= typ["od_index"] < len(od_pairs),
             where,
             f"od_index must be an integer in [0, {len(od_pairs)})",
@@ -119,7 +120,10 @@ def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtensi
             where,
             "info_set must be a list of edge ids",
         )
-        types.append(TravelerType(typ["rate"], typ["od_index"], info))
+        try:
+            types.append(TravelerType(typ["rate"], typ["od_index"], info))
+        except InvalidNetwork as exc:
+            raise InstanceFileError(f"{where}: {exc}") from None
 
     try:
         game = RoutingGame(graph, latencies, types)

@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedFailureSite,
     WitnessVerificationFailed,
 )
-from .topology import IBP_FREE, decide_ibp_free
+from .topology import IBP_FREE, OTHER, common_blocks, decide_ibp_free
 
 DEFAULT_DECISION_THRESHOLD = 1e-4
 
@@ -525,23 +525,16 @@ def synthesize_ibp_witness(
         raise PreconditionViolated("network is IBP-free; no witness exists")
     dec = report.decomposition
 
-    candidates = []
-    for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
-        chain_i = {link.block_id: link for link in dec.chains[i]}
-        chain_j = {link.block_id: link for link in dec.chains[j]}
-        for bid in sorted(set(chain_i) & set(chain_j)):
-            li, lj = chain_i[bid], chain_j[bid]
-            ti = frozenset((li.origin, li.destination))
-            tj = frozenset((lj.origin, lj.destination))
-            if ti == tj or is_cycle(g, dec.block_edges(bid)):
-                continue
-            candidates.append((i, j, bid, li, lj))
-
-    for i, j, bid, li, lj in candidates:
-        block_graph = g.induced(
-            dec.block_edges(bid),
-            [(li.origin, li.destination), (lj.origin, lj.destination)],
-        )
+    candidates = (
+        (i, j, v)
+        for i, j in itertools.combinations(range(len(g.od_pairs)), 2)
+        for v in sorted(common_blocks(g, dec, i, j).verdicts, key=lambda v: v.block_id)
+        if v.kind == OTHER
+    )
+    for i, j, v in candidates:
+        bid = v.block_id
+        block_edges = dec.block_edges(bid)
+        block_graph = g.induced(block_edges, [v.terminal_set_in_i, v.terminal_set_in_j])
         try:
             steps = find_gadget_embedding(block_graph, max_paths=max_paths)
         except (IsCycleError, PreconditionViolated):
@@ -551,7 +544,6 @@ def synthesize_ibp_witness(
             continue
 
         latencies = {}
-        block_edges = dec.block_edges(bid)
         for eid in g.edge_ids:
             if eid in block_edges:
                 latencies[eid] = block_instance.game.latencies[eid]

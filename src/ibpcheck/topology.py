@@ -3,24 +3,29 @@
 A multi-OD network is immune to the informational Braess' paradox exactly
 when every OD subnetwork is SLI and every block shared by two subnetworks is
 either coincident (same terminal set in both) or a cycle.  This module
-recognizes the single-OD classes and renders that verdict with a witness for
+recognizes the single-OD classes and renders that verdict with the site of
 the failing condition.
 
-No recognizer enumerates paths.  One terminal-aware series/parallel
-reduction decides SP and, by carrying LI and single-path flags through its
-merges, the recursive LI definition; SLI requires LI of every block of the
-OD chain, which `core_graph.block_chains` reads off the block-cut tree; the
-same chain checks that every edge lies on a terminal path.  The literal
-definitions -- no edge crossed in opposite directions, every path owning a
-private edge -- enumerate paths; they are the test oracles and run on the
-verdict path only to extract a witness after a failed SP or LI test.
+The verdict reads everything off one block decomposition of the whole
+graph: each OD chain is its list of blocks.  One terminal-aware
+series/parallel reduction over the chain's union decides SP and, by
+carrying LI and single-path flags through its merges, the recursive LI
+definition; a chain that is not LI is SLI iff the same reduction finds every
+one of its blocks LI.  `common_blocks` applies the coincident / cycle /
+other rule to the blocks two chains share.  Nothing on the verdict path
+enumerates paths except `validate`'s coverage check.
+
+The literal definitions -- no edge crossed in opposite directions, every
+path owning a private edge -- enumerate paths.  They are the test oracles,
+and the public `is_series_parallel` and `is_linearly_independent` call them
+to return a failure witness on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core_graph import (
     DEFAULT_PATH_CAP,
@@ -31,7 +36,6 @@ from .core_graph import (
     Subnetwork,
     decompose_blocks,
     is_cycle,
-    od_subnetwork,
     validate,
 )
 from .errors import (
@@ -72,7 +76,6 @@ class SingleOdClass:
     is_sp: bool
     is_li: bool
     is_sli: bool
-    witness: Optional[object]  # OppositeTraversal | PathWithoutPrivateEdge
 
     def __post_init__(self):
         if self.is_li and not self.is_sli:
@@ -93,7 +96,6 @@ class CommonBlockVerdict:
 class PairwiseEntry:
     disjoint: bool
     verdicts: tuple[CommonBlockVerdict, ...]
-    induced_matches: bool  # intersection edges == union of common blocks
 
 
 @dataclass(frozen=True)
@@ -278,58 +280,46 @@ def is_sli(net: Subnetwork) -> tuple[bool, tuple[SliChainBlock, ...]]:
     return all(b.is_li for b in chain_blocks), chain_blocks
 
 
+def _is_sli(graph: MultiGraph, chain: Sequence[ChainBlock]) -> bool:
+    return all(_sp_reduce(graph, *block)[1] for block in chain)
+
+
+def _classify_chain(
+    graph: MultiGraph, chain: Sequence[ChainBlock], o: str, d: str
+) -> SingleOdClass:
+    """SP and LI from one reduction over the chain's union; SLI asks each block."""
+    union = frozenset().union(*(edges for edges, _, _ in chain))
+    sp, li = _sp_reduce(graph, union, o, d)
+    sli = li or (sp and _is_sli(graph, chain))
+    return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)
+
+
 def classify_single_od(net: Subnetwork) -> SingleOdClass:
-    sp, sp_witness = is_series_parallel(net)
-    if not sp:
-        return SingleOdClass(is_sp=False, is_li=False, is_sli=False, witness=sp_witness)
-    if is_linearly_independent_recursive(net):
-        return SingleOdClass(is_sp=True, is_li=True, is_sli=True, witness=None)
-    _, li_witness = is_linearly_independent(net)
-    sli, _ = is_sli(net)
-    return SingleOdClass(is_sp=True, is_li=False, is_sli=sli, witness=li_witness)
+    return _classify_chain(net.parent, _check_single_od(net), *net.terminal_pair)
 
 
 # -- common blocks across OD pairs ---------------------------------------------------
 
 
-def classify_common_blocks(
-    g: MultiGraph,
-    i: int,
-    j: int,
-    decomposition: Optional[BlockDecomposition] = None,
+def common_blocks(
+    g: MultiGraph, dec: BlockDecomposition, i: int, j: int
 ) -> PairwiseEntry:
-    """Classify each block shared by subnetworks i and j.
+    """Classify each block shared by OD chains i and j of `dec`.
 
-    Requires both subnetworks to be SLI (otherwise blocks sharing an edge need
-    not coincide).  Terminal order is ignored when testing coincidence.
+    A shared block is coincident when its terminal sets in the two chains
+    are equal (order ignored), else a cycle or other.  Blocks partition the
+    edges, so the two OD subnetworks meet exactly in their shared blocks.
     """
-    sub_i = od_subnetwork(g, i)
-    sub_j = od_subnetwork(g, j)
-    for idx, sub in ((i, sub_i), (j, sub_j)):
-        ok, _ = is_sli(sub)
-        if not ok:
-            raise PreconditionNotSli(f"OD subnetwork {idx} is not SLI")
-
-    intersection = sub_i.edge_subset & sub_j.edge_subset
-    if not intersection:
-        return PairwiseEntry(disjoint=True, verdicts=(), induced_matches=True)
-
-    dec = decomposition or decompose_blocks(g)
-    chain_i = {dec.block_edges(l.block_id): l for l in dec.chains[i]}
-    chain_j = {dec.block_edges(l.block_id): l for l in dec.chains[j]}
-
+    in_j = {link.block_id: link for link in dec.chains[j]}
     verdicts = []
-    matched: set[str] = set()
-    for edges in sorted(chain_i, key=sorted):
-        if edges not in chain_j:
+    by_edges = lambda link: sorted(dec.block_edges(link.block_id))
+    for li in sorted(dec.chains[i], key=by_edges):
+        lj = in_j.get(li.block_id)
+        if lj is None:
             continue
-        li = chain_i[edges]
-        lj = chain_j[edges]
-        set_i = {li.origin, li.destination}
-        set_j = {lj.origin, lj.destination}
-        if set_i == set_j:
+        if {li.origin, li.destination} == {lj.origin, lj.destination}:
             kind = COINCIDENT
-        elif is_cycle(g, edges):
+        elif is_cycle(g, dec.block_edges(li.block_id)):
             kind = CYCLE
         else:
             kind = OTHER
@@ -341,20 +331,27 @@ def classify_common_blocks(
                 terminal_set_in_j=(lj.origin, lj.destination),
             )
         )
-        matched |= edges
-    return PairwiseEntry(
-        disjoint=False,
-        verdicts=tuple(verdicts),
-        induced_matches=matched == intersection,
-    )
+    return PairwiseEntry(disjoint=not verdicts, verdicts=tuple(verdicts))
+
+
+def classify_common_blocks(g: MultiGraph, i: int, j: int) -> PairwiseEntry:
+    """`common_blocks` of OD pairs i and j, once both are known to be SLI.
+
+    In a pair that is not SLI, blocks sharing an edge need not coincide.
+    """
+    dec = decompose_blocks(g)
+    for idx in (i, j):
+        if not _is_sli(g, dec.chain_blocks(idx)):
+            raise PreconditionNotSli(f"OD subnetwork {idx} is not SLI")
+    return common_blocks(g, dec, i, j)
 
 
 def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> TopologyReport:
     """Full verdict: SLI condition plus the coincident-or-cycle block condition.
 
-    The conditions are conjunctive, so the verdict short-circuits on the first
-    failure; pairwise entries are still produced for every pair whose two
-    subnetworks are SLI.
+    The conditions are conjunctive, so the failure site is the first one
+    found; pairwise entries are still produced for every pair whose two
+    subnetworks are SLI.  `max_paths` caps `validate`'s path enumeration.
     """
     report = validate(g, max_paths=max_paths)
     if not report.ok:
@@ -366,9 +363,10 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
         )
 
     dec = decompose_blocks(g)
-    per_od = []
-    for i in range(len(g.od_pairs)):
-        per_od.append(classify_single_od(od_subnetwork(g, i, max_paths=max_paths)))
+    per_od = tuple(
+        _classify_chain(g, dec.chain_blocks(i), o, d)
+        for i, (o, d) in enumerate(g.od_pairs)
+    )
     failure: Optional[FailureSite] = None
     for i, cls in enumerate(per_od):
         if not cls.is_sli:
@@ -379,23 +377,16 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
     for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
         if not (per_od[i].is_sli and per_od[j].is_sli):
             continue
-        entry = classify_common_blocks(g, i, j, decomposition=dec)
+        entry = common_blocks(g, dec, i, j)
         pairwise.append(((i, j), entry))
-        if failure is not None:
-            continue
-        bad = next(
-            (v for v in entry.verdicts if v.kind == OTHER),
-            None,
-        )
-        if bad is not None:
+        bad = next((v for v in entry.verdicts if v.kind == OTHER), None)
+        if failure is None and bad is not None:
             failure = FailureSite(
                 condition="common-block", od_pair_indices=(i, j), block_id=bad.block_id
             )
-        elif not entry.induced_matches:
-            failure = FailureSite(condition="common-block", od_pair_indices=(i, j))
 
     return TopologyReport(
-        per_od=tuple(per_od),
+        per_od=per_od,
         pairwise=tuple(pairwise),
         decomposition=dec,
         verdict=NOT_IBP_FREE if failure else IBP_FREE,
@@ -409,19 +400,10 @@ def check_sufficient_coincident(g: MultiGraph) -> bool:
     Implies the full verdict is IBP-free, but not conversely: a shared cycle
     block with different terminal sets is immune yet not coincident.
     """
-    per_od = []
-    for i in range(len(g.od_pairs)):
-        ok, _ = is_sli(od_subnetwork(g, i))
-        per_od.append(ok)
-    if not all(per_od):
-        return False
     dec = decompose_blocks(g)
-    for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
-        entry = classify_common_blocks(g, i, j, decomposition=dec)
-        if entry.disjoint:
-            continue
-        if not entry.induced_matches:
-            return False
-        if any(v.kind != COINCIDENT for v in entry.verdicts):
-            return False
-    return True
+    pairs = range(len(g.od_pairs))
+    return all(_is_sli(g, dec.chain_blocks(i)) for i in pairs) and all(
+        v.kind == COINCIDENT
+        for i, j in itertools.combinations(pairs, 2)
+        for v in common_blocks(g, dec, i, j).verdicts
+    )

@@ -295,6 +295,19 @@ def _lattice_path(rng: random.Random, rows, cols, start, end):
     return path
 
 
+def grid_graph(rows, cols, od_pairs):
+    """rows x cols lattice: vertex g{r}_{c}, edges h{r}_{c} (right) and v{r}_{c} (down)."""
+    vertices = [f"g{r}_{c}" for r in range(rows) for c in range(cols)]
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}"))
+            if r + 1 < rows:
+                edges.append((f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}"))
+    return MultiGraph(vertices, edges, od_pairs)
+
+
 GRID_LATENCY_DEGREES = (1, 2, 4)
 
 
@@ -308,21 +321,11 @@ def random_grid_game(rng: random.Random, degree, rows=3, cols=4, sparse=False):
     few enough paths for the exact backend.  Degree 4 is the BPR function
     t0 (1 + 0.15 (x / capacity)^4).
     """
-    vertices = [f"g{r}_{c}" for r in range(rows) for c in range(cols)]
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}"))
-            if r + 1 < rows:
-                edges.append((f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}"))
-    all_edges = sorted(e[0] for e in edges)
     corners = [((0, 0), (rows - 1, cols - 1)), ((0, cols - 1), (rows - 1, 0))]
-    graph = MultiGraph(
-        vertices,
-        edges,
-        [(f"g{a[0]}_{a[1]}", f"g{b[0]}_{b[1]}") for a, b in corners],
+    graph = grid_graph(
+        rows, cols, [(f"g{a[0]}_{a[1]}", f"g{b[0]}_{b[1]}") for a, b in corners]
     )
+    all_edges = sorted(graph.edge_ids)
 
     def latency():
         t0 = rng.uniform(1.0, 10.0)

@@ -1,21 +1,28 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
 from ibpcheck.cli import build_parser, main
-from ibpcheck.equilibrium import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
+from ibpcheck.equilibrium import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
+    LatencyFunction,
+    TravelerType,
+)
 from ibpcheck.instance_io import (
     instance_to_dict,
     load_instance,
     parse_instance,
     save_instance,
 )
-from ibpcheck.errors import InstanceFileError
+from ibpcheck.errors import InstanceFileError, InvalidNetwork
 from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +86,50 @@ def test_negative_latency_coefficient_rejected():
     data["edges"][0]["latency"] = [-1.0]
     with pytest.raises(InstanceFileError):
         parse_instance(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["edges"][0].update(latency=[True]),
+        lambda d: d["types"][0].update(rate=True),
+        lambda d: d["types"][0].update(od_index=True),
+    ],
+    ids=["latency", "rate", "od_index"],
+)
+def test_boolean_numbers_rejected(edit):
+    data = json.loads((FIXTURES / "gadget.json").read_text())  # two OD pairs
+    edit(data)
+    with pytest.raises(InstanceFileError):
+        parse_instance(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_numbers_rejected_by_constructors(value):
+    with pytest.raises(InvalidNetwork):
+        LatencyFunction([0.0, value])
+    with pytest.raises(InvalidNetwork):
+        TravelerType(value, 0, {"e"})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["edges"][0].update(latency=[math.nan]),
+        lambda d: d["edges"][0].update(latency=[0.0, math.inf]),
+        lambda d: d["types"][0].update(rate=math.inf),
+        lambda d: d["types"][0].update(rate=math.nan),
+    ],
+    ids=["latency-nan", "latency-inf", "rate-inf", "rate-nan"],
+)
+def test_non_finite_numbers_in_a_file_exit_2(edit, tmp_path, capsys):
+    data = json.loads((FIXTURES / "pigou.json").read_text())
+    edit(data)
+    path = tmp_path / "pigou.json"
+    path.write_text(json.dumps(data))  # json writes NaN and Infinity literally
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_fixtures_match_the_published_schema():
@@ -266,6 +317,29 @@ def test_search_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# -- golden output -------------------------------------------------------------------
+# The CLI's byte-stable output, captured once; a test failing here means the
+# output changed, which must be deliberate and recorded with new golden files.
+
+CLASSIFY_GOLDEN = json.loads((GOLDEN / "classify.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
+def test_classify_output_matches_golden(name, capsys):
+    code, out, _ = run_cli(capsys, "classify", str(FIXTURES / f"{name}.json"))
+    assert (code, out) == (CLASSIFY_GOLDEN[name]["exit"], CLASSIFY_GOLDEN[name]["stdout"])
+
+
+@pytest.mark.parametrize("name", ["chain3", "gadget", "k4"])
+def test_synthesized_witness_matches_golden(name, tmp_path, capsys):
+    src = tmp_path / f"{name}.json"
+    shutil.copy(FIXTURES / f"{name}.json", src)
+    code, _, _ = run_cli(capsys, "synthesize", str(src))
+    assert code == 0
+    written = (tmp_path / f"{name}.witness.json").read_text()
+    assert written == (GOLDEN / f"{name}.synthesize.json").read_text()
 
 
 # -- demo -----------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from ibpcheck.errors import (
     PathCapExceeded,
     TerminalMergeForbidden,
 )
+from ibpcheck.topology import common_blocks
 
 from conftest import (
     gadget_multigraph,
@@ -217,11 +219,18 @@ def test_chains_match_enumerated_subnetworks_on_random_graphs():
         pairs = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.randint(1, 3))]
         g = MultiGraph(g.vertices, g.edges, pairs)
         dec = decompose_blocks(g)
+        on_paths = []
         for i, (o, d) in enumerate(pairs):
             paths = enumerate_simple_paths(g, o, d, max_paths=100000)
-            assert od_subnetwork(g, i).edge_subset == {eid for p in paths for eid in p}
-            chain = [(dec.block_edges(l.block_id), l.origin, l.destination) for l in dec.chains[i]]
-            assert chain == _chain_by_enumeration(g, o, d)
+            on_paths.append({eid for p in paths for eid in p})
+            assert od_subnetwork(g, i).edge_subset == on_paths[i]
+            assert list(dec.chain_blocks(i)) == _chain_by_enumeration(g, o, d)
+        # two OD subnetworks intersect exactly in the union of their common blocks
+        for i, j in itertools.combinations(range(len(pairs)), 2):
+            entry = common_blocks(g, dec, i, j)
+            shared = {eid for v in entry.verdicts for eid in dec.block_edges(v.block_id)}
+            assert on_paths[i] & on_paths[j] == shared
+            assert entry.disjoint == (not shared)
 
 
 # -- block decomposition -----------------------------------------------------------

@@ -1,8 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from ibpcheck.core_graph import MultiGraph, Subnetwork, decompose_blocks, od_subnetwork
+from ibpcheck import core_graph
+from ibpcheck.core_graph import (
+    MultiGraph,
+    Subnetwork,
+    decompose_blocks,
+    od_subnetwork,
+    validate,
+)
 from ibpcheck.errors import NotSingleOd, PreconditionNotSli
 from ibpcheck.topology import (
     CYCLE,
@@ -28,6 +36,8 @@ from conftest import (
     diamonds_in_series,
     doubled_series_pairs_in_parallel,
     gadget_multigraph,
+    grid_graph,
+    random_connected_multigraph,
     random_single_od_subnetwork,
     triangle_two_od,
     two_parallel_pairs_in_series,
@@ -176,11 +186,14 @@ def test_recognizers_need_no_path_enumeration():
 
 
 def test_triangle_two_od_is_one_cycle_common_block():
-    entry = classify_common_blocks(triangle_two_od(), 0, 1)
+    g = triangle_two_od()
+    entry = classify_common_blocks(g, 0, 1)
     assert not entry.disjoint
-    assert entry.induced_matches
     assert len(entry.verdicts) == 1
     assert entry.verdicts[0].kind == CYCLE
+    # the two subnetworks intersect exactly in the union of the common blocks
+    shared = od_subnetwork(g, 0).edge_subset & od_subnetwork(g, 1).edge_subset
+    assert shared == decompose_blocks(g).block_edges(entry.verdicts[0].block_id)
 
 
 def test_coincident_middle_block():
@@ -290,3 +303,59 @@ def test_classify_single_od_containment_flags():
     assert (cls.is_sp, cls.is_li, cls.is_sli) == (True, False, True)
     cls = classify_single_od(single_od(wheatstone()))
     assert (cls.is_sp, cls.is_li, cls.is_sli) == (False, False, False)
+    cls = classify_single_od(single_od(doubled_series_pairs_in_parallel()))
+    assert (cls.is_sp, cls.is_li, cls.is_sli) == (True, False, False)
+
+
+# -- one pass over the block decomposition ----------------------------------------------
+
+
+def test_decide_ibp_free_enumerates_only_in_validate(monkeypatch):
+    calls = []
+    enumerate_simple_paths = core_graph.enumerate_simple_paths
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return enumerate_simple_paths(*args, **kwargs)
+
+    monkeypatch.setattr(core_graph, "enumerate_simple_paths", counting)
+    w = wheatstone()
+    for g in (
+        MultiGraph(w.vertices, w.edges, [("o", "d"), ("o", "b")]),
+        grid_graph(4, 4, [("g0_0", "g3_3"), ("g0_3", "g3_0")]),
+    ):
+        calls.clear()
+        report = decide_ibp_free(g)
+        assert not report.per_od[0].is_sp  # a witness would need enumeration
+        assert calls == list(g.od_pairs)  # one coverage walk per OD pair
+
+
+def test_one_pass_verdict_agrees_with_per_subnetwork_route():
+    rng = random.Random(20261018)
+    decided = non_sp = pairs = 0
+    for _ in range(400):
+        g = random_connected_multigraph(rng, max_vertices=7, max_extra=5)
+        if len(g.vertices) < 2:
+            continue
+        od = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.randint(1, 3))]
+        g = MultiGraph(g.vertices, g.edges, od)
+        if not validate(g).ok:
+            continue
+        report = decide_ibp_free(g)
+        decided += 1
+        for i, cls in enumerate(report.per_od):
+            sub = od_subnetwork(g, i)
+            assert cls == classify_single_od(sub)
+            # reduction == definition is asserted inside is_series_parallel
+            sp, witness = is_series_parallel(sub)
+            assert (sp, witness is None) == (cls.is_sp, cls.is_sp)
+            non_sp += not sp
+        entries = dict(report.pairwise)
+        for i, j in itertools.combinations(range(len(od)), 2):
+            if (i, j) in entries:
+                assert entries[(i, j)] == classify_common_blocks(g, i, j)
+                pairs += 1
+            else:
+                with pytest.raises(PreconditionNotSli):
+                    classify_common_blocks(g, i, j)
+    assert decided > 100 and non_sp > 10 and pairs > 50
