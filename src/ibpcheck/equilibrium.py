@@ -6,20 +6,30 @@ each type's feasible path polytope.  The classic aggregated convex potential
 over the product of per-type path-flow simplices are exactly the equilibria,
 and every equilibrium induces the same per-edge latencies.
 
+One cost core (``_CostCore``) serves both backends and result building: a
+table of edge flows and cached edge latencies on renumbered edges and paths,
+the path costs read off it, the used-path rule, the Wardrop gap (worst used
+path cost minus cheapest path cost) and the one builder of
+``EquilibriumResult``.  ``FLOW_EPS`` is the one used-path threshold: a path
+is used when it carries more than ``FLOW_EPS``, or any flow at all for a type
+whose rate is at most ``FLOW_EPS`` per path.
+
 Two solver backends:
 
 * ``cg``    -- pairwise conditional-gradient on path flows: per type, shift
-  mass from the costliest used path to the cheapest feasible path.  One cost
-  core serves the whole iteration: a table of cached edge latencies, updated
-  only on the edges a shift moves, from which path costs, the line search's
-  starting slope and the per-sweep convergence test are all read.  The step
-  size is the zero of the move's potential derivative: closed form when the
-  moved edges are affine, safeguarded Newton otherwise.  Works for any
-  polynomial latencies.
+  mass from the costliest used path to the cheapest feasible path.  A shift
+  updates the table only on the edges it moves; path costs, the line
+  search's starting slope and the per-sweep convergence test read it.  The
+  result is built from a freshly loaded table.  The step size is the zero of
+  the move's potential derivative: closed form when the moved edges are
+  affine, safeguarded Newton otherwise.  Works for any polynomial latencies.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
-  used paths, solve the equal-latency linear system per support, keep the
-  first support whose solution is feasible and optimal.  Serves as the
-  solver-independent oracle for ``cg``.
+  used paths, solve the equal-latency linear system per support, load it
+  into the table and keep the first support whose solution is feasible and
+  passes the same Wardrop gap.  Serves as the oracle for ``cg``.
+
+``verify_wardrop`` stays outside the core: it rebuilds everything from the
+path-keyed result, as a check independent of either solver.
 
 Games and results are immutable values and both solvers are deterministic
 single-threaded procedures, so independent games may be solved concurrently.
@@ -51,7 +61,7 @@ from .errors import (
 )
 
 DEFAULT_TOLERANCE = 1e-8
-DEFAULT_FLOW_EPS = 1e-9
+FLOW_EPS = 1e-9  # the one used-path threshold, absolute; see _CostCore.floors
 DEFAULT_MAX_ITERATIONS = 50_000
 EXACT_PATH_LIMIT = 12
 
@@ -203,13 +213,14 @@ def verify_wardrop(
     game: RoutingGame,
     result: EquilibriumResult,
     epsilon: float = DEFAULT_TOLERANCE,
-    flow_eps: float = DEFAULT_FLOW_EPS,
 ) -> WardropReport:
     """Re-derive everything from the path flows and check the equilibrium.
 
     Deliberately independent of any solver: edge flows are rebuilt from
     scratch and the per-type violation is the worst gap between a used path
-    and that type's cheapest feasible path.
+    and that type's cheapest feasible path.  A path is used when it carries
+    more than FLOW_EPS or, for a type whose rate is at most FLOW_EPS per
+    feasible path, any flow at all.
     """
     edge_flows: dict[str, float] = {}
     for flows in result.path_flows:
@@ -227,8 +238,9 @@ def verify_wardrop(
         if candidates:
             latencies = {p: game.path_latency(p, edge_flows) for p in candidates}
             best = min(latencies.values())
+            floor = FLOW_EPS if t.rate > FLOW_EPS * len(candidates) else 0.0
             for p, amount in flows.items():
-                if amount > flow_eps:
+                if amount > floor:
                     violation = max(violation, latencies[p] - best)
         checks.append(
             TypeWardropCheck(
@@ -240,116 +252,156 @@ def verify_wardrop(
     return WardropReport(per_type=tuple(checks), max_violation=worst, passed=passed)
 
 
-# -- shared solver scaffolding -----------------------------------------------------
+# -- the cost core shared by both backends ------------------------------------------
 
 
-def _active_types(game: RoutingGame, flow_eps: float) -> list[int]:
-    return [j for j, t in enumerate(game.types) if t.rate > flow_eps]
+class _CostCore:
+    """One table of edge flows and latencies, read by solving and by results.
 
+    Edges and paths are renumbered to ints.  A flow table is one dict per
+    type from an index into that type's paths to its flow, in the insertion
+    order of the path-keyed result.  A path's cost is the sum of its cached
+    edge latencies in path order, the same floats as
+    `RoutingGame.path_latency`.  Types with rate at most FLOW_EPS are
+    inactive: they carry no flow and get latency 0.
+    """
 
-def _edge_flows_of(path_flows: Sequence[Mapping[Path, float]]) -> dict[str, float]:
-    acc: dict[str, float] = {}
-    for flows in path_flows:
-        for path, amount in flows.items():
-            for eid in path:
-                acc[eid] = acc.get(eid, 0.0) + amount
-    return acc
+    def __init__(self, game: RoutingGame, type_paths: Sequence[tuple[Path, ...]]):
+        self.game = game
+        self.type_paths = type_paths
+        self.edge_ids = sorted(game.latencies)
+        position = {eid: e for e, eid in enumerate(self.edge_ids)}
+        self.functions = [game.latencies[eid] for eid in self.edge_ids]
+        self.coeffs = [fn.coefficients[: fn.degree + 1] for fn in self.functions]
+        self.paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
+        self.edge_sets = [[frozenset(p) for p in tp] for tp in self.paths]
+        self.active = [j for j, t in enumerate(game.types) if t.rate > FLOW_EPS]
+        # a type with one path is always at equilibrium
+        self.contested = [j for j in self.active if len(type_paths[j]) > 1]
+        # The used-path rule: a path is used when it carries more than its
+        # type's floor: FLOW_EPS, or 0 for a rate at most FLOW_EPS per path.
+        # It is chosen per type, not per flow table, so a tiny rate spread
+        # thin by a seeded start is neither hidden at the start nor after a
+        # shift lifts one of its paths above FLOW_EPS.
+        self.floors = [
+            FLOW_EPS if t.rate > FLOW_EPS * len(tp) else 0.0
+            for t, tp in zip(game.types, type_paths)
+        ]
+        self.edge_flow = [0.0] * len(self.edge_ids)
+        self.edge_lat = [0.0] * len(self.edge_ids)
+        self.lat = self.edge_lat.__getitem__
+        self.costs: dict[int, list[float]] = {}  # per type, valid until the table moves
 
+    def load(self, flows: Sequence[Mapping[int, float]]) -> None:
+        """Rebuild the edge sums from scratch, adding in `verify_wardrop`'s order."""
+        edge_flow = [0.0] * len(self.edge_ids)
+        for j, f in enumerate(flows):
+            paths = self.paths[j]
+            for k, amount in f.items():
+                for e in paths[k]:
+                    edge_flow[e] += amount
+        self.edge_flow[:] = edge_flow
+        self.edge_lat[:] = [fn(x) for fn, x in zip(self.functions, edge_flow)]
+        self.costs.clear()
 
-def _build_result(
-    game: RoutingGame,
-    type_paths: Sequence[tuple[Path, ...]],
-    path_flows: Sequence[Mapping[Path, float]],
-    backend: str,
-    iterations: int,
-    flow_eps: float,
-) -> EquilibriumResult:
-    edge_flows = _edge_flows_of(path_flows)
-    latencies_by_type = []
-    violation = 0.0
-    for j, paths in enumerate(type_paths):
-        if game.types[j].rate <= flow_eps or not paths:
-            latencies_by_type.append(0.0)
-            continue
-        lat = {p: game.path_latency(p, edge_flows) for p in paths}
-        best = min(lat.values())
-        used = [p for p in paths if path_flows[j].get(p, 0.0) > flow_eps]
-        for p in used:
-            violation = max(violation, lat[p] - best)
-        latencies_by_type.append(min(lat[p] for p in used) if used else best)
-    return EquilibriumResult(
-        path_flows=tuple(dict(f) for f in path_flows),
-        edge_flows=edge_flows,
-        type_latencies=tuple(latencies_by_type),
-        max_wardrop_violation=violation,
-        backend=backend,
-        iterations=iterations,
-    )
+    def path_costs(self, j: int) -> list[float]:
+        cost = self.costs.get(j)
+        if cost is None:
+            cost = self.costs[j] = [sum(map(self.lat, p)) for p in self.paths[j]]
+        return cost
+
+    def violation(self, flows: Sequence[Mapping[int, float]]) -> float:
+        """The Wardrop gap: worst used-path cost minus the cheapest path cost."""
+        gap = 0.0
+        for j in self.contested:
+            cost = self.path_costs(j)
+            floor = self.floors[j]
+            worst = max([cost[k] for k, x in flows[j].items() if x > floor])
+            gap = max(gap, worst - min(cost))
+        return gap
+
+    def result(
+        self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int
+    ) -> EquilibriumResult:
+        """The path-keyed result of the flows the table was last loaded with."""
+        latencies = [0.0] * len(self.type_paths)
+        for j in self.active:
+            cost = self.path_costs(j)
+            floor = self.floors[j]
+            latencies[j] = min([cost[k] for k, x in flows[j].items() if x > floor])
+        touched = dict.fromkeys(
+            e for j, f in enumerate(flows) for k in f for e in self.paths[j][k]
+        )
+        return EquilibriumResult(
+            path_flows=tuple(
+                {tp[k]: x for k, x in f.items()} for tp, f in zip(self.type_paths, flows)
+            ),
+            edge_flows={self.edge_ids[e]: self.edge_flow[e] for e in touched},
+            type_latencies=tuple(latencies),
+            max_wardrop_violation=self.violation(flows),
+            backend=backend,
+            iterations=iterations,
+        )
 
 
 # -- exact backend: affine active-set enumeration ------------------------------------
 
 
-def _solve_exact(
-    game: RoutingGame,
-    type_paths: Sequence[tuple[Path, ...]],
-    tolerance: float,
-    flow_eps: float,
-    path_limit: int,
-) -> EquilibriumResult:
+def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
+    game = core.game
     if not all(lat.is_affine for lat in game.latencies.values()):
         raise BackendUnavailable("exact backend requires affine latencies")
-    active = _active_types(game, flow_eps)
-    if not active:
-        return _build_result(
-            game, type_paths, [{} for _ in game.types], "exact", 0, flow_eps
-        )
-    flat: list[tuple[int, Path]] = [(j, p) for j in active for p in type_paths[j]]
-    if len(flat) > path_limit:
+    if not core.active:
+        flows: list[dict[int, float]] = [{} for _ in game.types]
+        core.load(flows)
+        return core.result(flows, "exact", 0)
+    flat = [(j, k) for j in core.active for k in range(len(core.type_paths[j]))]
+    if len(flat) > EXACT_PATH_LIMIT:
         raise BackendUnavailable(
-            f"exact backend limited to {path_limit} paths, got {len(flat)}"
+            f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {len(flat)}"
         )
 
     def aff(eid: str) -> tuple[float, float]:
         c = game.latencies[eid].coefficients
         return (c[0], c[1] if len(c) > 1 else 0.0)
 
-    const_cost = [sum(aff(e)[0] for e in p) for _, p in flat]
+    flat_paths = [core.type_paths[j][k] for j, k in flat]
+    const_cost = [sum(aff(e)[0] for e in p) for p in flat_paths]
     interact = np.zeros((len(flat), len(flat)))
-    for a, (_, pa) in enumerate(flat):
+    for a, pa in enumerate(flat_paths):
         sa = set(pa)
-        for b, (_, pb) in enumerate(flat):
+        for b, pb in enumerate(flat_paths):
             interact[a, b] = sum(aff(e)[1] for e in sa & set(pb))
 
     # per-type candidate supports: nonempty subsets ordered by size then index
     per_type_subsets: list[list[tuple[int, ...]]] = []
-    for j in active:
-        indices = [k for k, (tj, _) in enumerate(flat) if tj == j]
+    for j in core.active:
+        indices = [i for i, (tj, _) in enumerate(flat) if tj == j]
         subsets = []
         for size in range(1, len(indices) + 1):
             subsets.extend(itertools.combinations(indices, size))
         per_type_subsets.append(subsets)
 
-    n_types = len(active)
+    n_types = len(core.active)
     for support in itertools.product(*per_type_subsets):
-        chosen = [k for subset in support for k in subset]
+        chosen = [i for subset in support for i in subset]
         n = len(chosen)
         dim = n + n_types
         a_mat = np.zeros((dim, dim))
         b_vec = np.zeros(dim)
         row = 0
         for tpos, subset in enumerate(support):
-            for k in subset:
-                for col, k2 in enumerate(chosen):
-                    a_mat[row, col] = interact[k, k2]
+            for i in subset:
+                for col, i2 in enumerate(chosen):
+                    a_mat[row, col] = interact[i, i2]
                 a_mat[row, n + tpos] = -1.0
-                b_vec[row] = -const_cost[k]
+                b_vec[row] = -const_cost[i]
                 row += 1
         for tpos, subset in enumerate(support):
-            for col, k2 in enumerate(chosen):
-                if k2 in subset:
+            for col, i2 in enumerate(chosen):
+                if i2 in subset:
                     a_mat[row, col] = 1.0
-            b_vec[row] = game.types[active[tpos]].rate
+            b_vec[row] = game.types[core.active[tpos]].rate
             row += 1
 
         solution, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
@@ -361,27 +413,25 @@ def _solve_exact(
         if np.min(x) < -1e-9:
             continue
 
-        path_flows: list[dict[Path, float]] = [dict() for _ in game.types]
-        for col, k in enumerate(chosen):
-            j, p = flat[k]
-            path_flows[j][p] = max(float(x[col]), 0.0)
+        flows = [{} for _ in game.types]
+        for col, i in enumerate(chosen):
+            j, k = flat[i]
+            flows[j][k] = max(float(x[col]), 0.0)
         feasible = True
-        for j in active:  # absorb solver rounding into the largest flow
-            total = sum(path_flows[j].values())
+        for j in core.active:  # absorb solver rounding into the largest flow
+            total = sum(flows[j].values())
             gap = game.types[j].rate - total
-            if path_flows[j] and gap != 0.0:
-                top = max(path_flows[j], key=path_flows[j].get)
-                path_flows[j][top] += gap
-                if path_flows[j][top] < 0:
+            if flows[j] and gap != 0.0:
+                top = max(flows[j], key=flows[j].get)
+                flows[j][top] += gap
+                if flows[j][top] < 0:
                     feasible = False
                     break
         if not feasible:
             continue
-        candidate = _build_result(
-            game, type_paths, path_flows, "exact", 1, flow_eps
-        )
-        if candidate.max_wardrop_violation <= max(tolerance, 1e-9):
-            return candidate
+        core.load(flows)
+        if core.violation(flows) <= max(tolerance, 1e-9):
+            return core.result(flows, "exact", 1)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
@@ -451,96 +501,50 @@ def _line_search(
     return gamma
 
 
-def _start_flows(
-    game: RoutingGame,
-    type_paths: Sequence[tuple[Path, ...]],
-    flow_eps: float,
-    start_seed: Optional[int],
-) -> list[dict[int, float]]:
-    """Per type, flow by index into type_paths: all on the first path, or
+def _start_flows(core: _CostCore, start_seed: Optional[int]) -> list[dict[int, float]]:
+    """Per type, flow by index into its paths: all on the first path, or
     spread at random when a seed is given."""
     rng = random.Random(start_seed) if start_seed is not None else None
-    flows: list[dict[int, float]] = []
-    for j, t in enumerate(game.types):
-        if t.rate <= flow_eps or not type_paths[j]:
-            flows.append({})
-            continue
+    flows: list[dict[int, float]] = [{} for _ in core.type_paths]
+    for j in core.active:
+        rate = core.game.types[j].rate
         if rng is None:
-            flows.append({0: t.rate})
+            flows[j] = {0: rate}
         else:
-            weights = [rng.random() + 1e-9 for _ in type_paths[j]]
+            weights = [rng.random() + 1e-9 for _ in core.type_paths[j]]
             total = sum(weights)
-            alloc = {k: t.rate * w / total for k, w in enumerate(weights)}
+            alloc = {k: rate * w / total for k, w in enumerate(weights)}
             # force exact conservation
-            drift = t.rate - sum(alloc.values())
+            drift = rate - sum(alloc.values())
             alloc[0] += drift
-            flows.append(alloc)
+            flows[j] = alloc
     return flows
 
 
 def _solve_cg(
-    game: RoutingGame,
-    type_paths: Sequence[tuple[Path, ...]],
+    core: _CostCore,
     tolerance: float,
     max_iterations: int,
-    flow_eps: float,
     start_seed: Optional[int],
 ) -> EquilibriumResult:
-    """Pairwise conditional gradient over one table of cached edge latencies.
+    """Pairwise conditional gradient on the cost core's table.
 
-    Edges and paths are renumbered; flows[j] maps path index to flow and keeps
-    the insertion order of the path-keyed result.  A path's cost is the sum
-    of its cached edge latencies in path order, the same floats as
-    `RoutingGame.path_latency`; a shift re-evaluates only the edges it moves.
+    A shift re-evaluates only the latencies of the edges it moves, so the
+    running edge sums drift from a fresh load; the result is built from a
+    fresh one, and sweeping goes on from it while its gap is above tolerance.
     """
-    edge_ids = sorted(game.latencies)
-    position = {eid: e for e, eid in enumerate(edge_ids)}
-    functions = [game.latencies[eid] for eid in edge_ids]
-    coeffs = [fn.coefficients[: fn.degree + 1] for fn in functions]
-    paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
-    edge_sets = [[frozenset(p) for p in tp] for tp in paths]
-    flows = _start_flows(game, type_paths, flow_eps, start_seed)
-    edge_flow = [0.0] * len(edge_ids)
-    edge_lat = [0.0] * len(edge_ids)
-    lat = edge_lat.__getitem__
-    costs: dict[int, list[float]] = {}  # per type, valid until the next shift
-
-    def load_edges() -> None:
-        # same summation order as _edge_flows_of, hence the same floats
-        edge_flow[:] = [0.0] * len(edge_ids)
-        for j, f in enumerate(flows):
-            for k, amount in f.items():
-                for e in paths[j][k]:
-                    edge_flow[e] += amount
-        edge_lat[:] = [fn(x) for fn, x in zip(functions, edge_flow)]
-        costs.clear()
-
-    load_edges()
-    active = [j for j in _active_types(game, flow_eps) if len(type_paths[j]) > 1]
-
-    def path_costs(j: int) -> list[float]:
-        cost = costs.get(j)
-        if cost is None:
-            cost = costs[j] = [sum(map(lat, p)) for p in paths[j]]
-        return cost
-
-    def wardrop_gap() -> float:
-        gap = 0.0
-        for j in active:
-            cost = path_costs(j)
-            used = [cost[k] for k, x in flows[j].items() if x > flow_eps]
-            if used:
-                gap = max(gap, max(used) - min(cost))
-        return gap
+    flows = _start_flows(core, start_seed)
+    core.load(flows)
+    functions, coeffs, edge_sets = core.functions, core.coeffs, core.edge_sets
+    edge_flow, edge_lat = core.edge_flow, core.edge_lat
+    lat, floors = core.lat, core.floors
 
     def shift_each_type() -> None:
-        for j in active:
-            cost = path_costs(j)
-            used = [(cost[k], k) for k, x in flows[j].items() if x > flow_eps]
-            if not used:
-                continue  # spread below flow_eps everywhere, as wardrop_gap sees it
+        for j in core.contested:
+            cost = core.path_costs(j)
             best = cost.index(min(cost))
-            _, worst = max(used)
+            floor = floors[j]
+            _, worst = max([(cost[k], k) for k, x in flows[j].items() if x > floor])
             if worst == best or cost[worst] - cost[best] <= tolerance * 1e-3:
                 continue
             gain = edge_sets[j][best] - edge_sets[j][worst]
@@ -554,7 +558,7 @@ def _solve_cg(
             if gamma <= 0.0:
                 continue
             remaining = flows[j][worst] - gamma
-            if remaining <= flow_eps * 1e-3:
+            if remaining <= FLOW_EPS * 1e-3:
                 gamma += remaining  # empty the source exactly
                 del flows[j][worst]
             else:
@@ -566,20 +570,17 @@ def _solve_cg(
             for e in drop:
                 edge_flow[e] -= gamma
                 edge_lat[e] = functions[e](edge_flow[e])
-            costs.clear()
+            core.costs.clear()
 
     for sweep in range(max_iterations + 1):
         if sweep:
             shift_each_type()
-        gap = wardrop_gap()
+        gap = core.violation(flows)
         if gap <= tolerance:
-            path_flows = [
-                {type_paths[j][k]: x for k, x in f.items()} for j, f in enumerate(flows)
-            ]
-            result = _build_result(game, type_paths, path_flows, "cg", sweep, flow_eps)
-            if result.max_wardrop_violation <= tolerance:
-                return result
-            load_edges()  # the running edge sums drifted across the tolerance
+            core.load(flows)
+            gap = core.violation(flows)
+            if gap <= tolerance:
+                return core.result(flows, "cg", sweep)
     raise DidNotConverge(max_iterations, gap)
 
 
@@ -592,30 +593,24 @@ def solve_icwe(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     backend: str = "auto",
     start_seed: Optional[int] = None,
-    flow_eps: float = DEFAULT_FLOW_EPS,
     max_paths: int = DEFAULT_PATH_CAP,
-    exact_path_limit: int = EXACT_PATH_LIMIT,
 ) -> EquilibriumResult:
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
-    backend "exact" enumerates active path sets (affine latencies, small path
-    counts only); "cg" runs the conditional-gradient iteration; "auto" picks
-    "exact" when eligible, falling back to "cg".
+    backend "exact" enumerates active path sets (affine latencies, at most
+    EXACT_PATH_LIMIT paths); "cg" runs the conditional-gradient iteration;
+    "auto" picks "exact" when eligible, falling back to "cg".
     """
     type_paths = [feasible_paths(game, j, max_paths=max_paths) for j in range(len(game.types))]
-
+    core = _CostCore(game, type_paths)
     if backend == "auto":
         affine = all(lat.is_affine for lat in game.latencies.values())
-        n_paths = sum(
-            len(type_paths[j]) for j in _active_types(game, flow_eps)
-        )
-        backend = "exact" if affine and n_paths <= exact_path_limit else "cg"
+        n_paths = sum(len(type_paths[j]) for j in core.active)
+        backend = "exact" if affine and n_paths <= EXACT_PATH_LIMIT else "cg"
     if backend == "exact":
-        return _solve_exact(game, type_paths, tolerance, flow_eps, exact_path_limit)
+        return _solve_exact(core, tolerance)
     if backend == "cg":
-        return _solve_cg(
-            game, type_paths, tolerance, max_iterations, flow_eps, start_seed
-        )
+        return _solve_cg(core, tolerance, max_iterations, start_seed)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -664,7 +659,6 @@ def check_series_decomposition(
     result: EquilibriumResult,
     decomposition: BlockDecomposition,
     tolerance: float = 1e-6,
-    **solve_kwargs,
 ) -> bool:
     """Each type's latency must equal the sum of its block-local latencies.
 
@@ -674,7 +668,7 @@ def check_series_decomposition(
     sums = [0.0] * len(game.types)
     for block in decomposition.blocks:
         local = block_local_game(game, block.id, decomposition)
-        local_result = solve_icwe(local, **solve_kwargs)
+        local_result = solve_icwe(local)
         for j in range(len(game.types)):
             sums[j] += local_result.type_latencies[j]
     return all(

@@ -32,7 +32,6 @@ from .core_graph import (
     is_cycle,
 )
 from .equilibrium import (
-    DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     EquilibriumResult,
     LatencyFunction,
@@ -53,6 +52,7 @@ from .errors import (
 from .topology import IBP_FREE, OTHER, common_blocks, decide_ibp_free
 
 DEFAULT_DECISION_THRESHOLD = 1e-4
+CYCLE_SLACK = 1e-9  # margin of cycle_diagnostics' strict inequalities
 
 OCCURS = "occurs"
 NOT_OCCURS = "not-occurs"
@@ -120,21 +120,14 @@ def check_ibp(
     tolerance: float = DEFAULT_TOLERANCE,
     decision_threshold: float = DEFAULT_DECISION_THRESHOLD,
     backend: str = "auto",
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> IBPVerdict:
     """Solve both games and compare type 1's equilibrium latency.
 
     The decision threshold sits well above solver tolerance; margins between
     the two are labeled inconclusive rather than treated as paradoxes.
     """
-    before = solve_icwe(
-        instance.game, tolerance=tolerance, max_iterations=max_iterations,
-        backend=backend,
-    )
-    after = solve_icwe(
-        extended_game(instance), tolerance=tolerance, max_iterations=max_iterations,
-        backend=backend,
-    )
+    before = solve_icwe(instance.game, tolerance=tolerance, backend=backend)
+    after = solve_icwe(extended_game(instance), tolerance=tolerance, backend=backend)
     margin = after.type_latencies[0] - before.type_latencies[0]
     occurs = margin > decision_threshold
     label = OCCURS if occurs else (INCONCLUSIVE if margin > tolerance else NOT_OCCURS)
@@ -508,10 +501,7 @@ def _lift_block_instance(
 
 
 def synthesize_ibp_witness(
-    g: MultiGraph,
-    tolerance: float = DEFAULT_TOLERANCE,
-    decision_threshold: float = DEFAULT_DECISION_THRESHOLD,
-    max_paths: int = DEFAULT_PATH_CAP,
+    g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP
 ) -> IBPInstance:
     """Build a concrete paradox instance on a network that is not IBP-free.
 
@@ -562,13 +552,11 @@ def synthesize_ibp_witness(
             game=RoutingGame(g, latencies, types),
             extension=block_instance.extension,
         )
-        verdict = check_ibp(
-            witness, tolerance=tolerance, decision_threshold=decision_threshold
-        )
+        verdict = check_ibp(witness)
         if not verdict.occurs:
             raise WitnessVerificationFailed(
                 f"constructed witness has margin {verdict.margin}, expected > "
-                f"{decision_threshold}"
+                f"{DEFAULT_DECISION_THRESHOLD}"
             )
         return witness
     raise UnsupportedFailureSite(
@@ -595,7 +583,6 @@ def random_search_ibp(
     seed: int,
     rate_range: tuple[int, int] = (1, 10),
     coeff_range: tuple[int, int] = (0, 10),
-    tolerance: float = DEFAULT_TOLERANCE,
     decision_threshold: float = DEFAULT_DECISION_THRESHOLD,
     backend: str = "cg",
     stop_at_first: bool = True,
@@ -653,10 +640,7 @@ def random_search_ibp(
             extension=InformationExtension(added),
         )
         verdict = check_ibp(
-            instance,
-            tolerance=tolerance,
-            decision_threshold=decision_threshold,
-            backend=backend,
+            instance, decision_threshold=decision_threshold, backend=backend
         )
         transcript.append(
             f"trial {trial}: before={verdict.latency_before:.9g} "
@@ -707,7 +691,6 @@ def cycle_diagnostics(
     instance: IBPInstance,
     before_result: EquilibriumResult,
     after_result: EquilibriumResult,
-    slack: float = 1e-9,
 ) -> CycleDiagnostics:
     """Evaluate the two cycle necessary conditions on a solved instance pair.
 
@@ -741,9 +724,9 @@ def cycle_diagnostics(
         )
         lat_before = instance.game.path_latency(drained, before_result.edge_flows)
         lat_after = instance.game.path_latency(drained, after_result.edge_flows)
-        increases = lat_after - lat_before > slack
+        increases = lat_after - lat_before > CYCLE_SLACK
         others = total_rate - t.rate
-        not_dominant = t.rate < others - slack
+        not_dominant = t.rate < others - CYCLE_SLACK
         diagnostics.append(
             TypeDiagnostic(
                 type_index=j,

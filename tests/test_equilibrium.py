@@ -7,6 +7,8 @@ import pytest
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck.equilibrium import (
     DEFAULT_TOLERANCE,
+    FLOW_EPS,
+    EquilibriumResult,
     LatencyFunction,
     RoutingGame,
     TravelerType,
@@ -180,6 +182,48 @@ def test_type_spread_below_flow_eps_is_skipped_in_sweeps(seed):
     assert verify_wardrop(game, result).passed
 
 
+def _tiny_rate_game():
+    """One type with rate 2e-9, below FLOW_EPS per path, on links x, 1+x, 2+x."""
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t"), ("c", "s", "t")], [("s", "t")])
+    latencies = {
+        "a": LatencyFunction((0.0, 1.0)),
+        "b": LatencyFunction((1.0, 1.0)),
+        "c": LatencyFunction((2.0, 1.0)),
+    }
+    return RoutingGame(g, latencies, [TravelerType(2e-9, 0, {"a", "b", "c"})])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_tiny_rate_spread_by_a_seeded_start_still_moves_to_the_cheapest_link(seed):
+    game = _tiny_rate_game()
+    result = solve_icwe(game, backend="cg", start_seed=seed)
+    assert list(result.path_flows[0]) == [("a",)]
+    assert result.path_flows[0][("a",)] == pytest.approx(2e-9, rel=1e-12)
+    assert result.type_latencies[0] == pytest.approx(2e-9, rel=1e-12)
+    assert result.iterations > 0
+    assert verify_wardrop(game, result).passed
+
+
+def test_tiny_rate_flow_left_on_a_costlier_link_fails_wardrop_check():
+    game = _tiny_rate_game()
+    for flows in (
+        {("a",): 1.125e-9, ("c",): 8.75e-10},  # one path above FLOW_EPS
+        {("a",): 1.5e-10, ("b",): 9.75e-10, ("c",): 8.75e-10},  # none above it
+    ):
+        bad = EquilibriumResult(
+            path_flows=(flows,),
+            edge_flows={},
+            type_latencies=(0.0,),
+            max_wardrop_violation=0.0,
+            backend="hand",
+            iterations=0,
+        )
+        report = verify_wardrop(game, bad)
+        assert not report.passed
+        worst_gap = 2.0 + 8.75e-10 - flows[("a",)]  # link c against link a
+        assert report.max_violation == pytest.approx(worst_gap, rel=1e-12)
+
+
 def test_exact_backend_rejects_nonaffine():
     g = MultiGraph(["s", "t"], [("e", "s", "t"), ("f", "s", "t")], [("s", "t")])
     game = RoutingGame(
@@ -217,14 +261,36 @@ def _grid_games(seed, per_degree=2, **kwargs):
     ]
 
 
+def _edge_sums(path_flows):
+    sums = {}
+    for flows in path_flows:
+        for path, amount in flows.items():
+            for eid in path:
+                sums[eid] = sums.get(eid, 0.0) + amount
+    return sums
+
+
 def test_cg_reported_violation_matches_the_independent_check_on_grids():
-    for game in _grid_games(3407):
-        result = solve_icwe(game, backend="cg")
+    rng = random.Random(2718)
+    sparse = [random_grid_game(rng, 1, sparse=True) for _ in range(4)]
+    solves = [(game, "cg") for game in _grid_games(3407)]
+    solves += [(game, "exact") for game in sparse]
+    for game, backend in solves:
+        result = solve_icwe(game, backend=backend)
+        assert result.backend == backend
         report = verify_wardrop(game, result, epsilon=DEFAULT_TOLERANCE)
         assert report.passed
         assert result.max_wardrop_violation == pytest.approx(
             report.max_violation, rel=1e-12, abs=0.0
         )
+        # what the cost core relies on: results read edge sums rebuilt from
+        # scratch, and a type's latency is its cheapest used path
+        assert result.edge_flows == _edge_sums(result.path_flows)
+        for j, flows in enumerate(result.path_flows):
+            used = [p for p, x in flows.items() if x > FLOW_EPS]
+            assert result.type_latencies[j] == min(
+                game.path_latency(p, result.edge_flows) for p in used
+            )
 
 
 def test_same_start_seed_gives_identical_flows_on_grids():
