@@ -14,7 +14,7 @@ path cost minus cheapest path cost) and the one builder of
 is used when it carries more than ``FLOW_EPS``, or any flow at all for a type
 whose rate is at most ``FLOW_EPS`` per path.
 
-Two solver backends:
+Three backends:
 
 * ``cg``    -- pairwise conditional-gradient on path flows: per type, shift
   mass from the costliest used path to the cheapest feasible path.  A shift
@@ -23,10 +23,21 @@ Two solver backends:
   result is built from a freshly loaded table.  The step size is the zero of
   the move's potential derivative: closed form when the moved edges are
   affine, safeguarded Newton otherwise.  Works for any polynomial latencies.
+* ``auto``  -- the default: ``cg`` sweeps, polished when every latency is
+  affine.  Once the used-path support has held for a full sweep, and again
+  at convergence, the equal-cost linear system is solved on that one
+  support (``_solve_support``).  An accepted solution is returned with
+  backend ``"exact"``; a rejected one leaves the sweeps as they were, so
+  ``auto`` never returns a worse answer than ``cg``.  Non-affine games get
+  plain ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
-  used paths, solve the equal-latency linear system per support, load it
-  into the table and keep the first support whose solution is feasible and
-  passes the same Wardrop gap.  Serves as the oracle for ``cg``.
+  used paths and keep the first whose ``_solve_support`` solution is
+  feasible and passes the same Wardrop gap.  An oracle only, never on
+  ``auto``'s route.
+
+``result.backend`` names the method that produced the returned flows:
+``"exact"`` for the solution of the equal-cost system on one support,
+checked by the Wardrop gap, and ``"cg"`` for sweep flows.
 
 ``verify_wardrop`` stays outside the core: it rebuilds everything from the
 path-keyed result, as a check independent of either solver.
@@ -320,6 +331,13 @@ class _CostCore:
             gap = max(gap, worst - min(cost))
         return gap
 
+    def support(self, flows: Sequence[Mapping[int, float]]) -> tuple[tuple[int, ...], ...]:
+        """Per active type, the sorted indices of its used paths."""
+        return tuple(
+            tuple(sorted(k for k, x in flows[j].items() if x > self.floors[j]))
+            for j in self.active
+        )
+
     def result(
         self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int
     ) -> EquilibriumResult:
@@ -344,34 +362,120 @@ class _CostCore:
         )
 
 
-# -- exact backend: affine active-set enumeration ------------------------------------
+# -- the equal-cost system of an affine game on one support -----------------------
+
+
+def _affine_terms(
+    core: _CostCore, chosen: Sequence[tuple[int, int]]
+) -> tuple[list[float], np.ndarray]:
+    """The data of the equal-cost system for the chosen (type, path) pairs:
+    each path's constant cost, and for each ordered pair of paths the sum of
+    the slopes of the edges they share."""
+    latencies = core.game.latencies
+
+    def aff(eid: str) -> tuple[float, float]:
+        c = latencies[eid].coefficients
+        return (c[0], c[1] if len(c) > 1 else 0.0)
+
+    paths = [core.type_paths[j][k] for j, k in chosen]
+    const_cost = [sum(aff(e)[0] for e in p) for p in paths]
+    interact = np.zeros((len(paths), len(paths)))
+    for a, pa in enumerate(paths):
+        sa = set(pa)
+        for b, pb in enumerate(paths):
+            interact[a, b] = sum(aff(e)[1] for e in sa & set(pb))
+    return const_cost, interact
+
+
+def _solve_support(
+    core: _CostCore,
+    support: Sequence[Sequence[int]],
+    const_cost: Sequence[float],
+    interact: np.ndarray,
+    tolerance: float,
+    anchor: Optional[Sequence[float]] = None,
+) -> Optional[list[dict[int, float]]]:
+    """Flows on which every used path of a type costs the same, or None.
+
+    `support` lists, per active type in order, the indices of the paths it
+    uses; `const_cost` and `interact` are `_affine_terms` of those paths in
+    the same order.  The linear system (equal costs per type, conservation
+    of each rate) is solved by least squares, and a solution is accepted
+    only if its residual is within bound, every flow is nonnegative, and the
+    Wardrop gap of the loaded table is at most `tolerance`.  On acceptance
+    the table holds the returned flows.
+
+    A singular system has many path-flow solutions with the same edge flows.
+    Least squares returns the one of least norm; if that one is rejected and
+    `anchor` gives flows for the support's paths, in order, the solution
+    nearest the anchor is tried too.
+    """
+    game = core.game
+    n = len(const_cost)
+    if not n:  # no active type: the empty flows are the equilibrium
+        flows: list[dict[int, float]] = [{} for _ in game.types]
+        core.load(flows)
+        return flows
+    dim = n + len(support)
+    a_mat = np.zeros((dim, dim))
+    b_vec = np.zeros(dim)
+    a_mat[:n, :n] = interact
+    row = 0
+    for tpos, ks in enumerate(support):
+        a_mat[row : row + len(ks), n + tpos] = -1.0
+        a_mat[n + tpos, row : row + len(ks)] = 1.0
+        b_vec[n + tpos] = game.types[core.active[tpos]].rate
+        row += len(ks)
+    b_vec[:n] = np.negative(const_cost)
+
+    def accept(solution: np.ndarray) -> Optional[list[dict[int, float]]]:
+        if not np.all(np.isfinite(solution)):
+            return None
+        if np.max(np.abs(a_mat @ solution - b_vec)) > 1e-7:
+            return None
+        x = solution[:n]
+        if np.min(x) < -1e-9:
+            return None
+        flows: list[dict[int, float]] = [{} for _ in game.types]
+        col = 0
+        for j, ks in zip(core.active, support):
+            for k in ks:
+                flows[j][k] = max(float(x[col]), 0.0)
+                col += 1
+        for j in core.active:  # absorb solver rounding into the largest flow
+            gap = game.types[j].rate - sum(flows[j].values())
+            if gap != 0.0:
+                top = max(flows[j], key=flows[j].get)
+                flows[j][top] += gap
+                if flows[j][top] < 0:
+                    return None
+        core.load(flows)
+        return flows if core.violation(flows) <= tolerance else None
+
+    solution, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    flows = accept(solution)
+    if flows is None and anchor is not None and rank < dim:
+        start = np.concatenate([anchor, solution[n:]])
+        step, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ start, rcond=None)
+        flows = accept(start + step)
+    return flows
+
+
+# -- exact backend: affine support enumeration ------------------------------------------
 
 
 def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
+    """Try every support, smallest first per type, and keep the first one
+    whose equal-cost solution passes; an oracle, never `auto`'s route."""
     game = core.game
     if not all(lat.is_affine for lat in game.latencies.values()):
         raise BackendUnavailable("exact backend requires affine latencies")
-    if not core.active:
-        flows: list[dict[int, float]] = [{} for _ in game.types]
-        core.load(flows)
-        return core.result(flows, "exact", 0)
     flat = [(j, k) for j in core.active for k in range(len(core.type_paths[j]))]
     if len(flat) > EXACT_PATH_LIMIT:
         raise BackendUnavailable(
             f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {len(flat)}"
         )
-
-    def aff(eid: str) -> tuple[float, float]:
-        c = game.latencies[eid].coefficients
-        return (c[0], c[1] if len(c) > 1 else 0.0)
-
-    flat_paths = [core.type_paths[j][k] for j, k in flat]
-    const_cost = [sum(aff(e)[0] for e in p) for p in flat_paths]
-    interact = np.zeros((len(flat), len(flat)))
-    for a, pa in enumerate(flat_paths):
-        sa = set(pa)
-        for b, pb in enumerate(flat_paths):
-            interact[a, b] = sum(aff(e)[1] for e in sa & set(pb))
+    const_cost, interact = _affine_terms(core, flat)
 
     # per-type candidate supports: nonempty subsets ordered by size then index
     per_type_subsets: list[list[tuple[int, ...]]] = []
@@ -382,56 +486,18 @@ def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
             subsets.extend(itertools.combinations(indices, size))
         per_type_subsets.append(subsets)
 
-    n_types = len(core.active)
+    bound = max(tolerance, 1e-9)
     for support in itertools.product(*per_type_subsets):
         chosen = [i for subset in support for i in subset]
-        n = len(chosen)
-        dim = n + n_types
-        a_mat = np.zeros((dim, dim))
-        b_vec = np.zeros(dim)
-        row = 0
-        for tpos, subset in enumerate(support):
-            for i in subset:
-                for col, i2 in enumerate(chosen):
-                    a_mat[row, col] = interact[i, i2]
-                a_mat[row, n + tpos] = -1.0
-                b_vec[row] = -const_cost[i]
-                row += 1
-        for tpos, subset in enumerate(support):
-            for col, i2 in enumerate(chosen):
-                if i2 in subset:
-                    a_mat[row, col] = 1.0
-            b_vec[row] = game.types[core.active[tpos]].rate
-            row += 1
-
-        solution, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        if not np.all(np.isfinite(solution)):
-            continue
-        if np.max(np.abs(a_mat @ solution - b_vec)) > 1e-7:
-            continue
-        x = solution[:n]
-        if np.min(x) < -1e-9:
-            continue
-
-        flows = [{} for _ in game.types]
-        for col, i in enumerate(chosen):
-            j, k = flat[i]
-            flows[j][k] = max(float(x[col]), 0.0)
-        feasible = True
-        for j in core.active:  # absorb solver rounding into the largest flow
-            total = sum(flows[j].values())
-            gap = game.types[j].rate - total
-            if flows[j] and gap != 0.0:
-                top = max(flows[j], key=flows[j].get)
-                flows[j][top] += gap
-                if flows[j][top] < 0:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        core.load(flows)
-        if core.violation(flows) <= max(tolerance, 1e-9):
-            return core.result(flows, "exact", 1)
+        flows = _solve_support(
+            core,
+            [[flat[i][1] for i in subset] for subset in support],
+            [const_cost[i] for i in chosen],
+            interact[np.ix_(chosen, chosen)],
+            bound,
+        )
+        if flows is not None:
+            return core.result(flows, "exact", 1 if chosen else 0)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
@@ -526,12 +592,18 @@ def _solve_cg(
     tolerance: float,
     max_iterations: int,
     start_seed: Optional[int],
+    polish: bool = False,
 ) -> EquilibriumResult:
     """Pairwise conditional gradient on the cost core's table.
 
     A shift re-evaluates only the latencies of the edges it moves, so the
     running edge sums drift from a fresh load; the result is built from a
     fresh one, and sweeping goes on from it while its gap is above tolerance.
+
+    With `polish` (affine latencies only), the equal-cost system is solved
+    on the used-path support once it has held for a full sweep and again at
+    convergence, each support at most once in a row; an accepted solution is
+    returned as backend "exact", a rejected one leaves the sweeps untouched.
     """
     flows = _start_flows(core, start_seed)
     core.load(flows)
@@ -572,6 +644,7 @@ def _solve_cg(
                 edge_lat[e] = functions[e](edge_flow[e])
             core.costs.clear()
 
+    previous = tried = None  # the support after the last sweep; the last one polished
     for sweep in range(max_iterations + 1):
         if sweep:
             shift_each_type()
@@ -579,8 +652,26 @@ def _solve_cg(
         if gap <= tolerance:
             core.load(flows)
             gap = core.violation(flows)
-            if gap <= tolerance:
-                return core.result(flows, "cg", sweep)
+        if polish:
+            support = core.support(flows)
+            if (gap <= tolerance or support == previous) and support != tried:
+                tried = support
+                saved = edge_flow[:], edge_lat[:]
+                chosen = [(j, k) for j, ks in zip(core.active, support) for k in ks]
+                polished = _solve_support(
+                    core,
+                    support,
+                    *_affine_terms(core, chosen),
+                    tolerance,
+                    anchor=[flows[j][k] for j, k in chosen],
+                )
+                if polished is not None:
+                    return core.result(polished, "exact", sweep)
+                edge_flow[:], edge_lat[:] = saved  # sweep on as if never polished
+                core.costs.clear()
+            previous = support
+        if gap <= tolerance:
+            return core.result(flows, "cg", sweep)
     raise DidNotConverge(max_iterations, gap)
 
 
@@ -597,16 +688,25 @@ def solve_icwe(
 ) -> EquilibriumResult:
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
-    backend "exact" enumerates active path sets (affine latencies, at most
-    EXACT_PATH_LIMIT paths); "cg" runs the conditional-gradient iteration;
-    "auto" picks "exact" when eligible, falling back to "cg".
+    backend "cg" runs the conditional-gradient sweeps alone.  "auto" runs
+    the same sweeps and, when every latency is affine, solves the equal-cost
+    system on the used-path support the sweeps found, once that support has
+    held for a full sweep and again at convergence; a solution is kept only
+    if it is nonnegative and passes the Wardrop gap, otherwise sweeping goes
+    on, so "auto" never returns a worse answer than "cg".  "exact" tries
+    every support (affine latencies, at most EXACT_PATH_LIMIT paths) and
+    serves as an oracle.
+
+    `result.backend` names the method that produced the returned flows:
+    "exact" for an equal-cost solution on one support, "cg" for sweep flows.
+    `result.iterations` counts sweeps, also for a polished result; the
+    enumerator reports 1 (0 with no active type).
     """
     type_paths = [feasible_paths(game, j, max_paths=max_paths) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
         affine = all(lat.is_affine for lat in game.latencies.values())
-        n_paths = sum(len(type_paths[j]) for j in core.active)
-        backend = "exact" if affine and n_paths <= EXACT_PATH_LIMIT else "cg"
+        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=affine)
     if backend == "exact":
         return _solve_exact(core, tolerance)
     if backend == "cg":

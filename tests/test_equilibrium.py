@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,6 +204,48 @@ def test_tiny_rate_spread_by_a_seeded_start_still_moves_to_the_cheapest_link(see
     assert result.type_latencies[0] == pytest.approx(2e-9, rel=1e-12)
     assert result.iterations > 0
     assert verify_wardrop(game, result).passed
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_tiny_rate_auto_polishes_onto_the_cheapest_link(seed):
+    # rate 2e-9 on three paths: the used-path floor is 0, not FLOW_EPS
+    game = _tiny_rate_game()
+    result = solve_icwe(game, start_seed=seed)
+    assert result.backend == "exact"
+    assert list(result.path_flows[0]) == [("a",)]
+    assert result.path_flows[0][("a",)] == pytest.approx(2e-9, rel=1e-12)
+    assert result.type_latencies[0] == pytest.approx(2e-9, rel=1e-12)
+    assert verify_wardrop(game, result).passed
+
+
+ABSOLUTE_GAP = pytest.mark.xfail(
+    strict=True,
+    reason="the absolute Wardrop gap accepts the tiny rate all on link a (gap 2e-9)",
+)
+
+
+@pytest.mark.parametrize("seed", [pytest.param(None, marks=ABSOLUTE_GAP), 0, 1, 3])
+def test_tiny_rate_next_to_a_unit_rate_auto_finds_the_rational_equilibrium(seed):
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t"), ("c", "s", "t")], [("s", "t")])
+    latencies = {
+        "a": LatencyFunction((0.0, 1.0)),
+        "b": LatencyFunction((1.0, 1.0)),
+        "c": LatencyFunction((2.0, 1.0)),
+    }
+    everything = {"a", "b", "c"}
+    game = RoutingGame(
+        g, latencies, [TravelerType(1.0, 0, everything), TravelerType(2e-9, 0, everything)]
+    )
+    auto = solve_icwe(game, start_seed=seed)
+    assert auto.backend == "exact"
+    # links a and b carry 1 + r/2 and r/2 for the tiny rate r; the
+    # enumerator accepts everything on a, within its absolute gap
+    half = Fraction(2e-9) / 2
+    want = {"a": 1 + half, "b": 1 + half, "c": Fraction(2)}
+    for eid, latency in want.items():
+        got = game.latencies[eid](auto.edge_flows.get(eid, 0.0))
+        assert abs(Fraction(got) - latency) <= 1e-15
+    assert verify_wardrop(game, auto).passed
 
 
 def test_tiny_rate_flow_left_on_a_costlier_link_fails_wardrop_check():
@@ -502,6 +546,138 @@ def test_backends_agree_on_random_affine_games():
             le = game.latencies[eid](exact.edge_flows.get(eid, 0.0))
             lc = game.latencies[eid](cg.edge_flows.get(eid, 0.0))
             assert abs(le - lc) <= 1e-6
+
+
+# -- auto: cg sweeps, then one equal-cost solve on the support they found ----------
+
+
+def _edge_latency_gap(game, first, second):
+    return max(
+        abs(lat(first.edge_flows.get(eid, 0.0)) - lat(second.edge_flows.get(eid, 0.0)))
+        for eid, lat in game.latencies.items()
+    )
+
+
+def test_auto_agrees_with_exact_on_affine_corpora():
+    rng = random.Random(50505)  # criterion 5's games
+    games = [random_affine_game(rng) for _ in range(50)]
+    rng = random.Random(150)
+    games += [random_affine_game(rng) for _ in range(150)]
+    for seed, count in ((7321, 3), (2718, 4)):  # the sparse affine grids above
+        rng = random.Random(seed)
+        games += [random_grid_game(rng, 1, sparse=True) for _ in range(count)]
+    for game in games:
+        auto = solve_icwe(game)
+        exact = solve_icwe(game, backend="exact")
+        assert _edge_latency_gap(game, auto, exact) <= 1e-9
+        assert verify_wardrop(game, auto, epsilon=1e-8).passed
+
+
+def test_auto_takes_the_solution_nearest_cg_on_a_singular_support():
+    # Three types on three parallel links.  The edge flows (7, 3, 6) are
+    # unique, the path flows are not: on the support cg ends with, the
+    # least-norm solution sends -0.75 along type 1's link g01.
+    g = MultiGraph(["s", "t"], [(e, "s", "t") for e in ("g00", "g01", "g02")], [("s", "t")])
+    latencies = {
+        "g00": LatencyFunction((2.0, 1.0)),
+        "g01": LatencyFunction((3.0, 2.0)),
+        "g02": LatencyFunction((3.0, 1.0)),
+    }
+    types = [
+        TravelerType(6.0, 0, {"g01", "g02"}),
+        TravelerType(8.0, 0, {"g00", "g01", "g02"}),
+        TravelerType(2.0, 0, {"g01"}),
+    ]
+    game = RoutingGame(g, latencies, types)
+    result = solve_icwe(game)
+    assert result.backend == "exact"
+    assert len(result.path_flows[1]) == 3  # the support is cg's, not a smaller one
+    assert all(x >= 0.0 for flows in result.path_flows for x in flows.values())
+    for eid, want in (("g00", 7.0), ("g01", 3.0), ("g02", 6.0)):
+        assert result.edge_flows[eid] == pytest.approx(want, abs=1e-12)
+    assert result.type_latencies == pytest.approx((9.0, 9.0, 9.0), abs=1e-12)
+    assert verify_wardrop(game, result).passed
+
+
+def test_auto_with_one_path_types_converges_at_the_first_sweep():
+    # before the extension type 1 has one path and type 2 two
+    game = gadget_game()
+    auto = solve_icwe(game)
+    assert (auto.backend, auto.iterations) == ("exact", 0)
+    assert auto.type_latencies == pytest.approx((47.0, 20.0), abs=1e-12)
+    assert _edge_latency_gap(game, auto, solve_icwe(game, backend="exact")) == 0.0
+
+
+def test_auto_with_a_one_path_type_next_to_a_contested_one():
+    game = gadget_game("destination", extended=True)
+    padded = RoutingGame(
+        game.graph,
+        game.latencies,
+        list(game.types) + [TravelerType(3.0, 0, {"e2", "e3"})],  # one path
+    )
+    auto = solve_icwe(padded)
+    exact = solve_icwe(padded, backend="exact")
+    assert auto.backend == "exact"
+    assert _edge_latency_gap(padded, auto, exact) <= 1e-12
+    assert verify_wardrop(padded, auto).passed
+
+
+@pytest.mark.parametrize("rate", [0.0, 5e-10])
+def test_auto_with_no_active_type_returns_empty_flows(rate):
+    game = gadget_game()
+    idle = RoutingGame(
+        game.graph, game.latencies, [TravelerType(rate, 0, {"e2", "e3"}), TravelerType(0.0, 1, ())]
+    )
+    result = solve_icwe(idle)
+    assert (result.backend, result.iterations) == ("exact", 0)
+    assert result.path_flows == ({}, {})
+    assert result.type_latencies == (0.0, 0.0)
+    assert verify_wardrop(idle, result).passed
+
+
+def test_auto_returns_the_cg_result_when_every_polish_is_rejected(monkeypatch):
+    import ibpcheck.equilibrium as equilibrium
+
+    games = [random_grid_game(random.Random(seed), 1) for seed in (11, 12, 13)]
+    games += [gadget_game(extended=True), _tiny_rate_game()]
+    solve_support = equilibrium._solve_support
+
+    def reject(*args, **kwargs):
+        solve_support(*args, **kwargs)  # may load the solution into the table
+        return None
+
+    monkeypatch.setattr(equilibrium, "_solve_support", reject)
+    for game in games:
+        auto = solve_icwe(game, start_seed=2)
+        assert repr(auto) == repr(solve_icwe(game, backend="cg", start_seed=2))
+
+
+# sha256 of repr(solve_icwe(game, backend="cg")), recorded before `auto` began
+# polishing: the sweeps themselves must not move.  From CPython 3.12 on,
+# sum() of floats is compensated, which moves last digits.
+CG_RESULT_DIGESTS = (
+    "e86bd1ef0b3b1fbe",
+    "fd3d6f7694ef7ebb",
+    "2bfdf6d971c93192",
+    "a995948a7efbb3ef",
+    "8eb2399504aadf34",
+    "4128a19e18e6b123",
+    "f931680be9dcca6b",
+    "6b8a423be242778b",
+    "8d26981e0df0af6b",
+    "4e5b553cf33da730",
+)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() of floats changed in 3.12")
+def test_cg_results_are_unchanged_on_grid_and_gadget_games():
+    games = _grid_games(3407)
+    games += [gadget_game(v, e) for v in ("origin", "destination") for e in (False, True)]
+    digests = tuple(
+        hashlib.sha256(repr(solve_icwe(game, backend="cg")).encode()).hexdigest()[:16]
+        for game in games
+    )
+    assert digests == CG_RESULT_DIGESTS
 
 
 def test_distinct_starts_reach_the_same_edge_latencies():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from ibpcheck.equilibrium import (
     LatencyFunction,
     RoutingGame,
     TravelerType,
+    solve_icwe,
+    verify_wardrop,
 )
 from ibpcheck.errors import (
     InvalidNetwork,
@@ -18,6 +21,7 @@ from ibpcheck.errors import (
     StepsDoNotReproduceSource,
     UnsupportedFailureSite,
 )
+from ibpcheck.instance_io import load_instance
 from ibpcheck.paradox import (
     GadgetVariant,
     IBPInstance,
@@ -99,6 +103,68 @@ def test_dominated_extension_changes_nothing():
     verdict = check_ibp(IBPInstance(game, InformationExtension({"e5"})))
     assert verdict.margin == pytest.approx(0.0, abs=1e-9)
     assert not verdict.occurs and verdict.label == "not-occurs"
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e2, 1e4])
+def test_scaling_every_gadget_latency_keeps_the_label_and_scales_the_latencies(scale):
+    base = gadget_instance()
+    latencies = {
+        eid: LatencyFunction([c * scale for c in fn.coefficients])
+        for eid, fn in base.game.latencies.items()
+    }
+    instance = IBPInstance(
+        RoutingGame(base.game.graph, latencies, base.game.types), base.extension
+    )
+    verdict = check_ibp(instance)
+    assert verdict.label == "occurs"
+    assert verdict.latency_before == pytest.approx(47.0 * scale, rel=1e-12)
+    assert verdict.latency_after == pytest.approx(48.0 * scale, rel=1e-12)
+    after = extended_game(instance)
+    assert verify_wardrop(instance.game, verdict.before_result).passed
+    assert verify_wardrop(after, verdict.after_result).passed
+    # At 1e4 the polished solution misses the absolute gap by rounding, so
+    # the sweeps go on and their result comes back.
+    assert verdict.after_result.backend == ("cg" if scale == 1e4 else "exact")
+
+
+def _parallel_links_instance(n_links):
+    """One type on n parallel links with a shared free-flow time; it knows
+    half of them and the extension reveals the rest."""
+    rng = random.Random(n_links)
+    ids = [f"l{i:02d}" for i in range(n_links)]
+    graph = MultiGraph(["s", "t"], [(eid, "s", "t") for eid in ids], [("s", "t")])
+    free = rng.uniform(1.0, 10.0)
+    latencies = {eid: LatencyFunction((free, rng.uniform(0.5, 4.0))) for eid in ids}
+    known = ids[: n_links // 2]
+    game = RoutingGame(graph, latencies, [TravelerType(7.0, 0, known)])
+    return IBPInstance(game, InformationExtension(set(ids) - set(known)))
+
+
+def test_auto_never_enumerates_supports(monkeypatch):
+    import ibpcheck.equilibrium as equilibrium
+
+    def enumerate_supports(*args):
+        raise AssertionError("auto called the support enumerator")
+
+    monkeypatch.setattr(equilibrium, "_solve_exact", enumerate_supports)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    solved = 0
+    for path in sorted(fixtures.glob("*.json")):
+        if path.name == "malformed.json":
+            continue
+        game, extension = load_instance(path)
+        if extension is None:
+            result = solve_icwe(game)
+            assert verify_wardrop(game, result).passed
+        else:
+            verdict = check_ibp(IBPInstance(game, extension))
+            assert verdict.label == ("occurs" if path.stem == "gadget" else "not-occurs")
+        solved += 1
+    assert solved == 8
+    verdict = check_ibp(_parallel_links_instance(12))
+    assert verdict.label == "not-occurs"
+    assert verdict.after_result.backend == "exact"
+    assert len(verdict.after_result.path_flows[0]) == 12
 
 
 # -- lifting ------------------------------------------------------------------------
