@@ -9,12 +9,10 @@ from .core_graph import (
     BlockDecomposition,
     EmbeddingStep,
     MultiGraph,
-    Subnetwork,
     apply_embedding_step,
     decompose_blocks,
     enumerate_simple_paths,
     is_cycle,
-    od_subnetwork,
     validate,
 )
 from .equilibrium import (
@@ -23,8 +21,6 @@ from .equilibrium import (
     RoutingGame,
     TravelerType,
     beckmann_potential,
-    block_local_game,
-    check_series_decomposition,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -47,13 +43,8 @@ from .paradox import (
 )
 from .topology import (
     TopologyReport,
-    check_sufficient_coincident,
-    classify_common_blocks,
     common_blocks,
     decide_ibp_free,
-    is_linearly_independent,
-    is_series_parallel,
-    is_sli,
 )
 
 __version__ = "0.1.0"
@@ -69,16 +60,11 @@ __all__ = [
     "LatencyFunction",
     "MultiGraph",
     "RoutingGame",
-    "Subnetwork",
     "TopologyReport",
     "TravelerType",
     "apply_embedding_step",
     "beckmann_potential",
-    "block_local_game",
     "check_ibp",
-    "check_series_decomposition",
-    "check_sufficient_coincident",
-    "classify_common_blocks",
     "common_blocks",
     "cycle_diagnostics",
     "decide_ibp_free",
@@ -91,12 +77,8 @@ __all__ = [
     "gadget_instance",
     "instance_to_dict",
     "is_cycle",
-    "is_linearly_independent",
-    "is_series_parallel",
-    "is_sli",
     "lift_instance",
     "load_instance",
-    "od_subnetwork",
     "parse_instance",
     "random_search_ibp",
     "save_instance",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -229,6 +230,19 @@ def cmd_demo(_args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+def _nonnegative(kind):
+    """An argparse type: `kind` parsed from the text, finite and >= 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibpcheck",
@@ -246,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the equilibrium of a game file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERATIONS)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-iters", type=_nonnegative(int), default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-ibp", help="compare latencies before/after the extension")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--threshold", type=float, default=DEFAULT_DECISION_THRESHOLD)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOLERANCE)
+    p.add_argument("--threshold", type=_nonnegative(float), default=DEFAULT_DECISION_THRESHOLD)
     p.set_defaults(func=cmd_check_ibp)
 
     p = sub.add_parser("synthesize", help="construct a paradox witness instance")
@@ -263,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="randomized paradox search over a network")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_nonnegative(int), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=DEFAULT_DECISION_THRESHOLD)
+    p.add_argument("--threshold", type=_nonnegative(float), default=DEFAULT_DECISION_THRESHOLD)
     p.add_argument("--rate-lo", type=int, default=1)
     p.add_argument("--rate-hi", type=int, default=10)
     p.add_argument("--coeff-lo", type=int, default=0)
@@ -279,7 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "search":
+        if not 0 <= args.coeff_lo <= args.coeff_hi:
+            parser.error("search needs 0 <= --coeff-lo <= --coeff-hi")
+        if not max(args.rate_lo, 1) <= args.rate_hi:
+            parser.error("search needs max(--rate-lo, 1) <= --rate-hi")
     try:
         return args.func(args)
     except (InstanceFileError, InvalidNetwork, PathCapExceeded) as exc:

@@ -5,17 +5,18 @@ no loops, and a list of origin-destination (OD) terminal pairs.  All values
 are immutable; every operation returns fresh objects, so everything here is
 safe to call from multiple threads.
 
-OD subnetworks and their block chains come from one walk of the whole
-graph's block-cut tree (`block_chains`), in linear time per OD pair.  Path
+`decompose_blocks` gives the biconnected blocks of the whole graph and, from
+one walk of its block-cut tree, every OD pair's block chain in linear time
+per pair; the union of a chain's blocks is that pair's OD subnetwork.  Path
 enumeration is exhaustive and capped (default 10,000 paths, past which it
-raises); it serves `validate`'s coverage check, witnesses on demand and the
-test oracles, not the topology verdict.
+raises); it serves `validate`'s coverage check, the solver's path sets, the
+gadget search and the test oracles, not the topology verdict.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -103,9 +104,6 @@ class MultiGraph:
         except KeyError:
             raise EdgeNotFound(eid) from None
 
-    def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
-
     def parallel_ids(self, u: str, v: str) -> tuple[str, ...]:
         """Ids of all edges joining u and v, sorted."""
         pair = frozenset((u, v))
@@ -151,7 +149,6 @@ class ValidationReport:
     """Outcome of :func:`validate`; downstream operations need `ok`."""
 
     connected: bool
-    loop_edges: tuple[str, ...]
     uncovered_edges: tuple[str, ...]
     uncovered_vertices: tuple[str, ...]
 
@@ -159,7 +156,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return (
             self.connected
-            and not self.loop_edges
             and not self.uncovered_edges
             and not self.uncovered_vertices
         )
@@ -184,8 +180,8 @@ def connected_components(graph: MultiGraph) -> list[frozenset[str]]:
     return comps
 
 
-def validate(graph: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> ValidationReport:
-    """Report connectivity, loop-freeness, and OD-path coverage.
+def validate(graph: MultiGraph) -> ValidationReport:
+    """Report connectivity and OD-path coverage (construction rejects loops).
 
     Every edge and every vertex must lie on at least one simple OD path;
     violating elements are listed rather than raised so callers can render
@@ -194,12 +190,11 @@ def validate(graph: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Validation
     covered_edges: set[str] = set()
     covered_vertices: set[str] = set()
     for o, d in graph.od_pairs:
-        for path in enumerate_simple_paths(graph, o, d, max_paths=max_paths):
+        for path in enumerate_simple_paths(graph, o, d):
             covered_edges.update(path)
             covered_vertices.update(graph.path_vertices(path, o))
     return ValidationReport(
         connected=len(connected_components(graph)) <= 1,
-        loop_edges=(),  # construction already rejects loops
         uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
         uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
     )
@@ -247,58 +242,6 @@ def enumerate_simple_paths(
 
     walk(s)
     return tuple(paths)
-
-
-# -- OD subnetworks ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Subnetwork:
-    """The single-OD network spanned by all terminal-to-terminal paths."""
-
-    parent: MultiGraph
-    edge_subset: frozenset[str]
-    terminal_pair: tuple[str, str]
-    max_paths: int = field(default=DEFAULT_PATH_CAP, compare=False)
-
-    @cached_property
-    def graph(self) -> MultiGraph:
-        return self.parent.induced(self.edge_subset, [self.terminal_pair])
-
-    @cached_property
-    def chain(self) -> tuple[ChainBlock, ...]:
-        """The terminals' block chain inside the subnetwork's own edges."""
-        _, _, (chain,) = block_chains(self.graph, [self.terminal_pair])
-        return chain
-
-    @cached_property
-    def paths(self) -> tuple[Path, ...]:
-        o, d = self.terminal_pair
-        return enumerate_simple_paths(
-            self.parent, o, d, self.edge_subset, max_paths=self.max_paths
-        )
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.vertices
-
-
-def od_subnetwork(
-    graph: MultiGraph, i: int, max_paths: int = DEFAULT_PATH_CAP
-) -> Subnetwork:
-    """Union of all simple o_i-d_i paths, as a terminal-marked subnetwork.
-
-    Read off the blocks of the pair's block chain; `max_paths` caps the
-    enumeration of the subnetwork's `paths`, which only witnesses need.
-    """
-    o, d = graph.od_pairs[i]
-    _, _, (chain,) = block_chains(graph, [(o, d)])
-    return Subnetwork(
-        parent=graph,
-        edge_subset=frozenset().union(*(edges for edges, _, _ in chain)),
-        terminal_pair=(o, d),
-        max_paths=max_paths,
-    )
 
 
 # -- biconnected decomposition ---------------------------------------------------
@@ -395,12 +338,10 @@ def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str
     return blocks, cuts
 
 
-def block_chains(
-    graph: MultiGraph, pairs: Iterable[tuple[str, str]]
-) -> tuple[list[frozenset[str]], set[str], list[tuple[ChainBlock, ...]]]:
-    """Blocks and cut vertices of the graph, and the block chain of each pair.
+def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
+    """Biconnected blocks and cut vertices of the graph, and each OD chain.
 
-    A pair's chain lists the blocks on the block-cut-tree path from o to d,
+    OD i's chain lists the blocks on the block-cut-tree path from o to d,
     each with the vertex where the path enters and leaves it.  In a
     2-connected block every edge lies on a simple path between any two
     distinct vertices, so the chain's blocks are exactly the blocks of the
@@ -421,7 +362,7 @@ def block_chains(
                 home[v] = bi
 
     chains = []
-    for o, d in pairs:
+    for o, d in graph.od_pairs:
         src = o if o in cuts else home.get(o)
         dst = d if d in cuts else home.get(d)
         prev: dict[object, object] = {src: None}
@@ -443,23 +384,13 @@ def block_chains(
         for k, node in enumerate(nodes):
             if isinstance(node, int):
                 leave = nodes[k + 1] if k + 1 < len(nodes) else d
-                chain.append((blocks[node], entry, leave))
+                chain.append(ChainLink(node, entry, leave))
                 entry = leave
         chains.append(tuple(chain))
-    return blocks, cuts, chains
-
-
-def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
-    """Biconnected blocks of the whole graph plus the per-OD block chains."""
-    blocks, cuts, chains = block_chains(graph, graph.od_pairs)
-    block_id = {bl: i for i, bl in enumerate(blocks)}
     return BlockDecomposition(
         blocks=tuple(Block(i, bl) for i, bl in enumerate(blocks)),
         cut_vertices=frozenset(cuts),
-        chains=tuple(
-            tuple(ChainLink(block_id[edges], entry, leave) for edges, entry, leave in chain)
-            for chain in chains
-        ),
+        chains=tuple(chains),
     )
 
 

@@ -40,7 +40,9 @@ Three backends:
 checked by the Wardrop gap, and ``"cg"`` for sweep flows.
 
 ``verify_wardrop`` stays outside the core: it rebuilds everything from the
-path-keyed result, as a check independent of either solver.
+path-keyed result, as a check independent of either solver.  The other
+independent route, solving each block of an SLI chain on its own and
+summing the latencies, is a test oracle (``tests/oracles.py``).
 
 Games and results are immutable values and both solvers are deterministic
 single-threaded procedures, so independent games may be solved concurrently.
@@ -56,13 +58,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core_graph import (
-    DEFAULT_PATH_CAP,
-    BlockDecomposition,
-    MultiGraph,
-    Path,
-    enumerate_simple_paths,
-)
+from .core_graph import MultiGraph, Path, enumerate_simple_paths
 from .errors import (
     BackendUnavailable,
     DidNotConverge,
@@ -174,13 +170,11 @@ class RoutingGame:
         return sum(self.latencies[eid](edge_flows.get(eid, 0.0)) for eid in path)
 
 
-def feasible_paths(
-    game: RoutingGame, j: int, max_paths: int = DEFAULT_PATH_CAP
-) -> tuple[Path, ...]:
+def feasible_paths(game: RoutingGame, j: int) -> tuple[Path, ...]:
     """Type j's OD paths inside its information set, lexicographically ordered."""
     t = game.types[j]
     o, d = game.graph.od_pairs[t.od_index]
-    paths = enumerate_simple_paths(game.graph, o, d, t.info_set, max_paths=max_paths)
+    paths = enumerate_simple_paths(game.graph, o, d, t.info_set)
     if t.rate > 0 and not paths:
         raise NoFeasiblePath(f"type {j} has rate {t.rate} but no feasible path")
     return paths
@@ -684,7 +678,6 @@ def solve_icwe(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     backend: str = "auto",
     start_seed: Optional[int] = None,
-    max_paths: int = DEFAULT_PATH_CAP,
 ) -> EquilibriumResult:
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
@@ -700,9 +693,12 @@ def solve_icwe(
     `result.backend` names the method that produced the returned flows:
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
     `result.iterations` counts sweeps, also for a polished result; the
-    enumerator reports 1 (0 with no active type).
+    enumerator reports 1 (0 with no active type).  A negative
+    `max_iterations` raises ValueError.
     """
-    type_paths = [feasible_paths(game, j, max_paths=max_paths) for j in range(len(game.types))]
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
+    type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
         affine = all(lat.is_affine for lat in game.latencies.values())
@@ -712,66 +708,3 @@ def solve_icwe(
     if backend == "cg":
         return _solve_cg(core, tolerance, max_iterations, start_seed)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-# -- block-local games ------------------------------------------------------------------
-
-
-def block_local_game(
-    game: RoutingGame, block_id: int, decomposition: BlockDecomposition
-) -> RoutingGame:
-    """Restrict the game to one block of the block chains.
-
-    Types whose OD chain crosses the block keep their rate, with terminals
-    and information set induced by the block; all other types ride along as
-    rate-0 dummies so type indices stay aligned with the parent game.
-    """
-    edges = decomposition.block_edges(block_id)
-    local_pairs: list[tuple[str, str]] = []
-    od_to_local: dict[int, int] = {}
-    for od_index, chain in enumerate(decomposition.chains):
-        for link in chain:
-            if link.block_id == block_id:
-                od_to_local[od_index] = len(local_pairs)
-                local_pairs.append((link.origin, link.destination))
-    if not local_pairs:
-        raise SolverError(f"block {block_id} lies on no OD chain")
-
-    graph = game.graph.induced(edges, local_pairs)
-    latencies = {eid: game.latencies[eid] for eid in edges}
-    types = []
-    for t in game.types:
-        if t.od_index in od_to_local:
-            types.append(
-                TravelerType(
-                    rate=t.rate,
-                    od_index=od_to_local[t.od_index],
-                    info_set=t.info_set & edges,
-                )
-            )
-        else:
-            types.append(TravelerType(rate=0.0, od_index=0, info_set=()))
-    return RoutingGame(graph, latencies, types)
-
-
-def check_series_decomposition(
-    game: RoutingGame,
-    result: EquilibriumResult,
-    decomposition: BlockDecomposition,
-    tolerance: float = 1e-6,
-) -> bool:
-    """Each type's latency must equal the sum of its block-local latencies.
-
-    Valid whenever the graph satisfies the SLI condition, because each OD
-    subnetwork is then its block chain connected in series.
-    """
-    sums = [0.0] * len(game.types)
-    for block in decomposition.blocks:
-        local = block_local_game(game, block.id, decomposition)
-        local_result = solve_icwe(local)
-        for j in range(len(game.types)):
-            sums[j] += local_result.type_latencies[j]
-    return all(
-        abs(sums[j] - result.type_latencies[j]) <= tolerance
-        for j in range(len(game.types))
-    )

@@ -39,16 +39,6 @@ class GraphOperationError(IbpcheckError):
     """An edge deletion/contraction cannot be applied to this graph."""
 
 
-# -- topology layer ----------------------------------------------------------
-
-class NotSingleOd(IbpcheckError):
-    """A claimed single-OD network has edges on no terminal-to-terminal path."""
-
-
-class PreconditionNotSli(IbpcheckError):
-    """Common-block classification requires both OD subnetworks to be SLI."""
-
-
 # -- equilibrium layer -------------------------------------------------------
 
 class SolverError(IbpcheckError):

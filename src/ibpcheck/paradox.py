@@ -500,9 +500,7 @@ def _lift_block_instance(
     return None
 
 
-def synthesize_ibp_witness(
-    g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP
-) -> IBPInstance:
+def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     """Build a concrete paradox instance on a network that is not IBP-free.
 
     Works through a common block of two OD chains that is neither coincident
@@ -510,7 +508,7 @@ def synthesize_ibp_witness(
     to the whole graph (zero latencies off the block, full information on the
     other chain blocks).  The result is verified by solving both games.
     """
-    report = decide_ibp_free(g, max_paths=max_paths)
+    report = decide_ibp_free(g)
     if report.verdict == IBP_FREE:
         raise PreconditionViolated("network is IBP-free; no witness exists")
     dec = report.decomposition
@@ -526,7 +524,7 @@ def synthesize_ibp_witness(
         block_edges = dec.block_edges(bid)
         block_graph = g.induced(block_edges, [v.terminal_set_in_i, v.terminal_set_in_j])
         try:
-            steps = find_gadget_embedding(block_graph, max_paths=max_paths)
+            steps = find_gadget_embedding(block_graph)
         except (IsCycleError, PreconditionViolated):
             continue
         block_instance = _lift_block_instance(block_graph, steps)

@@ -2,9 +2,9 @@
 
 A multi-OD network is immune to the informational Braess' paradox exactly
 when every OD subnetwork is SLI and every block shared by two subnetworks is
-either coincident (same terminal set in both) or a cycle.  This module
-recognizes the single-OD classes and renders that verdict with the site of
-the failing condition.
+either coincident (same terminal set in both) or a cycle.  `decide_ibp_free`
+renders that verdict, with the site of the failing condition, and its
+`TopologyReport` carries every per-OD class and pairwise entry.
 
 The verdict reads everything off one block decomposition of the whole
 graph: each OD chain is its list of blocks.  One terminal-aware
@@ -13,12 +13,8 @@ carrying LI and single-path flags through its merges, the recursive LI
 definition; a chain that is not LI is SLI iff the same reduction finds every
 one of its blocks LI.  `common_blocks` applies the coincident / cycle /
 other rule to the blocks two chains share.  Nothing on the verdict path
-enumerates paths except `validate`'s coverage check.
-
-The literal definitions -- no edge crossed in opposite directions, every
-path owning a private edge -- enumerate paths.  They are the test oracles,
-and the public `is_series_parallel` and `is_linearly_independent` call them
-to return a failure witness on demand.
+enumerates paths except `validate`'s coverage check; the literal,
+enumerating definitions live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -28,23 +24,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core_graph import (
-    DEFAULT_PATH_CAP,
     BlockDecomposition,
     ChainBlock,
     MultiGraph,
-    Path,
-    Subnetwork,
     decompose_blocks,
     is_cycle,
     validate,
 )
-from .errors import (
-    EdgeNotFound,
-    InvalidNetwork,
-    NoPath,
-    NotSingleOd,
-    PreconditionNotSli,
-)
+from .errors import InvalidNetwork
 
 IBP_FREE = "ibp-free"
 NOT_IBP_FREE = "not-ibp-free"
@@ -55,20 +42,6 @@ OTHER = "other"
 
 
 # -- result types -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OppositeTraversal:
-    """Two OD paths crossing one edge in opposite directions."""
-
-    edge: str
-    path_a: Path
-    path_b: Path
-
-
-@dataclass(frozen=True)
-class PathWithoutPrivateEdge:
-    path: Path
 
 
 @dataclass(frozen=True)
@@ -117,6 +90,9 @@ class FailureSite:
 
 @dataclass(frozen=True)
 class TopologyReport:
+    """The topology API: `per_od[i]` holds OD i's classes, `pairwise` the
+    common-block entry of every pair of SLI subnetworks in index order."""
+
     per_od: tuple[SingleOdClass, ...]
     pairwise: tuple[tuple[tuple[int, int], PairwiseEntry], ...]
     decomposition: BlockDecomposition
@@ -124,20 +100,7 @@ class TopologyReport:
     failure_site: Optional[FailureSite]
 
 
-# -- series-parallel ------------------------------------------------------------
-
-
-def _check_single_od(net: Subnetwork) -> tuple[ChainBlock, ...]:
-    """The terminals' block chain, once every edge is known to lie on it."""
-    try:
-        chain = net.chain
-    except (InvalidNetwork, EdgeNotFound, NoPath):
-        chain = ()  # a terminal or an edge is missing, or they are disconnected
-    covered = frozenset().union(*(edges for edges, _, _ in chain))
-    if covered != net.edge_subset:
-        stray = sorted(net.edge_subset - covered)
-        raise NotSingleOd(f"edges on no terminal path: {stray}")
-    return chain
+# -- single-OD classes -----------------------------------------------------------
 
 
 def _sp_reduce(
@@ -183,119 +146,14 @@ def _sp_reduce(
     return sp, sp and flags[frozenset((s, t))][0]
 
 
-def _oriented_edge_directions(
-    graph: MultiGraph, paths: tuple[Path, ...], start: str
-) -> dict[str, dict[tuple[str, str], Path]]:
-    directions: dict[str, dict[tuple[str, str], Path]] = {}
-    for path in paths:
-        seq = graph.path_vertices(path, start)
-        for eid, u, v in zip(path, seq, seq[1:]):
-            directions.setdefault(eid, {}).setdefault((u, v), path)
-    return directions
-
-
-def is_series_parallel_by_definition(
-    net: Subnetwork,
-) -> tuple[bool, Optional[OppositeTraversal]]:
-    """Literal definition: no edge is crossed in opposite directions.
-
-    Exponential in the path count; used as the oracle cross-check for the
-    reduction recognizer and to extract failure witnesses.
-    """
-    o, _ = net.terminal_pair
-    directions = _oriented_edge_directions(net.parent, net.paths, o)
-    for eid in sorted(directions):
-        used = directions[eid]
-        if len(used) == 2:
-            (pa, pb) = (used[k] for k in sorted(used))
-            return False, OppositeTraversal(edge=eid, path_a=pa, path_b=pb)
-    return True, None
-
-
-def is_series_parallel(net: Subnetwork) -> tuple[bool, Optional[OppositeTraversal]]:
-    """Reduction-based SP test; witness extracted on failure."""
-    _check_single_od(net)
-    if _sp_reduce(net.parent, net.edge_subset, *net.terminal_pair)[0]:
-        return True, None
-    ok, witness = is_series_parallel_by_definition(net)
-    if ok:
-        raise AssertionError("SP recognizers disagree; reduction says no")
-    return False, witness
-
-
-# -- linear independence ----------------------------------------------------------
-
-
-def is_linearly_independent(
-    net: Subnetwork,
-) -> tuple[bool, Optional[PathWithoutPrivateEdge]]:
-    """Every OD path must own an edge no other OD path uses.
-
-    The literal definition, exponential in the path count: the oracle for
-    the recursive recognizer and the source of failure witnesses.
-    """
-    _check_single_od(net)
-    paths = net.paths
-    for idx, path in enumerate(paths):
-        others = set()
-        for jdx, q in enumerate(paths):
-            if jdx != idx:
-                others.update(q)
-        if not (set(path) - others):
-            return False, PathWithoutPrivateEdge(path)
-    return True, None
-
-
-def is_linearly_independent_recursive(net: Subnetwork) -> bool:
-    """Recursive recognizer: single edge, parallel of LI, or edge + LI in series.
-
-    The definition is evaluated bottom-up along the series/parallel reduction.
-    """
-    _check_single_od(net)
-    return _sp_reduce(net.parent, net.edge_subset, *net.terminal_pair)[1]
-
-
-# -- series of linearly independent ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SliChainBlock:
-    edges: frozenset[str]
-    origin: str
-    destination: str
-    is_li: bool
-
-
-def is_sli(net: Subnetwork) -> tuple[bool, tuple[SliChainBlock, ...]]:
-    """Decompose into the OD block chain and require each block to be LI."""
-    chain_blocks = tuple(
-        SliChainBlock(
-            edges=edges,
-            origin=entry,
-            destination=leave,
-            is_li=_sp_reduce(net.parent, edges, entry, leave)[1],
-        )
-        for edges, entry, leave in _check_single_od(net)
-    )
-    return all(b.is_li for b in chain_blocks), chain_blocks
-
-
-def _is_sli(graph: MultiGraph, chain: Sequence[ChainBlock]) -> bool:
-    return all(_sp_reduce(graph, *block)[1] for block in chain)
-
-
 def _classify_chain(
     graph: MultiGraph, chain: Sequence[ChainBlock], o: str, d: str
 ) -> SingleOdClass:
     """SP and LI from one reduction over the chain's union; SLI asks each block."""
     union = frozenset().union(*(edges for edges, _, _ in chain))
     sp, li = _sp_reduce(graph, union, o, d)
-    sli = li or (sp and _is_sli(graph, chain))
+    sli = li or (sp and all(_sp_reduce(graph, *block)[1] for block in chain))
     return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)
-
-
-def classify_single_od(net: Subnetwork) -> SingleOdClass:
-    return _classify_chain(net.parent, _check_single_od(net), *net.terminal_pair)
 
 
 # -- common blocks across OD pairs ---------------------------------------------------
@@ -334,26 +192,14 @@ def common_blocks(
     return PairwiseEntry(disjoint=not verdicts, verdicts=tuple(verdicts))
 
 
-def classify_common_blocks(g: MultiGraph, i: int, j: int) -> PairwiseEntry:
-    """`common_blocks` of OD pairs i and j, once both are known to be SLI.
-
-    In a pair that is not SLI, blocks sharing an edge need not coincide.
-    """
-    dec = decompose_blocks(g)
-    for idx in (i, j):
-        if not _is_sli(g, dec.chain_blocks(idx)):
-            raise PreconditionNotSli(f"OD subnetwork {idx} is not SLI")
-    return common_blocks(g, dec, i, j)
-
-
-def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> TopologyReport:
+def decide_ibp_free(g: MultiGraph) -> TopologyReport:
     """Full verdict: SLI condition plus the coincident-or-cycle block condition.
 
     The conditions are conjunctive, so the failure site is the first one
     found; pairwise entries are still produced for every pair whose two
-    subnetworks are SLI.  `max_paths` caps `validate`'s path enumeration.
+    subnetworks are SLI.
     """
-    report = validate(g, max_paths=max_paths)
+    report = validate(g)
     if not report.ok:
         raise InvalidNetwork(
             "graph fails validation: "
@@ -391,19 +237,4 @@ def decide_ibp_free(g: MultiGraph, max_paths: int = DEFAULT_PATH_CAP) -> Topolog
         decomposition=dec,
         verdict=NOT_IBP_FREE if failure else IBP_FREE,
         failure_site=failure,
-    )
-
-
-def check_sufficient_coincident(g: MultiGraph) -> bool:
-    """Stricter sufficient condition: every common block coincident.
-
-    Implies the full verdict is IBP-free, but not conversely: a shared cycle
-    block with different terminal sets is immune yet not coincident.
-    """
-    dec = decompose_blocks(g)
-    pairs = range(len(g.od_pairs))
-    return all(_is_sli(g, dec.chain_blocks(i)) for i in pairs) and all(
-        v.kind == COINCIDENT
-        for i, j in itertools.combinations(pairs, 2)
-        for v in common_blocks(g, dec, i, j).verdicts
     )

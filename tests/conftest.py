@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ibpcheck.core_graph import MultiGraph, enumerate_simple_paths, od_subnetwork
+from ibpcheck.core_graph import MultiGraph, decompose_blocks, enumerate_simple_paths
 from ibpcheck.equilibrium import LatencyFunction, RoutingGame, TravelerType
 
 
@@ -151,8 +151,13 @@ def random_connected_multigraph(rng: random.Random, max_vertices=7, max_extra=4)
     return MultiGraph(vs, edges, od_pairs=[])
 
 
+def chain_edges(graph: MultiGraph, i=0) -> frozenset:
+    """Edges of OD i's block chain: every edge on a simple o_i-d_i path."""
+    return frozenset().union(*(edges for edges, _, _ in decompose_blocks(graph).chain_blocks(i)))
+
+
 def random_single_od_subnetwork(rng: random.Random, max_vertices=7):
-    """A random valid single-OD network, built as an OD subnetwork."""
+    """A random valid single-OD network: the graph induced on one OD chain."""
     while True:
         g = random_connected_multigraph(rng, max_vertices=max_vertices)
         if len(g.vertices) < 2:
@@ -161,7 +166,7 @@ def random_single_od_subnetwork(rng: random.Random, max_vertices=7):
         if not enumerate_simple_paths(g, s, t):
             continue
         with_od = MultiGraph(g.vertices, g.edges, [(s, t)])
-        return od_subnetwork(with_od, 0)
+        return with_od.induced(chain_edges(with_od), [(s, t)])
 
 
 def gadget_game(variant="origin", extended=False):

@@ -1,0 +1,110 @@
+"""Reference implementations, straight from the definitions, for the tests.
+
+The single-OD classes are read off one series/parallel reduction in
+`ibpcheck.topology`; the functions here evaluate the literal definitions by
+enumerating every o-d path instead, so they are exponential in the path
+count.  The block-local games and the series-decomposition check restate
+the SLI consequence that each type's latency is the sum of its latencies in
+the blocks of its chain.  The tests compare the library against them.
+"""
+
+from collections import Counter
+from typing import Iterable, Optional
+
+from ibpcheck.core_graph import BlockDecomposition, MultiGraph, enumerate_simple_paths
+from ibpcheck.equilibrium import EquilibriumResult, RoutingGame, TravelerType, solve_icwe
+from ibpcheck.errors import SolverError
+
+ORACLE_PATH_CAP = 100_000
+
+
+def _paths(graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str):
+    return enumerate_simple_paths(graph, o, d, edges, max_paths=ORACLE_PATH_CAP)
+
+
+def edges_crossed_both_ways(
+    graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str
+) -> list[str]:
+    """Sorted edges that two o-d paths inside `edges` cross in opposite directions."""
+    directions: dict[str, set[tuple[str, str]]] = {}
+    for path in _paths(graph, edges, o, d):
+        seq = graph.path_vertices(path, o)
+        for eid, u, v in zip(path, seq, seq[1:]):
+            directions.setdefault(eid, set()).add((u, v))
+    return sorted(eid for eid, used in directions.items() if len(used) == 2)
+
+
+def is_series_parallel_by_definition(
+    graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str
+) -> bool:
+    """SP: no edge is crossed in opposite directions by two o-d paths."""
+    return not edges_crossed_both_ways(graph, edges, o, d)
+
+
+def is_linearly_independent(
+    graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str
+) -> bool:
+    """LI: every o-d path owns an edge that no other o-d path uses."""
+    paths = _paths(graph, edges, o, d)
+    uses = Counter(eid for path in paths for eid in path)
+    return all(any(uses[eid] == 1 for eid in path) for path in paths)
+
+
+def block_local_game(
+    game: RoutingGame, block_id: int, decomposition: BlockDecomposition
+) -> RoutingGame:
+    """Restrict the game to one block of the block chains.
+
+    Types whose OD chain crosses the block keep their rate, with terminals
+    and information set induced by the block; all other types ride along as
+    rate-0 dummies so type indices stay aligned with the parent game.
+    """
+    edges = decomposition.block_edges(block_id)
+    local_pairs: list[tuple[str, str]] = []
+    od_to_local: dict[int, int] = {}
+    for od_index, chain in enumerate(decomposition.chains):
+        for link in chain:
+            if link.block_id == block_id:
+                od_to_local[od_index] = len(local_pairs)
+                local_pairs.append((link.origin, link.destination))
+    if not local_pairs:
+        raise SolverError(f"block {block_id} lies on no OD chain")
+
+    graph = game.graph.induced(edges, local_pairs)
+    latencies = {eid: game.latencies[eid] for eid in edges}
+    types = []
+    for t in game.types:
+        if t.od_index in od_to_local:
+            types.append(
+                TravelerType(
+                    rate=t.rate,
+                    od_index=od_to_local[t.od_index],
+                    info_set=t.info_set & edges,
+                )
+            )
+        else:
+            types.append(TravelerType(rate=0.0, od_index=0, info_set=()))
+    return RoutingGame(graph, latencies, types)
+
+
+def check_series_decomposition(
+    game: RoutingGame,
+    result: EquilibriumResult,
+    decomposition: BlockDecomposition,
+    tolerance: float = 1e-6,
+) -> bool:
+    """Each type's latency must equal the sum of its block-local latencies.
+
+    Valid whenever the graph satisfies the SLI condition, because each OD
+    subnetwork is then its block chain connected in series.
+    """
+    sums = [0.0] * len(game.types)
+    for block in decomposition.blocks:
+        local = block_local_game(game, block.id, decomposition)
+        local_result = solve_icwe(local)
+        for j in range(len(game.types)):
+            sums[j] += local_result.type_latencies[j]
+    return all(
+        abs(sums[j] - result.type_latencies[j]) <= tolerance
+        for j in range(len(game.types))
+    )

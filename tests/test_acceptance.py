@@ -10,8 +10,8 @@ import time
 import pytest
 
 from ibpcheck.cli import run_demo
-from ibpcheck.core_graph import EmbeddingStep, MultiGraph, decompose_blocks, od_subnetwork
-from ibpcheck.equilibrium import solve_icwe, verify_wardrop, check_series_decomposition
+from ibpcheck.core_graph import EmbeddingStep, MultiGraph, decompose_blocks
+from ibpcheck.equilibrium import solve_icwe, verify_wardrop
 from ibpcheck.paradox import (
     GadgetVariant,
     check_ibp,
@@ -22,14 +22,7 @@ from ibpcheck.paradox import (
     random_search_ibp,
     synthesize_ibp_witness,
 )
-from ibpcheck.topology import (
-    IBP_FREE,
-    NOT_IBP_FREE,
-    decide_ibp_free,
-    is_linearly_independent,
-    is_series_parallel,
-    is_sli,
-)
+from ibpcheck.topology import IBP_FREE, NOT_IBP_FREE, decide_ibp_free
 
 from conftest import (
     chain_with_gadget_middle,
@@ -40,6 +33,11 @@ from conftest import (
     random_sli_chain_game,
     triangle_two_od,
     two_parallel_pairs_in_series,
+)
+from oracles import (
+    check_series_decomposition,
+    is_linearly_independent,
+    is_series_parallel_by_definition,
 )
 
 
@@ -76,13 +74,17 @@ def test_criterion_2_classification_ground_truth():
     assert time.monotonic() - t0 < 1.0
 
     t0 = time.monotonic()
-    net = od_subnetwork(two_parallel_pairs_in_series(), 0)
-    assert is_sli(net)[0] and not is_linearly_independent(net)[0]
+    g = two_parallel_pairs_in_series()
+    cls = decide_ibp_free(g).per_od[0]
+    assert cls.is_sli and not cls.is_li
+    assert not is_linearly_independent(g, None, *g.od_pairs[0])
     assert time.monotonic() - t0 < 1.0
 
     t0 = time.monotonic()
-    net = od_subnetwork(doubled_series_pairs_in_parallel(), 0)
-    assert is_series_parallel(net)[0] and not is_sli(net)[0]
+    g = doubled_series_pairs_in_parallel()
+    cls = decide_ibp_free(g).per_od[0]
+    assert cls.is_sp and not cls.is_sli
+    assert is_series_parallel_by_definition(g, None, *g.od_pairs[0])
     assert time.monotonic() - t0 < 1.0
 
     _report(2, "gadget/cycle/SLI/SP fixtures classify as published", started, 5.0)

@@ -378,3 +378,29 @@ def test_parser_defaults_are_the_module_constants():
     assert (check.tol, check.threshold) == (DEFAULT_TOLERANCE, DEFAULT_DECISION_THRESHOLD)
     search = parser.parse_args(["search", "f.json"])
     assert search.threshold == DEFAULT_DECISION_THRESHOLD
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "pigou.json", "--max-iters", "-5"],
+        ["solve", "pigou.json", "--tol", "nan"],
+        ["solve", "pigou.json", "--tol", "-1"],
+        ["check-ibp", "gadget.json", "--tol", "inf"],
+        ["check-ibp", "gadget.json", "--threshold", "nan"],
+        ["check-ibp", "gadget.json", "--threshold=-1e-4"],
+        ["search", "gadget.json", "--trials", "-1"],
+        ["search", "gadget.json", "--threshold", "nan"],
+        ["search", "gadget.json", "--rate-lo", "5", "--rate-hi", "1"],
+        ["search", "gadget.json", "--rate-hi", "0"],
+        ["search", "gadget.json", "--coeff-lo", "5", "--coeff-hi", "1"],
+        ["search", "gadget.json", "--coeff-lo", "-1"],
+    ],
+)
+def test_out_of_range_numbers_exit_2_without_a_traceback(argv, capsys):
+    command, name, *flags = argv
+    with pytest.raises(SystemExit) as info:
+        main([command, str(FIXTURES / name), *flags])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "Traceback" not in err and "error:" in err

@@ -12,7 +12,6 @@ from ibpcheck.core_graph import (
     decompose_blocks,
     enumerate_simple_paths,
     is_cycle,
-    od_subnetwork,
     validate,
 )
 from ibpcheck.errors import (
@@ -21,9 +20,10 @@ from ibpcheck.errors import (
     PathCapExceeded,
     TerminalMergeForbidden,
 )
-from ibpcheck.topology import common_blocks
+from ibpcheck.topology import common_blocks, decide_ibp_free
 
 from conftest import (
+    chain_edges,
     gadget_multigraph,
     random_connected_multigraph,
     triangle_two_od,
@@ -68,6 +68,8 @@ def test_pendant_edge_not_on_any_od_path_is_flagged():
     assert not report.ok
     assert report.uncovered_edges == ("pe",)
     assert report.uncovered_vertices == ("p",)
+    with pytest.raises(InvalidNetwork, match="uncovered_edges=\\['pe'\\]"):
+        decide_ibp_free(g)
 
 
 def test_disconnected_graph_reported():
@@ -149,15 +151,13 @@ def test_enumeration_matches_recursive_oracle_on_random_graphs():
 
 
 def test_gadget_od0_subnetwork_covers_all_edges():
-    sub = od_subnetwork(gadget_multigraph(), 0)
-    assert sub.edge_subset == frozenset({"e1", "e2", "e3", "e4"})
+    assert chain_edges(gadget_multigraph(), 0) == frozenset({"e1", "e2", "e3", "e4"})
 
 
 def test_od_pair_inside_one_block_stays_in_it():
     g = two_parallel_pairs_in_series()
     g2 = MultiGraph(g.vertices, g.edges, [("o", "m")])
-    sub = od_subnetwork(g2, 0)
-    assert sub.edge_subset == frozenset({"a1", "a2"})
+    assert chain_edges(g2, 0) == frozenset({"a1", "a2"})
 
 
 def test_two_triangles_far_ends_cover_everything():
@@ -173,7 +173,7 @@ def test_two_triangles_far_ends_cover_everything():
         ],
         [("o", "d")],
     )
-    assert od_subnetwork(g, 0).edge_subset == g.edge_ids
+    assert chain_edges(g, 0) == g.edge_ids
 
 
 def test_od_subnetwork_idempotent_on_random_graphs():
@@ -186,9 +186,8 @@ def test_od_subnetwork_idempotent_on_random_graphs():
         if not enumerate_simple_paths(g, s, t):
             continue
         g_od = MultiGraph(g.vertices, g.edges, [(s, t)])
-        sub = od_subnetwork(g_od, 0)
-        again = od_subnetwork(sub.graph, 0)
-        assert again.edge_subset == sub.edge_subset
+        sub = g_od.induced(chain_edges(g_od), [(s, t)])
+        assert chain_edges(sub) == sub.edge_ids
 
 
 def _chain_by_enumeration(g: MultiGraph, o: str, d: str):
@@ -223,7 +222,7 @@ def test_chains_match_enumerated_subnetworks_on_random_graphs():
         for i, (o, d) in enumerate(pairs):
             paths = enumerate_simple_paths(g, o, d, max_paths=100000)
             on_paths.append({eid for p in paths for eid in p})
-            assert od_subnetwork(g, i).edge_subset == on_paths[i]
+            assert chain_edges(g, i) == on_paths[i]
             assert list(dec.chain_blocks(i)) == _chain_by_enumeration(g, o, d)
         # two OD subnetworks intersect exactly in the union of their common blocks
         for i, j in itertools.combinations(range(len(pairs)), 2):

@@ -15,8 +15,6 @@ from ibpcheck.equilibrium import (
     RoutingGame,
     TravelerType,
     beckmann_potential,
-    block_local_game,
-    check_series_decomposition,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -37,6 +35,7 @@ from conftest import (
     random_grid_game,
     random_sli_chain_game,
 )
+from oracles import block_local_game, check_series_decomposition
 
 
 # -- latency functions -------------------------------------------------------
@@ -294,6 +293,12 @@ def test_cg_handles_quadratic_latency():
 def test_did_not_converge_when_no_iterations_allowed():
     with pytest.raises(DidNotConverge):
         solve_icwe(gadget_game(extended=True), backend="cg", max_iterations=0)
+
+
+@pytest.mark.parametrize("backend", ["auto", "cg", "exact"])
+def test_negative_iteration_budget_is_a_value_error(backend):
+    with pytest.raises(ValueError, match="max_iterations"):
+        solve_icwe(pigou_game(), max_iterations=-1, backend=backend)
 
 
 def _grid_games(seed, per_degree=2, **kwargs):

@@ -298,9 +298,9 @@ def test_max_paths_reaches_the_cycle_enumeration():
 
 def test_embedding_dichotomy_on_random_two_od_blocks():
     """2-connected non-coincident blocks: cycle XOR gadget-embeddable."""
-    from ibpcheck.core_graph import biconnected_blocks, od_subnetwork
-    from ibpcheck.topology import is_sli
-    from conftest import random_connected_multigraph
+    from ibpcheck.core_graph import biconnected_blocks
+    from ibpcheck.topology import decide_ibp_free
+    from conftest import chain_edges, random_connected_multigraph
 
     rng = random.Random(321)
     tested = 0
@@ -318,13 +318,9 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
         if {o1, d1} == {o2, d2}:
             continue
         cand = MultiGraph(g.vertices, g.edges, [(o1, d1), (o2, d2)])
-        try:
-            subs = [od_subnetwork(cand, i) for i in (0, 1)]
-        except Exception:
+        if any(chain_edges(cand, i) != cand.edge_ids for i in (0, 1)):
             continue
-        if any(s.edge_subset != cand.edge_ids for s in subs):
-            continue
-        if not all(is_sli(s)[0] for s in subs):
+        if not all(cls.is_sli for cls in decide_ibp_free(cand).per_od):
             continue
         tested += 1
         if is_cycle(cand):

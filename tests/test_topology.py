@@ -1,37 +1,26 @@
 import itertools
 import random
 
-import pytest
-
-from ibpcheck import core_graph
+from ibpcheck import core_graph, topology
 from ibpcheck.core_graph import (
     MultiGraph,
-    Subnetwork,
+    ValidationReport,
     decompose_blocks,
-    od_subnetwork,
     validate,
 )
-from ibpcheck.errors import NotSingleOd, PreconditionNotSli
 from ibpcheck.topology import (
     CYCLE,
     COINCIDENT,
     IBP_FREE,
     NOT_IBP_FREE,
     OTHER,
-    OppositeTraversal,
-    PathWithoutPrivateEdge,
-    check_sufficient_coincident,
-    classify_common_blocks,
-    classify_single_od,
+    SingleOdClass,
+    common_blocks,
     decide_ibp_free,
-    is_linearly_independent,
-    is_linearly_independent_recursive,
-    is_series_parallel,
-    is_series_parallel_by_definition,
-    is_sli,
 )
 
 from conftest import (
+    chain_edges,
     chain_with_gadget_middle,
     diamonds_in_series,
     doubled_series_pairs_in_parallel,
@@ -43,10 +32,31 @@ from conftest import (
     two_parallel_pairs_in_series,
     wheatstone,
 )
+from oracles import (
+    edges_crossed_both_ways,
+    is_linearly_independent,
+    is_series_parallel_by_definition,
+)
 
 
-def single_od(graph: MultiGraph) -> Subnetwork:
-    return od_subnetwork(graph, 0)
+def single_od(graph: MultiGraph) -> SingleOdClass:
+    return decide_ibp_free(graph).per_od[0]
+
+
+def pair(graph: MultiGraph, i=0, j=1):
+    return common_blocks(graph, decompose_blocks(graph), i, j)
+
+
+def all_common_blocks_coincident(g: MultiGraph) -> bool:
+    """Stricter sufficient condition: every OD is SLI, every common block coincident.
+
+    Implies IBP-free, but not conversely: a shared cycle block with
+    different terminal sets is immune yet not coincident.
+    """
+    report = decide_ibp_free(g)
+    return all(cls.is_sli for cls in report.per_od) and all(
+        v.kind == COINCIDENT for _, entry in report.pairwise for v in entry.verdicts
+    )
 
 
 # -- series-parallel -------------------------------------------------------------
@@ -54,16 +64,14 @@ def single_od(graph: MultiGraph) -> Subnetwork:
 
 def test_single_edge_is_sp():
     g = MultiGraph(["u", "v"], [("e", "u", "v")], [("u", "v")])
-    ok, witness = is_series_parallel(single_od(g))
-    assert ok and witness is None
+    assert single_od(g).is_sp
+    assert is_series_parallel_by_definition(g, None, "u", "v")
 
 
 def test_wheatstone_is_not_sp_with_witness():
-    ok, witness = is_series_parallel(single_od(wheatstone()))
-    assert not ok
-    assert isinstance(witness, OppositeTraversal)
-    assert witness.edge == "w3"
-    assert set(witness.path_a) != set(witness.path_b)
+    assert not single_od(wheatstone()).is_sp
+    # the definition's witness: the bridge is crossed in both directions
+    assert edges_crossed_both_ways(wheatstone(), None, "o", "d") == ["w3"]
 
 
 def test_two_parallel_two_edge_paths_are_sp():
@@ -72,17 +80,7 @@ def test_two_parallel_two_edge_paths_are_sp():
         [("e1", "o", "a"), ("e2", "a", "d"), ("e3", "o", "b"), ("e4", "b", "d")],
         [("o", "d")],
     )
-    ok, _ = is_series_parallel(single_od(g))
-    assert ok
-
-
-def test_not_single_od_raises():
-    g = wheatstone()
-    bogus = Subnetwork(
-        parent=g, edge_subset=frozenset({"w1", "w2", "w3"}), terminal_pair=("o", "d")
-    )
-    with pytest.raises(NotSingleOd):
-        is_series_parallel(bogus)
+    assert single_od(g).is_sp
 
 
 # -- linear independence -----------------------------------------------------------
@@ -90,15 +88,14 @@ def test_not_single_od_raises():
 
 def test_parallel_pair_is_li():
     g = MultiGraph(["u", "v"], [("a", "u", "v"), ("b", "u", "v")], [("u", "v")])
-    ok, _ = is_linearly_independent(single_od(g))
-    assert ok
+    assert single_od(g).is_li
+    assert is_linearly_independent(g, None, "u", "v")
 
 
 def test_series_of_two_parallel_pairs_is_not_li():
-    ok, witness = is_linearly_independent(single_od(two_parallel_pairs_in_series()))
-    assert not ok
-    assert isinstance(witness, PathWithoutPrivateEdge)
-    assert len(witness.path) == 2
+    g = two_parallel_pairs_in_series()
+    assert not single_od(g).is_li
+    assert not is_linearly_independent(g, None, "o", "t")
 
 
 def test_edge_plus_parallel_pair_in_series_is_li():
@@ -107,43 +104,43 @@ def test_edge_plus_parallel_pair_in_series_is_li():
         [("e", "o", "m"), ("p1", "m", "t"), ("p2", "m", "t")],
         [("o", "t")],
     )
-    assert is_linearly_independent(single_od(g))[0]
-    assert is_linearly_independent_recursive(single_od(g))
+    assert single_od(g).is_li
+    assert is_linearly_independent(g, None, "o", "t")
 
 
 def test_gadget_subnetworks_are_li():
     g = gadget_multigraph()
-    for i in (0, 1):
-        assert is_linearly_independent(od_subnetwork(g, i))[0]
+    report = decide_ibp_free(g)
+    for i, (o, d) in enumerate(g.od_pairs):
+        assert report.per_od[i].is_li
+        assert is_linearly_independent(g, chain_edges(g, i), o, d)
 
 
 # -- SLI ----------------------------------------------------------------------------
 
 
 def test_series_of_parallel_pairs_is_sli_but_not_li():
-    net = single_od(two_parallel_pairs_in_series())
-    assert not is_linearly_independent(net)[0]
-    ok, chain = is_sli(net)
-    assert ok
+    g = two_parallel_pairs_in_series()
+    report = decide_ibp_free(g)
+    assert report.per_od[0].is_sli and not report.per_od[0].is_li
+    chain = report.decomposition.chain_blocks(0)
     assert len(chain) == 2
-    assert all(b.is_li for b in chain)
+    assert all(is_linearly_independent(g, *block) for block in chain)
 
 
 def test_parallel_doubling_is_sp_but_not_sli():
-    net = single_od(doubled_series_pairs_in_parallel())
-    assert is_series_parallel(net)[0]
-    ok, chain = is_sli(net)
-    assert not ok
-    assert len(chain) == 1
+    report = decide_ibp_free(doubled_series_pairs_in_parallel())
+    assert report.per_od[0].is_sp and not report.per_od[0].is_sli
+    assert len(report.decomposition.chains[0]) == 1
 
 
 def test_single_edge_is_sli():
     g = MultiGraph(["u", "v"], [("e", "u", "v")], [("u", "v")])
-    assert is_sli(single_od(g))[0]
+    assert single_od(g).is_sli
 
 
 def test_wheatstone_is_not_sli():
-    assert not is_sli(single_od(wheatstone()))[0]
+    assert not single_od(wheatstone()).is_sli
 
 
 # -- recognizer agreement and containment on a random corpus -------------------------
@@ -154,32 +151,32 @@ def test_class_containment_and_recognizer_agreement():
     checked = 0
     for _ in range(80):
         net = random_single_od_subnetwork(rng, max_vertices=7)
-        sp, _ = is_series_parallel(net)
-        sp_def, _ = is_series_parallel_by_definition(net)
-        assert sp == sp_def
-        li, _ = is_linearly_independent(net)
-        assert li == is_linearly_independent_recursive(net)
-        sli, chain = is_sli(net)
-        for b in chain:
-            block = Subnetwork(net.parent, b.edges, (b.origin, b.destination))
-            assert b.is_li == is_linearly_independent(block)[0]
-        if li:
-            assert sli
-        if sli:
-            assert sp
+        report = decide_ibp_free(net)
+        cls = report.per_od[0]
+        o, d = net.od_pairs[0]
+        assert cls.is_sp == is_series_parallel_by_definition(net, None, o, d)
+        assert cls.is_li == is_linearly_independent(net, None, o, d)
+        chain = report.decomposition.chain_blocks(0)
+        assert cls.is_sli == all(is_linearly_independent(net, *b) for b in chain)
+        if cls.is_li:
+            assert cls.is_sli
+        if cls.is_sli:
+            assert cls.is_sp
         checked += 1
     assert checked == 80
 
 
-def test_recognizers_need_no_path_enumeration():
+def test_recognizers_need_no_path_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the verdict enumerated paths")
+
+    monkeypatch.setattr(topology, "validate", lambda g: ValidationReport(True, (), ()))
+    monkeypatch.setattr(core_graph, "enumerate_simple_paths", no_enumeration)
     g = diamonds_in_series(20)  # 2^20 simple paths, far above the default cap
-    net = od_subnetwork(g, 0)
-    assert net.edge_subset == g.edge_ids
-    assert len(decompose_blocks(g).chains[0]) == 20
-    assert is_series_parallel(net) == (True, None)
-    ok, chain = is_sli(net)
-    assert ok and len(chain) == 20
-    assert not is_linearly_independent_recursive(net)
+    report = decide_ibp_free(g)
+    assert report.verdict == IBP_FREE
+    assert len(report.decomposition.chains[0]) == 20
+    assert report.per_od[0] == SingleOdClass(is_sp=True, is_li=False, is_sli=True)
 
 
 # -- common blocks ---------------------------------------------------------------------
@@ -187,12 +184,12 @@ def test_recognizers_need_no_path_enumeration():
 
 def test_triangle_two_od_is_one_cycle_common_block():
     g = triangle_two_od()
-    entry = classify_common_blocks(g, 0, 1)
+    entry = pair(g)
     assert not entry.disjoint
     assert len(entry.verdicts) == 1
     assert entry.verdicts[0].kind == CYCLE
     # the two subnetworks intersect exactly in the union of the common blocks
-    shared = od_subnetwork(g, 0).edge_subset & od_subnetwork(g, 1).edge_subset
+    shared = chain_edges(g, 0) & chain_edges(g, 1)
     assert shared == decompose_blocks(g).block_edges(entry.verdicts[0].block_id)
 
 
@@ -208,7 +205,7 @@ def test_coincident_middle_block():
         ],
         [("a", "n"), ("m", "b")],
     )
-    entry = classify_common_blocks(g, 0, 1)
+    entry = pair(g)
     assert not entry.disjoint
     assert [v.kind for v in entry.verdicts] == [COINCIDENT]
 
@@ -219,22 +216,12 @@ def test_disjoint_subnetworks():
         [("l1", "a", "m"), ("l2", "a", "m"), ("r1", "m", "b"), ("r2", "m", "b")],
         [("a", "m"), ("m", "b")],
     )
-    entry = classify_common_blocks(g, 0, 1)
+    entry = pair(g)
     assert entry.disjoint
 
 
-def test_classify_requires_sli():
-    g = MultiGraph(
-        wheatstone().vertices,
-        wheatstone().edges,
-        [("o", "d"), ("a", "b")],
-    )
-    with pytest.raises(PreconditionNotSli):
-        classify_common_blocks(g, 0, 1)
-
-
 def test_gadget_common_block_is_other():
-    entry = classify_common_blocks(gadget_multigraph(), 0, 1)
+    entry = pair(gadget_multigraph())
     assert [v.kind for v in entry.verdicts] == [OTHER]
 
 
@@ -278,13 +265,13 @@ def test_sufficient_condition_implies_ibp_free():
         ],
         [("a", "n"), ("m", "b")],
     )
-    assert check_sufficient_coincident(coincident)
+    assert all_common_blocks_coincident(coincident)
     assert decide_ibp_free(coincident).verdict == IBP_FREE
 
 
 def test_sufficiency_is_not_necessity_on_shared_cycle():
     g = triangle_two_od()
-    assert not check_sufficient_coincident(g)
+    assert not all_common_blocks_coincident(g)
     assert decide_ibp_free(g).verdict == IBP_FREE
 
 
@@ -294,16 +281,16 @@ def test_disjoint_subnetworks_satisfy_sufficient_condition():
         [("l1", "a", "m"), ("l2", "a", "m"), ("r1", "m", "b"), ("r2", "m", "b")],
         [("a", "m"), ("m", "b")],
     )
-    assert check_sufficient_coincident(g)
+    assert all_common_blocks_coincident(g)
     assert decide_ibp_free(g).verdict == IBP_FREE
 
 
 def test_classify_single_od_containment_flags():
-    cls = classify_single_od(single_od(two_parallel_pairs_in_series()))
+    cls = single_od(two_parallel_pairs_in_series())
     assert (cls.is_sp, cls.is_li, cls.is_sli) == (True, False, True)
-    cls = classify_single_od(single_od(wheatstone()))
+    cls = single_od(wheatstone())
     assert (cls.is_sp, cls.is_li, cls.is_sli) == (False, False, False)
-    cls = classify_single_od(single_od(doubled_series_pairs_in_parallel()))
+    cls = single_od(doubled_series_pairs_in_parallel())
     assert (cls.is_sp, cls.is_li, cls.is_sli) == (True, False, False)
 
 
@@ -326,7 +313,7 @@ def test_decide_ibp_free_enumerates_only_in_validate(monkeypatch):
     ):
         calls.clear()
         report = decide_ibp_free(g)
-        assert not report.per_od[0].is_sp  # a witness would need enumeration
+        assert not report.per_od[0].is_sp
         assert calls == list(g.od_pairs)  # one coverage walk per OD pair
 
 
@@ -342,20 +329,22 @@ def test_one_pass_verdict_agrees_with_per_subnetwork_route():
         if not validate(g).ok:
             continue
         report = decide_ibp_free(g)
+        dec = decompose_blocks(g)
+        assert report.decomposition == dec
         decided += 1
         for i, cls in enumerate(report.per_od):
-            sub = od_subnetwork(g, i)
-            assert cls == classify_single_od(sub)
-            # reduction == definition is asserted inside is_series_parallel
-            sp, witness = is_series_parallel(sub)
-            assert (sp, witness is None) == (cls.is_sp, cls.is_sp)
-            non_sp += not sp
+            o, d = od[i]
+            edges = chain_edges(g, i)
+            assert cls.is_sp == is_series_parallel_by_definition(g, edges, o, d)
+            assert cls.is_li == is_linearly_independent(g, edges, o, d)
+            sli = all(is_linearly_independent(g, *b) for b in dec.chain_blocks(i))
+            assert cls.is_sli == sli
+            non_sp += not cls.is_sp
         entries = dict(report.pairwise)
         for i, j in itertools.combinations(range(len(od)), 2):
-            if (i, j) in entries:
-                assert entries[(i, j)] == classify_common_blocks(g, i, j)
+            both_sli = report.per_od[i].is_sli and report.per_od[j].is_sli
+            assert ((i, j) in entries) == both_sli
+            if both_sli:
+                assert entries[(i, j)] == common_blocks(g, dec, i, j)
                 pairs += 1
-            else:
-                with pytest.raises(PreconditionNotSli):
-                    classify_common_blocks(g, i, j)
     assert decided > 100 and non_sp > 10 and pairs > 50
