@@ -20,7 +20,6 @@ from .equilibrium import (
     LatencyFunction,
     RoutingGame,
     TravelerType,
-    beckmann_potential,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -63,7 +62,6 @@ __all__ = [
     "TopologyReport",
     "TravelerType",
     "apply_embedding_step",
-    "beckmann_potential",
     "check_ibp",
     "common_blocks",
     "cycle_diagnostics",

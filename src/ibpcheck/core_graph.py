@@ -188,11 +188,11 @@ def validate(graph: MultiGraph) -> ValidationReport:
     a full diagnosis.
     """
     covered_edges: set[str] = set()
-    covered_vertices: set[str] = set()
     for o, d in graph.od_pairs:
         for path in enumerate_simple_paths(graph, o, d):
             covered_edges.update(path)
-            covered_vertices.update(graph.path_vertices(path, o))
+    # an OD path has at least one edge, so its vertices are its edges' endpoints
+    covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
     return ValidationReport(
         connected=len(connected_components(graph)) <= 1,
         uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),

@@ -4,15 +4,19 @@ All traveler types share the same edge latencies; information sets only shape
 each type's feasible path polytope.  The classic aggregated convex potential
 (edge-wise integral of latencies) therefore remains valid: its minimizers
 over the product of per-type path-flow simplices are exactly the equilibria,
-and every equilibrium induces the same per-edge latencies.
+and every equilibrium induces the same per-edge latencies.  The potential
+itself is never evaluated here; the tests' oracles do that.
 
 One cost core (``_CostCore``) serves both backends and result building: a
 table of edge flows and cached edge latencies on renumbered edges and paths,
 the path costs read off it, the used-path rule, the Wardrop gap (worst used
-path cost minus cheapest path cost) and the one builder of
+path cost minus cheapest path cost), the equal-cost system of an affine game
+on one support (``equal_cost_system``) and the one builder of
 ``EquilibriumResult``.  ``FLOW_EPS`` is the one used-path threshold: a path
 is used when it carries more than ``FLOW_EPS``, or any flow at all for a type
-whose rate is at most ``FLOW_EPS`` per path.
+whose rate is at most ``FLOW_EPS`` per path.  The system is built from the
+core's own renumbered paths and latency coefficients, adding terms in edge
+order, so affine results do not depend on how the edge ids hash.
 
 Three backends:
 
@@ -25,15 +29,15 @@ Three backends:
   affine, safeguarded Newton otherwise.  Works for any polynomial latencies.
 * ``auto``  -- the default: ``cg`` sweeps, polished when every latency is
   affine.  Once the used-path support has held for a full sweep, and again
-  at convergence, the equal-cost linear system is solved on that one
-  support (``_solve_support``).  An accepted solution is returned with
-  backend ``"exact"``; a rejected one leaves the sweeps as they were, so
-  ``auto`` never returns a worse answer than ``cg``.  Non-affine games get
-  plain ``cg``.
+  at convergence, the equal-cost system is solved on that one support
+  (``_solve_support``, the only caller of the system builder).  An accepted
+  solution is returned with backend ``"exact"``; a rejected one leaves the
+  sweeps as they were, so ``auto`` never returns a worse answer than
+  ``cg``.  Non-affine games get plain ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
-  used paths and keep the first whose ``_solve_support`` solution is
-  feasible and passes the same Wardrop gap.  An oracle only, never on
-  ``auto``'s route.
+  used paths, per type by size then index, and keep the first whose
+  ``_solve_support`` solution is feasible and passes the same Wardrop gap.
+  An oracle only, never on ``auto``'s route.
 
 ``result.backend`` names the method that produced the returned flows:
 ``"exact"`` for the solution of the equal-cost system on one support,
@@ -100,23 +104,12 @@ class LatencyFunction:
             acc = acc * x + c
         return acc
 
-    def integral(self, x: float) -> float:
-        """Antiderivative at x with F(0) = 0, in closed form."""
-        acc = 0.0
-        for k in reversed(range(len(self.coefficients))):
-            acc = acc * x + self.coefficients[k] / (k + 1)
-        return acc * x
-
     @property
     def degree(self) -> int:
         deg = len(self.coefficients) - 1
         while deg > 0 and self.coefficients[deg] == 0.0:
             deg -= 1
         return deg
-
-    @property
-    def is_affine(self) -> bool:
-        return self.degree <= 1
 
     @staticmethod
     def zero() -> "LatencyFunction":
@@ -162,10 +155,6 @@ class RoutingGame:
             if not t.info_set <= graph.edge_ids:
                 raise InvalidNetwork("info set references unknown edges")
 
-    @property
-    def total_rate(self) -> float:
-        return sum(t.rate for t in self.types)
-
     def path_latency(self, path: Path, edge_flows: Mapping[str, float]) -> float:
         return sum(self.latencies[eid](edge_flows.get(eid, 0.0)) for eid in path)
 
@@ -178,13 +167,6 @@ def feasible_paths(game: RoutingGame, j: int) -> tuple[Path, ...]:
     if t.rate > 0 and not paths:
         raise NoFeasiblePath(f"type {j} has rate {t.rate} but no feasible path")
     return paths
-
-
-def beckmann_potential(game: RoutingGame, edge_flows: Mapping[str, float]) -> float:
-    """Edge-wise integral of latencies; minimizers are the equilibria."""
-    return sum(
-        lat.integral(edge_flows.get(eid, 0.0)) for eid, lat in game.latencies.items()
-    )
 
 
 # -- results -------------------------------------------------------------------
@@ -268,7 +250,9 @@ class _CostCore:
     order of the path-keyed result.  A path's cost is the sum of its cached
     edge latencies in path order, the same floats as
     `RoutingGame.path_latency`.  Types with rate at most FLOW_EPS are
-    inactive: they carry no flow and get latency 0.
+    inactive: they carry no flow and get latency 0.  `coeffs` holds each
+    edge's latency coefficients without trailing zeros, and `affine` says
+    that none has degree above 1.
     """
 
     def __init__(self, game: RoutingGame, type_paths: Sequence[tuple[Path, ...]]):
@@ -278,6 +262,7 @@ class _CostCore:
         position = {eid: e for e, eid in enumerate(self.edge_ids)}
         self.functions = [game.latencies[eid] for eid in self.edge_ids]
         self.coeffs = [fn.coefficients[: fn.degree + 1] for fn in self.functions]
+        self.affine = all(len(c) <= 2 for c in self.coeffs)
         self.paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
         self.edge_sets = [[frozenset(p) for p in tp] for tp in self.paths]
         self.active = [j for j, t in enumerate(game.types) if t.rate > FLOW_EPS]
@@ -332,6 +317,39 @@ class _CostCore:
             for j in self.active
         )
 
+    def equal_cost_system(
+        self, support: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The linear system of an affine game on one support, as (A, b).
+
+        `support` lists, per active type in order, the indices of its used
+        paths.  The unknowns are those paths' flows, in order, then one cost
+        per type.  A path's row says its cost (the constants of its edges
+        plus, for every used path, that path's flow times the slopes of the
+        edges the two share) equals its type's cost; a type's row says its
+        flows sum to its rate.  Costs are summed in edge order from the
+        paths' incidence rows, so the system does not depend on how edge ids
+        hash.
+        """
+        paths = [self.paths[j][k] for j, ks in zip(self.active, support) for k in ks]
+        rows = np.zeros((len(paths), len(self.edge_ids)))
+        for r, p in enumerate(paths):
+            rows[r, list(p)] = 1.0
+        const = np.array([c[0] for c in self.coeffs])
+        slope = np.array([c[1] if len(c) > 1 else 0.0 for c in self.coeffs])
+        n, dim = len(paths), len(paths) + len(support)
+        a_mat = np.zeros((dim, dim))
+        b_vec = np.zeros(dim)
+        a_mat[:n, :n] = (rows * slope) @ rows.T
+        b_vec[:n] = -(rows @ const)
+        row = 0
+        for tpos, (j, ks) in enumerate(zip(self.active, support)):
+            a_mat[row : row + len(ks), n + tpos] = -1.0
+            a_mat[n + tpos, row : row + len(ks)] = 1.0
+            b_vec[n + tpos] = self.game.types[j].rate
+            row += len(ks)
+        return a_mat, b_vec
+
     def result(
         self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int
     ) -> EquilibriumResult:
@@ -356,48 +374,24 @@ class _CostCore:
         )
 
 
-# -- the equal-cost system of an affine game on one support -----------------------
-
-
-def _affine_terms(
-    core: _CostCore, chosen: Sequence[tuple[int, int]]
-) -> tuple[list[float], np.ndarray]:
-    """The data of the equal-cost system for the chosen (type, path) pairs:
-    each path's constant cost, and for each ordered pair of paths the sum of
-    the slopes of the edges they share."""
-    latencies = core.game.latencies
-
-    def aff(eid: str) -> tuple[float, float]:
-        c = latencies[eid].coefficients
-        return (c[0], c[1] if len(c) > 1 else 0.0)
-
-    paths = [core.type_paths[j][k] for j, k in chosen]
-    const_cost = [sum(aff(e)[0] for e in p) for p in paths]
-    interact = np.zeros((len(paths), len(paths)))
-    for a, pa in enumerate(paths):
-        sa = set(pa)
-        for b, pb in enumerate(paths):
-            interact[a, b] = sum(aff(e)[1] for e in sa & set(pb))
-    return const_cost, interact
+# -- solving the equal-cost system on one support ---------------------------------
 
 
 def _solve_support(
     core: _CostCore,
     support: Sequence[Sequence[int]],
-    const_cost: Sequence[float],
-    interact: np.ndarray,
     tolerance: float,
     anchor: Optional[Sequence[float]] = None,
 ) -> Optional[list[dict[int, float]]]:
     """Flows on which every used path of a type costs the same, or None.
 
     `support` lists, per active type in order, the indices of the paths it
-    uses; `const_cost` and `interact` are `_affine_terms` of those paths in
-    the same order.  The linear system (equal costs per type, conservation
-    of each rate) is solved by least squares, and a solution is accepted
-    only if its residual is within bound, every flow is nonnegative, and the
-    Wardrop gap of the loaded table is at most `tolerance`.  On acceptance
-    the table holds the returned flows.
+    uses; `core.equal_cost_system(support)` is the linear system (equal
+    costs per type, conservation of each rate).  It is solved by least
+    squares, and a solution is accepted only if its residual is within
+    bound, every flow is nonnegative, and the Wardrop gap of the loaded
+    table is at most `tolerance`.  On acceptance the table holds the
+    returned flows.
 
     A singular system has many path-flow solutions with the same edge flows.
     Least squares returns the one of least norm; if that one is rejected and
@@ -405,22 +399,12 @@ def _solve_support(
     nearest the anchor is tried too.
     """
     game = core.game
-    n = len(const_cost)
-    if not n:  # no active type: the empty flows are the equilibrium
+    if not support:  # no active type: the empty flows are the equilibrium
         flows: list[dict[int, float]] = [{} for _ in game.types]
         core.load(flows)
         return flows
-    dim = n + len(support)
-    a_mat = np.zeros((dim, dim))
-    b_vec = np.zeros(dim)
-    a_mat[:n, :n] = interact
-    row = 0
-    for tpos, ks in enumerate(support):
-        a_mat[row : row + len(ks), n + tpos] = -1.0
-        a_mat[n + tpos, row : row + len(ks)] = 1.0
-        b_vec[n + tpos] = game.types[core.active[tpos]].rate
-        row += len(ks)
-    b_vec[:n] = np.negative(const_cost)
+    a_mat, b_vec = core.equal_cost_system(support)
+    n = len(a_mat) - len(support)
 
     def accept(solution: np.ndarray) -> Optional[list[dict[int, float]]]:
         if not np.all(np.isfinite(solution)):
@@ -448,7 +432,7 @@ def _solve_support(
 
     solution, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     flows = accept(solution)
-    if flows is None and anchor is not None and rank < dim:
+    if flows is None and anchor is not None and rank < len(a_mat):
         start = np.concatenate([anchor, solution[n:]])
         step, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ start, rcond=None)
         flows = accept(start + step)
@@ -461,37 +445,23 @@ def _solve_support(
 def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
     """Try every support, smallest first per type, and keep the first one
     whose equal-cost solution passes; an oracle, never `auto`'s route."""
-    game = core.game
-    if not all(lat.is_affine for lat in game.latencies.values()):
+    if not core.affine:
         raise BackendUnavailable("exact backend requires affine latencies")
-    flat = [(j, k) for j in core.active for k in range(len(core.type_paths[j]))]
-    if len(flat) > EXACT_PATH_LIMIT:
+    counts = [len(core.paths[j]) for j in core.active]
+    if sum(counts) > EXACT_PATH_LIMIT:
         raise BackendUnavailable(
-            f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {len(flat)}"
+            f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {sum(counts)}"
         )
-    const_cost, interact = _affine_terms(core, flat)
-
     # per-type candidate supports: nonempty subsets ordered by size then index
-    per_type_subsets: list[list[tuple[int, ...]]] = []
-    for j in core.active:
-        indices = [i for i, (tj, _) in enumerate(flat) if tj == j]
-        subsets = []
-        for size in range(1, len(indices) + 1):
-            subsets.extend(itertools.combinations(indices, size))
-        per_type_subsets.append(subsets)
-
+    per_type_subsets = [
+        [ks for size in range(1, m + 1) for ks in itertools.combinations(range(m), size)]
+        for m in counts
+    ]
     bound = max(tolerance, 1e-9)
     for support in itertools.product(*per_type_subsets):
-        chosen = [i for subset in support for i in subset]
-        flows = _solve_support(
-            core,
-            [[flat[i][1] for i in subset] for subset in support],
-            [const_cost[i] for i in chosen],
-            interact[np.ix_(chosen, chosen)],
-            bound,
-        )
+        flows = _solve_support(core, support, bound)
         if flows is not None:
-            return core.result(flows, "exact", 1 if chosen else 0)
+            return core.result(flows, "exact", 1 if support else 0)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
@@ -651,14 +621,8 @@ def _solve_cg(
             if (gap <= tolerance or support == previous) and support != tried:
                 tried = support
                 saved = edge_flow[:], edge_lat[:]
-                chosen = [(j, k) for j, ks in zip(core.active, support) for k in ks]
-                polished = _solve_support(
-                    core,
-                    support,
-                    *_affine_terms(core, chosen),
-                    tolerance,
-                    anchor=[flows[j][k] for j, k in chosen],
-                )
+                anchor = [flows[j][k] for j, ks in zip(core.active, support) for k in ks]
+                polished = _solve_support(core, support, tolerance, anchor)
                 if polished is not None:
                     return core.result(polished, "exact", sweep)
                 edge_flow[:], edge_lat[:] = saved  # sweep on as if never polished
@@ -693,16 +657,18 @@ def solve_icwe(
     `result.backend` names the method that produced the returned flows:
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
     `result.iterations` counts sweeps, also for a polished result; the
-    enumerator reports 1 (0 with no active type).  A negative
-    `max_iterations` raises ValueError.
+    enumerator reports 1 (0 with no active type).  A `tolerance` that is
+    not finite and nonnegative, or a negative `max_iterations`, raises
+    ValueError.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
-        affine = all(lat.is_affine for lat in game.latencies.values())
-        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=affine)
+        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=core.affine)
     if backend == "exact":
         return _solve_exact(core, tolerance)
     if backend == "cg":

@@ -15,6 +15,7 @@ reproducibility, with any witness reported at its lowest trial index.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -115,6 +116,13 @@ class IBPVerdict:
     after_result: EquilibriumResult
 
 
+def _check_threshold(decision_threshold: float) -> None:
+    if not 0.0 <= decision_threshold < math.inf:
+        raise ValueError(
+            f"decision_threshold must be finite and nonnegative, got {decision_threshold}"
+        )
+
+
 def check_ibp(
     instance: IBPInstance,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -124,8 +132,11 @@ def check_ibp(
     """Solve both games and compare type 1's equilibrium latency.
 
     The decision threshold sits well above solver tolerance; margins between
-    the two are labeled inconclusive rather than treated as paradoxes.
+    the two are labeled inconclusive rather than treated as paradoxes.  A
+    threshold or tolerance that is not finite and nonnegative raises
+    ValueError before anything is solved.
     """
+    _check_threshold(decision_threshold)
     before = solve_icwe(instance.game, tolerance=tolerance, backend=backend)
     after = solve_icwe(extended_game(instance), tolerance=tolerance, backend=backend)
     margin = after.type_latencies[0] - before.type_latencies[0]
@@ -463,13 +474,9 @@ def find_gadget_embedding(
                         for e, u, v in block.edges
                         if u in interior_ok and v in interior_ok and e not in cycle
                     }
-                    try:
-                        ears = enumerate_simple_paths(
-                            block, x, y, allowed, max_paths=max_paths
-                        )
-                    except ValueError:
-                        continue
-                    for ear in ears:
+                    for ear in enumerate_simple_paths(
+                        block, x, y, allowed, max_paths=max_paths
+                    ):
                         if eid not in ear:
                             continue
                         oa, da = sorted(pair_a)
@@ -590,8 +597,17 @@ def random_search_ibp(
     One traveler type per OD pair; type 1 gets a random information set built
     around one of its paths, everyone else full information; the extension
     reveals a random nonempty part of the rest.  Fully reproducible: the
-    transcript is a pure function of the seed.
+    transcript is a pure function of the seed.  Raises ValueError before the
+    first trial unless trials >= 0, 0 <= coefficients low <= high,
+    max(rates low, 1) <= rates high and the threshold is finite and >= 0.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not 0 <= coeff_range[0] <= coeff_range[1]:
+        raise ValueError(f"coeff_range needs 0 <= low <= high, got {coeff_range}")
+    if not max(rate_range[0], 1) <= rate_range[1]:
+        raise ValueError(f"rate_range needs max(low, 1) <= high, got {rate_range}")
+    _check_threshold(decision_threshold)
     rng = random.Random(seed)
     edge_ids = sorted(g.edge_ids)
     type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])

@@ -5,17 +5,61 @@ The single-OD classes are read off one series/parallel reduction in
 enumerating every o-d path instead, so they are exponential in the path
 count.  The block-local games and the series-decomposition check restate
 the SLI consequence that each type's latency is the sum of its latencies in
-the blocks of its chain.  The tests compare the library against them.
+the blocks of its chain.  The Beckmann potential (the edge-wise integral of
+the latencies, minimized by every equilibrium) and the total rate are
+evaluated here too, since only the tests need them.  The tests compare the
+library against them.
 """
 
 from collections import Counter
 from typing import Iterable, Optional
 
 from ibpcheck.core_graph import BlockDecomposition, MultiGraph, enumerate_simple_paths
-from ibpcheck.equilibrium import EquilibriumResult, RoutingGame, TravelerType, solve_icwe
+from ibpcheck.equilibrium import (
+    EquilibriumResult,
+    LatencyFunction,
+    RoutingGame,
+    TravelerType,
+    solve_icwe,
+)
 from ibpcheck.errors import SolverError
 
 ORACLE_PATH_CAP = 100_000
+
+
+def latency_integral(latency: LatencyFunction, x: float) -> float:
+    """Antiderivative at x with F(0) = 0, in closed form."""
+    acc = 0.0
+    for k in reversed(range(len(latency.coefficients))):
+        acc = acc * x + latency.coefficients[k] / (k + 1)
+    return acc * x
+
+
+def beckmann_potential(game: RoutingGame, edge_flows: dict[str, float]) -> float:
+    """Edge-wise integral of latencies; minimizers are the equilibria."""
+    return sum(
+        latency_integral(lat, edge_flows.get(eid, 0.0)) for eid, lat in game.latencies.items()
+    )
+
+
+def total_rate(game: RoutingGame) -> float:
+    return sum(t.rate for t in game.types)
+
+
+def equal_cost_terms(game: RoutingGame, paths: list[tuple[str, ...]]):
+    """The data of an affine game's equal-cost system on the given paths:
+    each path's constant cost, and for each ordered pair of paths the sum of
+    the slopes of the edges they share."""
+
+    def coefficient(eid: str, k: int) -> float:
+        c = game.latencies[eid].coefficients
+        return c[k] if len(c) > k else 0.0
+
+    const = [sum(coefficient(e, 0) for e in p) for p in paths]
+    interact = [
+        [sum(coefficient(e, 1) for e in sorted(set(p) & set(q))) for q in paths] for p in paths
+    ]
+    return const, interact
 
 
 def _paths(graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str):

@@ -72,6 +72,25 @@ def test_pendant_edge_not_on_any_od_path_is_flagged():
         decide_ibp_free(g)
 
 
+def test_validate_covers_the_vertices_of_every_od_path():
+    # literal definition: a vertex is covered when some simple OD path visits it
+    rng = random.Random(4242)
+    for _ in range(150):
+        g = random_connected_multigraph(rng, max_vertices=7)
+        if len(g.vertices) < 2:
+            continue
+        pairs = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.randint(1, 2))]
+        g = MultiGraph(g.vertices, g.edges, pairs)
+        visited = {
+            v
+            for o, d in pairs
+            for path in enumerate_simple_paths(g, o, d)
+            for v in g.path_vertices(path, o)
+        }
+        report = validate(g)
+        assert report.uncovered_vertices == tuple(sorted(set(g.vertices) - visited))
+
+
 def test_disconnected_graph_reported():
     g = MultiGraph(
         ["a", "b", "c", "d"],

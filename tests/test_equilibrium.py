@@ -1,9 +1,13 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
@@ -14,10 +18,10 @@ from ibpcheck.equilibrium import (
     LatencyFunction,
     RoutingGame,
     TravelerType,
-    beckmann_potential,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
+    _CostCore,
     _line_search,
 )
 from ibpcheck.errors import (
@@ -35,7 +39,14 @@ from conftest import (
     random_grid_game,
     random_sli_chain_game,
 )
-from oracles import block_local_game, check_series_decomposition
+from oracles import (
+    beckmann_potential,
+    block_local_game,
+    check_series_decomposition,
+    equal_cost_terms,
+    latency_integral,
+    total_rate,
+)
 
 
 # -- latency functions -------------------------------------------------------
@@ -49,13 +60,13 @@ def test_negative_coefficients_rejected():
 def test_zero_latency_allowed_and_evaluates():
     z = LatencyFunction.zero()
     assert z(3.7) == 0.0
-    assert z.integral(3.7) == 0.0
+    assert latency_integral(z, 3.7) == 0.0
 
 
 def test_polynomial_evaluation_and_integral():
     lat = LatencyFunction((1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
     assert lat(2.0) == 1 + 4 + 12
-    assert lat.integral(2.0) == pytest.approx(2 + 4 + 8)
+    assert latency_integral(lat, 2.0) == pytest.approx(2 + 4 + 8)
 
 
 # -- feasible paths -----------------------------------------------------------
@@ -288,6 +299,17 @@ def test_cg_handles_quadratic_latency():
     result = solve_icwe(game, backend="cg")
     assert result.edge_flows["e"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert result.type_latencies[0] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["auto", "cg", "exact"])
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(backend, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_icwe(pigou_game(), tolerance=tolerance, backend=backend)
+
+
+def test_zero_tolerance_is_allowed():
+    assert verify_wardrop(pigou_game(), solve_icwe(pigou_game(), tolerance=0.0)).passed
 
 
 def test_did_not_converge_when_no_iterations_allowed():
@@ -657,6 +679,65 @@ def test_auto_returns_the_cg_result_when_every_polish_is_rejected(monkeypatch):
         assert repr(auto) == repr(solve_icwe(game, backend="cg", start_seed=2))
 
 
+def test_equal_cost_system_matches_the_definition():
+    rng = random.Random(1618)
+    games = [random_grid_game(rng, 1) for _ in range(10)] + [gadget_game(extended=True)]
+    for game in games:
+        type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
+        core = _CostCore(game, type_paths)
+        support = [
+            sorted(rng.sample(range(len(type_paths[j])), min(3, len(type_paths[j]))))
+            for j in core.active
+        ]
+        paths = [type_paths[j][k] for j, ks in zip(core.active, support) for k in ks]
+        const, interact = equal_cost_terms(game, paths)
+        a_mat, b_vec = core.equal_cost_system(support)
+        n = len(paths)
+        np.testing.assert_allclose(a_mat[:n, :n], interact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(-b_vec[:n], const, rtol=1e-12, atol=0)
+        assert list(b_vec[n:]) == [game.types[j].rate for j in core.active]
+
+
+# Solves affine games in a fresh interpreter and prints one repr per result.
+_HASH_SEED_SCRIPT = """
+import random
+from conftest import gadget_game, random_affine_game, random_grid_game
+from ibpcheck.equilibrium import solve_icwe
+
+rng = random.Random(2718)
+for _ in range(20):
+    print(repr(solve_icwe(random_grid_game(rng, 1))))
+for variant in ("origin", "destination"):
+    for extended in (False, True):
+        print(repr(solve_icwe(gadget_game(variant, extended))))
+rng = random.Random(2819)
+for _ in range(20):
+    print(repr(solve_icwe(random_affine_game(rng), backend="exact")))
+"""
+
+
+def test_affine_results_do_not_depend_on_the_hash_seed():
+    # edge ids are strings, so any sum taken in set order moves last digits
+    # with PYTHONHASHSEED; `auto` and `exact` must give the same floats
+    import ibpcheck
+
+    path = os.pathsep.join(
+        [str(Path(ibpcheck.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "7")
+    ]
+    assert outputs[0].count("EquilibriumResult(") == 44
+    assert outputs[0] == outputs[1]
+
+
 # sha256 of repr(solve_icwe(game, backend="cg")), recorded before `auto` began
 # polishing: the sweeps themselves must not move.  From CPython 3.12 on,
 # sum() of floats is compensated, which moves last digits.
@@ -729,7 +810,7 @@ def test_wardrop_tolerance_bounds_potential_gap():
         gap = beckmann_potential(game, cg.edge_flows) - beckmann_potential(
             game, exact.edge_flows
         )
-        assert gap <= tau * game.total_rate + 1e-9
+        assert gap <= tau * total_rate(game) + 1e-9
 
 
 # -- block-local games ----------------------------------------------------------------

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "TopologyReport",
     "TravelerType",
     "apply_embedding_step",
-    "beckmann_potential",
     "check_ibp",
     "common_blocks",
     "cycle_diagnostics",

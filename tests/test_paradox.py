@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -380,6 +381,41 @@ def test_other_verdict_blocks_always_admit_synthesis():
 
 
 # -- randomized search ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -0.5, math.inf])
+def test_check_ibp_rejects_a_bad_threshold_before_solving(monkeypatch, threshold):
+    import ibpcheck.paradox as paradox
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before checking the threshold")
+
+    monkeypatch.setattr(paradox, "solve_icwe", solve)
+    with pytest.raises(ValueError, match="decision_threshold"):
+        check_ibp(gadget_instance(), decision_threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"trials": -1}, "trials"),
+        ({"coeff_range": (5, 1)}, "coeff_range"),
+        ({"coeff_range": (-1, 3)}, "coeff_range"),
+        ({"rate_range": (5, 1)}, "rate_range"),
+        ({"rate_range": (-3, 0)}, "rate_range"),
+        ({"decision_threshold": math.nan}, "decision_threshold"),
+        ({"decision_threshold": -1.0}, "decision_threshold"),
+    ],
+)
+def test_search_rejects_bad_numbers_before_the_first_trial(monkeypatch, kwargs, match):
+    import ibpcheck.paradox as paradox
+
+    def trial(*args, **kwargs):
+        raise AssertionError("ran a trial before checking the arguments")
+
+    monkeypatch.setattr(paradox, "check_ibp", trial)
+    with pytest.raises(ValueError, match=match):
+        random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
 
 
 def test_zero_trials_finds_nothing():
