@@ -10,9 +10,9 @@ itself is never evaluated here; the tests' oracles do that.
 One cost core (``_CostCore``) serves both backends and result building: a
 table of edge flows and cached edge latencies on renumbered edges and paths,
 the path costs read off it, the used-path rule, the Wardrop gap (worst used
-path cost minus cheapest path cost), the equal-cost system of an affine game
-on one support (``equal_cost_system``) and the one builder of
-``EquilibriumResult``.  ``FLOW_EPS`` is the one used-path threshold: a path
+path cost minus cheapest path cost), the equal-cost system on one support,
+linearized at the table's flows (``equal_cost_system``), and the one builder
+of ``EquilibriumResult``.  ``FLOW_EPS`` is the one used-path threshold: a path
 is used when it carries more than ``FLOW_EPS``, or any flow at all for a type
 whose rate is at most ``FLOW_EPS`` per path.  The system is built from the
 core's own renumbered paths and latency coefficients, adding terms in edge
@@ -27,13 +27,15 @@ Three backends:
   result is built from a freshly loaded table.  The step size is the zero of
   the move's potential derivative: closed form when the moved edges are
   affine, safeguarded Newton otherwise.  Works for any polynomial latencies.
-* ``auto``  -- the default: ``cg`` sweeps, polished when every latency is
-  affine.  Once the used-path support has held for a full sweep, and again
-  at convergence, the equal-cost system is solved on that one support
-  (``_solve_support``, the only caller of the system builder).  An accepted
-  solution is returned with backend ``"exact"``; a rejected one leaves the
-  sweeps as they were, so ``auto`` never returns a worse answer than
-  ``cg``.  Non-affine games get plain ``cg``.
+* ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
+  game.  Once the used-path support has held for a full sweep, and again at
+  convergence, the equal-cost system is solved on that one support
+  (``_solve_support``, the only caller of the system builder): linearized
+  at the table's flows and solved again at each solution until the flows
+  stop moving, which is Newton's method; an affine system is exact after
+  one solve.  An accepted solution is returned with backend ``"exact"``; a
+  rejected one leaves the sweeps as they were, so ``auto`` never returns a
+  worse answer than ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
   ``_solve_support`` solution is feasible and passes the same Wardrop gap.
@@ -58,6 +60,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -75,6 +78,8 @@ DEFAULT_TOLERANCE = 1e-8
 FLOW_EPS = 1e-9  # the one used-path threshold, absolute; see _CostCore.floors
 DEFAULT_MAX_ITERATIONS = 50_000
 EXACT_PATH_LIMIT = 12
+NEWTON_STEPS = 8  # the most systems `_solve_support` solves on one support
+NEWTON_RESOLUTION = 1e-8  # edge flows "stop moving", relative to the largest
 
 
 @dataclass(frozen=True)
@@ -317,27 +322,56 @@ class _CostCore:
             for j in self.active
         )
 
+    @cached_property
+    def _system_table(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """What every equal-cost system slices, built on first use (plain
+        `cg` never builds a system): the incidence rows of all paths, type
+        after type; the first row of each type; and each edge's constant
+        and slope."""
+        first = list(itertools.accumulate(map(len, self.paths), initial=0))
+        width = len(self.edge_ids)
+        rows = np.zeros((first[-1], width))
+        paths = itertools.chain.from_iterable(self.paths)
+        rows.put([r * width + e for r, p in enumerate(paths) for e in p], 1.0)
+        const = np.array([c[0] for c in self.coeffs])
+        slope = np.array([c[1] if len(c) > 1 else 0.0 for c in self.coeffs])
+        return rows, first, const, slope
+
+    @cached_property
+    def _derivatives(self) -> np.ndarray:
+        """Each edge's derivative coefficients, constant-first, one row per
+        edge; only a non-affine core reads them."""
+        width = max(map(len, self.coeffs))
+        return np.array(
+            [[k * c[k] if k < len(c) else 0.0 for k in range(1, width)] for c in self.coeffs]
+        )
+
     def equal_cost_system(
         self, support: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The linear system of an affine game on one support, as (A, b).
+        """The equal-cost system on one support, as (A, b).
 
         `support` lists, per active type in order, the indices of its used
         paths.  The unknowns are those paths' flows, in order, then one cost
-        per type.  A path's row says its cost (the constants of its edges
-        plus, for every used path, that path's flow times the slopes of the
-        edges the two share) equals its type's cost; a type's row says its
-        flows sum to its rate.  Costs are summed in edge order from the
+        per type.  Every latency is replaced by its tangent at the table's
+        current edge flow f: slope l'(f), constant l(f) - l'(f) f.  An affine
+        core keeps its own coefficients, so its system is exact and does not
+        read the table.  A path's row says its cost (the constants of its
+        edges plus, for every used path, that path's flow times the slopes of
+        the edges the two share) equals its type's cost; a type's row says
+        its flows sum to its rate.  Costs are summed in edge order from the
         paths' incidence rows, so the system does not depend on how edge ids
         hash.
         """
-        paths = [self.paths[j][k] for j, ks in zip(self.active, support) for k in ks]
-        rows = np.zeros((len(paths), len(self.edge_ids)))
-        for r, p in enumerate(paths):
-            rows[r, list(p)] = 1.0
-        const = np.array([c[0] for c in self.coeffs])
-        slope = np.array([c[1] if len(c) > 1 else 0.0 for c in self.coeffs])
-        n, dim = len(paths), len(paths) + len(support)
+        incidence, first, const, slope = self._system_table
+        rows = incidence[[first[j] + k for j, ks in zip(self.active, support) for k in ks]]
+        if not self.affine:
+            flow = np.array(self.edge_flow)
+            slope = np.zeros_like(flow)
+            for column in reversed(self._derivatives.T):  # Horner: l'(f) per edge
+                slope = slope * flow + column
+            const = np.array(self.edge_lat) - slope * flow
+        n, dim = len(rows), len(rows) + len(support)
         a_mat = np.zeros((dim, dim))
         b_vec = np.zeros(dim)
         a_mat[:n, :n] = (rows * slope) @ rows.T
@@ -386,40 +420,57 @@ def _solve_support(
     """Flows on which every used path of a type costs the same, or None.
 
     `support` lists, per active type in order, the indices of the paths it
-    uses; `core.equal_cost_system(support)` is the linear system (equal
-    costs per type, conservation of each rate).  It is solved by least
-    squares, and a solution is accepted only if its residual is within
-    bound, every flow is nonnegative, and the Wardrop gap of the loaded
-    table is at most `tolerance`.  On acceptance the table holds the
-    returned flows.
+    uses; `core.equal_cost_system(support)` is the system (equal costs per
+    type, conservation of each rate) linearized at the table's flows.  It
+    is solved by least squares, the solution is loaded, and the system is
+    rebuilt there and solved again (Newton's method), until the edge flows
+    stop moving or NEWTON_STEPS systems have been solved; an affine system
+    is exact after one solve.  The last solution is accepted only if its
+    residual is within bound, every flow is nonnegative, and the Wardrop gap
+    of the loaded table is at most `tolerance`.  The table is left holding
+    whatever was loaded last; on acceptance, the returned flows.
 
     A singular system has many path-flow solutions with the same edge flows.
     Least squares returns the one of least norm; if that one is rejected and
-    `anchor` gives flows for the support's paths, in order, the solution
-    nearest the anchor is tried too.
+    `anchor` gives flows for the support's paths, in order, the solution of
+    the last system nearest the anchor is tried too.
     """
     game = core.game
     if not support:  # no active type: the empty flows are the equilibrium
         flows: list[dict[int, float]] = [{} for _ in game.types]
         core.load(flows)
         return flows
-    a_mat, b_vec = core.equal_cost_system(support)
-    n = len(a_mat) - len(support)
+    n = sum(map(len, support))  # the path-flow unknowns come first
+
+    def unpack(x: Sequence[float]) -> list[dict[int, float]]:
+        flows: list[dict[int, float]] = [{} for _ in game.types]
+        values = iter(x)
+        for j, ks in zip(core.active, support):
+            flows[j] = {k: next(values) for k in ks}
+        return flows
+
+    for _ in range(NEWTON_STEPS):
+        a_mat, b_vec = core.equal_cost_system(support)
+        solution, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+        if core.affine or not np.isfinite(solution).all():
+            break
+        before = core.edge_flow[:]
+        core.load(unpack(solution[:n].tolist()))
+        if not all(map(math.isfinite, core.edge_lat)):
+            return None  # diverged: a latency overflowed
+        moved = max(abs(x - y) for x, y in zip(core.edge_flow, before))
+        if moved <= NEWTON_RESOLUTION * max(before):
+            break
 
     def accept(solution: np.ndarray) -> Optional[list[dict[int, float]]]:
-        if not np.all(np.isfinite(solution)):
+        if not np.isfinite(solution).all():
             return None
-        if np.max(np.abs(a_mat @ solution - b_vec)) > 1e-7:
+        if np.abs(a_mat @ solution - b_vec).max() > 1e-7:
             return None
         x = solution[:n]
-        if np.min(x) < -1e-9:
+        if x.min() < -1e-9:
             return None
-        flows: list[dict[int, float]] = [{} for _ in game.types]
-        col = 0
-        for j, ks in zip(core.active, support):
-            for k in ks:
-                flows[j][k] = max(float(x[col]), 0.0)
-                col += 1
+        flows = unpack([max(v, 0.0) for v in x.tolist()])
         for j in core.active:  # absorb solver rounding into the largest flow
             gap = game.types[j].rate - sum(flows[j].values())
             if gap != 0.0:
@@ -430,7 +481,6 @@ def _solve_support(
         core.load(flows)
         return flows if core.violation(flows) <= tolerance else None
 
-    solution, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     flows = accept(solution)
     if flows is None and anchor is not None and rank < len(a_mat):
         start = np.concatenate([anchor, solution[n:]])
@@ -564,10 +614,11 @@ def _solve_cg(
     running edge sums drift from a fresh load; the result is built from a
     fresh one, and sweeping goes on from it while its gap is above tolerance.
 
-    With `polish` (affine latencies only), the equal-cost system is solved
-    on the used-path support once it has held for a full sweep and again at
-    convergence, each support at most once in a row; an accepted solution is
-    returned as backend "exact", a rejected one leaves the sweeps untouched.
+    With `polish`, the equal-cost system is solved (`_solve_support`, by
+    Newton's method unless every latency is affine) on the used-path support
+    once it has held for a full sweep and again at convergence, each support
+    at most once in a row; an accepted solution is returned as backend
+    "exact", a rejected one leaves the sweeps untouched.
     """
     flows = _start_flows(core, start_seed)
     core.load(flows)
@@ -646,13 +697,15 @@ def solve_icwe(
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
     backend "cg" runs the conditional-gradient sweeps alone.  "auto" runs
-    the same sweeps and, when every latency is affine, solves the equal-cost
-    system on the used-path support the sweeps found, once that support has
-    held for a full sweep and again at convergence; a solution is kept only
-    if it is nonnegative and passes the Wardrop gap, otherwise sweeping goes
-    on, so "auto" never returns a worse answer than "cg".  "exact" tries
-    every support (affine latencies, at most EXACT_PATH_LIMIT paths) and
-    serves as an oracle.
+    the same sweeps and solves the equal-cost system on the used-path
+    support the sweeps found, once that support has held for a full sweep
+    and again at convergence.  The system is linearized at the current
+    flows and solved again at each solution until the flows stop moving
+    (Newton's method; exact after one solve when every latency is affine).
+    A solution is kept only if it is nonnegative and passes the Wardrop
+    gap, otherwise sweeping goes on, so "auto" never returns a worse answer
+    than "cg".  "exact" tries every support (affine latencies, at most
+    EXACT_PATH_LIMIT paths) and serves as an oracle.
 
     `result.backend` names the method that produced the returned flows:
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
@@ -668,7 +721,7 @@ def solve_icwe(
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
-        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=core.affine)
+        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=True)
     if backend == "exact":
         return _solve_exact(core, tolerance)
     if backend == "cg":

@@ -7,6 +7,21 @@ import pytest
 from ibpcheck.core_graph import MultiGraph, decompose_blocks, enumerate_simple_paths
 from ibpcheck.equilibrium import LatencyFunction, RoutingGame, TravelerType
 
+# The instance files tracked in fixtures/, by stem.  Tests name them rather
+# than glob the directory, which `ibpcheck synthesize` also writes witness
+# files into.
+FIXTURE_STEMS = (
+    "chain3",
+    "cycle4_two_od",
+    "gadget",
+    "gadget_dominated",
+    "gadget_pre",
+    "k4",
+    "malformed",
+    "pigou",
+    "triangle_two_od",
+)
+
 
 def gadget_multigraph(variant="origin"):
     """The 3-vertex, 4-edge two-OD gadget (doubled w-v side).

@@ -21,6 +21,8 @@ from ibpcheck.instance_io import (
 from ibpcheck.errors import InstanceFileError, InvalidNetwork
 from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
+from conftest import FIXTURE_STEMS
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -137,10 +139,10 @@ def test_fixtures_match_the_published_schema():
     schema = json.loads(
         (FIXTURES.parent / "docs" / "instance.schema.json").read_text()
     )
-    for path in sorted(FIXTURES.glob("*.json")):
-        if path.name == "malformed.json":
+    for stem in FIXTURE_STEMS:
+        if stem == "malformed":
             continue
-        jsonschema.validate(json.loads(path.read_text()), schema)
+        jsonschema.validate(json.loads((FIXTURES / f"{stem}.json").read_text()), schema)
 
 
 # -- classify ----------------------------------------------------------------------

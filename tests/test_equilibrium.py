@@ -23,6 +23,7 @@ from ibpcheck.equilibrium import (
     verify_wardrop,
     _CostCore,
     _line_search,
+    _solve_support,
 )
 from ibpcheck.errors import (
     BackendUnavailable,
@@ -278,27 +279,34 @@ def test_tiny_rate_flow_left_on_a_costlier_link_fails_wardrop_check():
         assert report.max_violation == pytest.approx(worst_gap, rel=1e-12)
 
 
-def test_exact_backend_rejects_nonaffine():
+def _quadratic_two_link_game():
+    """Rate 2 on links x^2 and 2: the equilibrium sends sqrt(2) on the first."""
     g = MultiGraph(["s", "t"], [("e", "s", "t"), ("f", "s", "t")], [("s", "t")])
-    game = RoutingGame(
+    return RoutingGame(
         g,
         {"e": LatencyFunction((0.0, 0.0, 1.0)), "f": LatencyFunction((2.0,))},
         [TravelerType(2.0, 0, {"e", "f"})],
     )
+
+
+def test_exact_backend_rejects_nonaffine():
     with pytest.raises(BackendUnavailable):
-        solve_icwe(game, backend="exact")
+        solve_icwe(_quadratic_two_link_game(), backend="exact")
 
 
 def test_cg_handles_quadratic_latency():
-    g = MultiGraph(["s", "t"], [("e", "s", "t"), ("f", "s", "t")], [("s", "t")])
-    game = RoutingGame(
-        g,
-        {"e": LatencyFunction((0.0, 0.0, 1.0)), "f": LatencyFunction((2.0,))},
-        [TravelerType(2.0, 0, {"e", "f"})],
-    )
-    result = solve_icwe(game, backend="cg")
+    result = solve_icwe(_quadratic_two_link_game(), backend="cg")
     assert result.edge_flows["e"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert result.type_latencies[0] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_auto_polishes_the_quadratic_two_link_game():
+    game = _quadratic_two_link_game()
+    result = solve_icwe(game)
+    assert result.backend == "exact"
+    assert result.edge_flows["e"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert result.type_latencies[0] == pytest.approx(2.0, abs=1e-12)
+    assert verify_wardrop(game, result).passed
 
 
 @pytest.mark.parametrize("backend", ["auto", "cg", "exact"])
@@ -667,16 +675,61 @@ def test_auto_returns_the_cg_result_when_every_polish_is_rejected(monkeypatch):
 
     games = [random_grid_game(random.Random(seed), 1) for seed in (11, 12, 13)]
     games += [gadget_game(extended=True), _tiny_rate_game()]
+    games += [
+        random_grid_game(random.Random(seed), degree)
+        for seed, degree in ((14, 2), (15, 2), (16, 4), (17, 4))
+    ]
     solve_support = equilibrium._solve_support
+    calls = []
 
     def reject(*args, **kwargs):
-        solve_support(*args, **kwargs)  # may load the solution into the table
+        calls.append(solve_support(*args, **kwargs))  # loads its Newton iterates
         return None
 
     monkeypatch.setattr(equilibrium, "_solve_support", reject)
     for game in games:
+        calls.clear()
         auto = solve_icwe(game, start_seed=2)
+        assert calls  # every game was polished at least once
         assert repr(auto) == repr(solve_icwe(game, backend="cg", start_seed=2))
+
+
+def test_a_newton_iterate_whose_latency_overflows_is_rejected():
+    # From half the equilibrium flow on x^50, the first Newton step lands
+    # near 1e13, where the latency overflows: the polish rejects, it does
+    # not raise, and the sweeps still find the equilibrium.
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], [("s", "t")])
+    latencies = {"a": LatencyFunction([0.0] * 50 + [1.0]), "b": LatencyFunction((1.0,))}
+    game = RoutingGame(g, latencies, [TravelerType(2.0, 0, {"a", "b"})])
+    core = _CostCore(game, [feasible_paths(game, 0)])
+    core.load([{0: 0.5, 1: 1.5}])
+    assert _solve_support(core, [(0, 1)], DEFAULT_TOLERANCE) is None
+    result = solve_icwe(game)
+    assert result.edge_flows["a"] == pytest.approx(1.0, rel=1e-12)
+    assert verify_wardrop(game, result).passed
+
+
+def test_auto_polishes_quadratic_and_quartic_grids():
+    # Newton's method on the support the sweeps settled on, against cg run
+    # to a tighter tolerance
+    for degree, seed in ((2, 2022), (4, 4044)):
+        rng = random.Random(seed)
+        sweeps = {"auto": 0, "cg": 0}
+        for _ in range(10):
+            game = random_grid_game(rng, degree)
+            auto = solve_icwe(game)
+            cg = solve_icwe(game, backend="cg")
+            reference = solve_icwe(game, backend="cg", tolerance=1e-11)
+            assert auto.backend == "exact"
+            assert auto.iterations <= cg.iterations
+            sweeps["auto"] += auto.iterations
+            sweeps["cg"] += cg.iterations
+            assert verify_wardrop(game, auto, epsilon=1e-8).passed
+            for eid, latency in game.latencies.items():
+                want = latency(reference.edge_flows.get(eid, 0.0))
+                got = latency(auto.edge_flows.get(eid, 0.0))
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert 2 * sweeps["auto"] < sweeps["cg"]
 
 
 def test_equal_cost_system_matches_the_definition():

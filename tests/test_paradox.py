@@ -39,6 +39,7 @@ from ibpcheck.paradox import (
 )
 
 from conftest import (
+    FIXTURE_STEMS,
     chain_with_gadget_middle,
     cycle_graph,
     k4_three_terminals,
@@ -150,16 +151,16 @@ def test_auto_never_enumerates_supports(monkeypatch):
     monkeypatch.setattr(equilibrium, "_solve_exact", enumerate_supports)
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     solved = 0
-    for path in sorted(fixtures.glob("*.json")):
-        if path.name == "malformed.json":
+    for stem in FIXTURE_STEMS:
+        if stem == "malformed":
             continue
-        game, extension = load_instance(path)
+        game, extension = load_instance(fixtures / f"{stem}.json")
         if extension is None:
             result = solve_icwe(game)
             assert verify_wardrop(game, result).passed
         else:
             verdict = check_ibp(IBPInstance(game, extension))
-            assert verdict.label == ("occurs" if path.stem == "gadget" else "not-occurs")
+            assert verdict.label == ("occurs" if stem == "gadget" else "not-occurs")
         solved += 1
     assert solved == 8
     verdict = check_ibp(_parallel_links_instance(12))
