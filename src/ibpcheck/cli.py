@@ -4,6 +4,12 @@ Exit codes are banded: 0 for success or a negative finding, 10 for a
 not-IBP-free topology verdict, 20/21 for paradox occurs/inconclusive, and
 2/3/4 for input errors, solver failures, and unsupported synthesis targets.
 All numeric output uses 9 significant digits so reports are byte-stable.
+
+`main` builds its parser on the first call and reuses it for the rest of
+the process; it looks the subcommand function (`cmd_` + the command name,
+`-` as `_`) up in this module when the command runs, so a function
+replaced on the module after that first call is the one that runs.
+`build_parser` still returns a fresh parser on every call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import math
 import sys
 from pathlib import Path as FilePath
 
-from .core_graph import PathCapExceeded
 from .equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -26,6 +31,7 @@ from .errors import (
     IbpcheckError,
     InstanceFileError,
     InvalidNetwork,
+    PathCapExceeded,
     PreconditionViolated,
     SolverError,
     UnsupportedFailureSite,
@@ -253,55 +259,114 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threshold_help = (
+        "absolute latency margin, after minus before, above which the paradox "
+        "occurs (default: %(default)s)"
+    )
 
     p = sub.add_parser("classify", help="topology verdict for a network file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
+    p.add_argument("file", help="JSON instance file")
 
     p = sub.add_parser("solve", help="compute the equilibrium of a game file")
-    p.add_argument("file")
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iters", type=_nonnegative(int), default=DEFAULT_MAX_ITERATIONS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("file", help="JSON instance file; an extension block is ignored")
+    p.add_argument(
+        "--tol",
+        type=_nonnegative(float),
+        default=DEFAULT_TOLERANCE,
+        help="absolute Wardrop gap accepted on path costs (default: %(default)s)",
+    )
+    p.add_argument(
+        "--max-iters",
+        type=_nonnegative(int),
+        default=DEFAULT_MAX_ITERATIONS,
+        help="most solver sweeps before failing with exit 3 (default: %(default)s)",
+    )
+    p.add_argument("--json", action="store_true", help="print the equilibrium as JSON")
 
     p = sub.add_parser("check-ibp", help="compare latencies before/after the extension")
-    p.add_argument("file")
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOLERANCE)
-    p.add_argument("--threshold", type=_nonnegative(float), default=DEFAULT_DECISION_THRESHOLD)
-    p.set_defaults(func=cmd_check_ibp)
+    p.add_argument("file", help="JSON instance file with an extension block")
+    p.add_argument(
+        "--tol",
+        type=_nonnegative(float),
+        default=DEFAULT_TOLERANCE,
+        help=(
+            "absolute Wardrop gap accepted on path costs; a margin at or below "
+            "it is no paradox (default: %(default)s)"
+        ),
+    )
+    p.add_argument(
+        "--threshold",
+        type=_nonnegative(float),
+        default=DEFAULT_DECISION_THRESHOLD,
+        help=threshold_help,
+    )
 
     p = sub.add_parser("synthesize", help="construct a paradox witness instance")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_synthesize)
+    p.add_argument("file", help="JSON instance file; the witness goes to <stem>.witness.json")
 
     p = sub.add_parser("search", help="randomized paradox search over a network")
-    p.add_argument("file")
-    p.add_argument("--trials", type=_nonnegative(int), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=_nonnegative(float), default=DEFAULT_DECISION_THRESHOLD)
-    p.add_argument("--rate-lo", type=int, default=1)
-    p.add_argument("--rate-hi", type=int, default=10)
-    p.add_argument("--coeff-lo", type=int, default=0)
-    p.add_argument("--coeff-hi", type=int, default=10)
-    p.set_defaults(func=cmd_search)
+    p.add_argument(
+        "file", help="JSON instance file; a witness goes to <stem>.search-witness.json"
+    )
+    p.add_argument(
+        "--trials",
+        type=_nonnegative(int),
+        default=1000,
+        help="random affine games to try, stopping at the first paradox (default: %(default)s)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the random games (default: %(default)s)"
+    )
+    p.add_argument(
+        "--threshold",
+        type=_nonnegative(float),
+        default=DEFAULT_DECISION_THRESHOLD,
+        help=threshold_help,
+    )
+    p.add_argument(
+        "--rate-lo",
+        type=int,
+        default=1,
+        help="least integer type rate; below 1 counts as 1 (default: %(default)s)",
+    )
+    p.add_argument(
+        "--rate-hi", type=int, default=10, help="greatest integer type rate (default: %(default)s)"
+    )
+    p.add_argument(
+        "--coeff-lo",
+        type=int,
+        default=0,
+        help="least integer coefficient a, b of a latency a + b*x (default: %(default)s)",
+    )
+    p.add_argument(
+        "--coeff-hi",
+        type=int,
+        default=10,
+        help="greatest integer coefficient a, b of a latency a + b*x (default: %(default)s)",
+    )
 
-    p = sub.add_parser("demo", help="reproduce the built-in 47 -> 48 paradox")
-    p.set_defaults(func=cmd_demo)
+    sub.add_parser("demo", help="reproduce the built-in 47 -> 48 paradox")
 
     return parser
 
 
+_parser = None  # built by the first `main` call, then shared
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.command == "search":
         if not 0 <= args.coeff_lo <= args.coeff_hi:
             parser.error("search needs 0 <= --coeff-lo <= --coeff-hi")
         if not max(args.rate_lo, 1) <= args.rate_hi:
             parser.error("search needs max(--rate-lo, 1) <= --rate-hi")
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InstanceFileError, InvalidNetwork, PathCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -1,10 +1,15 @@
+import argparse
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from ibpcheck import cli
 from ibpcheck.cli import build_parser, main
 from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
@@ -406,3 +411,99 @@ def test_out_of_range_numbers_exit_2_without_a_traceback(argv, capsys):
     err = capsys.readouterr().err
     assert info.value.code == 2
     assert "Traceback" not in err and "error:" in err
+
+
+# -- one parser per process ---------------------------------------------------------
+# `main` builds its parser once and reuses it; a call must not see what an
+# earlier call parsed, and must run the subcommand bound on the module now.
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Make the next `main` call the first one of the process."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_plain_solve_after_solve_json_prints_text(fresh_parser, capsys):
+    path = str(FIXTURES / "gadget_pre.json")
+    first = run_cli(capsys, "solve", path)
+    assert first[1].startswith("backend: ")
+    run_cli(capsys, "solve", path, "--json")
+    assert run_cli(capsys, "solve", path) == first
+
+
+def test_plain_search_after_a_seeded_one_uses_seed_0(fresh_parser, capsys):
+    path = str(FIXTURES / "pigou.json")
+    first = run_cli(capsys, "search", path)
+    assert first[1].startswith("seed: 0\ntrials run: 1000\n")
+    flags = ("--seed", "3", "--trials", "7", "--coeff-hi", "4", "--threshold", "2")
+    assert run_cli(capsys, "search", path, *flags)[1].startswith("seed: 3\ntrials run: 7\n")
+    assert run_cli(capsys, "search", path) == first
+
+
+def test_a_rejected_call_leaves_the_next_one_as_a_first_call(fresh_parser, capsys):
+    # the flag error comes after --threshold 2.0 was parsed (that would make
+    # the verdict inconclusive, exit 21, if it leaked into the next call)
+    path = str(FIXTURES / "gadget.json")
+    first = run_cli(capsys, "check-ibp", path)
+    assert first[0] == 20
+    with pytest.raises(SystemExit) as info:
+        main(["check-ibp", path, "--threshold", "2.0", "--no-such-flag"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "check-ibp", path) == first
+
+
+def test_a_subcommand_replaced_after_the_first_call_runs(fresh_parser, monkeypatch, capsys):
+    path = str(FIXTURES / "gadget.json")
+    assert run_cli(capsys, "classify", path)[0] == 10
+    seen = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: seen.append(args.file) or 42)
+    assert run_cli(capsys, "classify", path) == (42, "", "")
+    assert seen == [path]
+
+
+def test_three_calls_build_the_parser_once(fresh_parser, monkeypatch, capsys):
+    builds = []
+
+    def counting_build():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    run_cli(capsys, "demo")
+    run_cli(capsys, "classify", str(FIXTURES / "k4.json"))
+    run_cli(capsys, "solve", str(FIXTURES / "pigou.json"))
+    assert len(builds) == 1
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    # the one-shot path, whose parser is always new, against the reused one
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ibpcheck", "demo"], capture_output=True, env=env, timeout=120
+    )
+    code, out, _ = run_cli(capsys, "demo")
+    assert done.returncode == code == 0
+    assert done.stdout == out.encode()
+
+
+def test_every_flag_has_help():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == [
+        "check-ibp",
+        "classify",
+        "demo",
+        "search",
+        "solve",
+        "synthesize",
+    ]
+    missing = [
+        f"{name} {action.option_strings}"
+        for name, p in [("ibpcheck", parser), *commands.choices.items()]
+        for action in p._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
