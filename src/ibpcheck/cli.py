@@ -57,7 +57,7 @@ EXIT_IBP_OCCURS = 20
 EXIT_IBP_INCONCLUSIVE = 21
 
 
-def fmt(x: float) -> str:
+def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
@@ -132,13 +132,13 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     print(f"backend: {result.backend}")
     for j, latency in enumerate(result.type_latencies):
-        print(f"type {j}: rate={fmt(game.types[j].rate)} latency={fmt(latency)}")
+        print(f"type {j}: rate={_fmt(game.types[j].rate)} latency={_fmt(latency)}")
     print("edge flows:")
     for eid in sorted(game.graph.edge_ids):
         flow = result.edge_flows.get(eid, 0.0)
-        print(f"  {eid}: flow={fmt(flow)} latency={fmt(game.latencies[eid](flow))}")
+        print(f"  {eid}: flow={_fmt(flow)} latency={_fmt(game.latencies[eid](flow))}")
     check = verify_wardrop(game, result, epsilon=max(args.tol, 1e-12))
-    print(f"max wardrop violation: {fmt(check.max_violation)}")
+    print(f"max wardrop violation: {_fmt(check.max_violation)}")
     return EXIT_OK
 
 
@@ -151,9 +151,9 @@ def cmd_check_ibp(args) -> int:
         tolerance=args.tol,
         decision_threshold=args.threshold,
     )
-    print(f"type-1 latency before: {fmt(verdict.latency_before)}")
-    print(f"type-1 latency after:  {fmt(verdict.latency_after)}")
-    print(f"margin: {fmt(verdict.margin)}")
+    print(f"type-1 latency before: {_fmt(verdict.latency_before)}")
+    print(f"type-1 latency after:  {_fmt(verdict.latency_after)}")
+    print(f"margin: {_fmt(verdict.margin)}")
     print(f"verdict: {verdict.label}")
     if verdict.label == "occurs":
         return EXIT_IBP_OCCURS
@@ -169,7 +169,7 @@ def cmd_synthesize(args) -> int:
     save_instance(out_path, witness.game, witness.extension)
     verdict = check_ibp(witness)
     print(f"witness written: {out_path}")
-    print(f"margin: {fmt(verdict.margin)}")
+    print(f"margin: {_fmt(verdict.margin)}")
     return EXIT_OK
 
 
@@ -191,7 +191,7 @@ def cmd_search(args) -> int:
     verdict = check_ibp(outcome.witness)
     out_path = FilePath(args.file).with_suffix(".search-witness.json")
     save_instance(out_path, outcome.witness.game, outcome.witness.extension)
-    print(f"witness found at trial {outcome.witness_trial}, margin {fmt(verdict.margin)}")
+    print(f"witness found at trial {outcome.witness_trial}, margin {_fmt(verdict.margin)}")
     print(f"witness written: {out_path}")
     return EXIT_OK
 
@@ -223,13 +223,13 @@ def cmd_demo(_args) -> int:
             else "second origin at the first destination"
         )
         print(f"variant: {placement}")
-        print(f"  type-1 latency before: {fmt(data['before'])}")
-        print(f"  type-1 latency after:  {fmt(data['after'])}")
-        print(f"  margin: {fmt(data['margin'])}")
+        print(f"  type-1 latency before: {_fmt(data['before'])}")
+        print(f"  type-1 latency after:  {_fmt(data['after'])}")
+        print(f"  margin: {_fmt(data['margin'])}")
         print("  post-extension flows:")
         for label, flows in (("type 1", data["type1_flows"]), ("type 2", data["type2_flows"])):
             for path, amount in sorted(flows.items()):
-                print(f"    {label} on {'-'.join(path)}: {fmt(amount)}")
+                print(f"    {label} on {'-'.join(path)}: {_fmt(amount)}")
     return EXIT_OK
 
 

@@ -41,6 +41,15 @@ Three backends:
   ``_solve_support`` solution is feasible and passes the same Wardrop gap.
   An oracle only, never on ``auto``'s route.
 
+``cg`` and ``auto`` start from each active type's whole rate on its first
+path, or from ``start``: per-type path flows in the shape of
+``EquilibriumResult.path_flows``.  A start is feasible when every path it
+names is one of the type's ``feasible_paths`` (inside its information set),
+no flow is negative, and each type's flows sum to its rate within
+``CONSERVATION_EPS``; anything else raises ValueError.  The potential is
+convex, so the start changes the sweeps but not the equilibrium edge
+latencies.  ``exact`` enumerates supports and ignores ``start``.
+
 ``result.backend`` names the method that produced the returned flows:
 ``"exact"`` for the solution of the equal-cost system on one support,
 checked by the Wardrop gap, and ``"cg"`` for sweep flows.
@@ -58,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -76,6 +84,7 @@ from .errors import (
 
 DEFAULT_TOLERANCE = 1e-8
 FLOW_EPS = 1e-9  # the one used-path threshold, absolute; see _CostCore.floors
+CONSERVATION_EPS = 1e-9  # how far a type's flows may sum from its rate
 DEFAULT_MAX_ITERATIONS = 50_000
 EXACT_PATH_LIMIT = 12
 NEWTON_STEPS = 8  # the most systems `_solve_support` solves on one support
@@ -240,7 +249,9 @@ def verify_wardrop(
             )
         )
         worst = max(worst, violation)
-    passed = worst <= epsilon and all(c.conservation_error <= 1e-9 for c in checks)
+    passed = worst <= epsilon and all(
+        c.conservation_error <= CONSERVATION_EPS for c in checks
+    )
     return WardropReport(per_type=tuple(checks), max_violation=worst, passed=passed)
 
 
@@ -276,7 +287,7 @@ class _CostCore:
         # The used-path rule: a path is used when it carries more than its
         # type's floor: FLOW_EPS, or 0 for a rate at most FLOW_EPS per path.
         # It is chosen per type, not per flow table, so a tiny rate spread
-        # thin by a seeded start is neither hidden at the start nor after a
+        # thin by a given start is neither hidden at the start nor after a
         # shift lifts one of its paths above FLOW_EPS.
         self.floors = [
             FLOW_EPS if t.rate > FLOW_EPS * len(tp) else 0.0
@@ -581,22 +592,42 @@ def _line_search(
     return gamma
 
 
-def _start_flows(core: _CostCore, start_seed: Optional[int]) -> list[dict[int, float]]:
+def _start_flows(
+    core: _CostCore, start: Optional[Sequence[Mapping[Path, float]]]
+) -> list[dict[int, float]]:
     """Per type, flow by index into its paths: all on the first path, or
-    spread at random when a seed is given."""
-    rng = random.Random(start_seed) if start_seed is not None else None
+    `start`'s flows, which must be feasible (see `solve_icwe`).  Inactive
+    types keep no flow; paths given zero flow are left out."""
     flows: list[dict[int, float]] = [{} for _ in core.type_paths]
-    for j in core.active:
+    if start is None:
+        for j in core.active:
+            flows[j] = {0: core.game.types[j].rate}
+        return flows
+    if len(start) != len(core.type_paths):
+        raise ValueError(
+            f"start gives flows for {len(start)} types, the game has {len(core.type_paths)}"
+        )
+    active = set(core.active)
+    for j, (paths, given) in enumerate(zip(core.type_paths, start)):
+        index = {p: k for k, p in enumerate(paths)}
+        alloc: dict[int, float] = {}
+        for path, amount in given.items():
+            if path not in index:
+                raise ValueError(f"start path {path} is not feasible for type {j}")
+            if not 0.0 <= amount < math.inf:
+                raise ValueError(
+                    f"start flow {amount} on {path} of type {j} is not finite and >= 0"
+                )
+            if amount > 0.0:
+                alloc[index[path]] = float(amount)
         rate = core.game.types[j].rate
-        if rng is None:
-            flows[j] = {0: rate}
-        else:
-            weights = [rng.random() + 1e-9 for _ in core.type_paths[j]]
-            total = sum(weights)
-            alloc = {k: rate * w / total for k, w in enumerate(weights)}
-            # force exact conservation
-            drift = rate - sum(alloc.values())
-            alloc[0] += drift
+        if abs(sum(alloc.values()) - rate) > CONSERVATION_EPS:
+            raise ValueError(
+                f"start flows of type {j} sum to {sum(alloc.values())}, not its rate {rate}"
+            )
+        if j in active:
+            if max(alloc.values()) <= core.floors[j]:
+                raise ValueError(f"start flows of type {j} use no path: none is above FLOW_EPS")
             flows[j] = alloc
     return flows
 
@@ -605,7 +636,7 @@ def _solve_cg(
     core: _CostCore,
     tolerance: float,
     max_iterations: int,
-    start_seed: Optional[int],
+    start: Optional[Sequence[Mapping[Path, float]]],
     polish: bool = False,
 ) -> EquilibriumResult:
     """Pairwise conditional gradient on the cost core's table.
@@ -620,7 +651,7 @@ def _solve_cg(
     at most once in a row; an accepted solution is returned as backend
     "exact", a rejected one leaves the sweeps untouched.
     """
-    flows = _start_flows(core, start_seed)
+    flows = _start_flows(core, start)
     core.load(flows)
     functions, coeffs, edge_sets = core.functions, core.coeffs, core.edge_sets
     edge_flow, edge_lat = core.edge_flow, core.edge_lat
@@ -692,7 +723,7 @@ def solve_icwe(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     backend: str = "auto",
-    start_seed: Optional[int] = None,
+    start: Optional[Sequence[Mapping[Path, float]]] = None,
 ) -> EquilibriumResult:
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
@@ -706,6 +737,17 @@ def solve_icwe(
     gap, otherwise sweeping goes on, so "auto" never returns a worse answer
     than "cg".  "exact" tries every support (affine latencies, at most
     EXACT_PATH_LIMIT paths) and serves as an oracle.
+
+    "cg" and "auto" start from `start` when it is given: per type, a
+    mapping from paths to flows, as in `result.path_flows`.  Every path
+    must be one of the type's `feasible_paths`, every flow nonnegative, and
+    each type's flows must sum to its rate within CONSERVATION_EPS, or
+    ValueError is raised, as it is when no flow of an active type is used
+    (above FLOW_EPS); types with rate at most FLOW_EPS keep no flow.  The
+    result of another game is a feasible start whenever each type's paths
+    there are still feasible here, as when only information sets grew.
+    "exact" ignores `start`.  Without one, each type starts on its first
+    path.
 
     `result.backend` names the method that produced the returned flows:
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
@@ -721,9 +763,9 @@ def solve_icwe(
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
-        return _solve_cg(core, tolerance, max_iterations, start_seed, polish=True)
+        return _solve_cg(core, tolerance, max_iterations, start, polish=True)
     if backend == "exact":
         return _solve_exact(core, tolerance)
     if backend == "cg":
-        return _solve_cg(core, tolerance, max_iterations, start_seed)
+        return _solve_cg(core, tolerance, max_iterations, start)
     raise ValueError(f"unknown backend {backend!r}")

@@ -131,6 +131,13 @@ def check_ibp(
 ) -> IBPVerdict:
     """Solve both games and compare type 1's equilibrium latency.
 
+    The after game starts from the before equilibrium's path flows.  That
+    start is feasible: the extension only adds edges to type 1's information
+    set, so each of its paths before is still a path after, and every other
+    type keeps its paths and every rate is unchanged.  Near the before
+    equilibrium, the sweeps only have to move the flow the revealed edges
+    attract ("exact" ignores the start).
+
     The decision threshold sits well above solver tolerance; margins between
     the two are labeled inconclusive rather than treated as paradoxes.  A
     threshold or tolerance that is not finite and nonnegative raises
@@ -138,7 +145,12 @@ def check_ibp(
     """
     _check_threshold(decision_threshold)
     before = solve_icwe(instance.game, tolerance=tolerance, backend=backend)
-    after = solve_icwe(extended_game(instance), tolerance=tolerance, backend=backend)
+    after = solve_icwe(
+        extended_game(instance),
+        tolerance=tolerance,
+        backend=backend,
+        start=before.path_flows,
+    )
     margin = after.type_latencies[0] - before.type_latencies[0]
     occurs = margin > decision_threshold
     label = OCCURS if occurs else (INCONCLUSIVE if margin > tolerance else NOT_OCCURS)

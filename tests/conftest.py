@@ -5,7 +5,13 @@ import random
 import pytest
 
 from ibpcheck.core_graph import MultiGraph, decompose_blocks, enumerate_simple_paths
-from ibpcheck.equilibrium import LatencyFunction, RoutingGame, TravelerType
+from ibpcheck.equilibrium import (
+    FLOW_EPS,
+    LatencyFunction,
+    RoutingGame,
+    TravelerType,
+    feasible_paths,
+)
 
 # The instance files tracked in fixtures/, by stem.  Tests name them rather
 # than glob the directory, which `ibpcheck synthesize` also writes witness
@@ -195,6 +201,30 @@ def gadget_game(variant="origin", extended=False):
     )
     instance = gadget_instance(gv)
     return extended_game(instance) if extended else instance.game
+
+
+def seeded_start(game, seed):
+    """A random feasible start for `solve_icwe(start=...)`, or None for seed None.
+
+    Per type with rate above FLOW_EPS, in `feasible_paths` order, a weight
+    `rng.random() + 1e-9` per path, the rate split by weight and the
+    rounding drift added to the first path; other types get no flow.
+    """
+    if seed is None:
+        return None
+    rng = random.Random(seed)
+    start = []
+    for j, t in enumerate(game.types):
+        if t.rate <= FLOW_EPS:
+            start.append({})
+            continue
+        paths = feasible_paths(game, j)
+        weights = [rng.random() + 1e-9 for _ in paths]
+        total = sum(weights)
+        alloc = {p: t.rate * w / total for p, w in zip(paths, weights)}
+        alloc[paths[0]] += t.rate - sum(alloc.values())
+        start.append(alloc)
+    return tuple(start)
 
 
 def pigou_game():

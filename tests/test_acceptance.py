@@ -31,6 +31,7 @@ from conftest import (
     k4_three_terminals,
     random_affine_game,
     random_sli_chain_game,
+    seeded_start,
     triangle_two_od,
     two_parallel_pairs_in_series,
 )
@@ -148,7 +149,8 @@ def test_criterion_6_essential_uniqueness():
     for _ in range(20):
         game = random_affine_game(rng)
         results = [
-            solve_icwe(game, backend="cg", start_seed=s) for s in (None, 1, 2, 3, 4)
+            solve_icwe(game, backend="cg", start=seeded_start(game, s))
+            for s in (None, 1, 2, 3, 4)
         ]
         for eid in game.graph.edge_ids:
             latency = game.latencies[eid]

@@ -12,6 +12,7 @@ import pytest
 
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck.equilibrium import (
+    CONSERVATION_EPS,
     DEFAULT_TOLERANCE,
     FLOW_EPS,
     EquilibriumResult,
@@ -39,6 +40,7 @@ from conftest import (
     random_affine_game,
     random_grid_game,
     random_sli_chain_game,
+    seeded_start,
 )
 from oracles import (
     beckmann_potential,
@@ -191,7 +193,7 @@ def test_type_spread_below_flow_eps_is_skipped_in_sweeps(seed):
     game = RoutingGame(
         g, latencies, [TravelerType(1.0, 0, everything), TravelerType(2e-9, 0, everything)]
     )
-    result = solve_icwe(game, backend="cg", start_seed=seed)
+    result = solve_icwe(game, backend="cg", start=seeded_start(game, seed))
     assert verify_wardrop(game, result).passed
 
 
@@ -209,7 +211,7 @@ def _tiny_rate_game():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_tiny_rate_spread_by_a_seeded_start_still_moves_to_the_cheapest_link(seed):
     game = _tiny_rate_game()
-    result = solve_icwe(game, backend="cg", start_seed=seed)
+    result = solve_icwe(game, backend="cg", start=seeded_start(game, seed))
     assert list(result.path_flows[0]) == [("a",)]
     assert result.path_flows[0][("a",)] == pytest.approx(2e-9, rel=1e-12)
     assert result.type_latencies[0] == pytest.approx(2e-9, rel=1e-12)
@@ -221,7 +223,7 @@ def test_tiny_rate_spread_by_a_seeded_start_still_moves_to_the_cheapest_link(see
 def test_tiny_rate_auto_polishes_onto_the_cheapest_link(seed):
     # rate 2e-9 on three paths: the used-path floor is 0, not FLOW_EPS
     game = _tiny_rate_game()
-    result = solve_icwe(game, start_seed=seed)
+    result = solve_icwe(game, start=seeded_start(game, seed))
     assert result.backend == "exact"
     assert list(result.path_flows[0]) == [("a",)]
     assert result.path_flows[0][("a",)] == pytest.approx(2e-9, rel=1e-12)
@@ -247,7 +249,7 @@ def test_tiny_rate_next_to_a_unit_rate_auto_finds_the_rational_equilibrium(seed)
     game = RoutingGame(
         g, latencies, [TravelerType(1.0, 0, everything), TravelerType(2e-9, 0, everything)]
     )
-    auto = solve_icwe(game, start_seed=seed)
+    auto = solve_icwe(game, start=seeded_start(game, seed))
     assert auto.backend == "exact"
     # links a and b carry 1 + r/2 and r/2 for the tiny rate r; the
     # enumerator accepts everything on a, within its absolute gap
@@ -374,8 +376,8 @@ def test_cg_reported_violation_matches_the_independent_check_on_grids():
 
 def test_same_start_seed_gives_identical_flows_on_grids():
     for game in _grid_games(5113, per_degree=1):
-        first = solve_icwe(game, backend="cg", start_seed=17)
-        second = solve_icwe(game, backend="cg", start_seed=17)
+        first = solve_icwe(game, backend="cg", start=seeded_start(game, 17))
+        second = solve_icwe(game, backend="cg", start=seeded_start(game, 17))
         assert [list(f.items()) for f in first.path_flows] == [
             list(f.items()) for f in second.path_flows
         ]
@@ -398,6 +400,99 @@ def test_backends_agree_on_sparse_affine_grids():
             le = game.latencies[eid](exact.edge_flows.get(eid, 0.0))
             lc = game.latencies[eid](cg.edge_flows.get(eid, 0.0))
             assert abs(le - lc) <= 1e-6
+
+
+# -- starts -----------------------------------------------------------------------------
+
+
+def _gadget_start(type0):
+    """A start for the gadget game: type 0's flows as given, type 1 split 1/4."""
+    return (type0, {("e1", "e4"): 1.0, ("e2",): 4.0})
+
+
+@pytest.mark.parametrize("backend", ["auto", "cg"])
+@pytest.mark.parametrize(
+    "start, match",
+    [
+        # e4 is outside type 0's information set before the extension
+        (_gadget_start({("e2", "e3"): 3.0, ("e2", "e4"): 2.0}), "not feasible"),
+        (_gadget_start({("e2", "e3"): 6.0, ("e1",): -1.0}), "not feasible"),
+        (({("e2", "e3"): 5.0}, {("e1", "e4"): 6.0, ("e2",): -1.0}), "finite and >= 0"),
+        (({("e2", "e3"): 5.0}, {("e1", "e4"): math.nan, ("e2",): 5.0}), "finite and >= 0"),
+        (_gadget_start({("e2", "e3"): 5.0 + 2 * CONSERVATION_EPS}), "sum to"),
+        (_gadget_start({("e2", "e3"): 5.0 - 2 * CONSERVATION_EPS}), "sum to"),
+        (_gadget_start({}), "sum to"),
+        (({("e2", "e3"): 5.0},), "for 1 types, the game has 2"),
+        ((), "for 0 types, the game has 2"),
+    ],
+)
+def test_an_infeasible_start_is_a_value_error(start, match, backend):
+    with pytest.raises(ValueError, match=match):
+        solve_icwe(gadget_game(), backend=backend, start=start)
+
+
+def test_a_start_within_the_conservation_bound_is_taken_as_given():
+    game = gadget_game()
+    start = _gadget_start({("e2", "e3"): 5.0 + 0.5 * CONSERVATION_EPS})
+    result = solve_icwe(game, backend="cg", start=start)
+    assert result.type_latencies[0] == pytest.approx(47.0, abs=1e-6)
+    assert result.path_flows[0] == {("e2", "e3"): 5.0 + 0.5 * CONSERVATION_EPS}
+    assert verify_wardrop(game, result).passed
+
+
+def test_a_start_that_uses_no_path_of_an_active_type_is_a_value_error():
+    # rate 2.5e-9 on two links: the used-path floor is FLOW_EPS, and both
+    # start flows sit at it, within the conservation bound of the rate
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], [("s", "t")])
+    latencies = {"a": LatencyFunction((0.0, 1.0)), "b": LatencyFunction((1.0, 1.0))}
+    game = RoutingGame(g, latencies, [TravelerType(2.5e-9, 0, {"a", "b"})])
+    with pytest.raises(ValueError, match="use no path"):
+        solve_icwe(game, backend="cg", start=({("a",): FLOW_EPS, ("b",): FLOW_EPS},))
+
+
+@pytest.mark.parametrize("backend", ["auto", "cg"])
+def test_an_inactive_type_keeps_no_flow_from_its_start(backend):
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], [("s", "t")])
+    latencies = {"a": LatencyFunction((0.0, 1.0)), "b": LatencyFunction((1.0, 1.0))}
+    everything = {"a", "b"}
+    game = RoutingGame(
+        g, latencies, [TravelerType(1.0, 0, everything), TravelerType(5e-10, 0, everything)]
+    )
+    start = ({("a",): 0.5, ("b",): 0.5}, {("b",): 5e-10})
+    result = solve_icwe(game, backend=backend, start=start)
+    assert result.path_flows[1] == {}
+    assert result.type_latencies[1] == 0.0
+    assert result.path_flows[0] == {("a",): pytest.approx(1.0, abs=1e-9)}
+
+
+def test_a_start_at_the_equilibrium_needs_no_sweep():
+    for variant in ("origin", "destination"):
+        game = gadget_game(variant, extended=True)
+        cold = solve_icwe(game, backend="cg")
+        assert cold.iterations > 0
+        warm = solve_icwe(game, backend="cg", start=cold.path_flows)
+        assert warm.iterations == 0
+        assert warm.path_flows == cold.path_flows
+        assert warm.type_latencies == cold.type_latencies
+
+
+def test_paths_given_zero_flow_are_left_out():
+    game = gadget_game()
+    # the equilibrium: type 1 entirely on e1-e4, every edge at flow 5
+    start = ({("e2", "e3"): 5.0}, {("e2",): 0.0, ("e1", "e4"): 5.0})
+    result = solve_icwe(game, backend="cg", max_iterations=0, start=start)
+    assert result.path_flows[1] == {("e1", "e4"): 5.0}
+
+
+def test_exact_ignores_the_start():
+    rng = random.Random(4242)
+    games = [gadget_game(v, e) for v in ("origin", "destination") for e in (False, True)]
+    games += [random_affine_game(rng) for _ in range(5)]
+    for game in games:
+        cold = repr(solve_icwe(game, backend="exact"))
+        assert repr(solve_icwe(game, backend="exact", start=seeded_start(game, 3))) == cold
+        # not even read: an infeasible start changes nothing either
+        assert repr(solve_icwe(game, backend="exact", start=())) == cold
 
 
 # -- line search ------------------------------------------------------------------------
@@ -689,9 +784,10 @@ def test_auto_returns_the_cg_result_when_every_polish_is_rejected(monkeypatch):
     monkeypatch.setattr(equilibrium, "_solve_support", reject)
     for game in games:
         calls.clear()
-        auto = solve_icwe(game, start_seed=2)
+        auto = solve_icwe(game, start=seeded_start(game, 2))
         assert calls  # every game was polished at least once
-        assert repr(auto) == repr(solve_icwe(game, backend="cg", start_seed=2))
+        cg = solve_icwe(game, backend="cg", start=seeded_start(game, 2))
+        assert repr(auto) == repr(cg)
 
 
 def test_a_newton_iterate_whose_latency_overflows_is_rejected():
@@ -823,7 +919,8 @@ def test_distinct_starts_reach_the_same_edge_latencies():
     rng = random.Random(911)
     game = random_affine_game(rng)
     results = [
-        solve_icwe(game, backend="cg", start_seed=s) for s in (None, 1, 2, 3, 4)
+        solve_icwe(game, backend="cg", start=seeded_start(game, s))
+        for s in (None, 1, 2, 3, 4)
     ]
     for eid in game.graph.edge_ids:
         values = [

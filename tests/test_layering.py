@@ -85,7 +85,7 @@ PUBLIC_DEFAULTED_KEYWORDS = [
     ("equilibrium.solve_icwe", "tolerance"),
     ("equilibrium.solve_icwe", "max_iterations"),
     ("equilibrium.solve_icwe", "backend"),
-    ("equilibrium.solve_icwe", "start_seed"),
+    ("equilibrium.solve_icwe", "start"),
     ("instance_io.instance_to_dict", "extension"),
     ("instance_io.save_instance", "extension"),
     ("paradox.check_ibp", "tolerance"),

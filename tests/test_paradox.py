@@ -6,6 +6,7 @@ import pytest
 
 from ibpcheck.core_graph import EmbeddingStep, MultiGraph, apply_embedding_step, is_cycle
 from ibpcheck.equilibrium import (
+    DEFAULT_TOLERANCE,
     EquilibriumResult,
     LatencyFunction,
     RoutingGame,
@@ -24,6 +25,7 @@ from ibpcheck.errors import (
 )
 from ibpcheck.instance_io import load_instance
 from ibpcheck.paradox import (
+    DEFAULT_DECISION_THRESHOLD,
     GadgetVariant,
     IBPInstance,
     InformationExtension,
@@ -42,6 +44,7 @@ from conftest import (
     FIXTURE_STEMS,
     chain_with_gadget_middle,
     cycle_graph,
+    gadget_multigraph,
     k4_three_terminals,
     triangle_two_od,
     wheatstone,
@@ -446,6 +449,67 @@ def test_search_on_small_cycle_finds_nothing():
         cycle_graph(4, [("c0", "c2"), ("c1", "c3")]), trials=60, seed=3
     )
     assert outcome.witness is None
+
+
+# -- the after game starts from the before equilibrium ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "variant", [GadgetVariant.ORIGIN2_AT_ORIGIN1, GadgetVariant.ORIGIN2_AT_DESTINATION1]
+)
+def test_gadget_warm_cg_after_game_gives_47_to_48(variant):
+    instance = gadget_instance(variant)
+    verdict = check_ibp(instance, backend="cg")
+    assert verdict.latency_before == pytest.approx(47.0, abs=1e-6)
+    assert verdict.latency_after == pytest.approx(48.0, abs=1e-6)
+    assert verdict.label == "occurs"
+    assert verify_wardrop(extended_game(instance), verdict.after_result).passed
+
+
+# The graph shapes of the benchmark's search deck.
+SEARCH_SHAPES = {
+    **{
+        f"cycle{n}": lambda n=n: cycle_graph(2 * n, [(f"c{i}", f"c{i + n}") for i in range(n)])
+        for n in (2, 3, 4, 5)
+    },
+    "gadget-origin": lambda: gadget_multigraph("origin"),
+    "gadget-destination": lambda: gadget_multigraph("destination"),
+    "k4": k4_three_terminals,
+    "gadget-chain": chain_with_gadget_middle,
+}
+
+
+def _label(margin):
+    if margin > DEFAULT_DECISION_THRESHOLD:
+        return "occurs"
+    return "inconclusive" if margin > DEFAULT_TOLERANCE else "not-occurs"
+
+
+@pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
+def test_warm_after_solve_agrees_with_a_cold_one_in_fewer_sweeps(monkeypatch, shape):
+    import ibpcheck.paradox as paradox
+
+    checked = []
+
+    def recording_check(instance, **kwargs):
+        verdict = check_ibp(instance, **kwargs)
+        checked.append((instance, verdict))
+        return verdict
+
+    monkeypatch.setattr(paradox, "check_ibp", recording_check)
+    random_search_ibp(SEARCH_SHAPES[shape](), trials=200, seed=1, stop_at_first=False)
+    assert len(checked) == 200
+    warm_sweeps = cold_sweeps = 0
+    for instance, verdict in checked:
+        after = extended_game(instance)
+        cold = solve_icwe(after, backend="cg")
+        warm = verdict.after_result
+        assert verdict.label == _label(cold.type_latencies[0] - verdict.latency_before)
+        assert abs(warm.type_latencies[0] - cold.type_latencies[0]) <= 1e-6
+        assert verify_wardrop(after, warm, epsilon=1e-8).passed
+        warm_sweeps += warm.iterations
+        cold_sweeps += cold.iterations
+    assert warm_sweeps < cold_sweeps
 
 
 # -- cycle diagnostics -------------------------------------------------------------------
