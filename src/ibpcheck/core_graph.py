@@ -10,7 +10,8 @@ one walk of its block-cut tree, every OD pair's block chain in linear time
 per pair; the union of a chain's blocks is that pair's OD subnetwork.  Path
 enumeration is exhaustive and capped (default 10,000 paths, past which it
 raises); it serves `validate`'s coverage check, the solver's path sets, the
-gadget search and the test oracles, not the topology verdict.
+randomized search, the cycle diagnostics and the test oracles, not the
+topology verdict or the gadget embedding.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ class PathCapExceeded(IbpcheckError):
     """
 
     def __init__(self, cap: int):
-        super().__init__(f"more than {cap} simple paths; raise max_paths to proceed")
+        super().__init__(f"more than {cap} simple paths, the enumeration cap")
         self.cap = cap
 
 

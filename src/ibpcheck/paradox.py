@@ -3,10 +3,14 @@
 The constructive side mirrors the characterization's necessity argument: any
 2-connected non-cycle block whose two terminal sets differ admits a nice
 embedding (edge deletions and contractions that never merge an OD pair) of
-the minimal paradox gadget; instance lifting then transports the gadget's
-known paradox through the embedding (contracted edges become latency-free
-and join every information set) and, block to whole graph, by zeroing
-latencies off the block and granting full information elsewhere.
+the minimal paradox gadget.  `find_gadget_embedding` finds one by greedy
+one-edge reduction: it keeps the block 2-connected, not a cycle and with
+differing terminal sets, deletes every edge it can in one id-ordered sweep,
+then makes the least-id contraction it can, until the gadget's shape is
+left.  No paths or cycles are enumerated.  Instance lifting then transports
+the gadget's known paradox through the embedding (contracted edges become
+latency-free and join every information set) and, block to whole graph, by
+zeroing latencies off the block and granting full information elsewhere.
 
 Everything operates on immutable values; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
@@ -23,7 +27,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .core_graph import (
-    DEFAULT_PATH_CAP,
     EmbeddingStep,
     MultiGraph,
     Path,
@@ -306,35 +309,6 @@ def lift_instance(
 # -- gadget embedding search -------------------------------------------------------------
 
 
-def _all_cycles(g: MultiGraph, max_paths: int) -> list[tuple[str, ...]]:
-    """Every simple cycle once, as an edge tuple starting at its least edge id."""
-    cycles = []
-    for eid in sorted(g.edge_ids):
-        a, b = g.endpoints(eid)
-        allowed = {e for e in g.edge_ids if e > eid}
-        for path in enumerate_simple_paths(g, b, a, allowed, max_paths=max_paths):
-            cycles.append((eid,) + path)
-    cycles.sort(key=lambda c: (len(c), tuple(sorted(c))))
-    return cycles
-
-
-def _cycle_vertices(g: MultiGraph, cycle: tuple[str, ...]) -> tuple[str, ...]:
-    a, _ = g.endpoints(cycle[0])
-    return g.path_vertices(cycle, a)  # closed walk, first == last
-
-
-def _pair_arcs(g: MultiGraph, cycle: tuple[str, ...], p: str, q: str):
-    """The two arcs of `cycle` between p and q, as (edge tuple, vertex set)."""
-    closed = _cycle_vertices(g, cycle)
-    ring = closed[:-1]
-    i, j = sorted((ring.index(p), ring.index(q)))
-    arc1 = cycle[i:j]
-    arc1_vs = set(closed[i : j + 1])
-    arc2 = cycle[j:] + cycle[:i]
-    arc2_vs = set(closed[j:]) | set(closed[1 : i + 1])
-    return (arc1, arc1_vs), (arc2, arc2_vs)
-
-
 def _is_gadget_shaped(g: MultiGraph) -> bool:
     if len(g.vertices) != 3 or len(g.edges) != 4 or len(g.od_pairs) != 2:
         return False
@@ -344,165 +318,77 @@ def _is_gadget_shaped(g: MultiGraph) -> bool:
     return frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
 
 
-def _contract_everything_allowed(
-    wg: MultiGraph, steps: list[EmbeddingStep], x: str, y: str
-) -> tuple[MultiGraph, str, str]:
-    """Contract lex-least admissible edges until none remain.
-
-    Admissible: never merge two terminals, never merge the attachment points
-    x and y, never create a loop.  Merged vertices inherit terminal and
-    attachment names, terminal names winning.
-    """
-    cur_x, cur_y = x, y
-    while True:
-        terminals = {v for pair in wg.od_pairs for v in pair}
-        pick = None
-        for eid in sorted(wg.edge_ids):
-            p, q = wg.endpoints(eid)
-            if p in terminals and q in terminals:
-                continue
-            if {p, q} == {cur_x, cur_y}:
-                continue
-            if len(wg.parallel_ids(p, q)) > 1:
-                continue
-            pick = (eid, p, q)
-            break
-        if pick is None:
-            return wg, cur_x, cur_y
-        eid, p, q = pick
-        if p in terminals:
-            name = p
-        elif q in terminals:
-            name = q
-        elif p in (cur_x, cur_y):
-            name = p
-        elif q in (cur_x, cur_y):
-            name = q
-        else:
-            name = min(p, q)
-        step = EmbeddingStep.contract(eid, name)
-        wg = apply_embedding_step(wg, step)
-        steps.append(step)
-        for old in (p, q):
-            if old == name:
-                continue
-            if cur_x == old:
-                cur_x = name
-            elif cur_y == old:
-                cur_y = name
+def _keeps_invariant(g: MultiGraph) -> bool:
+    """2-connected, not a cycle, and the two terminal sets differ."""
+    return (
+        frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
+        and not is_cycle(g)
+        and len(biconnected_blocks(g)[0]) == 1
+    )
 
 
-def _try_reduce(
-    block: MultiGraph,
-    cycle: tuple[str, ...],
-    ear: tuple[str, ...],
-    x: str,
-    y: str,
-    full_terminals: frozenset[str],
-) -> Optional[list[EmbeddingStep]]:
-    """Delete everything outside cycle+ear, contract maximally, finish to gadget."""
-    steps: list[EmbeddingStep] = []
-    wg = block
-    keep = set(cycle) | set(ear)
-    for eid in sorted(block.edge_ids - keep):
-        step = EmbeddingStep.delete(eid)
-        wg = apply_embedding_step(wg, step)
-        steps.append(step)
-    wg, cur_x, cur_y = _contract_everything_allowed(wg, steps, x, y)
-
-    if len(full_terminals) == 3:
-        return steps if _is_gadget_shaped(wg) else None
-
-    # four distinct terminals: one final cross-pair contraction
-    set0 = set(wg.od_pairs[0])
-    set1 = set(wg.od_pairs[1])
-    for eid in sorted(wg.edge_ids):
-        p, q = wg.endpoints(eid)
-        if {p, q} == {cur_x, cur_y}:
+def _first_contraction(g: MultiGraph) -> Optional[tuple[EmbeddingStep, MultiGraph]]:
+    """The least-id contraction that keeps the invariant, with its result."""
+    pairs = {frozenset(pair) for pair in g.od_pairs}
+    terminals = g.terminals
+    for eid in sorted(g.edge_ids):
+        u, v = g.endpoints(eid)
+        if frozenset((u, v)) in pairs or len(g.parallel_ids(u, v)) > 1:
             continue
-        crosses = (p in set0 and q in set1) or (p in set1 and q in set0)
-        if not crosses:
-            continue
-        if len(wg.parallel_ids(p, q)) > 1:
-            continue
-        step = EmbeddingStep.contract(eid, min(p, q))
-        candidate = apply_embedding_step(wg, step)
-        if _is_gadget_shaped(candidate):
-            return steps + [step]
+        names = [w for w in (u, v) if w in terminals] or [u, v]
+        step = EmbeddingStep.contract(eid, min(names))
+        reduced = apply_embedding_step(g, step)
+        if _keeps_invariant(reduced):
+            return step, reduced
     return None
 
 
-def find_gadget_embedding(
-    block: MultiGraph, max_paths: int = DEFAULT_PATH_CAP
-) -> list[EmbeddingStep]:
+def find_gadget_embedding(block: MultiGraph) -> list[EmbeddingStep]:
     """Nicely embed the paradox gadget into a 2-connected non-cycle block.
 
-    Follows the constructive dichotomy: pick a cycle through one OD pair that
-    reaches all but at most one terminal, attach an ear through the remaining
-    terminal between two points x, y of one arc, delete the rest, contract
-    maximally (never merging terminals, nor x with y), and finish with one
-    cross-pair contraction when all four terminals are distinct.  Choices are
-    explored in lexicographic order with backtracking, so the step list is
-    canonical; success is machine-checked by replay.
+    Greedy one-edge reduction under an invariant: the working graph stays
+    2-connected, is never a cycle, and its two terminal sets differ.  Each
+    round sweeps the edges once in id order and deletes every edge whose
+    deletion keeps the invariant (an edge with an endpoint of degree <= 2 is
+    skipped unchecked: deleting it leaves a vertex of degree <= 1).  It then
+    contracts the least-id edge whose contraction keeps the invariant; the
+    merged vertex keeps a terminal's name, otherwise the lesser name, and an
+    OD pair is never merged.  The loop stops once the graph is the gadget's
+    shape, and raises PreconditionViolated if no step keeps the invariant.
+
+    Every choice is the first in edge-id order, so the step list is a pure
+    function of the block's edges and OD pairs: canonical, and checked by
+    replay in lifting.  Each step removes an edge and each candidate costs
+    one block decomposition, so the search takes O(|E|^3) time and
+    enumerates no paths.
     """
     if len(block.od_pairs) != 2:
         raise PreconditionViolated("gadget embedding needs exactly two OD pairs")
-    set0 = frozenset(block.od_pairs[0])
-    set1 = frozenset(block.od_pairs[1])
-    if set0 == set1:
+    if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
         raise PreconditionViolated("terminal sets coincide; block is coincident")
     if is_cycle(block):
         raise IsCycleError("cycles are immune; no gadget embedding exists")
-    blocks, _ = biconnected_blocks(block)
-    if len(blocks) != 1:
+    if len(biconnected_blocks(block)[0]) != 1:
         raise PreconditionViolated("input is not 2-connected")
 
-    terminals = set0 | set1
-    cycles = _all_cycles(block, max_paths)
-    for pair_a_idx in (0, 1):
-        pair_a = frozenset(block.od_pairs[pair_a_idx])
-        for cycle in cycles:
-            on_cycle = set(_cycle_vertices(block, cycle))
-            if not pair_a <= on_cycle:
+    steps: list[EmbeddingStep] = []
+    g = block
+    while True:
+        for eid in sorted(g.edge_ids):
+            if min(len(g.adjacency[v]) for v in g.endpoints(eid)) <= 2:
                 continue
-            off = terminals - on_cycle
-            if len(off) > 1:
-                continue
-            z_off = next(iter(off)) if off else None
-
-            if z_off is None:
-                ear_edges = sorted(block.edge_ids - set(cycle))
-            else:
-                ear_edges = sorted(
-                    eid
-                    for eid in block.edge_ids - set(cycle)
-                    if z_off in block.endpoints(eid)
-                )
-            for eid in ear_edges:
-                for x, y in itertools.combinations(sorted(on_cycle), 2):
-                    interior_ok = (set(block.vertices) - on_cycle) | {x, y}
-                    allowed = {
-                        e
-                        for e, u, v in block.edges
-                        if u in interior_ok and v in interior_ok and e not in cycle
-                    }
-                    for ear in enumerate_simple_paths(
-                        block, x, y, allowed, max_paths=max_paths
-                    ):
-                        if eid not in ear:
-                            continue
-                        oa, da = sorted(pair_a)
-                        arcs = _pair_arcs(block, cycle, oa, da)
-                        if not any({x, y} <= arc_vs for _, arc_vs in arcs):
-                            continue
-                        steps = _try_reduce(block, cycle, ear, x, y, terminals)
-                        if steps is not None:
-                            replayed = block
-                            for step in steps:
-                                replayed = apply_embedding_step(replayed, step)
-                            assert _is_gadget_shaped(replayed)
-                            return steps
-    raise PreconditionViolated("no gadget embedding found for this block")
+            step = EmbeddingStep.delete(eid)
+            reduced = apply_embedding_step(g, step)
+            if _keeps_invariant(reduced):
+                g = reduced
+                steps.append(step)
+        if _is_gadget_shaped(g):
+            return steps
+        contraction = _first_contraction(g)
+        if contraction is None:
+            raise PreconditionViolated("no gadget embedding found for this block")
+        step, g = contraction
+        steps.append(step)
 
 
 # -- witness synthesis ----------------------------------------------------------------

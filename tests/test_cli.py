@@ -15,6 +15,7 @@ from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     LatencyFunction,
+    RoutingGame,
     TravelerType,
 )
 from ibpcheck.instance_io import (
@@ -26,7 +27,7 @@ from ibpcheck.instance_io import (
 from ibpcheck.errors import InstanceFileError, InvalidNetwork
 from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
-from conftest import FIXTURE_STEMS
+from conftest import FIXTURE_STEMS, diamonds_in_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -177,6 +178,20 @@ def test_classify_missing_file(capsys):
     code, _, err = run_cli(capsys, "classify", str(FIXTURES / "nope.json"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_classify_past_the_path_cap_states_the_cap(tmp_path, capsys):
+    g = diamonds_in_series(14)  # 2^14 simple paths
+    game = RoutingGame(
+        g,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},
+        [TravelerType(1.0, 0, g.edge_ids)],
+    )
+    path = tmp_path / "diamonds14.json"
+    save_instance(path, game)
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert "10000" in err and "max_paths" not in err
 
 
 # -- solve -------------------------------------------------------------------------

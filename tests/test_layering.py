@@ -93,7 +93,6 @@ PUBLIC_DEFAULTED_KEYWORDS = [
     ("paradox.check_ibp", "backend"),
     ("paradox.gadget_graph", "variant"),
     ("paradox.gadget_instance", "variant"),
-    ("paradox.find_gadget_embedding", "max_paths"),
     ("paradox.random_search_ibp", "rate_range"),
     ("paradox.random_search_ibp", "coeff_range"),
     ("paradox.random_search_ibp", "decision_threshold"),
@@ -114,4 +113,4 @@ def test_public_defaulted_keywords_are_pinned():
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             found += [(f"{path.stem}.{node.name}", a.arg) for a in defaulted]
     assert found == PUBLIC_DEFAULTED_KEYWORDS
-    assert len(found) == 22
+    assert len(found) == 21

@@ -45,6 +45,7 @@ from conftest import (
     chain_with_gadget_middle,
     cycle_graph,
     gadget_multigraph,
+    grid_graph,
     k4_three_terminals,
     triangle_two_od,
     wheatstone,
@@ -284,27 +285,26 @@ def test_k4_embedding_replays_to_gadget_shape():
     assert _is_gadget_shaped(replayed)
 
 
-def test_max_paths_reaches_the_cycle_enumeration():
-    from ibpcheck.paradox import _is_gadget_shaped
+@pytest.mark.parametrize("rows, cols", [(4, 7), (6, 6), (10, 10)])
+def test_corner_grids_embed_and_lift_to_a_verified_paradox(rows, cols):
+    """Grids with more simple paths than the 10,000-path cap still embed."""
+    from ibpcheck.paradox import _is_gadget_shaped, _lift_block_instance
 
-    rows, cols = 4, 7  # some edge closes more than 10,000 cycles
-    edges = [(f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}") for r in range(rows) for c in range(cols - 1)]
-    edges += [(f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}") for r in range(rows - 1) for c in range(cols)]
-    block = MultiGraph(
-        [f"g{r}_{c}" for r in range(rows) for c in range(cols)],
-        edges,
-        [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")],
-    )
+    corners = [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")]
+    block = grid_graph(rows, cols, corners)
+    steps = find_gadget_embedding(block)
     replayed = block
-    for step in find_gadget_embedding(block, max_paths=100_000):
+    for step in steps:
         replayed = apply_embedding_step(replayed, step)
     assert _is_gadget_shaped(replayed)
+    verdict = check_ibp(_lift_block_instance(block, steps))
+    assert verdict.occurs
+    assert verdict.margin == pytest.approx(1.0, abs=1e-6)
 
 
 def test_embedding_dichotomy_on_random_two_od_blocks():
     """2-connected non-coincident blocks: cycle XOR gadget-embeddable."""
     from ibpcheck.core_graph import biconnected_blocks
-    from ibpcheck.topology import decide_ibp_free
     from conftest import chain_edges, random_connected_multigraph
 
     rng = random.Random(321)
@@ -324,8 +324,6 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
             continue
         cand = MultiGraph(g.vertices, g.edges, [(o1, d1), (o2, d2)])
         if any(chain_edges(cand, i) != cand.edge_ids for i in (0, 1)):
-            continue
-        if not all(cls.is_sli for cls in decide_ibp_free(cand).per_od):
             continue
         tested += 1
         if is_cycle(cand):
@@ -352,6 +350,23 @@ def test_synthesize_on_k4():
     witness = synthesize_ibp_witness(k4_three_terminals())
     verdict = check_ibp(witness)
     assert verdict.occurs
+
+
+def test_synthesize_on_a_block_with_a_late_embedding():
+    """The cycle-and-ear search found no embedding here; greedy reduction does."""
+    g = MultiGraph(
+        [f"v{i}" for i in range(5)],
+        [
+            ("g00", "v0", "v1"),
+            ("g01", "v0", "v2"),
+            ("g02", "v1", "v3"),
+            ("g03", "v1", "v4"),
+            ("g04", "v2", "v4"),
+            ("g05", "v2", "v3"),
+        ],
+        [("v3", "v0"), ("v4", "v3")],
+    )
+    assert check_ibp(synthesize_ibp_witness(g)).occurs
 
 
 def test_synthesize_on_three_block_chain():
