@@ -7,9 +7,13 @@ safe to call from multiple threads.
 
 `decompose_blocks` gives the biconnected blocks of the whole graph and, from
 one walk of its block-cut tree, every OD pair's block chain in linear time
-per pair; the union of a chain's blocks is that pair's OD subnetwork.  Path
-enumeration is exhaustive and capped (default 10,000 paths, past which it
-raises); it serves `validate`'s coverage check, the solver's path sets, the
+per pair; the union of a chain's blocks is that pair's OD subnetwork.
+`validate` walks the same chains and reads coverage block by block: a
+simple o-d path is one simple path through each chain block, so the pair's
+path count is the product of the per-block counts, and the report hands the
+decomposition on to the topology verdict.  Path enumeration is exhaustive
+and capped (default 10,000 paths, past which it raises); it serves
+`validate`'s per-block coverage walks, the solver's path sets, the
 randomized search, the cycle diagnostics and the test oracles, not the
 topology verdict or the gadget embedding.
 """
@@ -17,7 +21,7 @@ topology verdict or the gadget embedding.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -152,6 +156,7 @@ class ValidationReport:
     connected: bool
     uncovered_edges: tuple[str, ...]
     uncovered_vertices: tuple[str, ...]
+    decomposition: Optional[BlockDecomposition] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -186,18 +191,39 @@ def validate(graph: MultiGraph) -> ValidationReport:
 
     Every edge and every vertex must lie on at least one simple OD path;
     violating elements are listed rather than raised so callers can render
-    a full diagnosis.
+    a full diagnosis.  Coverage is read block by block along each OD chain:
+    a simple o-d path is one simple entry-leave path in each chain block, so
+    an edge is covered iff a per-block path uses it, and the pair's path
+    count is the product of the per-block counts.  Raises PathCapExceeded
+    once that product passes `DEFAULT_PATH_CAP`, the cap the whole-path
+    listing raised at; that cap is why each block is still walked rather
+    than read off as covered.  A disconnected pair covers nothing.
+
+    The report carries the block decomposition it was read from, or None
+    when some OD pair is disconnected (where `decompose_blocks` raises).
     """
+    blocks, cuts, chains = _block_cut_chains(graph)
     covered_edges: set[str] = set()
-    for o, d in graph.od_pairs:
-        for path in enumerate_simple_paths(graph, o, d):
-            covered_edges.update(path)
+    for chain in chains:
+        count = 1
+        for link in chain or ():
+            paths = enumerate_simple_paths(
+                graph, link.origin, link.destination, blocks[link.block_id].edges
+            )
+            count *= len(paths)
+            if count > DEFAULT_PATH_CAP:
+                raise PathCapExceeded(DEFAULT_PATH_CAP)
+            for path in paths:
+                covered_edges.update(path)
     # an OD path has at least one edge, so its vertices are its edges' endpoints
     covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
     return ValidationReport(
         connected=len(connected_components(graph)) <= 1,
         uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
         uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
+        decomposition=(
+            None if None in chains else BlockDecomposition(blocks, cuts, tuple(chains))
+        ),
     )
 
 
@@ -339,16 +365,11 @@ def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str
     return blocks, cuts
 
 
-def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
-    """Biconnected blocks and cut vertices of the graph, and each OD chain.
-
-    OD i's chain lists the blocks on the block-cut-tree path from o to d,
-    each with the vertex where the path enters and leaves it.  In a
-    2-connected block every edge lies on a simple path between any two
-    distinct vertices, so the chain's blocks are exactly the blocks of the
-    o-d subnetwork and their union is every edge on a simple o-d path.
-    Raises NoPath when a pair is disconnected.
-    """
+def _block_cut_chains(
+    graph: MultiGraph,
+) -> tuple[tuple[Block, ...], frozenset[str], list[Optional[tuple[ChainLink, ...]]]]:
+    """`decompose_blocks`'s blocks, cut vertices and chains, where a
+    disconnected OD pair's chain is None."""
     blocks, cuts = biconnected_blocks(graph)
     # tree nodes: a block is its index, a cut vertex is its name
     tree: dict[object, list] = {v: [] for v in cuts}
@@ -362,7 +383,7 @@ def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
             else:
                 home[v] = bi
 
-    chains = []
+    chains: list[Optional[tuple[ChainLink, ...]]] = []
     for o, d in graph.od_pairs:
         src = o if o in cuts else home.get(o)
         dst = d if d in cuts else home.get(d)
@@ -375,7 +396,8 @@ def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
                     prev[nxt] = cur
                     queue.append(nxt)
         if dst is None or dst not in prev:
-            raise NoPath(f"terminals {o!r} and {d!r} are disconnected")
+            chains.append(None)
+            continue
         nodes = [dst]
         while prev[nodes[-1]] is not None:
             nodes.append(prev[nodes[-1]])
@@ -388,11 +410,24 @@ def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
                 chain.append(ChainLink(node, entry, leave))
                 entry = leave
         chains.append(tuple(chain))
-    return BlockDecomposition(
-        blocks=tuple(Block(i, bl) for i, bl in enumerate(blocks)),
-        cut_vertices=frozenset(cuts),
-        chains=tuple(chains),
-    )
+    return tuple(Block(i, bl) for i, bl in enumerate(blocks)), frozenset(cuts), chains
+
+
+def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
+    """Biconnected blocks and cut vertices of the graph, and each OD chain.
+
+    OD i's chain lists the blocks on the block-cut-tree path from o to d,
+    each with the vertex where the path enters and leaves it.  In a
+    2-connected block every edge lies on a simple path between any two
+    distinct vertices, so the chain's blocks are exactly the blocks of the
+    o-d subnetwork and their union is every edge on a simple o-d path.
+    Raises NoPath when a pair is disconnected.
+    """
+    blocks, cuts, chains = _block_cut_chains(graph)
+    for (o, d), chain in zip(graph.od_pairs, chains):
+        if chain is None:
+            raise NoPath(f"terminals {o!r} and {d!r} are disconnected")
+    return BlockDecomposition(blocks, cuts, tuple(chains))
 
 
 # -- minor operations ------------------------------------------------------------

@@ -7,14 +7,15 @@ renders that verdict, with the site of the failing condition, and its
 `TopologyReport` carries every per-OD class and pairwise entry.
 
 The verdict reads everything off one block decomposition of the whole
-graph: each OD chain is its list of blocks.  One terminal-aware
-series/parallel reduction over the chain's union decides SP and, by
-carrying LI and single-path flags through its merges, the recursive LI
-definition; a chain that is not LI is SLI iff the same reduction finds every
-one of its blocks LI.  `common_blocks` applies the coincident / cycle /
+graph, the one `validate` walked for its coverage check: each OD chain is
+its list of blocks.  One terminal-aware series/parallel reduction over the
+chain's union decides SP and, by carrying LI and single-path flags through
+its merges, the recursive LI definition; a chain that is not LI is SLI iff
+the same reduction finds every one of its blocks LI.  `common_blocks` applies the coincident / cycle /
 other rule to the blocks two chains share.  Nothing on the verdict path
-enumerates paths except `validate`'s coverage check; the literal,
-enumerating definitions live in the tests as oracles.
+enumerates paths except `validate`'s coverage check, which lists each
+chain block's entry-leave paths on their own, never a pair's whole path
+set; the literal, enumerating definitions live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core_graph import (
     BlockDecomposition,
     ChainBlock,
     MultiGraph,
-    decompose_blocks,
     is_cycle,
     validate,
 )
@@ -208,7 +208,7 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
             f"uncovered_vertices={list(report.uncovered_vertices)}"
         )
 
-    dec = decompose_blocks(g)
+    dec = report.decomposition  # validation ran the block walk already
     per_od = tuple(
         _classify_chain(g, dec.chain_blocks(i), o, d)
         for i, (o, d) in enumerate(g.od_pairs)

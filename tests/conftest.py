@@ -147,6 +147,15 @@ def diamonds_in_series(k):
     return MultiGraph(vertices, edges, [(joints[0], joints[-1])])
 
 
+def series_bundles(sizes):
+    """Bundles of parallel edges in series, one OD pair end to end: prod(sizes) paths."""
+    joints = [f"j{i}" for i in range(len(sizes) + 1)]
+    edges = [
+        (f"b{i}_{k}", joints[i], joints[i + 1]) for i, n in enumerate(sizes) for k in range(n)
+    ]
+    return MultiGraph(joints, edges, [(joints[0], joints[-1])])
+
+
 def cycle_graph(n_vertices, od_pairs):
     vs = [f"c{i}" for i in range(n_vertices)]
     edges = [

@@ -1,7 +1,8 @@
 """Reference implementations, straight from the definitions, for the tests.
 
 The single-OD classes are read off one series/parallel reduction in
-`ibpcheck.topology`; the functions here evaluate the literal definitions by
+`ibpcheck.topology`, and `validate` reads coverage block by block along the
+OD chains; the functions here evaluate the literal definitions by
 enumerating every o-d path instead, so they are exponential in the path
 count.  The block-local games and the series-decomposition check restate
 the SLI consequence that each type's latency is the sum of its latencies in
@@ -14,7 +15,13 @@ library against them.
 from collections import Counter
 from typing import Iterable, Optional
 
-from ibpcheck.core_graph import BlockDecomposition, MultiGraph, enumerate_simple_paths
+from ibpcheck.core_graph import (
+    BlockDecomposition,
+    MultiGraph,
+    ValidationReport,
+    connected_components,
+    enumerate_simple_paths,
+)
 from ibpcheck.equilibrium import (
     EquilibriumResult,
     LatencyFunction,
@@ -60,6 +67,25 @@ def equal_cost_terms(game: RoutingGame, paths: list[tuple[str, ...]]):
         [sum(coefficient(e, 1) for e in sorted(set(p) & set(q))) for q in paths] for p in paths
     ]
     return const, interact
+
+
+def validate_by_enumeration(graph: MultiGraph) -> ValidationReport:
+    """Coverage from every OD pair's whole simple-path set, under the default cap.
+
+    Raises PathCapExceeded when some pair has more than 10,000 simple paths.
+    The report carries no block decomposition.
+    """
+    covered_edges: set[str] = set()
+    for o, d in graph.od_pairs:
+        for path in enumerate_simple_paths(graph, o, d):
+            covered_edges.update(path)
+    covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
+    return ValidationReport(
+        connected=len(connected_components(graph)) <= 1,
+        uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
+        uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
+        decomposition=None,
+    )
 
 
 def _paths(graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str):

@@ -11,6 +11,7 @@ import pytest
 
 from ibpcheck import cli
 from ibpcheck.cli import build_parser, main
+from ibpcheck.core_graph import MultiGraph
 from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -192,6 +193,27 @@ def test_classify_past_the_path_cap_states_the_cap(tmp_path, capsys):
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert "10000" in err and "max_paths" not in err
+
+
+def test_classify_with_a_disconnected_od_pair_lists_the_uncovered_edges(tmp_path, capsys):
+    g = MultiGraph(
+        ["a", "b", "c", "d", "e"],
+        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "d", "e")],
+        [("a", "b"), ("c", "a")],
+    )
+    game = RoutingGame(
+        g,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},
+        [TravelerType(1.0, 0, ("e1", "e2"))],
+    )
+    path = tmp_path / "disconnected.json"
+    save_instance(path, game)
+    assert run_cli(capsys, "classify", str(path)) == (
+        2,
+        "",
+        "error: graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
+        "uncovered_vertices=['c', 'd', 'e']\n",
+    )
 
 
 # -- solve -------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ibpcheck.core_graph import (
 from ibpcheck.errors import (
     GraphOperationError,
     InvalidNetwork,
+    NoPath,
     PathCapExceeded,
     TerminalMergeForbidden,
 )
@@ -24,11 +25,14 @@ from ibpcheck.topology import common_blocks, decide_ibp_free
 
 from conftest import (
     chain_edges,
+    diamonds_in_series,
     gadget_multigraph,
     random_connected_multigraph,
+    series_bundles,
     triangle_two_od,
     two_parallel_pairs_in_series,
 )
+from oracles import validate_by_enumeration
 
 
 # -- construction and validation ----------------------------------------------
@@ -100,6 +104,70 @@ def test_disconnected_graph_reported():
     report = validate(g)
     assert not report.connected
     assert not report.ok
+
+
+def _random_validation_case(rng: random.Random) -> MultiGraph:
+    """A multigraph that may be disconnected, with 1-3 OD pairs.
+
+    A vertex left off the spanning tree starts a second component or stays
+    isolated; tree edges give pendant edges.  One case in eight also joins
+    two vertices by a chain of parallel-edge bundles whose path count
+    straddles the default cap, and puts an OD pair on its ends.
+    """
+    n = rng.randint(2, 8)
+    vs = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        if rng.random() < 0.85:
+            edges.append((f"g{len(edges):02d}", vs[i], vs[rng.randrange(i)]))
+    for _ in range(rng.randint(0, 5)):
+        u, v = rng.sample(vs, 2)
+        edges.append((f"g{len(edges):02d}", u, v))
+    pairs = [tuple(rng.sample(vs, 2)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.125:
+        ends = rng.sample(vs, 2)
+        sizes = [rng.randint(6, 14) for _ in range(4)]
+        joints = [ends[0]] + [f"j{i}" for i in range(len(sizes) - 1)] + [ends[1]]
+        vs += joints[1:-1]
+        edges += [
+            (f"b{i}_{k}", joints[i], joints[i + 1]) for i, m in enumerate(sizes) for k in range(m)
+        ]
+        pairs[0] = tuple(ends)
+    return MultiGraph(vs, edges, pairs)
+
+
+def test_validate_agrees_with_the_enumerating_oracle():
+    rng = random.Random(1313)
+    disconnected = isolated_terminals = uncovered = capped = bundled = 0
+    for _ in range(300):
+        g = _random_validation_case(rng)
+        try:
+            expected = validate_by_enumeration(g)
+        except PathCapExceeded:
+            with pytest.raises(PathCapExceeded, match="more than 10000"):
+                validate(g)
+            capped += 1
+            continue
+        report = validate(g)
+        assert report == expected
+        try:
+            assert report.decomposition == decompose_blocks(g)
+        except NoPath:
+            assert report.decomposition is None
+        disconnected += not report.connected
+        isolated_terminals += any(not g.adjacency[v] for v in g.terminals)
+        uncovered += bool(report.uncovered_edges)
+        bundled += any(eid.startswith("b") for eid in g.edge_ids)
+    assert disconnected > 30 and isolated_terminals > 10 and uncovered > 100
+    assert capped > 10 and bundled > 5
+
+
+def test_validate_path_cap_boundary():
+    assert validate(series_bundles([10, 10, 10, 10])).ok  # exactly 10,000 paths
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(series_bundles([10, 10, 10, 10, 2]))
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        decide_ibp_free(diamonds_in_series(14))
 
 
 # -- path enumeration -----------------------------------------------------------

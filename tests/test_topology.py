@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from ibpcheck import core_graph, topology
 from ibpcheck.core_graph import (
     MultiGraph,
@@ -8,6 +10,7 @@ from ibpcheck.core_graph import (
     decompose_blocks,
     validate,
 )
+from ibpcheck.errors import InvalidNetwork, NoPath
 from ibpcheck.topology import (
     CYCLE,
     COINCIDENT,
@@ -170,7 +173,9 @@ def test_recognizers_need_no_path_enumeration(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the verdict enumerated paths")
 
-    monkeypatch.setattr(topology, "validate", lambda g: ValidationReport(True, (), ()))
+    monkeypatch.setattr(
+        topology, "validate", lambda g: ValidationReport(True, (), (), decompose_blocks(g))
+    )
     monkeypatch.setattr(core_graph, "enumerate_simple_paths", no_enumeration)
     g = diamonds_in_series(20)  # 2^20 simple paths, far above the default cap
     report = decide_ibp_free(g)
@@ -302,19 +307,45 @@ def test_decide_ibp_free_enumerates_only_in_validate(monkeypatch):
     enumerate_simple_paths = core_graph.enumerate_simple_paths
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return enumerate_simple_paths(*args, **kwargs)
+        paths = enumerate_simple_paths(*args, **kwargs)
+        calls.append((*args[1:3], len(paths)))
+        return paths
 
     monkeypatch.setattr(core_graph, "enumerate_simple_paths", counting)
     w = wheatstone()
-    for g in (
-        MultiGraph(w.vertices, w.edges, [("o", "d"), ("o", "b")]),
-        grid_graph(4, 4, [("g0_0", "g3_3"), ("g0_3", "g3_0")]),
+    for g, sp in (
+        (MultiGraph(w.vertices, w.edges, [("o", "d"), ("o", "b")]), False),
+        (grid_graph(4, 4, [("g0_0", "g3_3"), ("g0_3", "g3_0")]), False),
+        (chain_with_gadget_middle(), True),
     ):
         calls.clear()
         report = decide_ibp_free(g)
-        assert not report.per_od[0].is_sp
-        assert calls == list(g.od_pairs)  # one coverage walk per OD pair
+        assert report.per_od[0].is_sp == sp
+        walks = [
+            (entry, leave)
+            for i in range(len(g.od_pairs))
+            for _, entry, leave in report.decomposition.chain_blocks(i)
+        ]
+        assert [call[:2] for call in calls] == walks  # one coverage walk per chain block
+    # k walks of 2 paths each, not one walk of 2^k
+    calls.clear()
+    decide_ibp_free(diamonds_in_series(13))
+    assert calls == [(f"j{i}", f"j{i + 1}", 2) for i in range(13)]
+
+
+def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
+    g = MultiGraph(
+        ["a", "b", "c", "d", "e"],
+        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "d", "e")],
+        [("a", "b"), ("c", "a")],
+    )
+    with pytest.raises(InvalidNetwork) as raised:
+        decide_ibp_free(g)
+    assert not isinstance(raised.value, NoPath)
+    assert str(raised.value) == (
+        "graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
+        "uncovered_vertices=['c', 'd', 'e']"
+    )
 
 
 def test_one_pass_verdict_agrees_with_per_subnetwork_route():
