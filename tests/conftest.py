@@ -156,6 +156,16 @@ def series_bundles(sizes):
     return MultiGraph(joints, edges, [(joints[0], joints[-1])])
 
 
+def second_od_pair_disconnected():
+    """A parallel pair with its own OD pair, and a path whose end c is the
+    origin of a second OD pair that cannot reach its destination a."""
+    return MultiGraph(
+        ["a", "b", "c", "d", "e"],
+        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "d", "e")],
+        [("a", "b"), ("c", "a")],
+    )
+
+
 def cycle_graph(n_vertices, od_pairs):
     vs = [f"c{i}" for i in range(n_vertices)]
     edges = [

@@ -11,7 +11,6 @@ import pytest
 
 from ibpcheck import cli
 from ibpcheck.cli import build_parser, main
-from ibpcheck.core_graph import MultiGraph
 from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -28,7 +27,7 @@ from ibpcheck.instance_io import (
 from ibpcheck.errors import InstanceFileError, InvalidNetwork
 from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
-from conftest import FIXTURE_STEMS, diamonds_in_series
+from conftest import FIXTURE_STEMS, diamonds_in_series, second_od_pair_disconnected
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -196,11 +195,7 @@ def test_classify_past_the_path_cap_states_the_cap(tmp_path, capsys):
 
 
 def test_classify_with_a_disconnected_od_pair_lists_the_uncovered_edges(tmp_path, capsys):
-    g = MultiGraph(
-        ["a", "b", "c", "d", "e"],
-        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "d", "e")],
-        [("a", "b"), ("c", "a")],
-    )
+    g = second_od_pair_disconnected()
     game = RoutingGame(
         g,
         {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},

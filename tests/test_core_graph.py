@@ -126,12 +126,10 @@ def _random_validation_case(rng: random.Random) -> MultiGraph:
     pairs = [tuple(rng.sample(vs, 2)) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.125:
         ends = rng.sample(vs, 2)
-        sizes = [rng.randint(6, 14) for _ in range(4)]
-        joints = [ends[0]] + [f"j{i}" for i in range(len(sizes) - 1)] + [ends[1]]
-        vs += joints[1:-1]
-        edges += [
-            (f"b{i}_{k}", joints[i], joints[i + 1]) for i, m in enumerate(sizes) for k in range(m)
-        ]
+        chain = series_bundles([rng.randint(6, 14) for _ in range(4)])
+        at = {"j0": ends[0], "j4": ends[1]}
+        vs += [v for v in chain.vertices if v not in at]
+        edges += [(eid, at.get(u, u), at.get(v, v)) for eid, u, v in chain.edges]
         pairs[0] = tuple(ends)
     return MultiGraph(vs, edges, pairs)
 

@@ -10,7 +10,7 @@ from ibpcheck.core_graph import (
     decompose_blocks,
     validate,
 )
-from ibpcheck.errors import InvalidNetwork, NoPath
+from ibpcheck.errors import InvalidNetwork
 from ibpcheck.topology import (
     CYCLE,
     COINCIDENT,
@@ -31,6 +31,7 @@ from conftest import (
     grid_graph,
     random_connected_multigraph,
     random_single_od_subnetwork,
+    second_od_pair_disconnected,
     triangle_two_od,
     two_parallel_pairs_in_series,
     wheatstone,
@@ -333,15 +334,24 @@ def test_decide_ibp_free_enumerates_only_in_validate(monkeypatch):
     assert calls == [(f"j{i}", f"j{i + 1}", 2) for i in range(13)]
 
 
-def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
-    g = MultiGraph(
-        ["a", "b", "c", "d", "e"],
-        [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "c", "d"), ("e4", "d", "e")],
-        [("a", "b"), ("c", "a")],
-    )
-    with pytest.raises(InvalidNetwork) as raised:
+def test_decide_ibp_free_builds_one_block_decomposition(monkeypatch):
+    walks = []
+    biconnected_blocks = core_graph.biconnected_blocks
+
+    def counting(graph):
+        walks.append(graph)
+        return biconnected_blocks(graph)
+
+    monkeypatch.setattr(core_graph, "biconnected_blocks", counting)
+    for g in (chain_with_gadget_middle(), diamonds_in_series(5), triangle_two_od()):
+        walks.clear()
         decide_ibp_free(g)
-    assert not isinstance(raised.value, NoPath)
+        assert walks == [g]  # validate's walk, shared with the verdict
+
+
+def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
+    with pytest.raises(InvalidNetwork) as raised:  # a NoPath would escape this
+        decide_ibp_free(second_od_pair_disconnected())
     assert str(raised.value) == (
         "graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
         "uncovered_vertices=['c', 'd', 'e']"
