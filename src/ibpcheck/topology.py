@@ -7,15 +7,16 @@ renders that verdict, with the site of the failing condition, and its
 `TopologyReport` carries every per-OD class and pairwise entry.
 
 The verdict reads everything off one block decomposition of the whole
-graph, the one `validate` walked for its coverage check: each OD chain is
+graph, the one `validate` read its coverage check from: each OD chain is
 its list of blocks.  One terminal-aware series/parallel reduction over the
 chain's union decides SP and, by carrying LI and single-path flags through
 its merges, the recursive LI definition; a chain that is not LI is SLI iff
-the same reduction finds every one of its blocks LI.  `common_blocks` applies the coincident / cycle /
-other rule to the blocks two chains share.  Nothing on the verdict path
-enumerates paths except `validate`'s coverage check, which lists each
-chain block's entry-leave paths on their own, never a pair's whole path
-set; the literal, enumerating definitions live in the tests as oracles.
+the same reduction finds every one of its blocks LI.  `common_blocks`
+applies the coincident / cycle / other rule to the blocks two chains
+share.  Nothing on the verdict path enumerates paths: `validate` reads
+coverage off the chain blocks and only counts paths, for the 10,000-path
+cap that stays until ROADMAP item 1 moves its pin; the literal,
+enumerating definitions live in the tests as oracles.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
 from ibpcheck.core_graph import (
     EmbeddingStep,
     MultiGraph,
+    _count_simple_paths,
+    _path_bound,
     apply_embedding_step,
     biconnected_blocks,
     connected_components,
@@ -25,8 +28,10 @@ from ibpcheck.topology import common_blocks, decide_ibp_free
 
 from conftest import (
     chain_edges,
+    cycle_graph,
     diamonds_in_series,
     gadget_multigraph,
+    grid_graph,
     random_connected_multigraph,
     series_bundles,
     triangle_two_od,
@@ -160,12 +165,43 @@ def test_validate_agrees_with_the_enumerating_oracle():
     assert capped > 10 and bundled > 5
 
 
+def _k4s_in_series(k, bond=0):
+    """k copies of K4 joined at cut vertices, then a bundle of `bond` parallel
+    edges, one OD pair end to end: 5^k * max(1, bond) paths."""
+    edges = []
+    for i in range(k):
+        quad = [f"j{i}", f"x{i}", f"y{i}", f"j{i + 1}"]
+        edges += [
+            (f"k{i}_{a}{b}", quad[a], quad[b]) for a, b in itertools.combinations(range(4), 2)
+        ]
+    edges += [(f"b{i}", f"j{k}", f"j{k + 1}") for i in range(bond)]
+    vertices = {v for _, u, w in edges for v in (u, w)}
+    return MultiGraph(vertices, edges, [("j0", f"j{k + bool(bond)}")])
+
+
+def _corner_grid(n):
+    return grid_graph(n, n, [("g0_0", f"g{n - 1}_{n - 1}"), (f"g0_{n - 1}", f"g{n - 1}_0")])
+
+
 def test_validate_path_cap_boundary():
     assert validate(series_bundles([10, 10, 10, 10])).ok  # exactly 10,000 paths
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(series_bundles([10, 10, 10, 10, 2]))
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         decide_ibp_free(diamonds_in_series(14))
+    # a degree bound past the cap is only a cue to count: 12^5 bound, 5^5 paths
+    five = _k4s_in_series(5)
+    links = [(o, d, e) for e, o, d in decompose_blocks(five).chain_blocks(0)]
+    assert prod(_path_bound(five, *link) for link in links) == 12**5
+    assert validate(five).ok
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(_k4s_in_series(6))  # 15,625 paths
+    assert validate(_k4s_in_series(4, bond=16)).ok  # exactly 10,000 counted paths
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(_k4s_in_series(4, bond=17))
+    assert validate(_corner_grid(5)).ok  # 8,512 paths per pair
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(_corner_grid(6))
 
 
 # -- path enumeration -----------------------------------------------------------
@@ -230,6 +266,44 @@ def test_enumeration_matches_recursive_oracle_on_random_graphs():
         paths = enumerate_simple_paths(g, s, t, max_paths=100000)
         assert len(paths) == _oracle_count_paths(g, s, t)
         assert len(set(paths)) == len(paths)
+
+
+def test_path_count_and_bound_match_enumeration_on_random_graphs():
+    rng = random.Random(1414)
+    disconnected = restricted = parallel = 0
+    for _ in range(600):
+        g = random_connected_multigraph(rng, max_vertices=8, max_extra=6)
+        if len(g.vertices) < 2:
+            continue
+        s, t = rng.sample(sorted(g.vertices), 2)
+        edges = g.edge_ids
+        if rng.random() < 0.5:
+            edges = frozenset(e for e in sorted(edges) if rng.random() < 0.75)
+            restricted += 1
+        count = _count_simple_paths(g, s, t, edges)
+        assert count == len(enumerate_simple_paths(g, s, t, edges, max_paths=10**6))
+        assert _path_bound(g, s, t, edges) >= count
+        disconnected += count == 0
+        parallel += len({frozenset(g.edge_map[e]) for e in edges}) < len(edges)
+    assert disconnected > 30 and restricted > 250 and parallel > 100
+
+
+def test_path_bound_is_exact_on_bonds_and_cycles():
+    for n in range(1, 6):
+        bond = series_bundles([n])
+        assert _path_bound(bond, "j0", "j1", bond.edge_ids) == n
+        assert _count_simple_paths(bond, "j0", "j1", bond.edge_ids) == n
+    for n in range(3, 8):
+        cycle = cycle_graph(n, [])
+        for k in range(1, n):
+            assert _path_bound(cycle, "c0", f"c{k}", cycle.edge_ids) == 2
+            assert _count_simple_paths(cycle, "c0", f"c{k}", cycle.edge_ids) == 2
+
+
+def test_path_count_on_corner_grids_is_oeis_a007764():
+    for n, expected in zip(range(2, 8), (2, 12, 184, 8512, 1262816, 575780564)):
+        g = grid_graph(n, n, [])
+        assert _count_simple_paths(g, "g0_0", f"g{n - 1}_{n - 1}", g.edge_ids) == expected
 
 
 # -- OD subnetworks --------------------------------------------------------------
