@@ -80,8 +80,8 @@ def cmd_classify(args) -> int:
             f"LI={flags(cls.is_li)} SLI={flags(cls.is_sli)}"
         )
     print("blocks:")
-    for block in report.decomposition.blocks:
-        print(f"  block {block.id}: {', '.join(sorted(block.edges))}")
+    for bid, edges in enumerate(report.decomposition.blocks):
+        print(f"  block {bid}: {', '.join(sorted(edges))}")
     cuts = sorted(report.decomposition.cut_vertices)
     print(f"cut vertices: {', '.join(cuts) if cuts else '(none)'}")
     if report.pairwise:

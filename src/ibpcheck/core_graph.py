@@ -5,19 +5,21 @@ no loops, and a list of origin-destination (OD) terminal pairs.  All values
 are immutable; every operation returns fresh objects, so everything here is
 safe to call from multiple threads.
 
-`decompose_blocks` gives the biconnected blocks of the whole graph and, from
-one walk of its block-cut tree, every OD pair's block chain in linear time
-per pair; the union of a chain's blocks is that pair's OD subnetwork.
-`validate` reads coverage off the same chains without listing a path: an
-edge is covered iff it lies in a chain block.  It still raises past the
-10,000-path cap until ROADMAP item 1 moves the cap's pin; a pair's path
-count is the product of its per-block counts, and a per-block degree bound
-settles most pairs, a frontier DP counting the rest exactly.  The report
-hands the decomposition on to the topology verdict.  Path enumeration is
-exhaustive and capped (default 10,000 paths, past which it raises); it
-serves the solver's path sets, the randomized search, the cycle
-diagnostics and the test oracles, not `validate`, the topology verdict or
-the gadget embedding.
+`decompose_blocks` is the one block-cut walk: it gives the biconnected
+blocks of the whole graph and, from one walk of its block-cut tree, every
+OD pair's block chain in linear time per pair.  A chain is a tuple of
+`ChainLink`s, each carrying its block's id, entry and leave vertices and
+edges; the union of a chain's blocks is that pair's OD subnetwork, and a
+disconnected pair's chain is empty.  `validate` reads coverage off the same
+chains without listing a path: an edge is covered iff it lies in a chain
+block.  It still raises past the 10,000-path cap until ROADMAP item 1
+moves the cap's pin; a pair's path count is the product of its per-block
+counts, and a per-block degree bound settles most pairs, a frontier DP
+counting the rest exactly.  The report hands the decomposition on to the
+topology verdict.  Path enumeration is exhaustive and capped (default
+10,000 paths, past which it raises); it serves the solver's path sets, the
+randomized search, the cycle diagnostics and the test oracles, not
+`validate`, the topology verdict or the gadget embedding.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     EdgeNotFound,
     GraphOperationError,
     InvalidNetwork,
-    NoPath,
     PathCapExceeded,
     TerminalMergeForbidden,
 )
@@ -40,7 +41,6 @@ from .errors import (
 DEFAULT_PATH_CAP = 10_000
 
 Path = tuple[str, ...]  # ordered edge-id sequence
-ChainBlock = tuple[frozenset[str], str, str]  # block edges, entry, leave
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class ValidationReport:
     connected: bool
     uncovered_edges: tuple[str, ...]
     uncovered_vertices: tuple[str, ...]
-    decomposition: Optional[BlockDecomposition] = field(compare=False, repr=False)
+    decomposition: BlockDecomposition = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -199,7 +199,7 @@ def validate(graph: MultiGraph) -> ValidationReport:
     block lies on such a path (a bond's edges are paths themselves, and a
     2-connected block has a simple path through any edge between any two
     distinct vertices), so an edge is covered iff it lies in a chain block.
-    A disconnected pair covers nothing.
+    A disconnected pair's chain is empty and covers nothing.
 
     No path is listed.  Raises PathCapExceeded once a pair has more than
     `DEFAULT_PATH_CAP` simple paths, the product of its per-block counts;
@@ -208,16 +208,12 @@ def validate(graph: MultiGraph) -> ValidationReport:
     it; only otherwise are its blocks' paths counted exactly, by a frontier
     DP, and a bound never stands in for a count.
 
-    The report carries the block decomposition it was read from, or None
-    when some OD pair is disconnected (where `decompose_blocks` raises).
+    The report carries the `decompose_blocks` result it was read from.
     """
-    blocks, cuts, chains = _block_cut_chains(graph)
+    dec = decompose_blocks(graph)
     covered_edges: set[str] = set()
-    for chain in chains:
-        links = [
-            (link.origin, link.destination, blocks[link.block_id].edges)
-            for link in chain or ()
-        ]
+    for chain in dec.chains:
+        links = [(link.origin, link.destination, link.edges) for link in chain]
         for _, _, edges in links:
             covered_edges |= edges
         if prod(_path_bound(graph, *link) for link in links) <= DEFAULT_PATH_CAP:
@@ -233,9 +229,7 @@ def validate(graph: MultiGraph) -> ValidationReport:
         connected=len(connected_components(graph)) <= 1,
         uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
         uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
-        decomposition=(
-            None if None in chains else BlockDecomposition(blocks, cuts, tuple(chains))
-        ),
+        decomposition=dec,
     )
 
 
@@ -397,35 +391,21 @@ def enumerate_simple_paths(
 
 
 @dataclass(frozen=True)
-class Block:
-    id: int
-    edges: frozenset[str]
-
-
-@dataclass(frozen=True)
 class ChainLink:
-    """One block of an OD chain together with its induced terminal pair."""
+    """One block of an OD chain: its id, the vertices where the chain enters
+    and leaves it, and its edges."""
 
     block_id: int
     origin: str
     destination: str
+    edges: frozenset[str]
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: tuple[Block, ...]
+    blocks: tuple[frozenset[str], ...]  # edge sets, indexed by block id
     cut_vertices: frozenset[str]
-    chains: tuple[tuple[ChainLink, ...], ...]  # per OD index
-
-    def block_edges(self, block_id: int) -> frozenset[str]:
-        return self.blocks[block_id].edges
-
-    def chain_blocks(self, i: int) -> tuple[ChainBlock, ...]:
-        """OD i's chain as (block edges, entry, leave) triples."""
-        return tuple(
-            (self.block_edges(link.block_id), link.origin, link.destination)
-            for link in self.chains[i]
-        )
+    chains: tuple[tuple[ChainLink, ...], ...]  # per OD index; () if disconnected
 
 
 def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str]]:
@@ -487,11 +467,16 @@ def biconnected_blocks(graph: MultiGraph) -> tuple[list[frozenset[str]], set[str
     return blocks, cuts
 
 
-def _block_cut_chains(
-    graph: MultiGraph,
-) -> tuple[tuple[Block, ...], frozenset[str], list[Optional[tuple[ChainLink, ...]]]]:
-    """`decompose_blocks`'s blocks, cut vertices and chains, where a
-    disconnected OD pair's chain is None."""
+def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
+    """Biconnected blocks and cut vertices of the graph, and each OD chain.
+
+    OD i's chain lists the blocks on the block-cut-tree path from o to d,
+    each with the vertex where the path enters and leaves it.  In a
+    2-connected block every edge lies on a simple path between any two
+    distinct vertices, so the chain's blocks are exactly the blocks of the
+    o-d subnetwork and their union is every edge on a simple o-d path.  A
+    disconnected pair, an isolated terminal's included, has the empty chain.
+    """
     blocks, cuts = biconnected_blocks(graph)
     # tree nodes: a block is its index, a cut vertex is its name
     tree: dict[object, list] = {v: [] for v in cuts}
@@ -505,7 +490,7 @@ def _block_cut_chains(
             else:
                 home[v] = bi
 
-    chains: list[Optional[tuple[ChainLink, ...]]] = []
+    chains: list[tuple[ChainLink, ...]] = []
     for o, d in graph.od_pairs:
         src = o if o in cuts else home.get(o)
         dst = d if d in cuts else home.get(d)
@@ -518,7 +503,7 @@ def _block_cut_chains(
                     prev[nxt] = cur
                     queue.append(nxt)
         if dst is None or dst not in prev:
-            chains.append(None)
+            chains.append(())
             continue
         nodes = [dst]
         while prev[nodes[-1]] is not None:
@@ -529,27 +514,10 @@ def _block_cut_chains(
         for k, node in enumerate(nodes):
             if isinstance(node, int):
                 leave = nodes[k + 1] if k + 1 < len(nodes) else d
-                chain.append(ChainLink(node, entry, leave))
+                chain.append(ChainLink(node, entry, leave, blocks[node]))
                 entry = leave
         chains.append(tuple(chain))
-    return tuple(Block(i, bl) for i, bl in enumerate(blocks)), frozenset(cuts), chains
-
-
-def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
-    """Biconnected blocks and cut vertices of the graph, and each OD chain.
-
-    OD i's chain lists the blocks on the block-cut-tree path from o to d,
-    each with the vertex where the path enters and leaves it.  In a
-    2-connected block every edge lies on a simple path between any two
-    distinct vertices, so the chain's blocks are exactly the blocks of the
-    o-d subnetwork and their union is every edge on a simple o-d path.
-    Raises NoPath when a pair is disconnected.
-    """
-    blocks, cuts, chains = _block_cut_chains(graph)
-    for (o, d), chain in zip(graph.od_pairs, chains):
-        if chain is None:
-            raise NoPath(f"terminals {o!r} and {d!r} are disconnected")
-    return BlockDecomposition(blocks, cuts, tuple(chains))
+    return BlockDecomposition(tuple(blocks), frozenset(cuts), tuple(chains))
 
 
 # -- minor operations ------------------------------------------------------------

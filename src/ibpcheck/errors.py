@@ -15,10 +15,6 @@ class EdgeNotFound(IbpcheckError, KeyError):
     """An operation referenced an edge id that is not in the graph."""
 
 
-class NoPath(IbpcheckError):
-    """No simple path exists between the requested terminals."""
-
-
 class PathCapExceeded(IbpcheckError):
     """Simple-path enumeration hit the configured cap.
 

@@ -396,76 +396,66 @@ def find_gadget_embedding(block: MultiGraph) -> list[EmbeddingStep]:
 
 def _lift_block_instance(
     block_graph: MultiGraph, steps: Sequence[EmbeddingStep]
-) -> Optional[IBPInstance]:
-    for variant in GadgetVariant:
-        try:
-            return lift_instance(block_graph, steps, gadget_instance(variant))
-        except StepsDoNotReproduceSource:
-            continue
-    return None
+) -> IBPInstance:
+    """Lift the gadget with OD 2 at OD 1's origin, else at its destination."""
+    try:
+        return lift_instance(block_graph, steps, gadget_instance())
+    except StepsDoNotReproduceSource:
+        return lift_instance(
+            block_graph, steps, gadget_instance(GadgetVariant.ORIGIN2_AT_DESTINATION1)
+        )
 
 
 def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     """Build a concrete paradox instance on a network that is not IBP-free.
 
-    Works through a common block of two OD chains that is neither coincident
-    nor a cycle: embed the gadget there, lift its instance to the block, then
-    to the whole graph (zero latencies off the block, full information on the
-    other chain blocks).  The result is verified by solving both games.
+    Works through the first common block of two OD chains that is neither
+    coincident nor a cycle, in pair order and then block-id order: embed the
+    gadget there, lift its instance to the block, then to the whole graph
+    (zero latencies off the block, full information on the other chain
+    blocks).  The result is verified by solving both games.
     """
     report = decide_ibp_free(g)
     if report.verdict == IBP_FREE:
         raise PreconditionViolated("network is IBP-free; no witness exists")
     dec = report.decomposition
 
-    candidates = (
-        (i, j, v)
-        for i, j in itertools.combinations(range(len(g.od_pairs)), 2)
-        for v in sorted(common_blocks(g, dec, i, j).verdicts, key=lambda v: v.block_id)
-        if v.kind == OTHER
+    site = next(
+        (
+            (i, j, v)
+            for i, j in itertools.combinations(range(len(g.od_pairs)), 2)
+            for v in sorted(common_blocks(g, dec, i, j).verdicts, key=lambda v: v.block_id)
+            if v.kind == OTHER
+        ),
+        None,
     )
-    for i, j, v in candidates:
-        bid = v.block_id
-        block_edges = dec.block_edges(bid)
-        block_graph = g.induced(block_edges, [v.terminal_set_in_i, v.terminal_set_in_j])
-        try:
-            steps = find_gadget_embedding(block_graph)
-        except (IsCycleError, PreconditionViolated):
-            continue
-        block_instance = _lift_block_instance(block_graph, steps)
-        if block_instance is None:
-            continue
-
-        latencies = {}
-        for eid in g.edge_ids:
-            if eid in block_edges:
-                latencies[eid] = block_instance.game.latencies[eid]
-            else:
-                latencies[eid] = LatencyFunction.zero()
-        block_od_to_global = {0: i, 1: j}
-        types = []
-        for t in block_instance.game.types:
-            g_od = block_od_to_global[t.od_index]
-            other_edges: set[str] = set()
-            for link in dec.chains[g_od]:
-                if link.block_id != bid:
-                    other_edges |= dec.block_edges(link.block_id)
-            types.append(TravelerType(t.rate, g_od, t.info_set | other_edges))
-        witness = IBPInstance(
-            game=RoutingGame(g, latencies, types),
-            extension=block_instance.extension,
+    if site is None:
+        raise UnsupportedFailureSite(
+            "witness synthesis needs a non-cycle non-coincident common block; "
+            "single-OD (SLI-condition) failures are out of scope"
         )
-        verdict = check_ibp(witness)
-        if not verdict.occurs:
-            raise WitnessVerificationFailed(
-                f"constructed witness has margin {verdict.margin}, expected > "
-                f"{DEFAULT_DECISION_THRESHOLD}"
-            )
-        return witness
-    raise UnsupportedFailureSite(
-        "witness synthesis needs a non-cycle non-coincident common block; "
-        "single-OD (SLI-condition) failures are out of scope"
+    i, j, v = site
+    block_graph = g.induced(dec.blocks[v.block_id], [v.terminal_set_in_i, v.terminal_set_in_j])
+    block_instance = _lift_block_instance(block_graph, find_gadget_embedding(block_graph))
+
+    zero = LatencyFunction.zero()
+    latencies = {eid: block_instance.game.latencies.get(eid, zero) for eid in g.edge_ids}
+    types = []
+    for t in block_instance.game.types:
+        g_od = (i, j)[t.od_index]
+        other = (link.edges for link in dec.chains[g_od] if link.block_id != v.block_id)
+        types.append(TravelerType(t.rate, g_od, t.info_set.union(*other)))
+    witness = IBPInstance(
+        game=RoutingGame(g, latencies, types),
+        extension=block_instance.extension,
     )
+    verdict = check_ibp(witness)
+    if not verdict.occurs:
+        raise WitnessVerificationFailed(
+            f"constructed witness has margin {verdict.margin}, expected > "
+            f"{DEFAULT_DECISION_THRESHOLD}"
+        )
+    return witness
 
 
 # -- randomized search -----------------------------------------------------------------

@@ -7,16 +7,17 @@ renders that verdict, with the site of the failing condition, and its
 `TopologyReport` carries every per-OD class and pairwise entry.
 
 The verdict reads everything off one block decomposition of the whole
-graph, the one `validate` read its coverage check from: each OD chain is
-its list of blocks.  One terminal-aware series/parallel reduction over the
-chain's union decides SP and, by carrying LI and single-path flags through
-its merges, the recursive LI definition; a chain that is not LI is SLI iff
-the same reduction finds every one of its blocks LI.  `common_blocks`
-applies the coincident / cycle / other rule to the blocks two chains
-share.  Nothing on the verdict path enumerates paths: `validate` reads
-coverage off the chain blocks and only counts paths, for the 10,000-path
-cap that stays until ROADMAP item 1 moves its pin; the literal,
-enumerating definitions live in the tests as oracles.
+graph, the `decompose_blocks` walk `validate` read its coverage check from:
+each OD chain is its tuple of `ChainLink`s, and every step below reads a
+link's block edges, entry and leave.  One terminal-aware series/parallel
+reduction over the chain's union decides SP and, by carrying LI and
+single-path flags through its merges, the recursive LI definition; a chain
+that is not LI is SLI iff the same reduction finds every one of its blocks
+LI.  `common_blocks` applies the coincident / cycle / other rule to the
+blocks two chains share.  Nothing on the verdict path enumerates paths:
+`validate` reads coverage off the chain blocks and only counts paths, for
+the 10,000-path cap that stays until ROADMAP item 1 moves its pin; the
+literal, enumerating definitions live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core_graph import (
-    BlockDecomposition,
-    ChainBlock,
-    MultiGraph,
-    is_cycle,
-    validate,
-)
+from .core_graph import BlockDecomposition, ChainLink, MultiGraph, is_cycle, validate
 from .errors import InvalidNetwork
 
 IBP_FREE = "ibp-free"
@@ -68,8 +63,11 @@ class CommonBlockVerdict:
 
 @dataclass(frozen=True)
 class PairwiseEntry:
-    disjoint: bool
     verdicts: tuple[CommonBlockVerdict, ...]
+
+    @property
+    def disjoint(self) -> bool:
+        return not self.verdicts
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,13 @@ def _sp_reduce(
 
 
 def _classify_chain(
-    graph: MultiGraph, chain: Sequence[ChainBlock], o: str, d: str
+    graph: MultiGraph, chain: Sequence[ChainLink], o: str, d: str
 ) -> SingleOdClass:
     """SP and LI from one reduction over the chain's union; SLI asks each block."""
-    union = frozenset().union(*(edges for edges, _, _ in chain))
+    union = frozenset().union(*(link.edges for link in chain))
     sp, li = _sp_reduce(graph, union, o, d)
-    sli = li or (sp and all(_sp_reduce(graph, *block)[1] for block in chain))
+    blocks_li = (_sp_reduce(graph, b.edges, b.origin, b.destination)[1] for b in chain)
+    sli = li or (sp and all(blocks_li))
     return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)
 
 
@@ -171,14 +170,13 @@ def common_blocks(
     """
     in_j = {link.block_id: link for link in dec.chains[j]}
     verdicts = []
-    by_edges = lambda link: sorted(dec.block_edges(link.block_id))
-    for li in sorted(dec.chains[i], key=by_edges):
+    for li in sorted(dec.chains[i], key=lambda link: sorted(link.edges)):
         lj = in_j.get(li.block_id)
         if lj is None:
             continue
         if {li.origin, li.destination} == {lj.origin, lj.destination}:
             kind = COINCIDENT
-        elif is_cycle(g, dec.block_edges(li.block_id)):
+        elif is_cycle(g, li.edges):
             kind = CYCLE
         else:
             kind = OTHER
@@ -190,7 +188,7 @@ def common_blocks(
                 terminal_set_in_j=(lj.origin, lj.destination),
             )
         )
-    return PairwiseEntry(disjoint=not verdicts, verdicts=tuple(verdicts))
+    return PairwiseEntry(tuple(verdicts))
 
 
 def decide_ibp_free(g: MultiGraph) -> TopologyReport:
@@ -211,7 +209,7 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
 
     dec = report.decomposition  # validation ran the block walk already
     per_od = tuple(
-        _classify_chain(g, dec.chain_blocks(i), o, d)
+        _classify_chain(g, dec.chains[i], o, d)
         for i, (o, d) in enumerate(g.od_pairs)
     )
     failure: Optional[FailureSite] = None

@@ -193,7 +193,7 @@ def random_connected_multigraph(rng: random.Random, max_vertices=7, max_extra=4)
 
 def chain_edges(graph: MultiGraph, i=0) -> frozenset:
     """Edges of OD i's block chain: every edge on a simple o_i-d_i path."""
-    return frozenset().union(*(edges for edges, _, _ in decompose_blocks(graph).chain_blocks(i)))
+    return frozenset().union(*(link.edges for link in decompose_blocks(graph).chains[i]))
 
 
 def random_single_od_subnetwork(rng: random.Random, max_vertices=7):

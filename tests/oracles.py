@@ -73,7 +73,7 @@ def validate_by_enumeration(graph: MultiGraph) -> ValidationReport:
     """Coverage from every OD pair's whole simple-path set, under the default cap.
 
     Raises PathCapExceeded when some pair has more than 10,000 simple paths.
-    The report carries no block decomposition.
+    The report carries no block decomposition: reports compare without it.
     """
     covered_edges: set[str] = set()
     for o, d in graph.od_pairs:
@@ -129,7 +129,7 @@ def block_local_game(
     and information set induced by the block; all other types ride along as
     rate-0 dummies so type indices stay aligned with the parent game.
     """
-    edges = decomposition.block_edges(block_id)
+    edges = decomposition.blocks[block_id]
     local_pairs: list[tuple[str, str]] = []
     od_to_local: dict[int, int] = {}
     for od_index, chain in enumerate(decomposition.chains):
@@ -169,8 +169,8 @@ def check_series_decomposition(
     subnetwork is then its block chain connected in series.
     """
     sums = [0.0] * len(game.types)
-    for block in decomposition.blocks:
-        local = block_local_game(game, block.id, decomposition)
+    for block_id in range(len(decomposition.blocks)):
+        local = block_local_game(game, block_id, decomposition)
         local_result = solve_icwe(local)
         for j in range(len(game.types)):
             sums[j] += local_result.type_latencies[j]

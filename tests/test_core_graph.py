@@ -20,7 +20,6 @@ from ibpcheck.core_graph import (
 from ibpcheck.errors import (
     GraphOperationError,
     InvalidNetwork,
-    NoPath,
     PathCapExceeded,
     TerminalMergeForbidden,
 )
@@ -153,10 +152,14 @@ def test_validate_agrees_with_the_enumerating_oracle():
             continue
         report = validate(g)
         assert report == expected
-        try:
-            assert report.decomposition == decompose_blocks(g)
-        except NoPath:
-            assert report.decomposition is None
+        dec = decompose_blocks(g)
+        assert report.decomposition == dec
+        components = connected_components(g)
+        for (o, d), chain in zip(g.od_pairs, dec.chains):
+            joined = any(o in comp and d in comp for comp in components)
+            assert (chain != ()) == joined  # a disconnected pair's chain is empty
+            for link in chain:
+                assert link.edges == dec.blocks[link.block_id]
         disconnected += not report.connected
         isolated_terminals += any(not g.adjacency[v] for v in g.terminals)
         uncovered += bool(report.uncovered_edges)
@@ -191,7 +194,8 @@ def test_validate_path_cap_boundary():
         decide_ibp_free(diamonds_in_series(14))
     # a degree bound past the cap is only a cue to count: 12^5 bound, 5^5 paths
     five = _k4s_in_series(5)
-    links = [(o, d, e) for e, o, d in decompose_blocks(five).chain_blocks(0)]
+    chain = decompose_blocks(five).chains[0]
+    links = [(link.origin, link.destination, link.edges) for link in chain]
     assert prod(_path_bound(five, *link) for link in links) == 12**5
     assert validate(five).ok
     with pytest.raises(PathCapExceeded, match="more than 10000"):
@@ -382,11 +386,12 @@ def test_chains_match_enumerated_subnetworks_on_random_graphs():
             paths = enumerate_simple_paths(g, o, d, max_paths=100000)
             on_paths.append({eid for p in paths for eid in p})
             assert chain_edges(g, i) == on_paths[i]
-            assert list(dec.chain_blocks(i)) == _chain_by_enumeration(g, o, d)
+            chain = [(link.edges, link.origin, link.destination) for link in dec.chains[i]]
+            assert chain == _chain_by_enumeration(g, o, d)
         # two OD subnetworks intersect exactly in the union of their common blocks
         for i, j in itertools.combinations(range(len(pairs)), 2):
             entry = common_blocks(g, dec, i, j)
-            shared = {eid for v in entry.verdicts for eid in dec.block_edges(v.block_id)}
+            shared = {eid for v in entry.verdicts for eid in dec.blocks[v.block_id]}
             assert on_paths[i] & on_paths[j] == shared
             assert entry.disjoint == (not shared)
 
@@ -446,7 +451,7 @@ def test_four_block_chain_order_and_terminals():
         frozenset({"s1"}),
         frozenset({"u1", "u2", "u3"}),
     ]
-    assert [dec.block_edges(link.block_id) for link in chain] == expected
+    assert [link.edges for link in chain] == expected
 
 
 def test_blocks_partition_edges_on_random_graphs():

@@ -984,8 +984,8 @@ def _two_pigou_chain():
 def test_block_local_rates_follow_the_chain_rule():
     game = _two_pigou_chain()
     dec = decompose_blocks(game.graph)
-    for block in dec.blocks:
-        local = block_local_game(game, block.id, dec)
+    for block_id in range(len(dec.blocks)):
+        local = block_local_game(game, block_id, dec)
         assert local.types[0].rate == 1.0  # the type crosses both blocks
 
 
@@ -1002,7 +1002,7 @@ def test_type_confined_to_one_block_is_dummy_elsewhere():
         [TravelerType(1.0, 0, g.edge_ids), TravelerType(2.0, 1, {"a1", "a2"})],
     )
     dec = decompose_blocks(g)
-    blocks_by_edges = {dec.block_edges(b.id): b.id for b in dec.blocks}
+    blocks_by_edges = {edges: block_id for block_id, edges in enumerate(dec.blocks)}
     right = blocks_by_edges[frozenset({"b1", "b2"})]
     local = block_local_game(game, right, dec)
     assert local.types[1].rate == 0.0

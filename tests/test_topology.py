@@ -127,9 +127,9 @@ def test_series_of_parallel_pairs_is_sli_but_not_li():
     g = two_parallel_pairs_in_series()
     report = decide_ibp_free(g)
     assert report.per_od[0].is_sli and not report.per_od[0].is_li
-    chain = report.decomposition.chain_blocks(0)
+    chain = report.decomposition.chains[0]
     assert len(chain) == 2
-    assert all(is_linearly_independent(g, *block) for block in chain)
+    assert all(is_linearly_independent(g, b.edges, b.origin, b.destination) for b in chain)
 
 
 def test_parallel_doubling_is_sp_but_not_sli():
@@ -160,8 +160,10 @@ def test_class_containment_and_recognizer_agreement():
         o, d = net.od_pairs[0]
         assert cls.is_sp == is_series_parallel_by_definition(net, None, o, d)
         assert cls.is_li == is_linearly_independent(net, None, o, d)
-        chain = report.decomposition.chain_blocks(0)
-        assert cls.is_sli == all(is_linearly_independent(net, *b) for b in chain)
+        chain = report.decomposition.chains[0]
+        assert cls.is_sli == all(
+            is_linearly_independent(net, b.edges, b.origin, b.destination) for b in chain
+        )
         if cls.is_li:
             assert cls.is_sli
         if cls.is_sli:
@@ -196,7 +198,7 @@ def test_triangle_two_od_is_one_cycle_common_block():
     assert entry.verdicts[0].kind == CYCLE
     # the two subnetworks intersect exactly in the union of the common blocks
     shared = chain_edges(g, 0) & chain_edges(g, 1)
-    assert shared == decompose_blocks(g).block_edges(entry.verdicts[0].block_id)
+    assert shared == decompose_blocks(g).blocks[entry.verdicts[0].block_id]
 
 
 def test_coincident_middle_block():
@@ -337,7 +339,7 @@ def test_decide_ibp_free_builds_one_block_decomposition(monkeypatch):
 
 
 def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
-    with pytest.raises(InvalidNetwork) as raised:  # a NoPath would escape this
+    with pytest.raises(InvalidNetwork) as raised:  # validate flags the empty chain
         decide_ibp_free(second_od_pair_disconnected())
     assert str(raised.value) == (
         "graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
@@ -365,7 +367,10 @@ def test_one_pass_verdict_agrees_with_per_subnetwork_route():
             edges = chain_edges(g, i)
             assert cls.is_sp == is_series_parallel_by_definition(g, edges, o, d)
             assert cls.is_li == is_linearly_independent(g, edges, o, d)
-            sli = all(is_linearly_independent(g, *b) for b in dec.chain_blocks(i))
+            sli = all(
+                is_linearly_independent(g, b.edges, b.origin, b.destination)
+                for b in dec.chains[i]
+            )
             assert cls.is_sli == sli
             non_sp += not cls.is_sp
         entries = dict(report.pairwise)
