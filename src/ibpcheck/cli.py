@@ -15,6 +15,7 @@ replaced on the module after that first call is the one that runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -46,7 +47,7 @@ from .paradox import (
     random_search_ibp,
     synthesize_ibp_witness,
 )
-from .topology import IBP_FREE, decide_ibp_free
+from .topology import IBP_FREE, common_blocks, decide_ibp_free
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -84,13 +85,14 @@ def cmd_classify(args) -> int:
         print(f"  block {bid}: {', '.join(sorted(edges))}")
     cuts = sorted(report.decomposition.cut_vertices)
     print(f"cut vertices: {', '.join(cuts) if cuts else '(none)'}")
-    if report.pairwise:
+    sli = [i for i, cls in enumerate(report.per_od) if cls.is_sli]
+    if len(sli) > 1:
+        table = common_blocks(g, report.decomposition)
         print("common blocks:")
-        for (i, j), entry in report.pairwise:
-            if entry.disjoint:
+        for i, j in itertools.combinations(sli, 2):
+            if (i, j) not in table:
                 print(f"  OD pair ({i}, {j}): disjoint")
-                continue
-            for v in entry.verdicts:
+            for v in table.get((i, j), ()):
                 ti = ",".join(sorted(v.terminal_set_in_i))
                 tj = ",".join(sorted(v.terminal_set_in_j))
                 print(

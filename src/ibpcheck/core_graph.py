@@ -123,19 +123,6 @@ class MultiGraph:
     def terminals(self) -> frozenset[str]:
         return frozenset(v for pair in self.od_pairs for v in pair)
 
-    def path_vertices(self, path: Path, start: str) -> tuple[str, ...]:
-        """Vertex sequence of an edge path beginning at `start`."""
-        seq = [start]
-        for eid in path:
-            u, v = self.endpoints(eid)
-            if seq[-1] == u:
-                seq.append(v)
-            elif seq[-1] == v:
-                seq.append(u)
-            else:
-                raise ValueError(f"edge {eid!r} does not continue the path")
-        return tuple(seq)
-
     def induced(
         self, edge_subset: Iterable[str], od_pairs: Iterable[Sequence[str]]
     ) -> "MultiGraph":
@@ -354,9 +341,11 @@ def enumerate_simple_paths(
     """All simple s-t paths as edge-id sequences, lexicographically ordered.
 
     `allowed_edges` restricts the usable edge set (information sets, blocks).
-    Raises PathCapExceeded once more than `max_paths` paths are found.  It
-    serves the solver's path sets, the randomized search, the diagnostics
-    and the test oracles; `validate` counts paths and never lists them.
+    Raises PathCapExceeded once more than `max_paths` paths are found.  The
+    depth-first walk keeps its own stack, as `biconnected_blocks` does, so
+    a long path is not bounded by the recursion limit.  It serves the
+    solver's path sets, the randomized search, the diagnostics and the test
+    oracles; `validate` counts paths and never lists them.
     """
     if s == t:
         raise ValueError("path enumeration requires distinct endpoints")
@@ -364,26 +353,31 @@ def enumerate_simple_paths(
     if s not in graph.adjacency or t not in graph.adjacency:
         return ()
 
+    adjacency = graph.adjacency  # sorted by edge id -> lex order
     paths: list[Path] = []
-    path: list[str] = []
+    path: list[str] = []  # edges from s to the top vertex of the stack
+    on_path = [s]
     visited = {s}
-
-    def walk(v: str) -> None:
-        for eid, other in graph.adjacency[v]:  # sorted by edge id -> lex order
+    stack = [iter(adjacency[s])]
+    while stack:
+        for eid, other in stack[-1]:
             if eid not in allowed or other in visited:
                 continue
-            path.append(eid)
             if other == t:
                 if len(paths) >= max_paths:
                     raise PathCapExceeded(max_paths)
-                paths.append(tuple(path))
+                paths.append((*path, eid))
             else:
+                path.append(eid)
+                on_path.append(other)
                 visited.add(other)
-                walk(other)
-                visited.remove(other)
-            path.pop()
-
-    walk(s)
+                stack.append(iter(adjacency[other]))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+                visited.remove(on_path.pop())
     return tuple(paths)
 
 

@@ -420,21 +420,18 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
         raise PreconditionViolated("network is IBP-free; no witness exists")
     dec = report.decomposition
 
-    site = next(
-        (
-            (i, j, v)
-            for i, j in itertools.combinations(range(len(g.od_pairs)), 2)
-            for v in sorted(common_blocks(g, dec, i, j).verdicts, key=lambda v: v.block_id)
-            if v.kind == OTHER
-        ),
-        None,
-    )
-    if site is None:
+    others = [
+        (pair, v)
+        for pair, verdicts in common_blocks(g, dec).items()
+        for v in verdicts
+        if v.kind == OTHER
+    ]
+    if not others:
         raise UnsupportedFailureSite(
             "witness synthesis needs a non-cycle non-coincident common block; "
             "single-OD (SLI-condition) failures are out of scope"
         )
-    i, j, v = site
+    (i, j), v = min(others, key=lambda site: (site[0], site[1].block_id))
     block_graph = g.induced(dec.blocks[v.block_id], [v.terminal_set_in_i, v.terminal_set_in_j])
     block_instance = _lift_block_instance(block_graph, find_gadget_embedding(block_graph))
 
@@ -463,11 +460,17 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    witness: Optional[IBPInstance]
-    witness_trial: Optional[int]
     trials_run: int
     transcript: tuple[str, ...]
-    hits: tuple[tuple[int, IBPInstance], ...] = ()
+    hits: tuple[tuple[int, IBPInstance], ...] = ()  # (trial, instance), by trial
+
+    @property
+    def witness(self) -> Optional[IBPInstance]:
+        return self.hits[0][1] if self.hits else None
+
+    @property
+    def witness_trial(self) -> Optional[int]:
+        return self.hits[0][0] if self.hits else None
 
 
 def random_search_ibp(
@@ -554,8 +557,6 @@ def random_search_ibp(
             if stop_at_first:
                 break
     return SearchOutcome(
-        witness=hits[0][1] if hits else None,
-        witness_trial=hits[0][0] if hits else None,
         trials_run=ran,
         transcript=tuple(transcript),
         hits=tuple(hits),

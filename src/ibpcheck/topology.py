@@ -4,20 +4,20 @@ A multi-OD network is immune to the informational Braess' paradox exactly
 when every OD subnetwork is SLI and every block shared by two subnetworks is
 either coincident (same terminal set in both) or a cycle.  `decide_ibp_free`
 renders that verdict, with the site of the failing condition, and its
-`TopologyReport` carries every per-OD class and pairwise entry.
+`TopologyReport` carries every per-OD class.
 
 The verdict reads everything off one block decomposition of the whole
 graph, the `decompose_blocks` walk `validate` read its coverage check from:
-each OD chain is its tuple of `ChainLink`s, and every step below reads a
-link's block edges, entry and leave.  One terminal-aware series/parallel
-reduction over the chain's union decides SP and, by carrying LI and
-single-path flags through its merges, the recursive LI definition; a chain
-that is not LI is SLI iff the same reduction finds every one of its blocks
-LI.  `common_blocks` applies the coincident / cycle / other rule to the
-blocks two chains share.  Nothing on the verdict path enumerates paths:
-`validate` reads coverage off the chain blocks and only counts paths, for
-the 10,000-path cap that stays until ROADMAP item 1 moves its pin; the
-literal, enumerating definitions live in the tests as oracles.
+each OD chain is its tuple of `ChainLink`s, a series of blocks.  One
+terminal-aware series/parallel reduction per link decides the block's SP
+and, by carrying LI and single-path flags through its merges, the recursive
+LI definition; the chain's classes are a fold over its links.
+`common_blocks` groups the links of all chains by block and applies the
+coincident / cycle / other rule once per shared block, giving the table of
+every pair of chains that meet.  Nothing on the verdict path enumerates
+paths: `validate` reads coverage off the chain blocks and only counts
+paths, for the 10,000-path cap that stays until ROADMAP item 1 moves its
+pin; the literal, enumerating definitions live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class CommonBlockVerdict:
 
 
 @dataclass(frozen=True)
-class PairwiseEntry:
-    verdicts: tuple[CommonBlockVerdict, ...]
-
-    @property
-    def disjoint(self) -> bool:
-        return not self.verdicts
-
-
-@dataclass(frozen=True)
 class FailureSite:
     condition: str  # "sli" | "common-block"
     od_index: Optional[int] = None
@@ -89,11 +80,10 @@ class FailureSite:
 
 @dataclass(frozen=True)
 class TopologyReport:
-    """The topology API: `per_od[i]` holds OD i's classes, `pairwise` the
-    common-block entry of every pair of SLI subnetworks in index order."""
+    """The topology API: `per_od[i]` holds OD i's classes; the common-block
+    table is `common_blocks(graph, decomposition)`."""
 
     per_od: tuple[SingleOdClass, ...]
-    pairwise: tuple[tuple[tuple[int, int], PairwiseEntry], ...]
     decomposition: BlockDecomposition
     verdict: str  # IBP_FREE | NOT_IBP_FREE
     failure_site: Optional[FailureSite]
@@ -145,58 +135,70 @@ def _sp_reduce(
     return sp, sp and flags[frozenset((s, t))][0]
 
 
-def _classify_chain(
-    graph: MultiGraph, chain: Sequence[ChainLink], o: str, d: str
-) -> SingleOdClass:
-    """SP and LI from one reduction over the chain's union; SLI asks each block."""
-    union = frozenset().union(*(link.edges for link in chain))
-    sp, li = _sp_reduce(graph, union, o, d)
-    blocks_li = (_sp_reduce(graph, b.edges, b.origin, b.destination)[1] for b in chain)
-    sli = li or (sp and all(blocks_li))
-    return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)
+def _classify_chain(graph: MultiGraph, chain: Sequence[ChainLink]) -> SingleOdClass:
+    """Fold the per-block reductions over the chain, a series of blocks.
+
+    The series is SP iff every block is, SLI iff every block is LI, and LI
+    iff it is SLI with at most one block that is not a single edge: a
+    block of two or more edges is 2-connected, so never a single path.
+    """
+    blocks = [_sp_reduce(graph, link.edges, link.origin, link.destination) for link in chain]
+    sli = all(li for _, li in blocks)
+    return SingleOdClass(
+        is_sp=all(sp for sp, _ in blocks),
+        is_li=sli and sum(len(link.edges) > 1 for link in chain) <= 1,
+        is_sli=sli,
+    )
 
 
 # -- common blocks across OD pairs ---------------------------------------------------
 
 
 def common_blocks(
-    g: MultiGraph, dec: BlockDecomposition, i: int, j: int
-) -> PairwiseEntry:
-    """Classify each block shared by OD chains i and j of `dec`.
+    g: MultiGraph, dec: BlockDecomposition
+) -> dict[tuple[int, int], tuple[CommonBlockVerdict, ...]]:
+    """Classify every block that two OD chains of `dec` share, in one pass.
 
-    A shared block is coincident when its terminal sets in the two chains
-    are equal (order ignored), else a cycle or other.  Blocks partition the
-    edges, so the two OD subnetworks meet exactly in their shared blocks.
+    Maps each pair (i, j), i < j, whose chains share a block to its
+    verdicts; pairs come in index order and each pair's verdicts in the
+    order of the blocks' sorted edge lists.  A shared block is coincident
+    when its terminal sets in the two chains are equal (order ignored),
+    else a cycle or other; `is_cycle` runs at most once per block.  Blocks
+    partition the edges, so two OD subnetworks meet exactly in their shared
+    blocks, and a pair that is absent is disjoint.
     """
-    in_j = {link.block_id: link for link in dec.chains[j]}
-    verdicts = []
-    for li in sorted(dec.chains[i], key=lambda link: sorted(link.edges)):
-        lj = in_j.get(li.block_id)
-        if lj is None:
-            continue
-        if {li.origin, li.destination} == {lj.origin, lj.destination}:
-            kind = COINCIDENT
-        elif is_cycle(g, li.edges):
-            kind = CYCLE
-        else:
-            kind = OTHER
-        verdicts.append(
-            CommonBlockVerdict(
-                block_id=li.block_id,
-                kind=kind,
-                terminal_set_in_i=(li.origin, li.destination),
-                terminal_set_in_j=(lj.origin, lj.destination),
+    crossing: dict[int, list[tuple[int, ChainLink]]] = {}
+    for i, chain in enumerate(dec.chains):
+        for link in chain:
+            crossing.setdefault(link.block_id, []).append((i, link))
+    table: dict[tuple[int, int], list[CommonBlockVerdict]] = {}
+    for bid in sorted(crossing, key=lambda b: sorted(dec.blocks[b])):
+        cycle = None
+        for (i, li), (j, lj) in itertools.combinations(crossing[bid], 2):
+            if {li.origin, li.destination} == {lj.origin, lj.destination}:
+                kind = COINCIDENT
+            else:
+                if cycle is None:
+                    cycle = is_cycle(g, dec.blocks[bid])
+                kind = CYCLE if cycle else OTHER
+            table.setdefault((i, j), []).append(
+                CommonBlockVerdict(
+                    block_id=bid,
+                    kind=kind,
+                    terminal_set_in_i=(li.origin, li.destination),
+                    terminal_set_in_j=(lj.origin, lj.destination),
+                )
             )
-        )
-    return PairwiseEntry(tuple(verdicts))
+    return {pair: tuple(table[pair]) for pair in sorted(table)}
 
 
 def decide_ibp_free(g: MultiGraph) -> TopologyReport:
     """Full verdict: SLI condition plus the coincident-or-cycle block condition.
 
     The conditions are conjunctive, so the failure site is the first one
-    found; pairwise entries are still produced for every pair whose two
-    subnetworks are SLI.
+    found: the least OD index whose chain is not SLI, else the first other
+    entry of the `common_blocks` table, which is only built once every
+    chain is SLI.
     """
     report = validate(g)
     if not report.ok:
@@ -208,31 +210,23 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
         )
 
     dec = report.decomposition  # validation ran the block walk already
-    per_od = tuple(
-        _classify_chain(g, dec.chains[i], o, d)
-        for i, (o, d) in enumerate(g.od_pairs)
+    per_od = tuple(_classify_chain(g, chain) for chain in dec.chains)
+    failure = next(
+        (FailureSite(condition="sli", od_index=i) for i, c in enumerate(per_od) if not c.is_sli),
+        None,
     )
-    failure: Optional[FailureSite] = None
-    for i, cls in enumerate(per_od):
-        if not cls.is_sli:
-            failure = FailureSite(condition="sli", od_index=i)
-            break
-
-    pairwise = []
-    for i, j in itertools.combinations(range(len(g.od_pairs)), 2):
-        if not (per_od[i].is_sli and per_od[j].is_sli):
-            continue
-        entry = common_blocks(g, dec, i, j)
-        pairwise.append(((i, j), entry))
-        bad = next((v for v in entry.verdicts if v.kind == OTHER), None)
-        if failure is None and bad is not None:
-            failure = FailureSite(
-                condition="common-block", od_pair_indices=(i, j), block_id=bad.block_id
-            )
-
+    if failure is None:
+        failure = next(
+            (
+                FailureSite(condition="common-block", od_pair_indices=pair, block_id=v.block_id)
+                for pair, verdicts in common_blocks(g, dec).items()
+                for v in verdicts
+                if v.kind == OTHER
+            ),
+            None,
+        )
     return TopologyReport(
         per_od=per_od,
-        pairwise=tuple(pairwise),
         decomposition=dec,
         verdict=NOT_IBP_FREE if failure else IBP_FREE,
         failure_site=failure,

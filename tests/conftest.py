@@ -252,6 +252,15 @@ def pigou_game():
     return RoutingGame(graph, latencies, [TravelerType(1.0, 0, {"fast", "flat"})])
 
 
+def long_path_game(n_edges):
+    """One type of rate 2 along a single path of affine edges 1 + x."""
+    vs = [f"v{i}" for i in range(n_edges + 1)]
+    edges = [(f"e{i:04d}", vs[i], vs[i + 1]) for i in range(n_edges)]
+    graph = MultiGraph(vs, edges, [(vs[0], vs[-1])])
+    latencies = {eid: LatencyFunction((1.0, 1.0)) for eid, _, _ in edges}
+    return RoutingGame(graph, latencies, [TravelerType(2.0, 0, graph.edge_ids)])
+
+
 def random_affine_game(rng: random.Random, max_total_paths=12, max_types=3):
     """Small random affine game; every positive-rate type has a feasible path."""
     while True:

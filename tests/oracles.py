@@ -1,10 +1,12 @@
 """Reference implementations, straight from the definitions, for the tests.
 
-The single-OD classes are read off one series/parallel reduction in
-`ibpcheck.topology`, and `validate` reads coverage block by block along the
-OD chains; the functions here evaluate the literal definitions by
+The single-OD classes are a fold of per-block series/parallel reductions
+in `ibpcheck.topology`, and `validate` reads coverage block by block along
+the OD chains; the functions here evaluate the literal definitions by
 enumerating every o-d path instead, so they are exponential in the path
-count.  The block-local games and the series-decomposition check restate
+count.  The verdict's earlier routes stay here as second routes too: one
+reduction over a chain's union for SP and LI, and a pair-by-pair scan of
+the common blocks for the failure site.  The block-local games and the series-decomposition check restate
 the SLI consequence that each type's latency is the sum of its latencies in
 the blocks of its chain.  The Beckmann potential (the edge-wise integral of
 the latencies, minimized by every equilibrium) and the total rate are
@@ -12,15 +14,19 @@ evaluated here too, since only the tests need them.  The tests compare the
 library against them.
 """
 
+import itertools
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ibpcheck.core_graph import (
     BlockDecomposition,
+    ChainLink,
     MultiGraph,
+    Path,
     ValidationReport,
     connected_components,
     enumerate_simple_paths,
+    is_cycle,
 )
 from ibpcheck.equilibrium import (
     EquilibriumResult,
@@ -30,6 +36,15 @@ from ibpcheck.equilibrium import (
     solve_icwe,
 )
 from ibpcheck.errors import SolverError
+from ibpcheck.topology import (
+    COINCIDENT,
+    CYCLE,
+    OTHER,
+    CommonBlockVerdict,
+    FailureSite,
+    SingleOdClass,
+    _sp_reduce,
+)
 
 ORACLE_PATH_CAP = 100_000
 
@@ -88,6 +103,20 @@ def validate_by_enumeration(graph: MultiGraph) -> ValidationReport:
     )
 
 
+def path_vertices(graph: MultiGraph, path: Path, start: str) -> tuple[str, ...]:
+    """Vertex sequence of an edge path beginning at `start`."""
+    seq = [start]
+    for eid in path:
+        u, v = graph.endpoints(eid)
+        if seq[-1] == u:
+            seq.append(v)
+        elif seq[-1] == v:
+            seq.append(u)
+        else:
+            raise ValueError(f"edge {eid!r} does not continue the path")
+    return tuple(seq)
+
+
 def _paths(graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str):
     return enumerate_simple_paths(graph, o, d, edges, max_paths=ORACLE_PATH_CAP)
 
@@ -98,7 +127,7 @@ def edges_crossed_both_ways(
     """Sorted edges that two o-d paths inside `edges` cross in opposite directions."""
     directions: dict[str, set[tuple[str, str]]] = {}
     for path in _paths(graph, edges, o, d):
-        seq = graph.path_vertices(path, o)
+        seq = path_vertices(graph, path, o)
         for eid, u, v in zip(path, seq, seq[1:]):
             directions.setdefault(eid, set()).add((u, v))
     return sorted(eid for eid, used in directions.items() if len(used) == 2)
@@ -118,6 +147,61 @@ def is_linearly_independent(
     paths = _paths(graph, edges, o, d)
     uses = Counter(eid for path in paths for eid in path)
     return all(any(uses[eid] == 1 for eid in path) for path in paths)
+
+
+def classify_chain_by_union(
+    graph: MultiGraph, chain: Sequence[ChainLink], o: str, d: str
+) -> SingleOdClass:
+    """SP and LI from one reduction over the chain's union; SLI asks each block."""
+    union = frozenset().union(*(link.edges for link in chain))
+    sp, li = _sp_reduce(graph, union, o, d)
+    blocks_li = (_sp_reduce(graph, b.edges, b.origin, b.destination)[1] for b in chain)
+    sli = li or (sp and all(blocks_li))
+    return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)
+
+
+def common_blocks_of_pair(
+    graph: MultiGraph, dec: BlockDecomposition, i: int, j: int
+) -> tuple[CommonBlockVerdict, ...]:
+    """Classify each block shared by OD chains i and j, in sorted-edge order."""
+    in_j = {link.block_id: link for link in dec.chains[j]}
+    verdicts = []
+    for li in sorted(dec.chains[i], key=lambda link: sorted(link.edges)):
+        lj = in_j.get(li.block_id)
+        if lj is None:
+            continue
+        if {li.origin, li.destination} == {lj.origin, lj.destination}:
+            kind = COINCIDENT
+        elif is_cycle(graph, li.edges):
+            kind = CYCLE
+        else:
+            kind = OTHER
+        verdicts.append(
+            CommonBlockVerdict(
+                block_id=li.block_id,
+                kind=kind,
+                terminal_set_in_i=(li.origin, li.destination),
+                terminal_set_in_j=(lj.origin, lj.destination),
+            )
+        )
+    return tuple(verdicts)
+
+
+def failure_site_by_pair_scan(
+    graph: MultiGraph, dec: BlockDecomposition, per_od: Sequence[SingleOdClass]
+) -> Optional[FailureSite]:
+    """The first non-SLI OD index, else the first other block of the first
+    pair of SLI chains, in pair order, that has one."""
+    for i, cls in enumerate(per_od):
+        if not cls.is_sli:
+            return FailureSite(condition="sli", od_index=i)
+    for i, j in itertools.combinations(range(len(per_od)), 2):
+        for v in common_blocks_of_pair(graph, dec, i, j):
+            if v.kind == OTHER:
+                return FailureSite(
+                    condition="common-block", od_pair_indices=(i, j), block_id=v.block_id
+                )
+    return None
 
 
 def block_local_game(

@@ -27,7 +27,12 @@ from ibpcheck.instance_io import (
 from ibpcheck.errors import InstanceFileError, InvalidNetwork
 from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
 
-from conftest import FIXTURE_STEMS, diamonds_in_series, second_od_pair_disconnected
+from conftest import (
+    FIXTURE_STEMS,
+    diamonds_in_series,
+    long_path_game,
+    second_od_pair_disconnected,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -242,6 +247,15 @@ def test_solve_infeasible_info_set(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", str(bad))
     assert code == 3
     assert "no feasible path" in err
+
+
+def test_solve_on_a_3000_edge_path(tmp_path, capsys):
+    game = long_path_game(3000)
+    path = tmp_path / "long_path.json"
+    save_instance(path, game)
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    assert "type 0: rate=2 latency=9000" in out
 
 
 # -- check-ibp ------------------------------------------------------------------------

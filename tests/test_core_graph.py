@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from math import prod
 
 import pytest
@@ -31,12 +32,13 @@ from conftest import (
     diamonds_in_series,
     gadget_multigraph,
     grid_graph,
+    long_path_game,
     random_connected_multigraph,
     series_bundles,
     triangle_two_od,
     two_parallel_pairs_in_series,
 )
-from oracles import validate_by_enumeration
+from oracles import path_vertices, validate_by_enumeration
 
 
 # -- construction and validation ----------------------------------------------
@@ -93,7 +95,7 @@ def test_validate_covers_the_vertices_of_every_od_path():
             v
             for o, d in pairs
             for path in enumerate_simple_paths(g, o, d)
-            for v in g.path_vertices(path, o)
+            for v in path_vertices(g, path, o)
         }
         report = validate(g)
         assert report.uncovered_vertices == tuple(sorted(set(g.vertices) - visited))
@@ -269,7 +271,15 @@ def test_enumeration_matches_recursive_oracle_on_random_graphs():
         s, t = rng.sample(sorted(g.vertices), 2)
         paths = enumerate_simple_paths(g, s, t, max_paths=100000)
         assert len(paths) == _oracle_count_paths(g, s, t)
-        assert len(set(paths)) == len(paths)
+        assert list(paths) == sorted(set(paths))  # distinct, in lexicographic order
+
+
+def test_enumeration_walks_a_path_longer_than_the_recursion_limit():
+    n = 3000
+    assert sys.getrecursionlimit() < n
+    g = long_path_game(n).graph
+    (path,) = enumerate_simple_paths(g, "v0", f"v{n}")
+    assert path == tuple(sorted(g.edge_ids))
 
 
 def test_path_count_and_bound_match_enumeration_on_random_graphs():
@@ -389,11 +399,12 @@ def test_chains_match_enumerated_subnetworks_on_random_graphs():
             chain = [(link.edges, link.origin, link.destination) for link in dec.chains[i]]
             assert chain == _chain_by_enumeration(g, o, d)
         # two OD subnetworks intersect exactly in the union of their common blocks
+        table = common_blocks(g, dec)
         for i, j in itertools.combinations(range(len(pairs)), 2):
-            entry = common_blocks(g, dec, i, j)
-            shared = {eid for v in entry.verdicts for eid in dec.blocks[v.block_id]}
+            verdicts = table.get((i, j), ())
+            shared = {eid for v in verdicts for eid in dec.blocks[v.block_id]}
             assert on_paths[i] & on_paths[j] == shared
-            assert entry.disjoint == (not shared)
+            assert (not verdicts) == (not shared)
 
 
 # -- block decomposition -----------------------------------------------------------

@@ -36,6 +36,7 @@ from ibpcheck.errors import (
 from conftest import (
     GRID_LATENCY_DEGREES,
     gadget_game,
+    long_path_game,
     pigou_game,
     random_affine_game,
     random_grid_game,
@@ -736,6 +737,14 @@ def test_auto_with_one_path_types_converges_at_the_first_sweep():
     assert (auto.backend, auto.iterations) == ("exact", 0)
     assert auto.type_latencies == pytest.approx((47.0, 20.0), abs=1e-12)
     assert _edge_latency_gap(game, auto, solve_icwe(game, backend="exact")) == 0.0
+
+
+def test_solve_on_a_path_longer_than_the_recursion_limit():
+    game = long_path_game(3000)
+    assert sys.getrecursionlimit() < 3000
+    result = solve_icwe(game)
+    assert result.type_latencies == pytest.approx((9000.0,), abs=1e-9)
+    assert verify_wardrop(game, result).passed
 
 
 def test_auto_with_a_one_path_type_next_to_a_contested_one():

@@ -387,14 +387,13 @@ def test_synthesize_unsupported_for_sli_failures():
 
 
 def test_other_verdict_blocks_always_admit_synthesis():
-    from ibpcheck.topology import NOT_IBP_FREE, OTHER, decide_ibp_free
+    from ibpcheck.topology import NOT_IBP_FREE, OTHER, common_blocks, decide_ibp_free
 
     for g in (gadget_graph(), chain_with_gadget_middle()):
         report = decide_ibp_free(g)
         assert report.verdict == NOT_IBP_FREE
-        kinds = [
-            v.kind for _, entry in report.pairwise for v in entry.verdicts
-        ]
+        table = common_blocks(g, report.decomposition)
+        kinds = [v.kind for verdicts in table.values() for v in verdicts]
         assert OTHER in kinds
         assert check_ibp(synthesize_ibp_witness(g)).occurs
 
@@ -448,6 +447,7 @@ def test_search_finds_a_witness_on_the_gadget_graph():
         gadget_graph(), trials=1000, seed=7, coeff_range=(0, 22)
     )
     assert outcome.witness is not None
+    assert (outcome.witness_trial, outcome.witness) == outcome.hits[0]
     verdict = check_ibp(outcome.witness)
     assert verdict.occurs
 

@@ -37,7 +37,10 @@ from conftest import (
     wheatstone,
 )
 from oracles import (
+    classify_chain_by_union,
+    common_blocks_of_pair,
     edges_crossed_both_ways,
+    failure_site_by_pair_scan,
     is_linearly_independent,
     is_series_parallel_by_definition,
 )
@@ -48,7 +51,8 @@ def single_od(graph: MultiGraph) -> SingleOdClass:
 
 
 def pair(graph: MultiGraph, i=0, j=1):
-    return common_blocks(graph, decompose_blocks(graph), i, j)
+    """The verdicts of the blocks OD chains i and j share; () when disjoint."""
+    return common_blocks(graph, decompose_blocks(graph)).get((i, j), ())
 
 
 def all_common_blocks_coincident(g: MultiGraph) -> bool:
@@ -58,8 +62,9 @@ def all_common_blocks_coincident(g: MultiGraph) -> bool:
     different terminal sets is immune yet not coincident.
     """
     report = decide_ibp_free(g)
+    table = common_blocks(g, report.decomposition)
     return all(cls.is_sli for cls in report.per_od) and all(
-        v.kind == COINCIDENT for _, entry in report.pairwise for v in entry.verdicts
+        v.kind == COINCIDENT for verdicts in table.values() for v in verdicts
     )
 
 
@@ -164,6 +169,7 @@ def test_class_containment_and_recognizer_agreement():
         assert cls.is_sli == all(
             is_linearly_independent(net, b.edges, b.origin, b.destination) for b in chain
         )
+        assert cls == classify_chain_by_union(net, chain, o, d)
         if cls.is_li:
             assert cls.is_sli
         if cls.is_sli:
@@ -192,13 +198,12 @@ def test_recognizers_need_no_path_enumeration(monkeypatch):
 
 def test_triangle_two_od_is_one_cycle_common_block():
     g = triangle_two_od()
-    entry = pair(g)
-    assert not entry.disjoint
-    assert len(entry.verdicts) == 1
-    assert entry.verdicts[0].kind == CYCLE
+    verdicts = pair(g)
+    assert len(verdicts) == 1
+    assert verdicts[0].kind == CYCLE
     # the two subnetworks intersect exactly in the union of the common blocks
     shared = chain_edges(g, 0) & chain_edges(g, 1)
-    assert shared == decompose_blocks(g).blocks[entry.verdicts[0].block_id]
+    assert shared == decompose_blocks(g).blocks[verdicts[0].block_id]
 
 
 def test_coincident_middle_block():
@@ -213,9 +218,7 @@ def test_coincident_middle_block():
         ],
         [("a", "n"), ("m", "b")],
     )
-    entry = pair(g)
-    assert not entry.disjoint
-    assert [v.kind for v in entry.verdicts] == [COINCIDENT]
+    assert [v.kind for v in pair(g)] == [COINCIDENT]
 
 
 def test_disjoint_subnetworks():
@@ -224,13 +227,12 @@ def test_disjoint_subnetworks():
         [("l1", "a", "m"), ("l2", "a", "m"), ("r1", "m", "b"), ("r2", "m", "b")],
         [("a", "m"), ("m", "b")],
     )
-    entry = pair(g)
-    assert entry.disjoint
+    assert pair(g) == ()
+    assert common_blocks(g, decompose_blocks(g)) == {}
 
 
 def test_gadget_common_block_is_other():
-    entry = pair(gadget_multigraph())
-    assert [v.kind for v in entry.verdicts] == [OTHER]
+    assert [v.kind for v in pair(gadget_multigraph())] == [OTHER]
 
 
 # -- final verdict ----------------------------------------------------------------------
@@ -338,6 +340,44 @@ def test_decide_ibp_free_builds_one_block_decomposition(monkeypatch):
         assert walks == [g]  # validate's walk, shared with the verdict
 
 
+def test_the_verdict_reduces_each_link_once_and_tests_each_block_once(monkeypatch):
+    # 201 OD pairs along 400 diamonds, each spanning at most 12 of them; half
+    # of the pairs end at a diamond's middle vertex, so a diamond shared
+    # with a pair passing through is a cycle with another terminal set
+    d = diamonds_in_series(400)
+    ends = [f"j{min(k + 12, 400)}" if k % 4 == 0 else f"a{k + 11}" for k in range(0, 389, 2)]
+    ends += [f"j{min(k + 12, 400)}" for k in range(390, 400, 2)]
+    pairs = [(f"j{2 * n}", end) for n, end in enumerate(ends)] + [("j0", "j1")]
+    g = MultiGraph(d.vertices, d.edges, pairs)
+    mixed = [
+        v.block_id
+        for verdicts in common_blocks(g, decompose_blocks(g)).values()
+        for v in verdicts
+        if v.kind != COINCIDENT
+    ]
+    reductions, cycle_tests = [], []
+    sp_reduce, is_cycle = topology._sp_reduce, topology.is_cycle
+
+    def counting_reduce(graph, edges, s, t):
+        reductions.append(edges)
+        return sp_reduce(graph, edges, s, t)
+
+    def counting_is_cycle(graph, edge_subset=None):
+        cycle_tests.append(frozenset(edge_subset))
+        return is_cycle(graph, edge_subset)
+
+    monkeypatch.setattr(topology, "_sp_reduce", counting_reduce)
+    monkeypatch.setattr(topology, "is_cycle", counting_is_cycle)
+    report = decide_ibp_free(g)
+    assert len(pairs) == 201 and report.verdict == IBP_FREE
+    assert max(len(chain) for chain in report.decomposition.chains) <= 12
+    assert len(reductions) == sum(len(chain) for chain in report.decomposition.chains)
+    # one test per block that some two chains enter with different terminals
+    blocks = report.decomposition.blocks
+    assert sorted(cycle_tests, key=sorted) == sorted({blocks[b] for b in mixed}, key=sorted)
+    assert len(mixed) > 3 * len(cycle_tests) > 200  # a test per pair would repeat
+
+
 def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
     with pytest.raises(InvalidNetwork) as raised:  # validate flags the empty chain
         decide_ibp_free(second_od_pair_disconnected())
@@ -349,7 +389,7 @@ def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
 
 def test_one_pass_verdict_agrees_with_per_subnetwork_route():
     rng = random.Random(20261018)
-    decided = non_sp = pairs = 0
+    decided = non_sp = pairs = shared = 0
     for _ in range(400):
         g = random_connected_multigraph(rng, max_vertices=7, max_extra=5)
         if len(g.vertices) < 2:
@@ -372,12 +412,15 @@ def test_one_pass_verdict_agrees_with_per_subnetwork_route():
                 for b in dec.chains[i]
             )
             assert cls.is_sli == sli
+            assert cls == classify_chain_by_union(g, dec.chains[i], o, d)
             non_sp += not cls.is_sp
-        entries = dict(report.pairwise)
+        table = common_blocks(g, dec)
+        assert list(table) == sorted(table)
         for i, j in itertools.combinations(range(len(od)), 2):
-            both_sli = report.per_od[i].is_sli and report.per_od[j].is_sli
-            assert ((i, j) in entries) == both_sli
-            if both_sli:
-                assert entries[(i, j)] == common_blocks(g, dec, i, j)
-                pairs += 1
-    assert decided > 100 and non_sp > 10 and pairs > 50
+            expected = common_blocks_of_pair(g, dec, i, j)
+            assert ((i, j) in table) == bool(expected)
+            assert table.get((i, j), ()) == expected
+            pairs += report.per_od[i].is_sli and report.per_od[j].is_sli
+            shared += bool(expected)
+        assert report.failure_site == failure_site_by_pair_scan(g, dec, report.per_od)
+    assert decided > 100 and non_sp > 10 and pairs > 50 and shared > 50
