@@ -6,12 +6,12 @@ the OD chains; the functions here evaluate the literal definitions by
 enumerating every o-d path instead, so they are exponential in the path
 count.  The verdict's earlier routes stay here as second routes too: one
 reduction over a chain's union for SP and LI, and a pair-by-pair scan of
-the common blocks for the failure site.  The block-local games and the series-decomposition check restate
-the SLI consequence that each type's latency is the sum of its latencies in
-the blocks of its chain.  The Beckmann potential (the edge-wise integral of
-the latencies, minimized by every equilibrium) and the total rate are
-evaluated here too, since only the tests need them.  The tests compare the
-library against them.
+the common blocks for the failure site.  The block-local games and the
+series-decomposition check restate the SLI consequence that each type's
+latency is the sum of its latencies in the blocks of its chain.  The
+Beckmann potential (the edge-wise integral of the latencies, minimized by
+every equilibrium) and the total rate are evaluated here too, since only
+the tests need them.  The tests compare the library against them.
 """
 
 import itertools
