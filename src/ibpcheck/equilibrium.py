@@ -22,11 +22,15 @@ Three backends:
 
 * ``cg``    -- pairwise conditional-gradient on path flows: per type, shift
   mass from the costliest used path to the cheapest feasible path.  A shift
-  updates the table only on the edges it moves; path costs, the line
-  search's starting slope and the per-sweep convergence test read it.  The
-  result is built from a freshly loaded table.  The step size is the zero of
-  the move's potential derivative: closed form when the moved edges are
-  affine, safeguarded Newton otherwise.  Works for any polynomial latencies.
+  updates the table only on the edges it moves, an affine edge's latency
+  inline; path costs, the line search's starting slope and the per-sweep
+  convergence test read it.  The convergence test stops at the first type
+  over tolerance, and the result is built from a freshly loaded table.  The
+  step size is the zero of the move's potential derivative: closed form
+  when the moved edges are affine, safeguarded Newton otherwise.  Each move
+  (type, to path, from path) is cached per solve with its edges and, when
+  affine, its slope sum.  None of these shortcuts changes a float of the
+  result.  Works for any polynomial latencies.
 * ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
   game.  Once the used-path support has held for a full sweep, and again at
   convergence, the equal-cost system is solved on that one support
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -96,14 +101,17 @@ class LatencyFunction:
     """Polynomial latency, coefficients constant-first.
 
     Nonnegative coefficients are enforced: they guarantee the function is
-    nonnegative and nondecreasing on the whole flow range.  The constant zero
-    function is allowed (free edges used by instance lifting).
+    nonnegative and nondecreasing on the whole flow range.  A negative zero
+    is stored as 0.0; then, for finite x, a latency of degree at most one
+    evaluates to exactly `c1 * x + c0`, which the `cg` sweep computes
+    inline.  The constant zero function is allowed (free edges used by
+    instance lifting).
     """
 
     coefficients: tuple[float, ...]
 
     def __init__(self, coefficients: Iterable[float]):
-        coeffs = tuple(float(c) for c in coefficients)
+        coeffs = tuple(float(c) + 0.0 for c in coefficients)  # -0.0 + 0.0 is 0.0
         if not coeffs:
             coeffs = (0.0,)
         if not all(0.0 <= c < math.inf for c in coeffs):
@@ -258,17 +266,26 @@ def verify_wardrop(
 # -- the cost core shared by both backends ------------------------------------------
 
 
+def _edge_getter(path: tuple[int, ...]):
+    """A function from the edge latencies to `path`'s, as a tuple in path order."""
+    if len(path) == 1:
+        (e,) = path
+        return lambda lat: (lat[e],)
+    return operator.itemgetter(*path)
+
+
 class _CostCore:
     """One table of edge flows and latencies, read by solving and by results.
 
     Edges and paths are renumbered to ints.  A flow table is one dict per
     type from an index into that type's paths to its flow, in the insertion
     order of the path-keyed result.  A path's cost is the sum of its cached
-    edge latencies in path order, the same floats as
-    `RoutingGame.path_latency`.  Types with rate at most FLOW_EPS are
-    inactive: they carry no flow and get latency 0.  `coeffs` holds each
-    edge's latency coefficients without trailing zeros, and `affine` says
-    that none has degree above 1.
+    edge latencies in path order, read by one `operator.itemgetter` per
+    path: the same floats as `RoutingGame.path_latency`.  Types with rate
+    at most FLOW_EPS are inactive: they carry no flow and get latency 0.
+    `coeffs` holds each edge's latency coefficients without trailing zeros,
+    `lines` each edge's (slope, constant) when its degree is at most 1 and
+    None otherwise, and `affine` says that every edge has a line.
     """
 
     def __init__(self, game: RoutingGame, type_paths: Sequence[tuple[Path, ...]]):
@@ -278,8 +295,13 @@ class _CostCore:
         position = {eid: e for e, eid in enumerate(self.edge_ids)}
         self.functions = [game.latencies[eid] for eid in self.edge_ids]
         self.coeffs = [fn.coefficients[: fn.degree + 1] for fn in self.functions]
-        self.affine = all(len(c) <= 2 for c in self.coeffs)
+        self.lines = [
+            ((c[1] if len(c) == 2 else 0.0), c[0]) if len(c) <= 2 else None
+            for c in self.coeffs
+        ]
+        self.affine = None not in self.lines
         self.paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
+        self.getters = [[_edge_getter(p) for p in tp] for tp in self.paths]
         self.edge_sets = [[frozenset(p) for p in tp] for tp in self.paths]
         self.active = [j for j, t in enumerate(game.types) if t.rate > FLOW_EPS]
         # a type with one path is always at equilibrium
@@ -313,17 +335,29 @@ class _CostCore:
     def path_costs(self, j: int) -> list[float]:
         cost = self.costs.get(j)
         if cost is None:
-            cost = self.costs[j] = [sum(map(self.lat, p)) for p in self.paths[j]]
+            lat = self.edge_lat
+            cost = self.costs[j] = [sum(get(lat)) for get in self.getters[j]]
         return cost
 
-    def violation(self, flows: Sequence[Mapping[int, float]]) -> float:
-        """The Wardrop gap: worst used-path cost minus the cheapest path cost."""
-        gap = 0.0
+    def violation(
+        self, flows: Sequence[Mapping[int, float]], bound: float = math.inf
+    ) -> float:
+        """The Wardrop gap: worst used-path cost minus the cheapest path cost.
+
+        Types are checked in order, and the first whose gap exceeds `bound`
+        ends the check: the value returned is then above `bound`, but may
+        fall short of the whole gap.  Without `bound`, every type is read.
+        """
+        gap, costs = 0.0, self.costs
         for j in self.contested:
-            cost = self.path_costs(j)
+            cost = costs.get(j)
+            if cost is None:
+                cost = self.path_costs(j)
             floor = self.floors[j]
             worst = max([cost[k] for k, x in flows[j].items() if x > floor])
             gap = max(gap, worst - min(cost))
+            if gap > bound:
+                break
         return gap
 
     def support(self, flows: Sequence[Mapping[int, float]]) -> tuple[tuple[int, ...], ...]:
@@ -490,7 +524,7 @@ def _solve_support(
                 if flows[j][top] < 0:
                     return None
         core.load(flows)
-        return flows if core.violation(flows) <= tolerance else None
+        return flows if core.violation(flows, tolerance) <= tolerance else None
 
     flows = accept(solution)
     if flows is None and anchor is not None and rank < len(a_mat):
@@ -529,6 +563,28 @@ def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
 # -- conditional-gradient backend ----------------------------------------------------
 
 
+def _affine_rise(coefficients: Iterable[tuple[float, ...]]) -> Optional[float]:
+    """The sum of the slopes, in the order given, of edges with these
+    trimmed latency coefficients; None when one has degree above 1."""
+    rise = 0.0
+    for coeffs in coefficients:
+        if len(coeffs) > 2:
+            return None
+        if len(coeffs) == 2:
+            rise += coeffs[1]
+    return rise
+
+
+def _affine_step(slope: float, rise: float, gamma_max: float) -> float:
+    """The zero of the line slope + rise * gamma, clipped to [0, gamma_max]:
+    the step of a move whose edges are all affine."""
+    if slope >= 0.0:
+        return 0.0
+    if slope + rise * gamma_max <= 0.0:
+        return gamma_max
+    return min(-slope / rise, gamma_max)
+
+
 def _line_search(
     gain: Sequence[tuple[tuple[float, ...], float]],
     drop: Sequence[tuple[tuple[float, ...], float]],
@@ -541,22 +597,15 @@ def _line_search(
     current flow).  The move's potential derivative
     g(gamma) = sum_gain l(f + gamma) - sum_drop l(f - gamma) is nondecreasing
     (convexity) and equals `slope` at 0, so the minimizer is its zero
-    crossing: closed form when every edge is affine, otherwise safeguarded
+    crossing: `_affine_step` when every edge is affine, otherwise safeguarded
     Newton on Horner evaluations inside the sign-change bracket, stopping once
     a step is below the resolution of the flows it moves.
     """
+    rise = _affine_rise(coeffs for coeffs, _ in (*gain, *drop))
+    if rise is not None:  # g is a line
+        return _affine_step(slope, rise, gamma_max)
     if slope >= 0.0:
         return 0.0
-    rise = 0.0
-    for coeffs, _ in (*gain, *drop):
-        if len(coeffs) > 2:
-            break
-        if len(coeffs) == 2:
-            rise += coeffs[1]
-    else:  # every edge affine: g is a line
-        if slope + rise * gamma_max <= 0.0:
-            return gamma_max
-        return min(-slope / rise, gamma_max)
     moves = [(c, f, 1.0) for c, f in gain] + [(c, f, -1.0) for c, f in drop]
 
     def g(gamma: float) -> tuple[float, float]:
@@ -641,9 +690,18 @@ def _solve_cg(
 ) -> EquilibriumResult:
     """Pairwise conditional gradient on the cost core's table.
 
-    A shift re-evaluates only the latencies of the edges it moves, so the
-    running edge sums drift from a fresh load; the result is built from a
-    fresh one, and sweeping goes on from it while its gap is above tolerance.
+    A shift re-evaluates only the latencies of the edges it moves, inline
+    as `slope * x + constant` for an affine edge, so the running edge sums
+    drift from a fresh load; the result is built from a fresh one, and
+    sweeping goes on from it while its gap is above tolerance.  Each move
+    (type, to path, from path) is worked out once per solve: the edges it
+    gains and drops, and the sum of their slopes when all are affine, which
+    gives the step in closed form (`_affine_step`); only a move over a
+    non-affine edge runs `_line_search`.  The convergence test stops at the
+    first type over tolerance; the full gap is read only for the result and
+    for `DidNotConverge`.  None of this changes a float: the flows, the
+    sweep count and the result are those of full tests, fresh edge sets and
+    `LatencyFunction` calls on every shift.
 
     With `polish`, the equal-cost system is solved (`_solve_support`, by
     Newton's method unless every latency is affine) on the used-path support
@@ -653,26 +711,39 @@ def _solve_cg(
     """
     flows = _start_flows(core, start)
     core.load(flows)
-    functions, coeffs, edge_sets = core.functions, core.coeffs, core.edge_sets
-    edge_flow, edge_lat = core.edge_flow, core.edge_lat
-    lat, floors = core.lat, core.floors
+    functions, coeffs, lines, edge_sets = core.functions, core.coeffs, core.lines, core.edge_sets
+    edge_flow, edge_lat, costs = core.edge_flow, core.edge_lat, core.costs
+    lat, floors, path_costs = core.lat, core.floors, core.path_costs
+    # (type, to path, from path) -> (gained edges, dropped edges, affine rise or None)
+    moves: dict[tuple[int, int, int], tuple[frozenset, frozenset, Optional[float]]] = {}
 
     def shift_each_type() -> None:
         for j in core.contested:
-            cost = core.path_costs(j)
+            cost = costs.get(j)
+            if cost is None:
+                cost = path_costs(j)
             best = cost.index(min(cost))
             floor = floors[j]
             _, worst = max([(cost[k], k) for k, x in flows[j].items() if x > floor])
             if worst == best or cost[worst] - cost[best] <= tolerance * 1e-3:
                 continue
-            gain = edge_sets[j][best] - edge_sets[j][worst]
-            drop = edge_sets[j][worst] - edge_sets[j][best]
-            gamma = _line_search(
-                [(coeffs[e], edge_flow[e]) for e in gain],
-                [(coeffs[e], edge_flow[e]) for e in drop],
-                sum(map(lat, gain)) - sum(map(lat, drop)),
-                flows[j][worst],
-            )
+            move = moves.get((j, best, worst))
+            if move is None:
+                gain = edge_sets[j][best] - edge_sets[j][worst]
+                drop = edge_sets[j][worst] - edge_sets[j][best]
+                rise = _affine_rise(coeffs[e] for e in (*gain, *drop))
+                move = moves[j, best, worst] = gain, drop, rise
+            gain, drop, rise = move
+            slope = sum(map(lat, gain)) - sum(map(lat, drop))
+            if rise is None:
+                gamma = _line_search(
+                    [(coeffs[e], edge_flow[e]) for e in gain],
+                    [(coeffs[e], edge_flow[e]) for e in drop],
+                    slope,
+                    flows[j][worst],
+                )
+            else:
+                gamma = _affine_step(slope, rise, flows[j][worst])
             if gamma <= 0.0:
                 continue
             remaining = flows[j][worst] - gamma
@@ -682,22 +753,21 @@ def _solve_cg(
             else:
                 flows[j][worst] = remaining
             flows[j][best] = flows[j].get(best, 0.0) + gamma
-            for e in gain:
-                edge_flow[e] += gamma
-                edge_lat[e] = functions[e](edge_flow[e])
-            for e in drop:
-                edge_flow[e] -= gamma
-                edge_lat[e] = functions[e](edge_flow[e])
-            core.costs.clear()
+            for edges, step in ((gain, gamma), (drop, -gamma)):
+                for e in edges:
+                    x = edge_flow[e] = edge_flow[e] + step
+                    line = lines[e]
+                    edge_lat[e] = functions[e](x) if line is None else line[0] * x + line[1]
+            costs.clear()
 
     previous = tried = None  # the support after the last sweep; the last one polished
     for sweep in range(max_iterations + 1):
         if sweep:
             shift_each_type()
-        gap = core.violation(flows)
+        gap = core.violation(flows, tolerance)  # above tolerance: maybe not the whole gap
         if gap <= tolerance:
             core.load(flows)
-            gap = core.violation(flows)
+            gap = core.violation(flows, tolerance)
         if polish:
             support = core.support(flows)
             if (gap <= tolerance or support == previous) and support != tried:
@@ -708,11 +778,11 @@ def _solve_cg(
                 if polished is not None:
                     return core.result(polished, "exact", sweep)
                 edge_flow[:], edge_lat[:] = saved  # sweep on as if never polished
-                core.costs.clear()
+                costs.clear()
             previous = support
         if gap <= tolerance:
             return core.result(flows, "cg", sweep)
-    raise DidNotConverge(max_iterations, gap)
+    raise DidNotConverge(max_iterations, core.violation(flows))
 
 
 # -- public solver ---------------------------------------------------------------------

@@ -9,9 +9,10 @@ renders that verdict, with the site of the failing condition, and its
 The verdict reads everything off one block decomposition of the whole
 graph, the `decompose_blocks` walk `validate` read its coverage check from:
 each OD chain is its tuple of `ChainLink`s, a series of blocks.  One
-terminal-aware series/parallel reduction per link decides the block's SP
-and, by carrying LI and single-path flags through its merges, the recursive
-LI definition; the chain's classes are a fold over its links.
+terminal-aware series/parallel reduction per (block, terminal pair) decides
+the block's SP and, by carrying LI and single-path flags through its
+merges, the recursive LI definition; chains that cross a block between the
+same terminals share it, and each chain's classes are a fold over its links.
 `common_blocks` groups the links of all chains by block and applies the
 coincident / cycle / other rule once per shared block, giving the table of
 every pair of chains that meet.  Nothing on the verdict path enumerates
@@ -135,14 +136,26 @@ def _sp_reduce(
     return sp, sp and flags[frozenset((s, t))][0]
 
 
-def _classify_chain(graph: MultiGraph, chain: Sequence[ChainLink]) -> SingleOdClass:
+def _classify_chain(
+    graph: MultiGraph,
+    chain: Sequence[ChainLink],
+    reduced: dict[tuple[int, str, str], tuple[bool, bool]],
+) -> SingleOdClass:
     """Fold the per-block reductions over the chain, a series of blocks.
 
     The series is SP iff every block is, SLI iff every block is LI, and LI
     iff it is SLI with at most one block that is not a single edge: a
     block of two or more edges is 2-connected, so never a single path.
+    `reduced` maps (block id, origin, destination) to the reduction of that
+    link; a link not in it is reduced and added, so chains that cross a
+    block between the same terminals share one reduction.
     """
-    blocks = [_sp_reduce(graph, link.edges, link.origin, link.destination) for link in chain]
+    blocks = []
+    for link in chain:
+        key = (link.block_id, link.origin, link.destination)
+        if key not in reduced:
+            reduced[key] = _sp_reduce(graph, link.edges, link.origin, link.destination)
+        blocks.append(reduced[key])
     sli = all(li for _, li in blocks)
     return SingleOdClass(
         is_sp=all(sp for sp, _ in blocks),
@@ -210,7 +223,8 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
         )
 
     dec = report.decomposition  # validation ran the block walk already
-    per_od = tuple(_classify_chain(g, chain) for chain in dec.chains)
+    reduced: dict[tuple[int, str, str], tuple[bool, bool]] = {}  # one per (block, terminals)
+    per_od = tuple(_classify_chain(g, chain, reduced) for chain in dec.chains)
     failure = next(
         (FailureSite(condition="sli", od_index=i) for i, c in enumerate(per_od) if not c.is_sli),
         None,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
+from ibpcheck import paradox
 from ibpcheck.equilibrium import (
     CONSERVATION_EPS,
     DEFAULT_TOLERANCE,
@@ -34,8 +35,13 @@ from ibpcheck.errors import (
 )
 
 from conftest import (
+    FIXTURE_STEMS,
     GRID_LATENCY_DEGREES,
+    chain_with_gadget_middle,
+    cycle_graph,
     gadget_game,
+    gadget_multigraph,
+    k4_three_terminals,
     long_path_game,
     pigou_game,
     random_affine_game,
@@ -49,6 +55,7 @@ from oracles import (
     check_series_decomposition,
     equal_cost_terms,
     latency_integral,
+    solve_by_full_sweeps,
     total_rate,
 )
 
@@ -922,6 +929,119 @@ def test_cg_results_are_unchanged_on_grid_and_gadget_games():
         for game in games
     )
     assert digests == CG_RESULT_DIGESTS
+
+
+# -- the sweep kernel against the plain sweeps -------------------------------------------
+
+
+def _assert_identical(game, backend, start=None, max_iterations=None):
+    """`solve_icwe` and `solve_by_full_sweeps` give the same floats, or both
+    raise DidNotConverge with the same gap; returns the result, if any."""
+    limit = {} if max_iterations is None else {"max_iterations": max_iterations}
+    outcomes = []
+    for solve in (solve_icwe, solve_by_full_sweeps):
+        try:
+            outcomes.append(solve(game, backend=backend, start=start, **limit))
+        except DidNotConverge as exc:
+            outcomes.append((exc.iterations, exc.violation))
+    got, want = outcomes
+    assert got == want
+    assert repr(got) == repr(want)  # exact floats, signed zeros and dict order
+    return got
+
+
+SEARCH_GRAPHS = {  # the `search` benchmark's shapes; cycles with antipodal OD pairs
+    **{
+        f"cycle{n}": cycle_graph(2 * n, [(f"c{i}", f"c{i + n}") for i in range(n)])
+        for n in (2, 3, 4, 5)
+    },
+    "gadget-origin": gadget_multigraph("origin"),
+    "gadget-destination": gadget_multigraph("destination"),
+    "k4": k4_three_terminals(),
+    "gadget-chain": chain_with_gadget_middle(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+@pytest.mark.parametrize("backend", ["cg", "auto"])
+def test_sweeps_match_the_plain_sweeps_on_search_games(name, backend, monkeypatch):
+    # the games a seeded search draws, solved before and, from that
+    # equilibrium, after the extension, as `check_ibp` does
+    instances = []
+
+    def record(instance, **kwargs):
+        instances.append(instance)
+        return check_ibp(instance, **kwargs)
+
+    check_ibp = paradox.check_ibp
+    monkeypatch.setattr(paradox, "check_ibp", record)
+    paradox.random_search_ibp(SEARCH_GRAPHS[name], 25, seed=4099, stop_at_first=False)
+    monkeypatch.undo()
+    assert len(instances) >= 20
+    for instance in instances:
+        before = _assert_identical(instance.game, backend)
+        _assert_identical(paradox.extended_game(instance), backend, start=before.path_flows)
+
+
+@pytest.mark.parametrize("degree", GRID_LATENCY_DEGREES)
+def test_sweeps_match_the_plain_sweeps_on_grids(degree):
+    rng = random.Random(6007 + degree)
+    for _ in range(30):
+        game = random_grid_game(rng, degree)
+        for backend in ("cg", "auto"):
+            _assert_identical(game, backend)
+        _assert_identical(game, "cg", max_iterations=3)  # both give up, on the same gap
+
+
+@pytest.mark.parametrize("stem", [s for s in FIXTURE_STEMS if s != "malformed"])
+def test_sweeps_match_the_plain_sweeps_on_fixtures(stem):
+    from ibpcheck.instance_io import load_instance
+
+    game, extension = load_instance(Path(__file__).parent.parent / "fixtures" / f"{stem}.json")
+    for backend in ("cg", "auto"):
+        before = _assert_identical(game, backend)
+        if extension is not None:
+            after = paradox.extended_game(paradox.IBPInstance(game, extension))
+            _assert_identical(after, backend, start=before.path_flows)
+
+
+def test_did_not_converge_reports_the_whole_gap():
+    # Two types on disjoint links of one OD pair never meet, so each type's
+    # gap is that of its own game.  Type 1's is the larger, and the sweep's
+    # convergence test stops at type 0: the error must still carry the whole.
+    graph = MultiGraph(["s", "t"], [(f"e{i}", "s", "t") for i in range(6)], [("s", "t")])
+    # One sweep moves half of each type's rate to its second link, the third
+    # stays empty: the gaps are 1.5 and 4.5 + 0.5 * 4.5**2.
+    latencies = {f"e{i}": LatencyFunction((0.0, 1.0, 0.5 * (i > 2))) for i in range(6)}
+    types = [TravelerType(3.0, 0, {"e0", "e1", "e2"}), TravelerType(9.0, 0, {"e3", "e4", "e5"})]
+
+    def gap(types):
+        with pytest.raises(DidNotConverge) as info:
+            solve_icwe(RoutingGame(graph, latencies, types), backend="cg", max_iterations=1)
+        return info.value.violation
+
+    alone = [gap([t]) for t in types]
+    assert alone == [1.5, 4.5 + 0.5 * 4.5**2]
+    assert gap(types) == alone[1]
+    with pytest.raises(DidNotConverge) as info:
+        solve_by_full_sweeps(RoutingGame(graph, latencies, types), max_iterations=1)
+    assert info.value.violation == alone[1]
+
+
+def test_an_affine_latency_is_its_line_bit_for_bit():
+    # what the sweep's inline update relies on: Horner over the coefficients,
+    # trailing zeros and negative zeros included, is slope * x + constant
+    rng = random.Random(53)
+    values = [0.0, -0.0, 1e-300, -1e-17, 5e-324, 1.0, 3.5, 1e12]
+    for _ in range(500):
+        c0 = rng.choice([0.0, -0.0, 5e-324, rng.uniform(0.0, 100.0)])
+        c1 = rng.choice([0.0, -0.0, rng.uniform(0.0, 10.0)])
+        fn = LatencyFunction([c0, c1] + [rng.choice([0.0, -0.0])] * rng.randint(0, 3))
+        (line,) = _CostCore(
+            RoutingGame(MultiGraph(["s", "t"], [("e", "s", "t")], []), {"e": fn}, []), []
+        ).lines
+        for x in values + [rng.uniform(-1e-9, 1e3)]:
+            assert (line[0] * x + line[1]).hex() == fn(x).hex()
 
 
 def test_distinct_starts_reach_the_same_edge_latencies():

@@ -371,11 +371,37 @@ def test_the_verdict_reduces_each_link_once_and_tests_each_block_once(monkeypatc
     report = decide_ibp_free(g)
     assert len(pairs) == 201 and report.verdict == IBP_FREE
     assert max(len(chain) for chain in report.decomposition.chains) <= 12
-    assert len(reductions) == sum(len(chain) for chain in report.decomposition.chains)
+    chains = report.decomposition.chains
+    links = {(link.block_id, link.origin, link.destination) for c in chains for link in c}
+    assert len(reductions) == len(links) < sum(map(len, chains))  # one per (block, terminals)
     # one test per block that some two chains enter with different terminals
     blocks = report.decomposition.blocks
     assert sorted(cycle_tests, key=sorted) == sorted({blocks[b] for b in mixed}, key=sorted)
     assert len(mixed) > 3 * len(cycle_tests) > 200  # a test per pair would repeat
+
+
+def test_the_verdict_reduces_each_block_once_for_its_terminals(monkeypatch):
+    # 201 OD pairs along 400 diamonds, each crossing up to 12 of them between
+    # the same joints: 2,371 links, but only 400 (block, terminals) keys
+    d = diamonds_in_series(400)
+    pairs = [(f"j{k}", f"j{min(k + 12, 400)}") for k in range(0, 400, 2)] + [("j0", "j1")]
+    g = MultiGraph(d.vertices, d.edges, pairs)
+    reductions = []
+    sp_reduce = topology._sp_reduce
+
+    def counting_reduce(graph, edges, s, t):
+        reductions.append((edges, s, t))
+        return sp_reduce(graph, edges, s, t)
+
+    monkeypatch.setattr(topology, "_sp_reduce", counting_reduce)
+    report = decide_ibp_free(g)
+    dec = report.decomposition
+    assert len(pairs) == 201 and report.verdict == IBP_FREE
+    assert sum(map(len, dec.chains)) == 2371
+    assert len(reductions) == len(set(reductions)) == 400
+    monkeypatch.undo()
+    for cls, chain, (o, t) in zip(report.per_od, dec.chains, pairs):
+        assert cls == classify_chain_by_union(g, chain, o, t)
 
 
 def test_a_disconnected_od_pair_is_an_invalid_network_not_no_path():
