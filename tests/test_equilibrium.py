@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck import paradox
+from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck.equilibrium import (
     CONSERVATION_EPS,
+    DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     FLOW_EPS,
     EquilibriumResult,
@@ -33,6 +34,7 @@ from ibpcheck.errors import (
     InvalidNetwork,
     NoFeasiblePath,
 )
+from ibpcheck.instance_io import load_instance
 
 from conftest import (
     FIXTURE_STEMS,
@@ -934,14 +936,15 @@ def test_cg_results_are_unchanged_on_grid_and_gadget_games():
 # -- the sweep kernel against the plain sweeps -------------------------------------------
 
 
-def _assert_identical(game, backend, start=None, max_iterations=None):
+def _assert_identical(game, backend, start=None, max_iterations=DEFAULT_MAX_ITERATIONS):
     """`solve_icwe` and `solve_by_full_sweeps` give the same floats, or both
     raise DidNotConverge with the same gap; returns the result, if any."""
-    limit = {} if max_iterations is None else {"max_iterations": max_iterations}
     outcomes = []
     for solve in (solve_icwe, solve_by_full_sweeps):
         try:
-            outcomes.append(solve(game, backend=backend, start=start, **limit))
+            outcomes.append(
+                solve(game, backend=backend, start=start, max_iterations=max_iterations)
+            )
         except DidNotConverge as exc:
             outcomes.append((exc.iterations, exc.violation))
     got, want = outcomes
@@ -995,8 +998,6 @@ def test_sweeps_match_the_plain_sweeps_on_grids(degree):
 
 @pytest.mark.parametrize("stem", [s for s in FIXTURE_STEMS if s != "malformed"])
 def test_sweeps_match_the_plain_sweeps_on_fixtures(stem):
-    from ibpcheck.instance_io import load_instance
-
     game, extension = load_instance(Path(__file__).parent.parent / "fixtures" / f"{stem}.json")
     for backend in ("cg", "auto"):
         before = _assert_identical(game, backend)
