@@ -33,17 +33,22 @@ Three backends:
   result.  Works for any polynomial latencies.
 * ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
   game.  Once the used-path support has held for a full sweep, and again at
-  convergence, the equal-cost system is solved on that one support
-  (``_solve_support``, the only caller of the system builder): linearized
-  at the table's flows and solved again at each solution until the flows
-  stop moving, which is Newton's method; an affine system is exact after
-  one solve.  An accepted solution is returned with backend ``"exact"``; a
-  rejected one leaves the sweeps as they were, so ``auto`` never returns a
+  convergence, the polish (``_solve_support``) solves the equal-cost system
+  on that support (``_equal_cost_flows``, the only caller of the system
+  builder): linearized at the table's flows and solved again at each
+  solution until the flows stop moving, which is Newton's method; an affine
+  system is exact after one solve.  The polish is an active-set step: a
+  rejected solution changes the support and the system is solved again, at
+  most ``PIVOTS`` times.  Paths with negative flow leave the support; if
+  the flows are nonnegative but fail the gap, each type's cheapest path
+  outside the support joins it.  An accepted solution is returned with
+  backend ``"exact"``; a polish that runs out of pivots, or of paths to
+  drop or add, leaves the sweeps as they were, so ``auto`` never returns a
   worse answer than ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
-  ``_solve_support`` solution is feasible and passes the same Wardrop gap.
-  An oracle only, never on ``auto``'s route.
+  ``_equal_cost_flows`` solution is feasible and passes the same Wardrop
+  gap, without pivoting.  An oracle only, never on ``auto``'s route.
 
 ``cg`` and ``auto`` start from each active type's whole rate on its first
 path, or from ``start``: per-type path flows in the shape of
@@ -92,7 +97,8 @@ FLOW_EPS = 1e-9  # the one used-path threshold, absolute; see _CostCore.floors
 CONSERVATION_EPS = 1e-9  # how far a type's flows may sum from its rate
 DEFAULT_MAX_ITERATIONS = 50_000
 EXACT_PATH_LIMIT = 12
-NEWTON_STEPS = 8  # the most systems `_solve_support` solves on one support
+NEWTON_STEPS = 8  # the most systems `_equal_cost_flows` solves on one support
+PIVOTS = 4  # the most support changes `_solve_support` makes before it rejects
 NEWTON_RESOLUTION = 1e-8  # edge flows "stop moving", relative to the largest
 
 
@@ -456,13 +462,13 @@ class _CostCore:
 # -- solving the equal-cost system on one support ---------------------------------
 
 
-def _solve_support(
+def _equal_cost_flows(
     core: _CostCore,
     support: Sequence[Sequence[int]],
     tolerance: float,
     anchor: Optional[Sequence[float]] = None,
-) -> Optional[list[dict[int, float]]]:
-    """Flows on which every used path of a type costs the same, or None.
+) -> tuple[Optional[list[dict[int, float]]], Optional[list[dict[int, float]]]]:
+    """Flows on which every used path of a type costs the same, on one support.
 
     `support` lists, per active type in order, the indices of the paths it
     uses; `core.equal_cost_system(support)` is the system (equal costs per
@@ -472,19 +478,25 @@ def _solve_support(
     stop moving or NEWTON_STEPS systems have been solved; an affine system
     is exact after one solve.  The last solution is accepted only if its
     residual is within bound, every flow is nonnegative, and the Wardrop gap
-    of the loaded table is at most `tolerance`.  The table is left holding
-    whatever was loaded last; on acceptance, the returned flows.
+    of the loaded table is at most `tolerance`.
 
     A singular system has many path-flow solutions with the same edge flows.
     Least squares returns the one of least norm; if that one is rejected and
     `anchor` gives flows for the support's paths, in order, the solution of
     the last system nearest the anchor is tried too.
+
+    Returns (accepted, rejected): the accepted flows, or the last solution
+    tried, per type and unclipped, when it solved the system but had a flow
+    below -1e-9 or failed the gap; the other is None, and both are None when
+    no solution solved the system.  The table is left holding whatever was
+    loaded last: the accepted flows, or, after a failed gap, the rejected
+    solution with its flows clipped at zero.
     """
     game = core.game
     if not support:  # no active type: the empty flows are the equilibrium
         flows: list[dict[int, float]] = [{} for _ in game.types]
         core.load(flows)
-        return flows
+        return flows, None
     n = sum(map(len, support))  # the path-flow unknowns come first
 
     def unpack(x: Sequence[float]) -> list[dict[int, float]]:
@@ -502,35 +514,94 @@ def _solve_support(
         before = core.edge_flow[:]
         core.load(unpack(solution[:n].tolist()))
         if not all(map(math.isfinite, core.edge_lat)):
-            return None  # diverged: a latency overflowed
+            return None, None  # diverged: a latency overflowed
         moved = max(abs(x - y) for x, y in zip(core.edge_flow, before))
         if moved <= NEWTON_RESOLUTION * max(before):
             break
 
-    def accept(solution: np.ndarray) -> Optional[list[dict[int, float]]]:
+    def accept(solution: np.ndarray):
         if not np.isfinite(solution).all():
-            return None
+            return None, None
         if np.abs(a_mat @ solution - b_vec).max() > 1e-7:
-            return None
-        x = solution[:n]
-        if x.min() < -1e-9:
-            return None
-        flows = unpack([max(v, 0.0) for v in x.tolist()])
+            return None, None
+        x = solution[:n].tolist()
+        if min(x) < -1e-9:
+            return None, unpack(x)
+        flows = unpack([max(v, 0.0) for v in x])
         for j in core.active:  # absorb solver rounding into the largest flow
             gap = game.types[j].rate - sum(flows[j].values())
             if gap != 0.0:
                 top = max(flows[j], key=flows[j].get)
                 flows[j][top] += gap
                 if flows[j][top] < 0:
-                    return None
+                    return None, None
         core.load(flows)
-        return flows if core.violation(flows, tolerance) <= tolerance else None
+        if core.violation(flows, tolerance) <= tolerance:
+            return flows, None
+        return None, unpack(x)
 
-    flows = accept(solution)
+    flows, rejected = accept(solution)
     if flows is None and anchor is not None and rank < len(a_mat):
         start = np.concatenate([anchor, solution[n:]])
         step, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ start, rcond=None)
-        flows = accept(start + step)
+        flows, rejected = accept(start + step)
+    return flows, rejected
+
+
+def _pivot(
+    core: _CostCore, support: Sequence[Sequence[int]], rejected: Sequence[Mapping[int, float]]
+) -> Optional[list[tuple[int, ...]]]:
+    """The support to try after `rejected`, a solution on `support`.
+
+    If some of its flows are below -1e-9, those paths leave the support,
+    and None is returned if a type would be left with no path.  Otherwise
+    it failed the gap on the loaded table: each active type whose cheapest
+    path lies outside its support gains that path, costed on the table,
+    and None is returned if no type gains one.
+    """
+    if any(x < -1e-9 for f in rejected for x in f.values()):
+        dropped = [
+            tuple(k for k in ks if rejected[j][k] >= -1e-9)
+            for j, ks in zip(core.active, support)
+        ]
+        return None if () in dropped else dropped
+    grown, added = [], False
+    for j, ks in zip(core.active, support):
+        cost = core.path_costs(j)
+        best = cost.index(min(cost))
+        if best not in ks:
+            ks, added = tuple(sorted((*ks, best))), True
+        grown.append(tuple(ks))
+    return grown if added else None
+
+
+def _solve_support(
+    core: _CostCore,
+    support: Sequence[Sequence[int]],
+    tolerance: float,
+    anchor: Optional[Sequence[float]] = None,
+) -> Optional[list[dict[int, float]]]:
+    """The active-set polish: accepted equal-cost flows on `support`, or on
+    a support at most PIVOTS pivots away from it, or None.
+
+    The system is solved on `support` first (`_equal_cost_flows`, with
+    `anchor` for a singular system).  While the solution is rejected but
+    solved the system, `_pivot` changes the support (the paths with
+    negative flow leave it, or each type's cheapest path outside it joins)
+    and the system is solved on the new support, by Newton's method from
+    the table the last solve left.  Acceptance is `_equal_cost_flows`'s on
+    whichever support: residual, signs and the Wardrop gap against every
+    feasible path.  The table is left holding whatever was loaded last; on
+    acceptance, the returned flows.
+    """
+    flows, rejected = _equal_cost_flows(core, support, tolerance, anchor)
+    for _ in range(PIVOTS):
+        if rejected is None:
+            break
+        support = _pivot(core, support, rejected)
+        if support is None:
+            return None
+        flows, rejected = _equal_cost_flows(core, support, tolerance)
     return flows
 
 
@@ -554,7 +625,7 @@ def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
     ]
     bound = max(tolerance, 1e-9)
     for support in itertools.product(*per_type_subsets):
-        flows = _solve_support(core, support, bound)
+        flows, _ = _equal_cost_flows(core, support, bound)
         if flows is not None:
             return core.result(flows, "exact", 1 if support else 0)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
@@ -703,11 +774,14 @@ def _solve_cg(
     sweep count and the result are those of full tests, fresh edge sets and
     `LatencyFunction` calls on every shift.
 
-    With `polish`, the equal-cost system is solved (`_solve_support`, by
-    Newton's method unless every latency is affine) on the used-path support
-    once it has held for a full sweep and again at convergence, each support
-    at most once in a row; an accepted solution is returned as backend
-    "exact", a rejected one leaves the sweeps untouched.
+    With `polish`, the active-set polish (`_solve_support`) starts from the
+    used-path support once it has held for a full sweep and again at
+    convergence, each support at most once in a row.  It solves the
+    equal-cost system (by Newton's method unless every latency is affine)
+    and, while the solution is rejected, drops the paths with negative flow
+    or adds each type's cheapest path outside, and solves again, at most
+    PIVOTS times.  An accepted solution is returned as backend "exact"; a
+    rejected polish leaves the sweeps untouched.
     """
     flows = _start_flows(core, start)
     core.load(flows)
@@ -804,8 +878,10 @@ def solve_icwe(
     flows and solved again at each solution until the flows stop moving
     (Newton's method; exact after one solve when every latency is affine).
     A solution is kept only if it is nonnegative and passes the Wardrop
-    gap, otherwise sweeping goes on, so "auto" never returns a worse answer
-    than "cg".  "exact" tries every support (affine latencies, at most
+    gap.  Otherwise the support changes (paths with negative flow leave
+    it, or each type's cheapest path outside it joins) and the system is
+    solved again, at most PIVOTS times; after that sweeping goes on, so
+    "auto" never returns a worse answer than "cg".  "exact" tries every support (affine latencies, at most
     EXACT_PATH_LIMIT paths) and serves as an oracle.
 
     "cg" and "auto" start from `start` when it is given: per type, a

@@ -17,6 +17,7 @@ from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     FLOW_EPS,
+    PIVOTS,
     EquilibriumResult,
     LatencyFunction,
     RoutingGame,
@@ -823,6 +824,127 @@ def test_a_newton_iterate_whose_latency_overflows_is_rejected():
     assert verify_wardrop(game, result).passed
 
 
+# -- the active-set polish: pivots on a rejected support ------------------------------
+
+
+def _parallel_links(coefficients, rate):
+    """One type of `rate` on parallel links l0, l1, ... with these latency
+    coefficients, and its cost core; path k is link k."""
+    ids = [f"l{k}" for k in range(len(coefficients))]
+    g = MultiGraph(["s", "t"], [(eid, "s", "t") for eid in ids], [("s", "t")])
+    latencies = {eid: LatencyFunction(c) for eid, c in zip(ids, coefficients)}
+    game = RoutingGame(g, latencies, [TravelerType(rate, 0, ids)])
+    return game, _CostCore(game, [feasible_paths(game, 0)])
+
+
+def _record_supports(monkeypatch):
+    """The supports the equal-cost system is solved on, in order."""
+    import ibpcheck.equilibrium as equilibrium
+
+    solve = equilibrium._equal_cost_flows
+    supports = []
+
+    def record(core, support, *args):
+        supports.append(tuple(map(tuple, support)))
+        return solve(core, support, *args)
+
+    monkeypatch.setattr(equilibrium, "_equal_cost_flows", record)
+    return supports
+
+
+@pytest.mark.parametrize("degree, latency", [(1, 1.5), (2, 1.5625)])
+def test_the_polish_drops_a_path_the_equilibrium_leaves_empty(degree, latency, monkeypatch):
+    # x^d, 1 + x^d and 10 with rate 2: on the held support of all three
+    # links the equal costs need a negative flow on the constant link; one
+    # pivot drops it and the support {l0, l1} is accepted.
+    x_d = (0.0,) * degree + (1.0,)
+    game, core = _parallel_links([x_d, (1.0, *x_d[1:]), (10.0,)], 2.0)
+    core.load([{0: 0.5, 1: 0.5, 2: 1.0}])
+    supports = _record_supports(monkeypatch)
+    flows = _solve_support(core, [(0, 1, 2)], DEFAULT_TOLERANCE)
+    assert supports == [((0, 1, 2),), ((0, 1),)]
+    result = core.result(flows, "exact", 0)
+    assert ("l2",) not in result.path_flows[0]
+    assert result.type_latencies[0] == pytest.approx(latency, rel=1e-12)
+    assert verify_wardrop(game, result).passed
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_polish_grows_a_support_that_misses_the_cheapest_path(degree, monkeypatch):
+    # x^d, 1 + x^d and 0.5 + x^d with rate 3: on {l0, l1} the equal-cost
+    # flows leave l2 cheaper than both; one pivot adds it.
+    x_d = (0.0,) * degree + (1.0,)
+    game, core = _parallel_links([x_d, (1.0, *x_d[1:]), (0.5, *x_d[1:])], 3.0)
+    core.load([{0: 1.5, 1: 1.5}])
+    supports = _record_supports(monkeypatch)
+    flows = _solve_support(core, [(0, 1)], DEFAULT_TOLERANCE)
+    assert supports == [((0, 1),), ((0, 1, 2),)]
+    result = core.result(flows, "exact", 0)
+    assert verify_wardrop(game, result).passed
+    reference = solve_icwe(game, backend="cg", tolerance=1e-12)
+    assert _edge_latency_gap(game, result, reference) <= 1e-9
+
+
+def test_the_polish_rejects_after_pivots_bound(monkeypatch):
+    # PIVOTS + 2 equal links 1 + x: from one link, each pivot adds the next,
+    # and the last one is never reached
+    game, core = _parallel_links([(1.0, 1.0)] * (PIVOTS + 2), PIVOTS + 2.0)
+    core.load([{0: PIVOTS + 2.0}])
+    supports = _record_supports(monkeypatch)
+    assert _solve_support(core, [(0,)], DEFAULT_TOLERANCE) is None
+    assert supports == [(tuple(range(size)),) for size in range(1, PIVOTS + 2)]
+    assert solve_icwe(game).backend == "exact"  # the sweeps reach every link
+
+
+def test_auto_returns_the_cg_result_when_no_support_passes_the_gap(monkeypatch):
+    # With every gadget latency x 1e4, the extended game's equilibrium
+    # support misses the absolute gap by rounding, and no path lies outside
+    # it: the polish rejects without pivoting and the sweeps' result returns.
+    base = paradox.gadget_instance()
+    latencies = {
+        eid: LatencyFunction([c * 1e4 for c in fn.coefficients])
+        for eid, fn in base.game.latencies.items()
+    }
+    scaled = RoutingGame(base.game.graph, latencies, base.game.types)
+    before = solve_icwe(scaled)
+    after = paradox.extended_game(paradox.IBPInstance(scaled, base.extension))
+    supports = _record_supports(monkeypatch)
+    auto = solve_icwe(after, start=before.path_flows)
+    assert supports == [((0, 1), (0, 1))]
+    cg = solve_icwe(after, backend="cg", start=before.path_flows)
+    assert auto.backend == "cg"
+    assert repr(auto) == repr(cg)
+
+
+# Rejected polishes on the 90 games below: 52 of 142 polishes when a
+# rejected support went back to the sweeps, 0 of 90 with the pivots.
+def test_the_pivoting_polish_is_accepted_on_grid_corpora(monkeypatch):
+    import ibpcheck.equilibrium as equilibrium
+
+    solve_support = equilibrium._solve_support
+    polished = []
+
+    def record(*args):
+        flows = solve_support(*args)
+        polished.append(flows is not None)
+        return flows
+
+    monkeypatch.setattr(equilibrium, "_solve_support", record)
+    for degree in GRID_LATENCY_DEGREES:
+        rng = random.Random(7919 + degree)
+        for _ in range(30):
+            game = random_grid_game(rng, degree)
+            auto = solve_icwe(game)
+            assert auto.backend == "exact"
+            assert verify_wardrop(game, auto).passed
+            reference = solve_icwe(game, backend="cg", tolerance=1e-11)
+            for eid, latency in game.latencies.items():
+                want = latency(reference.edge_flows.get(eid, 0.0))
+                got = latency(auto.edge_flows.get(eid, 0.0))
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert (len(polished), polished.count(False)) == (90, 0)
+
+
 def test_auto_polishes_quadratic_and_quartic_grids():
     # Newton's method on the support the sweeps settled on, against cg run
     # to a tighter tolerance
@@ -931,6 +1053,45 @@ def test_cg_results_are_unchanged_on_grid_and_gadget_games():
         for game in games
     )
     assert digests == CG_RESULT_DIGESTS
+
+
+# sha256 of repr(solve_icwe(game, backend="exact")) on 20 affine games,
+# recorded before `auto`'s polish pivoted: the support enumerator solves
+# each support without pivoting, so its results must not move.
+EXACT_RESULT_DIGESTS = (
+    "ac64b3622c1e777d",
+    "9297d3a40c242dea",
+    "2a08c59ee0a46bd7",
+    "4b7ec62b8bcda04b",
+    "4c4abf89f56a384c",
+    "5ccc443faa6c0d2e",
+    "8190f9e4bc89873c",
+    "7815eea896edadea",
+    "3faae5d5494cea1a",
+    "4f840ddee9068da6",
+    "57230b199008b2be",
+    "8d2d4716b25e8570",
+    "7315cadc15b967e3",
+    "01db0568adc62cf9",
+    "7944162f4a7e7ed5",
+    "e1705134b202d529",
+    "a40b0340f058eaee",
+    "7533010f052d9efe",
+    "9b9b10b07f7723b6",
+    "4dea39e4527bf01f",
+)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() of floats changed in 3.12")
+def test_exact_results_are_unchanged_on_affine_games():
+    rng = random.Random(2819)
+    digests = tuple(
+        hashlib.sha256(
+            repr(solve_icwe(random_affine_game(rng), backend="exact")).encode()
+        ).hexdigest()[:16]
+        for _ in range(20)
+    )
+    assert digests == EXACT_RESULT_DIGESTS
 
 
 # -- the sweep kernel against the plain sweeps -------------------------------------------
