@@ -911,9 +911,7 @@ def test_auto_returns_the_cg_result_when_no_support_passes_the_gap(monkeypatch):
     supports = _record_supports(monkeypatch)
     auto = solve_icwe(after, start=before.path_flows)
     assert supports == [((0, 1), (0, 1))]
-    cg = solve_icwe(after, backend="cg", start=before.path_flows)
-    assert auto.backend == "cg"
-    assert repr(auto) == repr(cg)
+    assert repr(auto) == repr(solve_icwe(after, backend="cg", start=before.path_flows))
 
 
 # Rejected polishes on the 90 games below: 52 of 142 polishes when a
