@@ -26,7 +26,6 @@ from .equilibrium import (
     DEFAULT_TOLERANCE,
     EquilibriumResult,
     solve_icwe,
-    verify_wardrop,
 )
 from .errors import (
     IbpcheckError,
@@ -139,8 +138,7 @@ def cmd_solve(args) -> int:
     for eid in sorted(game.graph.edge_ids):
         flow = result.edge_flows.get(eid, 0.0)
         print(f"  {eid}: flow={_fmt(flow)} latency={_fmt(game.latencies[eid](flow))}")
-    check = verify_wardrop(game, result, epsilon=max(args.tol, 1e-12))
-    print(f"max wardrop violation: {_fmt(check.max_violation)}")
+    print(f"max wardrop violation: {_fmt(result.max_wardrop_violation)}")
     return EXIT_OK
 
 

@@ -33,18 +33,23 @@ Three backends:
   result.  Works for any polynomial latencies.
 * ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
   game.  Once the used-path support has held for a full sweep, and again at
-  convergence, the polish (``_solve_support``) solves the equal-cost system
-  on that support (``_equal_cost_flows``, the only caller of the system
-  builder): linearized at the table's flows and solved again at each
+  convergence, each support at most once in a row, the polish
+  (``_solve_support``) solves the equal-cost system on that support
+  (``_equal_cost_flows``, the only caller of the system builder) by least
+  squares: linearized at the table's flows and solved again at each
   solution until the flows stop moving, which is Newton's method; an affine
-  system is exact after one solve.  The polish is an active-set step: a
-  rejected solution changes the support and the system is solved again, at
-  most ``PIVOTS`` times.  Paths with negative flow leave the support; if
-  the flows are nonnegative but fail the gap, each type's cheapest path
-  outside the support joins it.  An accepted solution is returned with
-  backend ``"exact"``; a polish that runs out of pivots, or of paths to
-  drop or add, leaves the sweeps as they were, so ``auto`` never returns a
-  worse answer than ``cg``.
+  system is exact after one solve.  A solution is accepted when it solves
+  the system, no flow is negative and it passes the Wardrop gap.  The
+  polish is an active-set step: a rejected solution changes the support and
+  the system is solved again, at most ``PIVOTS`` times.  Paths with
+  negative flow leave the support; if the flows are nonnegative but fail
+  the gap, each type's cheapest path outside the support joins it.  The
+  edge latencies of an equilibrium are unique but its path flows need not
+  be, so a singular system has many solutions; least squares returns the
+  one of least norm, and a rejected one is pivoted like any other.  An
+  accepted solution is returned with backend ``"exact"``; a polish that
+  runs out of pivots, or of paths to drop or add, leaves the sweeps as they
+  were, so ``auto`` never returns a worse answer than ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
   ``_equal_cost_flows`` solution is feasible and passes the same Wardrop
@@ -463,34 +468,17 @@ class _CostCore:
 
 
 def _equal_cost_flows(
-    core: _CostCore,
-    support: Sequence[Sequence[int]],
-    tolerance: float,
-    anchor: Optional[Sequence[float]] = None,
+    core: _CostCore, support: Sequence[Sequence[int]], tolerance: float
 ) -> tuple[Optional[list[dict[int, float]]], Optional[list[dict[int, float]]]]:
     """Flows on which every used path of a type costs the same, on one support.
 
     `support` lists, per active type in order, the indices of the paths it
-    uses; `core.equal_cost_system(support)` is the system (equal costs per
-    type, conservation of each rate) linearized at the table's flows.  It
-    is solved by least squares, the solution is loaded, and the system is
-    rebuilt there and solved again (Newton's method), until the edge flows
-    stop moving or NEWTON_STEPS systems have been solved; an affine system
-    is exact after one solve.  The last solution is accepted only if its
-    residual is within bound, every flow is nonnegative, and the Wardrop gap
-    of the loaded table is at most `tolerance`.
-
-    A singular system has many path-flow solutions with the same edge flows.
-    Least squares returns the one of least norm; if that one is rejected and
-    `anchor` gives flows for the support's paths, in order, the solution of
-    the last system nearest the anchor is tried too.
-
-    Returns (accepted, rejected): the accepted flows, or the last solution
-    tried, per type and unclipped, when it solved the system but had a flow
-    below -1e-9 or failed the gap; the other is None, and both are None when
-    no solution solved the system.  The table is left holding whatever was
-    loaded last: the accepted flows, or, after a failed gap, the rejected
-    solution with its flows clipped at zero.
+    uses.  Returns (accepted, rejected): the accepted flows, or the last
+    solution, per type and unclipped, when it solved the system but had a
+    flow below -1e-9 or a Wardrop gap above `tolerance`; the other is None,
+    and both are None when no solution solved the system.  The table is left
+    holding whatever was loaded last: the accepted flows, or, after a failed
+    gap, the rejected solution with its flows clipped at zero.
     """
     game = core.game
     if not support:  # no active type: the empty flows are the equilibrium
@@ -508,7 +496,7 @@ def _equal_cost_flows(
 
     for _ in range(NEWTON_STEPS):
         a_mat, b_vec = core.equal_cost_system(support)
-        solution, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+        solution = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
         if core.affine or not np.isfinite(solution).all():
             break
         before = core.edge_flow[:]
@@ -519,88 +507,54 @@ def _equal_cost_flows(
         if moved <= NEWTON_RESOLUTION * max(before):
             break
 
-    def accept(solution: np.ndarray):
-        if not np.isfinite(solution).all():
-            return None, None
-        if np.abs(a_mat @ solution - b_vec).max() > 1e-7:
-            return None, None
-        x = solution[:n].tolist()
-        if min(x) < -1e-9:
-            return None, unpack(x)
-        flows = unpack([max(v, 0.0) for v in x])
-        for j in core.active:  # absorb solver rounding into the largest flow
-            gap = game.types[j].rate - sum(flows[j].values())
-            if gap != 0.0:
-                top = max(flows[j], key=flows[j].get)
-                flows[j][top] += gap
-                if flows[j][top] < 0:
-                    return None, None
-        core.load(flows)
-        if core.violation(flows, tolerance) <= tolerance:
-            return flows, None
+    if not np.isfinite(solution).all() or np.abs(a_mat @ solution - b_vec).max() > 1e-7:
+        return None, None
+    x = solution[:n].tolist()
+    if min(x) < -1e-9:
         return None, unpack(x)
-
-    flows, rejected = accept(solution)
-    if flows is None and anchor is not None and rank < len(a_mat):
-        start = np.concatenate([anchor, solution[n:]])
-        step, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ start, rcond=None)
-        flows, rejected = accept(start + step)
-    return flows, rejected
-
-
-def _pivot(
-    core: _CostCore, support: Sequence[Sequence[int]], rejected: Sequence[Mapping[int, float]]
-) -> Optional[list[tuple[int, ...]]]:
-    """The support to try after `rejected`, a solution on `support`.
-
-    If some of its flows are below -1e-9, those paths leave the support,
-    and None is returned if a type would be left with no path.  Otherwise
-    it failed the gap on the loaded table: each active type whose cheapest
-    path lies outside its support gains that path, costed on the table,
-    and None is returned if no type gains one.
-    """
-    if any(x < -1e-9 for f in rejected for x in f.values()):
-        dropped = [
-            tuple(k for k in ks if rejected[j][k] >= -1e-9)
-            for j, ks in zip(core.active, support)
-        ]
-        return None if () in dropped else dropped
-    grown, added = [], False
-    for j, ks in zip(core.active, support):
-        cost = core.path_costs(j)
-        best = cost.index(min(cost))
-        if best not in ks:
-            ks, added = tuple(sorted((*ks, best))), True
-        grown.append(tuple(ks))
-    return grown if added else None
+    flows = unpack([max(v, 0.0) for v in x])
+    for j in core.active:  # absorb solver rounding into the largest flow
+        gap = game.types[j].rate - sum(flows[j].values())
+        if gap != 0.0:
+            top = max(flows[j], key=flows[j].get)
+            flows[j][top] += gap
+            if flows[j][top] < 0:
+                return None, None
+    core.load(flows)
+    if core.violation(flows, tolerance) <= tolerance:
+        return flows, None
+    return None, unpack(x)
 
 
 def _solve_support(
-    core: _CostCore,
-    support: Sequence[Sequence[int]],
-    tolerance: float,
-    anchor: Optional[Sequence[float]] = None,
+    core: _CostCore, support: Sequence[Sequence[int]], tolerance: float
 ) -> Optional[list[dict[int, float]]]:
-    """The active-set polish: accepted equal-cost flows on `support`, or on
-    a support at most PIVOTS pivots away from it, or None.
-
-    The system is solved on `support` first (`_equal_cost_flows`, with
-    `anchor` for a singular system).  While the solution is rejected but
-    solved the system, `_pivot` changes the support (the paths with
-    negative flow leave it, or each type's cheapest path outside it joins)
-    and the system is solved on the new support, by Newton's method from
-    the table the last solve left.  Acceptance is `_equal_cost_flows`'s on
-    whichever support: residual, signs and the Wardrop gap against every
-    feasible path.  The table is left holding whatever was loaded last; on
-    acceptance, the returned flows.
-    """
-    flows, rejected = _equal_cost_flows(core, support, tolerance, anchor)
+    """The polish: accepted equal-cost flows on `support`, or on a support at
+    most PIVOTS pivots away from it, or None.  The table is left holding
+    whatever was loaded last; on acceptance, the returned flows."""
+    flows, rejected = _equal_cost_flows(core, support, tolerance)
     for _ in range(PIVOTS):
         if rejected is None:
             break
-        support = _pivot(core, support, rejected)
-        if support is None:
-            return None
+        if any(x < -1e-9 for f in rejected for x in f.values()):
+            # the paths with negative flow leave; no type may be left without one
+            support = [
+                tuple(k for k in ks if rejected[j][k] >= -1e-9)
+                for j, ks in zip(core.active, support)
+            ]
+            if () in support:
+                return None
+        else:
+            # nonnegative but over the gap on the loaded table: each type's
+            # cheapest path joins its support, if it is not in it yet
+            grown = []
+            for j, ks in zip(core.active, support):
+                cost = core.path_costs(j)
+                best = cost.index(min(cost))
+                grown.append(ks if best in ks else tuple(sorted((*ks, best))))
+            if grown == list(support):
+                return None
+            support = grown
         flows, rejected = _equal_cost_flows(core, support, tolerance)
     return flows
 
@@ -759,30 +713,10 @@ def _solve_cg(
     start: Optional[Sequence[Mapping[Path, float]]],
     polish: bool = False,
 ) -> EquilibriumResult:
-    """Pairwise conditional gradient on the cost core's table.
-
-    A shift re-evaluates only the latencies of the edges it moves, inline
-    as `slope * x + constant` for an affine edge, so the running edge sums
-    drift from a fresh load; the result is built from a fresh one, and
-    sweeping goes on from it while its gap is above tolerance.  Each move
-    (type, to path, from path) is worked out once per solve: the edges it
-    gains and drops, and the sum of their slopes when all are affine, which
-    gives the step in closed form (`_affine_step`); only a move over a
-    non-affine edge runs `_line_search`.  The convergence test stops at the
-    first type over tolerance; the full gap is read only for the result and
-    for `DidNotConverge`.  None of this changes a float: the flows, the
-    sweep count and the result are those of full tests, fresh edge sets and
-    `LatencyFunction` calls on every shift.
-
-    With `polish`, the active-set polish (`_solve_support`) starts from the
-    used-path support once it has held for a full sweep and again at
-    convergence, each support at most once in a row.  It solves the
-    equal-cost system (by Newton's method unless every latency is affine)
-    and, while the solution is rejected, drops the paths with negative flow
-    or adds each type's cheapest path outside, and solves again, at most
-    PIVOTS times.  An accepted solution is returned as backend "exact"; a
-    rejected polish leaves the sweeps untouched.
-    """
+    """Pairwise conditional-gradient sweeps on the cost core's table, from
+    `start` (see `solve_icwe`), until the Wardrop gap is at most `tolerance`;
+    with `polish`, the ``auto`` backend of the module docstring.  Raises
+    DidNotConverge after `max_iterations` sweeps."""
     flows = _start_flows(core, start)
     core.load(flows)
     functions, coeffs, lines, edge_sets = core.functions, core.coeffs, core.lines, core.edge_sets
@@ -847,8 +781,7 @@ def _solve_cg(
             if (gap <= tolerance or support == previous) and support != tried:
                 tried = support
                 saved = edge_flow[:], edge_lat[:]
-                anchor = [flows[j][k] for j, ks in zip(core.active, support) for k in ks]
-                polished = _solve_support(core, support, tolerance, anchor)
+                polished = _solve_support(core, support, tolerance)
                 if polished is not None:
                     return core.result(polished, "exact", sweep)
                 edge_flow[:], edge_lat[:] = saved  # sweep on as if never polished
@@ -871,18 +804,10 @@ def solve_icwe(
 ) -> EquilibriumResult:
     """Compute an ICWE flow: minimize the potential over per-type path flows.
 
-    backend "cg" runs the conditional-gradient sweeps alone.  "auto" runs
-    the same sweeps and solves the equal-cost system on the used-path
-    support the sweeps found, once that support has held for a full sweep
-    and again at convergence.  The system is linearized at the current
-    flows and solved again at each solution until the flows stop moving
-    (Newton's method; exact after one solve when every latency is affine).
-    A solution is kept only if it is nonnegative and passes the Wardrop
-    gap.  Otherwise the support changes (paths with negative flow leave
-    it, or each type's cheapest path outside it joins) and the system is
-    solved again, at most PIVOTS times; after that sweeping goes on, so
-    "auto" never returns a worse answer than "cg".  "exact" tries every support (affine latencies, at most
-    EXACT_PATH_LIMIT paths) and serves as an oracle.
+    `backend` is one of the module docstring's: "cg" runs the
+    conditional-gradient sweeps alone; "auto" polishes them and never
+    returns a worse answer than "cg"; "exact" tries every support (affine
+    latencies, at most EXACT_PATH_LIMIT paths) and serves as an oracle.
 
     "cg" and "auto" start from `start` when it is given: per type, a
     mapping from paths to flows, as in `result.path_flows`.  Every path

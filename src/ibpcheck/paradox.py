@@ -490,7 +490,8 @@ def random_search_ibp(
     reveals a random nonempty part of the rest.  Fully reproducible: the
     transcript is a pure function of the seed.  Raises ValueError before the
     first trial unless trials >= 0, 0 <= coefficients low <= high,
-    max(rates low, 1) <= rates high and the threshold is finite and >= 0.
+    max(rates low, 1) <= rates high and the threshold is finite and >= 0,
+    and InvalidNetwork when OD 0 has no path to build type 1's on.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -499,9 +500,13 @@ def random_search_ibp(
     if not max(rate_range[0], 1) <= rate_range[1]:
         raise ValueError(f"rate_range needs max(low, 1) <= high, got {rate_range}")
     _check_threshold(decision_threshold)
+    type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])
+    if not type1_paths:
+        raise InvalidNetwork(
+            "OD 0 ({} -> {}) has no path for type 1's information set".format(*g.od_pairs[0])
+        )
     rng = random.Random(seed)
     edge_ids = sorted(g.edge_ids)
-    type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])
     transcript = [f"seed={seed} trials={trials}"]
     hits: list[tuple[int, IBPInstance]] = []
     ran = 0

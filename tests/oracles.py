@@ -171,8 +171,7 @@ def solve_by_full_sweeps(
             if (violation <= tolerance or support == previous) and support != tried:
                 tried = support
                 saved = edge_flow[:], edge_lat[:]
-                anchor = [flows[j][k] for j, ks in zip(core.active, support) for k in ks]
-                polished = _solve_support(core, support, tolerance, anchor)
+                polished = _solve_support(core, support, tolerance)
                 if polished is not None:
                     return core.result(polished, "exact", sweep)
                 edge_flow[:], edge_lat[:] = saved

@@ -11,12 +11,15 @@ import pytest
 
 from ibpcheck import cli
 from ibpcheck.cli import build_parser, main
+from ibpcheck.core_graph import MultiGraph
 from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     LatencyFunction,
     RoutingGame,
     TravelerType,
+    solve_icwe,
+    verify_wardrop,
 )
 from ibpcheck.instance_io import (
     instance_to_dict,
@@ -258,6 +261,18 @@ def test_solve_on_a_3000_edge_path(tmp_path, capsys):
     assert "type 0: rate=2 latency=9000" in out
 
 
+@pytest.mark.parametrize("name", [stem for stem in FIXTURE_STEMS if stem != "malformed"])
+def test_solve_prints_the_gap_verify_wardrop_finds(name, capsys):
+    # the printed gap is the result's own; verify_wardrop rebuilds it from
+    # the path flows alone
+    path = FIXTURES / f"{name}.json"
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    game, _ = load_instance(path)
+    check = verify_wardrop(game, solve_icwe(game))
+    assert out.splitlines()[-1] == f"max wardrop violation: {cli._fmt(check.max_violation)}"
+
+
 # -- check-ibp ------------------------------------------------------------------------
 
 
@@ -365,6 +380,22 @@ def test_search_finds_witness_on_gadget(tmp_path, capsys):
     assert (tmp_path / "gadget.search-witness.json").exists()
 
 
+def test_search_without_an_od_0_path_exits_2(tmp_path, capsys):
+    g = second_od_pair_disconnected()
+    swapped = MultiGraph(g.vertices, g.edges, list(reversed(g.od_pairs)))
+    game = RoutingGame(
+        swapped,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in swapped.edge_ids},
+        [TravelerType(1.0, 1, ("e1", "e2"))],
+    )
+    path = tmp_path / "od0_disconnected.json"
+    save_instance(path, game)
+    code, out, err = run_cli(capsys, "search", str(path), "--trials", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: OD 0 (c -> a) has no path")
+    assert "Traceback" not in err
+
+
 def test_search_output_is_deterministic(capsys):
     args = ("search", str(FIXTURES / "cycle4_two_od.json"), "--trials", "25", "--seed", "9")
     _, out1, _ = run_cli(capsys, *args)
@@ -383,6 +414,17 @@ CLASSIFY_GOLDEN = json.loads((GOLDEN / "classify.json").read_text())
 def test_classify_output_matches_golden(name, capsys):
     code, out, _ = run_cli(capsys, "classify", str(FIXTURES / f"{name}.json"))
     assert (code, out) == (CLASSIFY_GOLDEN[name]["exit"], CLASSIFY_GOLDEN[name]["stdout"])
+
+
+SOLVE_GOLDEN = json.loads((GOLDEN / "solve.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["solve", "check-ibp"])
+@pytest.mark.parametrize("name", FIXTURE_STEMS)
+def test_solve_and_check_ibp_output_matches_golden(name, command, capsys):
+    code, out, _ = run_cli(capsys, command, str(FIXTURES / f"{name}.json"))
+    want = SOLVE_GOLDEN[name][command]
+    assert (code, out) == (want["exit"], want["stdout"])
 
 
 @pytest.mark.parametrize("name", ["chain3", "gadget", "k4"])

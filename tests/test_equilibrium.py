@@ -714,10 +714,13 @@ def test_auto_agrees_with_exact_on_affine_corpora():
         assert verify_wardrop(game, auto, epsilon=1e-8).passed
 
 
-def test_auto_takes_the_solution_nearest_cg_on_a_singular_support():
+def test_auto_drops_the_negative_path_of_a_singular_support(monkeypatch):
     # Three types on three parallel links.  The edge flows (7, 3, 6) are
     # unique, the path flows are not: on the support cg ends with, the
-    # least-norm solution sends -0.75 along type 1's link g01.
+    # least-norm solution sends -0.75 along type 1's link g01.  One polish
+    # drops that path and solves again.
+    import ibpcheck.equilibrium as equilibrium
+
     g = MultiGraph(["s", "t"], [(e, "s", "t") for e in ("g00", "g01", "g02")], [("s", "t")])
     latencies = {
         "g00": LatencyFunction((2.0, 1.0)),
@@ -730,9 +733,21 @@ def test_auto_takes_the_solution_nearest_cg_on_a_singular_support():
         TravelerType(2.0, 0, {"g01"}),
     ]
     game = RoutingGame(g, latencies, types)
+    supports = _record_supports(monkeypatch)
+    solve_support = equilibrium._solve_support
+    polishes = []
+
+    def record(*args):
+        polishes.append(args[1])
+        return solve_support(*args)
+
+    monkeypatch.setattr(equilibrium, "_solve_support", record)
     result = solve_icwe(game)
     assert result.backend == "exact"
-    assert len(result.path_flows[1]) == 3  # the support is cg's, not a smaller one
+    # one polish, two solves; type 1's paths are g00, g01, g02, and the
+    # second solve is without g01
+    assert polishes == [((0, 1), (0, 1, 2), (0,))]
+    assert supports == [((0, 1), (0, 1, 2), (0,)), ((0, 1), (0, 2), (0,))]
     assert all(x >= 0.0 for flows in result.path_flows for x in flows.values())
     for eid, want in (("g00", 7.0), ("g01", 3.0), ("g02", 6.0)):
         assert result.edge_flows[eid] == pytest.approx(want, abs=1e-12)

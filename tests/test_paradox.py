@@ -47,6 +47,7 @@ from conftest import (
     gadget_multigraph,
     grid_graph,
     k4_three_terminals,
+    second_od_pair_disconnected,
     triangle_two_od,
     wheatstone,
 )
@@ -434,6 +435,19 @@ def test_search_rejects_bad_numbers_before_the_first_trial(monkeypatch, kwargs, 
     monkeypatch.setattr(paradox, "check_ibp", trial)
     with pytest.raises(ValueError, match=match):
         random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
+
+
+def test_search_without_an_od_0_path_raises_before_the_first_trial(monkeypatch):
+    import ibpcheck.paradox as paradox
+
+    def trial(*args, **kwargs):
+        raise AssertionError("ran a trial on a network without an OD 0 path")
+
+    monkeypatch.setattr(paradox, "check_ibp", trial)
+    g = second_od_pair_disconnected()
+    swapped = MultiGraph(g.vertices, g.edges, list(reversed(g.od_pairs)))
+    with pytest.raises(InvalidNetwork, match=r"OD 0 \(c -> a\) has no path"):
+        random_search_ibp(swapped, trials=3, seed=0)
 
 
 def test_zero_trials_finds_nothing():
