@@ -7,12 +7,16 @@ the minimal paradox gadget.  `find_gadget_embedding` finds one by greedy
 one-edge reduction: it keeps the block 2-connected, not a cycle and with
 differing terminal sets, deletes every edge it can in one id-ordered sweep,
 then makes the least-id contraction it can, until the gadget's shape is
-left.  No paths or cycles are enumerated.  Instance lifting then transports
-the gadget's known paradox through the embedding (contracted edges become
-latency-free and join every information set) and, block to whole graph, by
-zeroing latencies off the block and granting full information elsewhere.
+left.  The reduction edits one working graph (each edge's endpoints, each
+vertex's incidences and the OD pairs) in place, undoes a rejected step and
+builds the reduced graph once; no paths or cycles are enumerated.
+Instance lifting then transports the gadget's known paradox through the
+embedding (contracted edges become latency-free and join every
+information set) and, block to whole graph, by zeroing latencies off the
+block and granting full information elsewhere.  Synthesis transports from
+the reduced graph; only `lift_instance`, given steps alone, replays them.
 
-Everything operates on immutable values; search trials run sequentially for
+Every public value is immutable; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
 """
 
@@ -31,7 +35,7 @@ from .core_graph import (
     MultiGraph,
     Path,
     apply_embedding_step,
-    biconnected_blocks,
+    connected_components,
     enumerate_simple_paths,
     is_cycle,
 )
@@ -257,32 +261,18 @@ def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]
     return emap
 
 
-def lift_instance(
+def _transport(
     target: MultiGraph,
     steps: Sequence[EmbeddingStep],
+    h: MultiGraph,
     source_instance: IBPInstance,
-) -> IBPInstance:
-    """Transport a paradox instance backwards through an embedding.
-
-    Replaying `steps` on `target` must reproduce the source graph (up to
-    renaming; OD pairs may be matched in either order and either orientation).
-    Deleted edges get zero latency and stay out of every information set;
-    contracted edges get zero latency and join every information set, so each
-    source path lifts to an equal-latency target path.
-    """
-    h = target
-    for step in steps:
-        h = apply_embedding_step(h, step)
-
+) -> Optional[IBPInstance]:
+    """Carry the source instance from h, the graph `steps` leave of `target`,
+    back to `target`; None unless h matches the source's network."""
     src_graph = source_instance.game.graph
-    match = None
-    for perm, vmap in _vertex_isomorphisms(h, src_graph):
-        match = (perm, vmap)
-        break
+    match = next(_vertex_isomorphisms(h, src_graph), None)
     if match is None:
-        raise StepsDoNotReproduceSource(
-            "replayed steps do not yield the source instance's network"
-        )
+        return None
     perm, vmap = match
     emap = _edge_correspondence(h, src_graph, vmap)
     inv_emap = {s: t for t, s in emap.items()}
@@ -306,41 +296,170 @@ def lift_instance(
     )
 
 
+def lift_instance(
+    target: MultiGraph,
+    steps: Sequence[EmbeddingStep],
+    source_instance: IBPInstance,
+) -> IBPInstance:
+    """Transport a paradox instance backwards through an embedding.
+
+    Replaying `steps` on `target` must reproduce the source graph (up to
+    renaming; OD pairs may be matched in either order and either orientation).
+    Deleted edges get zero latency and stay out of every information set;
+    contracted edges get zero latency and join every information set, so each
+    source path lifts to an equal-latency target path.
+    """
+    h = target
+    for step in steps:
+        h = apply_embedding_step(h, step)
+    lifted = _transport(target, steps, h, source_instance)
+    if lifted is None:
+        raise StepsDoNotReproduceSource(
+            "replayed steps do not yield the source instance's network"
+        )
+    return lifted
+
+
 # -- gadget embedding search -------------------------------------------------------------
 
 
-def _is_gadget_shaped(g: MultiGraph) -> bool:
-    if len(g.vertices) != 3 or len(g.edges) != 4 or len(g.od_pairs) != 2:
+def _has_gadget_shape(n_vertices: int, ends, od_pairs) -> bool:
+    """Three vertices, one doubled and two single sides, two OD pairs on
+    different terminal sets; `ends` holds each edge's two endpoints."""
+    if n_vertices != 3 or len(ends) != 4 or len(od_pairs) != 2:
         return False
-    counts = Counter(frozenset((u, v)) for _, u, v in g.edges)
+    counts = Counter(frozenset(uv) for uv in ends)
     if sorted(counts.values()) != [1, 1, 2]:
         return False
-    return frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
+    return frozenset(od_pairs[0]) != frozenset(od_pairs[1])
 
 
-def _keeps_invariant(g: MultiGraph) -> bool:
-    """2-connected, not a cycle, and the two terminal sets differ."""
-    return (
-        frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
-        and not is_cycle(g)
-        and len(biconnected_blocks(g)[0]) == 1
-    )
+def _is_gadget_shaped(g: MultiGraph) -> bool:
+    return _has_gadget_shape(len(g.vertices), [(u, v) for _, u, v in g.edges], g.od_pairs)
 
 
-def _first_contraction(g: MultiGraph) -> Optional[tuple[EmbeddingStep, MultiGraph]]:
-    """The least-id contraction that keeps the invariant, with its result."""
-    pairs = {frozenset(pair) for pair in g.od_pairs}
-    terminals = g.terminals
-    for eid in sorted(g.edge_ids):
-        u, v = g.endpoints(eid)
-        if frozenset((u, v)) in pairs or len(g.parallel_ids(u, v)) > 1:
-            continue
-        names = [w for w in (u, v) if w in terminals] or [u, v]
-        step = EmbeddingStep.contract(eid, min(names))
-        reduced = apply_embedding_step(g, step)
-        if _keeps_invariant(reduced):
-            return step, reduced
-    return None
+def _one_block(inc: dict[str, dict[str, str]]) -> bool:
+    """Whether the graph with incidences `inc` (vertex -> edge id -> other
+    end) is connected and 2-connected or a single edge.
+
+    A lowpoint DFS (Hopcroft-Tarjan), which skips only the entering edge id,
+    so a parallel edge back to the parent is a back edge.  It stops at the
+    second block: a block closing below the root, or a second one at it.
+    """
+    root = next(iter(inc))
+    disc = {root: 0}
+    low = {root: 0}
+    closed_at_root = 0
+    stack = [(root, None, iter(inc[root].items()))]
+    while stack:
+        v, in_edge, it = stack[-1]
+        for eid, w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, eid, iter(inc[w].items())))
+                break
+            if eid != in_edge and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] >= disc[u]:
+                    closed_at_root += 1
+                    if len(stack) > 1 or closed_at_root > 1:
+                        return False
+                elif low[v] < low[u]:
+                    low[u] = low[v]
+    return len(disc) == len(inc)
+
+
+def _move_ends(
+    inc: dict[str, dict[str, str]],
+    ends: dict[str, tuple[str, str]],
+    eids: Sequence[str],
+    old: str,
+    new: str,
+) -> None:
+    """Move the ends that edges `eids` have at vertex `old` to vertex `new`."""
+    for e in eids:
+        w = inc[old].pop(e)
+        inc[w][e] = new
+        inc[new][e] = w
+        a, b = ends[e]
+        ends[e] = (new if a == old else a, new if b == old else b)
+
+
+def _reduce_to_gadget(block: MultiGraph) -> tuple[list[EmbeddingStep], MultiGraph]:
+    """`find_gadget_embedding`'s steps, and the gadget-shaped graph they
+    leave of the block, built once at the end.
+
+    The working graph is the edges' endpoints, each vertex's incidences and
+    the OD pairs, edited in place: a deletion or contraction is made, kept
+    if the invariant holds and undone otherwise.
+    """
+    if len(block.od_pairs) != 2:
+        raise PreconditionViolated("gadget embedding needs exactly two OD pairs")
+    if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
+        raise PreconditionViolated("terminal sets coincide; block is coincident")
+    if is_cycle(block):
+        raise IsCycleError("cycles are immune; no gadget embedding exists")
+    ends = {eid: (u, v) for eid, u, v in block.edges}
+    inc: dict[str, dict[str, str]] = {v: {} for v in block.vertices}
+    for eid, u, v in block.edges:
+        inc[u][eid] = v
+        inc[v][eid] = u
+    if not _one_block(inc):
+        raise PreconditionViolated("input is not 2-connected")
+    od = block.od_pairs
+
+    def keeps_invariant() -> bool:
+        # one block with every degree 2 is a cycle
+        return (
+            frozenset(od[0]) != frozenset(od[1])
+            and any(len(i) != 2 for i in inc.values())
+            and _one_block(inc)
+        )
+
+    steps: list[EmbeddingStep] = []
+    while True:
+        for eid in sorted(ends):
+            u, v = ends[eid]
+            if len(inc[u]) <= 2 or len(inc[v]) <= 2:
+                continue
+            del inc[u][eid], inc[v][eid]
+            if keeps_invariant():
+                del ends[eid]
+                steps.append(EmbeddingStep.delete(eid))
+            else:
+                inc[u][eid], inc[v][eid] = v, u
+        if _has_gadget_shape(len(inc), ends.values(), od):
+            break
+        pairs = {frozenset(pair) for pair in od}
+        terminals = {w for pair in od for w in pair}
+        for eid in sorted(ends):
+            u, v = ends[eid]
+            if frozenset((u, v)) in pairs or list(inc[u].values()).count(v) > 1:
+                continue
+            name = min([w for w in (u, v) if w in terminals] or [u, v])
+            gone = v if name == u else u
+            del inc[u][eid], inc[v][eid]
+            moved = list(inc[gone])
+            _move_ends(inc, ends, moved, gone, name)
+            del inc[gone]
+            kept_od, od = od, tuple(tuple(name if w == gone else w for w in p) for p in od)
+            if keeps_invariant():
+                del ends[eid]
+                steps.append(EmbeddingStep.contract(eid, name))
+                break
+            inc[gone] = {}
+            _move_ends(inc, ends, moved, name, gone)
+            inc[u][eid], inc[v][eid] = v, u
+            od = kept_od
+        else:
+            raise PreconditionViolated("no gadget embedding found for this block")
+
+    edges = [(eid, *ends[eid]) for eid, _, _ in block.edges if eid in ends]
+    return steps, MultiGraph(inc, edges, od)
 
 
 def find_gadget_embedding(block: MultiGraph) -> list[EmbeddingStep]:
@@ -358,62 +477,38 @@ def find_gadget_embedding(block: MultiGraph) -> list[EmbeddingStep]:
 
     Every choice is the first in edge-id order, so the step list is a pure
     function of the block's edges and OD pairs: canonical, and checked by
-    replay in lifting.  Each step removes an edge and each candidate costs
-    one block decomposition, so the search takes O(|E|^3) time and
-    enumerates no paths.
+    replay in lifting.  The reduction edits one working graph in place and
+    undoes a rejected step, so no candidate builds a graph; each invariant
+    check is one lowpoint DFS, so the search takes O(|E|^3) time at worst
+    and enumerates no paths.
     """
-    if len(block.od_pairs) != 2:
-        raise PreconditionViolated("gadget embedding needs exactly two OD pairs")
-    if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
-        raise PreconditionViolated("terminal sets coincide; block is coincident")
-    if is_cycle(block):
-        raise IsCycleError("cycles are immune; no gadget embedding exists")
-    if len(biconnected_blocks(block)[0]) != 1:
-        raise PreconditionViolated("input is not 2-connected")
-
-    steps: list[EmbeddingStep] = []
-    g = block
-    while True:
-        for eid in sorted(g.edge_ids):
-            if min(len(g.adjacency[v]) for v in g.endpoints(eid)) <= 2:
-                continue
-            step = EmbeddingStep.delete(eid)
-            reduced = apply_embedding_step(g, step)
-            if _keeps_invariant(reduced):
-                g = reduced
-                steps.append(step)
-        if _is_gadget_shaped(g):
-            return steps
-        contraction = _first_contraction(g)
-        if contraction is None:
-            raise PreconditionViolated("no gadget embedding found for this block")
-        step, g = contraction
-        steps.append(step)
+    return _reduce_to_gadget(block)[0]
 
 
 # -- witness synthesis ----------------------------------------------------------------
 
 
 def _lift_block_instance(
-    block_graph: MultiGraph, steps: Sequence[EmbeddingStep]
+    block_graph: MultiGraph, steps: Sequence[EmbeddingStep], h: MultiGraph
 ) -> IBPInstance:
-    """Lift the gadget with OD 2 at OD 1's origin, else at its destination."""
-    try:
-        return lift_instance(block_graph, steps, gadget_instance())
-    except StepsDoNotReproduceSource:
-        return lift_instance(
-            block_graph, steps, gadget_instance(GadgetVariant.ORIGIN2_AT_DESTINATION1)
-        )
+    """Transport the gadget to the block that `steps` reduce to h, with OD 2
+    at OD 1's origin, else at its destination."""
+    for variant in GadgetVariant:
+        lifted = _transport(block_graph, steps, h, gadget_instance(variant))
+        if lifted is not None:
+            return lifted
+    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
 
 
 def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     """Build a concrete paradox instance on a network that is not IBP-free.
 
     Works through the first common block of two OD chains that is neither
-    coincident nor a cycle, in pair order and then block-id order: embed the
-    gadget there, lift its instance to the block, then to the whole graph
-    (zero latencies off the block, full information on the other chain
-    blocks).  The result is verified by solving both games.
+    coincident nor a cycle, in pair order and then block-id order: reduce
+    the block to the gadget's shape once, transport the gadget's instance
+    to the block, then to the whole graph (zero latencies off the block,
+    full information on the other chain blocks).  The steps are never
+    replayed.  The result is verified by solving both games.
     """
     report = decide_ibp_free(g)
     if report.verdict == IBP_FREE:
@@ -433,7 +528,7 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
         )
     (i, j), v = min(others, key=lambda site: (site[0], site[1].block_id))
     block_graph = g.induced(dec.blocks[v.block_id], [v.terminal_set_in_i, v.terminal_set_in_j])
-    block_instance = _lift_block_instance(block_graph, find_gadget_embedding(block_graph))
+    block_instance = _lift_block_instance(block_graph, *_reduce_to_gadget(block_graph))
 
     zero = LatencyFunction.zero()
     latencies = {eid: block_instance.game.latencies.get(eid, zero) for eid in g.edge_ids}
@@ -491,7 +586,8 @@ def random_search_ibp(
     transcript is a pure function of the seed.  Raises ValueError before the
     first trial unless trials >= 0, 0 <= coefficients low <= high,
     max(rates low, 1) <= rates high and the threshold is finite and >= 0,
-    and InvalidNetwork when OD 0 has no path to build type 1's on.
+    and InvalidNetwork when some OD pair has no path: OD 0's paths carry
+    type 1's information set, and every later type sees the whole graph.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -505,6 +601,10 @@ def random_search_ibp(
         raise InvalidNetwork(
             "OD 0 ({} -> {}) has no path for type 1's information set".format(*g.od_pairs[0])
         )
+    components = connected_components(g)
+    for k, (o, d) in enumerate(g.od_pairs[1:], start=1):
+        if not any(o in comp and d in comp for comp in components):
+            raise InvalidNetwork(f"OD {k} ({o} -> {d}) has no path for type {k + 1}")
     rng = random.Random(seed)
     edge_ids = sorted(g.edge_ids)
     transcript = [f"seed={seed} trials={trials}"]

@@ -13,7 +13,10 @@ series-decomposition check restate the SLI consequence that each type's
 latency is the sum of its latencies in the blocks of its chain.  The
 Beckmann potential (the edge-wise integral of the latencies, minimized by
 every equilibrium) and the total rate are evaluated here too, since only
-the tests need them.  The tests compare the library against them.
+the tests need them.  The gadget embedding's greedy reduction runs here
+as first written, rebuilding the graph and its block decomposition for
+every candidate step instead of editing one working graph.  The tests
+compare the library against them.
 """
 
 import itertools
@@ -23,9 +26,12 @@ from typing import Iterable, Optional, Sequence
 from ibpcheck.core_graph import (
     BlockDecomposition,
     ChainLink,
+    EmbeddingStep,
     MultiGraph,
     Path,
     ValidationReport,
+    apply_embedding_step,
+    biconnected_blocks,
     connected_components,
     enumerate_simple_paths,
     is_cycle,
@@ -45,7 +51,8 @@ from ibpcheck.equilibrium import (
     feasible_paths,
     solve_icwe,
 )
-from ibpcheck.errors import DidNotConverge, SolverError
+from ibpcheck.errors import DidNotConverge, IsCycleError, PreconditionViolated, SolverError
+from ibpcheck.paradox import _is_gadget_shaped
 from ibpcheck.topology import (
     COINCIDENT,
     CYCLE,
@@ -360,3 +367,68 @@ def check_series_decomposition(
         abs(sums[j] - result.type_latencies[j]) <= tolerance
         for j in range(len(game.types))
     )
+
+
+def _keeps_invariant(g: MultiGraph) -> bool:
+    """2-connected, not a cycle, and the two terminal sets differ."""
+    return (
+        frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
+        and not is_cycle(g)
+        and len(biconnected_blocks(g)[0]) == 1
+    )
+
+
+def _first_contraction(g: MultiGraph) -> Optional[tuple[EmbeddingStep, MultiGraph]]:
+    """The least-id contraction that keeps the invariant, with its result."""
+    pairs = {frozenset(pair) for pair in g.od_pairs}
+    terminals = g.terminals
+    for eid in sorted(g.edge_ids):
+        u, v = g.endpoints(eid)
+        if frozenset((u, v)) in pairs or len(g.parallel_ids(u, v)) > 1:
+            continue
+        names = [w for w in (u, v) if w in terminals] or [u, v]
+        step = EmbeddingStep.contract(eid, min(names))
+        reduced = apply_embedding_step(g, step)
+        if _keeps_invariant(reduced):
+            return step, reduced
+    return None
+
+
+def gadget_embedding_by_rebuilding(block: MultiGraph) -> list[EmbeddingStep]:
+    """The greedy gadget embedding with every candidate rebuilt as a graph.
+
+    Each candidate deletion or contraction builds a fresh `MultiGraph`
+    through `apply_embedding_step` and reruns the block decomposition on it,
+    so the invariant (2-connected, not a cycle, differing terminal sets) is
+    read off the literal graph.  The choices are the library's: per round,
+    delete every edge in id order whose deletion keeps the invariant (an
+    edge with an endpoint of degree <= 2 is skipped), stop at the gadget's
+    shape, else make the least-id contraction that keeps it.
+    """
+    if len(block.od_pairs) != 2:
+        raise PreconditionViolated("gadget embedding needs exactly two OD pairs")
+    if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
+        raise PreconditionViolated("terminal sets coincide; block is coincident")
+    if is_cycle(block):
+        raise IsCycleError("cycles are immune; no gadget embedding exists")
+    if len(biconnected_blocks(block)[0]) != 1:
+        raise PreconditionViolated("input is not 2-connected")
+
+    steps: list[EmbeddingStep] = []
+    g = block
+    while True:
+        for eid in sorted(g.edge_ids):
+            if min(len(g.adjacency[v]) for v in g.endpoints(eid)) <= 2:
+                continue
+            step = EmbeddingStep.delete(eid)
+            reduced = apply_embedding_step(g, step)
+            if _keeps_invariant(reduced):
+                g = reduced
+                steps.append(step)
+        if _is_gadget_shaped(g):
+            return steps
+        contraction = _first_contraction(g)
+        if contraction is None:
+            raise PreconditionViolated("no gadget embedding found for this block")
+        step, g = contraction
+        steps.append(step)

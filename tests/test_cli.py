@@ -396,6 +396,21 @@ def test_search_without_an_od_0_path_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_search_with_a_disconnected_later_od_pair_exits_2(tmp_path, capsys):
+    g = second_od_pair_disconnected()
+    game = RoutingGame(
+        g,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},
+        [TravelerType(1.0, 0, ("e1", "e2"))],
+    )
+    path = tmp_path / "od1_disconnected.json"
+    save_instance(path, game)
+    code, out, err = run_cli(capsys, "search", str(path), "--trials", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: OD 1 (c -> a) has no path")
+    assert "Traceback" not in err
+
+
 def test_search_output_is_deterministic(capsys):
     args = ("search", str(FIXTURES / "cycle4_two_od.json"), "--trials", "25", "--seed", "9")
     _, out1, _ = run_cli(capsys, *args)

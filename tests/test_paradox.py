@@ -51,6 +51,7 @@ from conftest import (
     triangle_two_od,
     wheatstone,
 )
+from oracles import gadget_embedding_by_rebuilding
 
 
 # -- instance plumbing -----------------------------------------------------------
@@ -274,6 +275,19 @@ def test_coincident_terminals_are_rejected():
         find_gadget_embedding(g)
 
 
+def _assert_reduction_matches_rebuilding(block):
+    """The working-graph reduction takes the rebuilding greedy's steps, and
+    the graph it returns is the replay of those steps."""
+    from ibpcheck.paradox import _reduce_to_gadget
+
+    steps, h = _reduce_to_gadget(block)
+    assert steps == gadget_embedding_by_rebuilding(block)
+    replayed = block
+    for step in steps:
+        replayed = apply_embedding_step(replayed, step)
+    assert h == replayed
+
+
 def test_k4_embedding_replays_to_gadget_shape():
     from ibpcheck.paradox import _is_gadget_shaped
 
@@ -284,6 +298,7 @@ def test_k4_embedding_replays_to_gadget_shape():
     for step in steps:
         replayed = apply_embedding_step(replayed, step)
     assert _is_gadget_shaped(replayed)
+    _assert_reduction_matches_rebuilding(block)
 
 
 @pytest.mark.parametrize("rows, cols", [(4, 7), (6, 6), (10, 10)])
@@ -298,9 +313,10 @@ def test_corner_grids_embed_and_lift_to_a_verified_paradox(rows, cols):
     for step in steps:
         replayed = apply_embedding_step(replayed, step)
     assert _is_gadget_shaped(replayed)
-    verdict = check_ibp(_lift_block_instance(block, steps))
+    verdict = check_ibp(_lift_block_instance(block, steps, replayed))
     assert verdict.occurs
     assert verdict.margin == pytest.approx(1.0, abs=1e-6)
+    _assert_reduction_matches_rebuilding(block)
 
 
 def test_embedding_dichotomy_on_random_two_od_blocks():
@@ -333,6 +349,7 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
         else:
             steps = find_gadget_embedding(cand)
             assert isinstance(steps, list)
+            _assert_reduction_matches_rebuilding(cand)
             if synthesized < 8:  # tie the verdict to an end-to-end witness
                 assert check_ibp(synthesize_ibp_witness(cand)).occurs
                 synthesized += 1
@@ -375,6 +392,25 @@ def test_synthesize_on_three_block_chain():
     verdict = check_ibp(witness)
     assert verdict.occurs
     assert verdict.margin == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        k4_three_terminals,
+        gadget_graph,
+        lambda: grid_graph(5, 5, [("g0_0", "g4_4"), ("g0_4", "g4_0")]),
+    ],
+    ids=["k4", "gadget", "corner-grid-5x5"],
+)
+def test_synthesis_never_replays_the_embedding(monkeypatch, make):
+    import ibpcheck.paradox as paradox
+
+    def replay(*args, **kwargs):
+        raise AssertionError("synthesis replayed an embedding step")
+
+    monkeypatch.setattr(paradox, "apply_embedding_step", replay)
+    assert check_ibp(synthesize_ibp_witness(make())).occurs
 
 
 def test_synthesize_rejects_ibp_free_networks():
@@ -448,6 +484,17 @@ def test_search_without_an_od_0_path_raises_before_the_first_trial(monkeypatch):
     swapped = MultiGraph(g.vertices, g.edges, list(reversed(g.od_pairs)))
     with pytest.raises(InvalidNetwork, match=r"OD 0 \(c -> a\) has no path"):
         random_search_ibp(swapped, trials=3, seed=0)
+
+
+def test_search_with_a_disconnected_later_od_pair_raises_before_the_first_trial(monkeypatch):
+    import ibpcheck.paradox as paradox
+
+    def trial(*args, **kwargs):
+        raise AssertionError("ran a trial on a network with a disconnected OD pair")
+
+    monkeypatch.setattr(paradox, "check_ibp", trial)
+    with pytest.raises(InvalidNetwork, match=r"OD 1 \(c -> a\) has no path"):
+        random_search_ibp(second_od_pair_disconnected(), trials=3, seed=0)
 
 
 def test_zero_trials_finds_nothing():
