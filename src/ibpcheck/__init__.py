@@ -9,7 +9,6 @@ from .core_graph import (
     BlockDecomposition,
     EmbeddingStep,
     MultiGraph,
-    apply_embedding_step,
     decompose_blocks,
     enumerate_simple_paths,
     is_cycle,
@@ -61,7 +60,6 @@ __all__ = [
     "RoutingGame",
     "TopologyReport",
     "TravelerType",
-    "apply_embedding_step",
     "check_ibp",
     "common_blocks",
     "cycle_diagnostics",

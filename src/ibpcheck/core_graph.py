@@ -1,4 +1,4 @@
-"""Undirected multigraph core: paths, blocks, and minor operations.
+"""Undirected multigraph core: paths, blocks, and embedding steps.
 
 Networks are undirected connected multigraphs with named parallel edges,
 no loops, and a list of origin-destination (OD) terminal pairs.  All values
@@ -30,13 +30,7 @@ from functools import cached_property
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    EdgeNotFound,
-    GraphOperationError,
-    InvalidNetwork,
-    PathCapExceeded,
-    TerminalMergeForbidden,
-)
+from .errors import EdgeNotFound, InvalidNetwork, PathCapExceeded
 
 DEFAULT_PATH_CAP = 10_000
 
@@ -514,12 +508,13 @@ def decompose_blocks(graph: MultiGraph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), frozenset(cuts), tuple(chains))
 
 
-# -- minor operations ------------------------------------------------------------
+# -- embedding steps -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EmbeddingStep:
-    """One edge deletion or contraction of a nice-embedding sequence."""
+    """One edge deletion or contraction of a nice-embedding sequence, as
+    `paradox.find_gadget_embedding` returns them."""
 
     kind: str  # "delete" | "contract"
     edge: str
@@ -538,52 +533,6 @@ class EmbeddingStep:
     @staticmethod
     def contract(edge: str, merged_vertex_name: str) -> "EmbeddingStep":
         return EmbeddingStep("contract", edge, merged_vertex_name)
-
-
-def apply_embedding_step(graph: MultiGraph, step: EmbeddingStep) -> MultiGraph:
-    """Delete or contract one edge, preserving OD terminal distinctness.
-
-    Contraction re-homes any terminal sitting on the contracted edge to the
-    merged vertex and refuses to merge the two terminals of a single OD pair.
-    Parallel partners of a contracted edge would become loops, which the graph
-    type forbids, so that contraction is rejected too.
-    """
-    u, v = graph.endpoints(step.edge)
-
-    if step.kind == "delete":
-        edges = [e for e in graph.edges if e[0] != step.edge]
-        used = {w for _, a, b in edges for w in (a, b)}
-        isolated = set(graph.vertices) - used
-        if isolated & graph.terminals:
-            raise GraphOperationError(
-                f"deleting {step.edge!r} would isolate a terminal vertex"
-            )
-        return MultiGraph(used, edges, graph.od_pairs)
-
-    # contract
-    for o, d in graph.od_pairs:
-        if {o, d} == {u, v}:
-            raise TerminalMergeForbidden(
-                f"contracting {step.edge!r} would merge OD pair ({o!r}, {d!r})"
-            )
-    if len(graph.parallel_ids(u, v)) > 1:
-        raise GraphOperationError(
-            f"contracting {step.edge!r} would turn a parallel edge into a loop"
-        )
-    name = step.merged_vertex_name
-    assert name is not None
-    if name in graph.vertices and name not in (u, v):
-        raise GraphOperationError(f"merged vertex name {name!r} already in use")
-
-    def rename(w: str) -> str:
-        return name if w in (u, v) else w
-
-    edges = [
-        (eid, rename(a), rename(b)) for eid, a, b in graph.edges if eid != step.edge
-    ]
-    vertices = {rename(w) for w in graph.vertices}
-    od_pairs = [(rename(o), rename(d)) for o, d in graph.od_pairs]
-    return MultiGraph(vertices, edges, od_pairs)
 
 
 def is_cycle(graph: MultiGraph, edge_subset: Optional[Iterable[str]] = None) -> bool:

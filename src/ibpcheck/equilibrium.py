@@ -43,7 +43,9 @@ Three backends:
   polish is an active-set step: a rejected solution changes the support and
   the system is solved again, at most ``PIVOTS`` times.  Paths with
   negative flow leave the support; if the flows are nonnegative but fail
-  the gap, each type's cheapest path outside the support joins it.  The
+  the gap, each type's cheapest path outside the support joins it; if no
+  solution solves the system, the paths that cost more than their type's
+  cheapest support path by more than the gap leave.  The
   edge latencies of an equilibrium are unique but its path flows need not
   be, so a singular system has many solutions; least squares returns the
   one of least norm, and a rejected one is pivoted like any other.  An
@@ -534,9 +536,23 @@ def _solve_support(
     whatever was loaded last; on acceptance, the returned flows."""
     flows, rejected = _equal_cost_flows(core, support, tolerance)
     for _ in range(PIVOTS):
-        if rejected is None:
+        if flows is not None:
             break
-        if any(x < -1e-9 for f in rejected for x in f.values()):
+        if rejected is None:
+            # no solution solved the system: on the loaded table, unless a
+            # latency overflowed, the paths dearer than their type's cheapest
+            # support path by more than the gap leave
+            if not all(map(math.isfinite, core.edge_lat)):
+                return None
+            kept = []
+            for j, ks in zip(core.active, support):
+                cost = core.path_costs(j)
+                cheapest = min(cost[k] for k in ks)
+                kept.append(tuple(k for k in ks if cost[k] <= cheapest + tolerance))
+            if kept == list(support):
+                return None
+            support = kept
+        elif any(x < -1e-9 for f in rejected for x in f.values()):
             # the paths with negative flow leave; no type may be left without one
             support = [
                 tuple(k for k in ks if rejected[j][k] >= -1e-9)

@@ -27,14 +27,6 @@ class PathCapExceeded(IbpcheckError):
         self.cap = cap
 
 
-class TerminalMergeForbidden(IbpcheckError):
-    """A contraction would merge the two terminals of one OD pair."""
-
-
-class GraphOperationError(IbpcheckError):
-    """An edge deletion/contraction cannot be applied to this graph."""
-
-
 # -- equilibrium layer -------------------------------------------------------
 
 class SolverError(IbpcheckError):
@@ -72,7 +64,7 @@ class PreconditionViolated(IbpcheckError):
 
 
 class StepsDoNotReproduceSource(IbpcheckError):
-    """Replaying the step list did not yield the source instance's graph."""
+    """The graph an embedding leaves matches neither gadget placement."""
 
 
 class UnsupportedFailureSite(IbpcheckError):

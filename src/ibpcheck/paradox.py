@@ -10,11 +10,12 @@ then makes the least-id contraction it can, until the gadget's shape is
 left.  The reduction edits one working graph (each edge's endpoints, each
 vertex's incidences and the OD pairs) in place, undoes a rejected step and
 builds the reduced graph once; no paths or cycles are enumerated.
-Instance lifting then transports the gadget's known paradox through the
-embedding (contracted edges become latency-free and join every
-information set) and, block to whole graph, by zeroing latencies off the
-block and granting full information elsewhere.  Synthesis transports from
-the reduced graph; only `lift_instance`, given steps alone, replays them.
+`lift_instance` then transports the gadget's known paradox from the reduced
+graph back through the embedding (contracted edges become latency-free and
+join every information set), and synthesis carries it from block to whole
+graph by zeroing latencies off the block and granting full information
+elsewhere.  Synthesis runs exactly these two public steps, and no step is
+ever replayed: the replay that checks a step list is a test oracle.
 
 Every public value is immutable; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
@@ -34,7 +35,6 @@ from .core_graph import (
     EmbeddingStep,
     MultiGraph,
     Path,
-    apply_embedding_step,
     connected_components,
     enumerate_simple_paths,
     is_cycle,
@@ -261,63 +261,48 @@ def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]
     return emap
 
 
-def _transport(
-    target: MultiGraph,
-    steps: Sequence[EmbeddingStep],
-    h: MultiGraph,
-    source_instance: IBPInstance,
-) -> Optional[IBPInstance]:
-    """Carry the source instance from h, the graph `steps` leave of `target`,
-    back to `target`; None unless h matches the source's network."""
-    src_graph = source_instance.game.graph
-    match = next(_vertex_isomorphisms(h, src_graph), None)
-    if match is None:
-        return None
+def lift_instance(
+    block: MultiGraph, steps: Sequence[EmbeddingStep], reduced: MultiGraph
+) -> IBPInstance:
+    """Transport the gadget's paradox to `block`, which `steps` reduce to
+    `reduced`, as `find_gadget_embedding` returns them.
+
+    The gadget is placed with OD 2 at OD 1's origin, else at its
+    destination, and matched to `reduced` up to renaming (OD pairs in either
+    order and either orientation); StepsDoNotReproduceSource is raised when
+    neither placement matches.  Deleted edges get zero latency and stay out
+    of every information set; contracted edges get zero latency and join
+    every information set, so each gadget path lifts to an equal-latency
+    block path.  The steps are not replayed: only their contracted edges
+    are read.
+    """
+    for variant in GadgetVariant:
+        source = gadget_instance(variant)
+        match = next(_vertex_isomorphisms(reduced, source.game.graph), None)
+        if match is not None:
+            break
+    else:
+        raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
     perm, vmap = match
-    emap = _edge_correspondence(h, src_graph, vmap)
+    emap = _edge_correspondence(reduced, source.game.graph, vmap)
     inv_emap = {s: t for t, s in emap.items()}
-    inv_perm = {perm[k]: k for k in range(len(perm))}
+    inv_perm = {p: k for k, p in enumerate(perm)}
     contracted = frozenset(s.edge for s in steps if s.kind == "contract")
 
-    latencies = {}
-    for eid in target.edge_ids:
-        if eid in emap:
-            latencies[eid] = source_instance.game.latencies[emap[eid]]
-        else:
-            latencies[eid] = LatencyFunction.zero()
+    zero = LatencyFunction.zero()
+    latencies = {
+        eid: source.game.latencies[emap[eid]] if eid in emap else zero
+        for eid in block.edge_ids
+    }
     types = []
-    for t in source_instance.game.types:
+    for t in source.game.types:
         info = {inv_emap[e] for e in t.info_set} | contracted
         types.append(TravelerType(t.rate, inv_perm[t.od_index], info))
-    added = frozenset(inv_emap[e] for e in source_instance.extension.added_edges)
+    added = frozenset(inv_emap[e] for e in source.extension.added_edges)
     return IBPInstance(
-        game=RoutingGame(target, latencies, types),
+        game=RoutingGame(block, latencies, types),
         extension=InformationExtension(added),
     )
-
-
-def lift_instance(
-    target: MultiGraph,
-    steps: Sequence[EmbeddingStep],
-    source_instance: IBPInstance,
-) -> IBPInstance:
-    """Transport a paradox instance backwards through an embedding.
-
-    Replaying `steps` on `target` must reproduce the source graph (up to
-    renaming; OD pairs may be matched in either order and either orientation).
-    Deleted edges get zero latency and stay out of every information set;
-    contracted edges get zero latency and join every information set, so each
-    source path lifts to an equal-latency target path.
-    """
-    h = target
-    for step in steps:
-        h = apply_embedding_step(h, step)
-    lifted = _transport(target, steps, h, source_instance)
-    if lifted is None:
-        raise StepsDoNotReproduceSource(
-            "replayed steps do not yield the source instance's network"
-        )
-    return lifted
 
 
 # -- gadget embedding search -------------------------------------------------------------
@@ -332,10 +317,6 @@ def _has_gadget_shape(n_vertices: int, ends, od_pairs) -> bool:
     if sorted(counts.values()) != [1, 1, 2]:
         return False
     return frozenset(od_pairs[0]) != frozenset(od_pairs[1])
-
-
-def _is_gadget_shaped(g: MultiGraph) -> bool:
-    return _has_gadget_shape(len(g.vertices), [(u, v) for _, u, v in g.edges], g.od_pairs)
 
 
 def _one_block(inc: dict[str, dict[str, str]]) -> bool:
@@ -389,13 +370,27 @@ def _move_ends(
         ends[e] = (new if a == old else a, new if b == old else b)
 
 
-def _reduce_to_gadget(block: MultiGraph) -> tuple[list[EmbeddingStep], MultiGraph]:
-    """`find_gadget_embedding`'s steps, and the gadget-shaped graph they
-    leave of the block, built once at the end.
+def find_gadget_embedding(block: MultiGraph) -> tuple[list[EmbeddingStep], MultiGraph]:
+    """Nicely embed the paradox gadget into a 2-connected non-cycle block.
 
-    The working graph is the edges' endpoints, each vertex's incidences and
-    the OD pairs, edited in place: a deletion or contraction is made, kept
-    if the invariant holds and undone otherwise.
+    Returns the steps and the gadget-shaped graph they leave of the block.
+    Greedy one-edge reduction under an invariant: the working graph stays
+    2-connected, is never a cycle, and its two terminal sets differ.  Each
+    round sweeps the edges once in id order and deletes every edge whose
+    deletion keeps the invariant (an edge with an endpoint of degree <= 2 is
+    skipped unchecked: deleting it leaves a vertex of degree <= 1).  It then
+    contracts the least-id edge whose contraction keeps the invariant; the
+    merged vertex keeps a terminal's name, otherwise the lesser name, and an
+    OD pair is never merged.  The loop stops once the graph is the gadget's
+    shape, and raises PreconditionViolated if no step keeps the invariant.
+
+    Every choice is the first in edge-id order, so the step list is a pure
+    function of the block's edges and OD pairs.  The working graph is the
+    edges' endpoints, each vertex's incidences and the OD pairs, edited in
+    place: a deletion or contraction is made, kept if the invariant holds
+    and undone otherwise, so no candidate builds a graph, and the reduced
+    graph is built once at the end.  Each invariant check is one lowpoint
+    DFS, so the search takes O(|E|^3) time at worst and enumerates no paths.
     """
     if len(block.od_pairs) != 2:
         raise PreconditionViolated("gadget embedding needs exactly two OD pairs")
@@ -462,42 +457,7 @@ def _reduce_to_gadget(block: MultiGraph) -> tuple[list[EmbeddingStep], MultiGrap
     return steps, MultiGraph(inc, edges, od)
 
 
-def find_gadget_embedding(block: MultiGraph) -> list[EmbeddingStep]:
-    """Nicely embed the paradox gadget into a 2-connected non-cycle block.
-
-    Greedy one-edge reduction under an invariant: the working graph stays
-    2-connected, is never a cycle, and its two terminal sets differ.  Each
-    round sweeps the edges once in id order and deletes every edge whose
-    deletion keeps the invariant (an edge with an endpoint of degree <= 2 is
-    skipped unchecked: deleting it leaves a vertex of degree <= 1).  It then
-    contracts the least-id edge whose contraction keeps the invariant; the
-    merged vertex keeps a terminal's name, otherwise the lesser name, and an
-    OD pair is never merged.  The loop stops once the graph is the gadget's
-    shape, and raises PreconditionViolated if no step keeps the invariant.
-
-    Every choice is the first in edge-id order, so the step list is a pure
-    function of the block's edges and OD pairs: canonical, and checked by
-    replay in lifting.  The reduction edits one working graph in place and
-    undoes a rejected step, so no candidate builds a graph; each invariant
-    check is one lowpoint DFS, so the search takes O(|E|^3) time at worst
-    and enumerates no paths.
-    """
-    return _reduce_to_gadget(block)[0]
-
-
 # -- witness synthesis ----------------------------------------------------------------
-
-
-def _lift_block_instance(
-    block_graph: MultiGraph, steps: Sequence[EmbeddingStep], h: MultiGraph
-) -> IBPInstance:
-    """Transport the gadget to the block that `steps` reduce to h, with OD 2
-    at OD 1's origin, else at its destination."""
-    for variant in GadgetVariant:
-        lifted = _transport(block_graph, steps, h, gadget_instance(variant))
-        if lifted is not None:
-            return lifted
-    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
 
 
 def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
@@ -507,8 +467,8 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     coincident nor a cycle, in pair order and then block-id order: reduce
     the block to the gadget's shape once, transport the gadget's instance
     to the block, then to the whole graph (zero latencies off the block,
-    full information on the other chain blocks).  The steps are never
-    replayed.  The result is verified by solving both games.
+    full information on the other chain blocks), by `find_gadget_embedding`
+    and `lift_instance`.  The result is verified by solving both games.
     """
     report = decide_ibp_free(g)
     if report.verdict == IBP_FREE:
@@ -528,7 +488,7 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
         )
     (i, j), v = min(others, key=lambda site: (site[0], site[1].block_id))
     block_graph = g.induced(dec.blocks[v.block_id], [v.terminal_set_in_i, v.terminal_set_in_j])
-    block_instance = _lift_block_instance(block_graph, *_reduce_to_gadget(block_graph))
+    block_instance = lift_instance(block_graph, *find_gadget_embedding(block_graph))
 
     zero = LatencyFunction.zero()
     latencies = {eid: block_instance.game.latencies.get(eid, zero) for eid in g.edge_ids}

@@ -15,8 +15,11 @@ Beckmann potential (the edge-wise integral of the latencies, minimized by
 every equilibrium) and the total rate are evaluated here too, since only
 the tests need them.  The gadget embedding's greedy reduction runs here
 as first written, rebuilding the graph and its block decomposition for
-every candidate step instead of editing one working graph.  The tests
-compare the library against them.
+every candidate step instead of editing one working graph.  An embedding's
+step list is checked by replay: `apply_embedding_step` builds the graph
+each step leaves, and `lift_by_replay` lifts the gadget through the graph
+the replay ends on, where the library lifts through the graph its
+reduction returns.  The tests compare the library against them.
 """
 
 import itertools
@@ -30,7 +33,6 @@ from ibpcheck.core_graph import (
     MultiGraph,
     Path,
     ValidationReport,
-    apply_embedding_step,
     biconnected_blocks,
     connected_components,
     enumerate_simple_paths,
@@ -51,8 +53,15 @@ from ibpcheck.equilibrium import (
     feasible_paths,
     solve_icwe,
 )
-from ibpcheck.errors import DidNotConverge, IsCycleError, PreconditionViolated, SolverError
-from ibpcheck.paradox import _is_gadget_shaped
+from ibpcheck.errors import (
+    DidNotConverge,
+    IbpcheckError,
+    IsCycleError,
+    PreconditionViolated,
+    SolverError,
+    StepsDoNotReproduceSource,
+)
+from ibpcheck.paradox import GadgetVariant, IBPInstance, gadget_instance, lift_instance
 from ibpcheck.topology import (
     COINCIDENT,
     CYCLE,
@@ -367,6 +376,108 @@ def check_series_decomposition(
         abs(sums[j] - result.type_latencies[j]) <= tolerance
         for j in range(len(game.types))
     )
+
+
+class TerminalMergeForbidden(IbpcheckError):
+    """A contraction would merge the two terminals of one OD pair."""
+
+
+class GraphOperationError(IbpcheckError):
+    """An edge deletion/contraction cannot be applied to this graph."""
+
+
+def apply_embedding_step(graph: MultiGraph, step: EmbeddingStep) -> MultiGraph:
+    """Delete or contract one edge, preserving OD terminal distinctness.
+
+    Contraction re-homes any terminal sitting on the contracted edge to the
+    merged vertex and refuses to merge the two terminals of a single OD pair.
+    Parallel partners of a contracted edge would become loops, which the graph
+    type forbids, so that contraction is rejected too.
+    """
+    u, v = graph.endpoints(step.edge)
+
+    if step.kind == "delete":
+        edges = [e for e in graph.edges if e[0] != step.edge]
+        used = {w for _, a, b in edges for w in (a, b)}
+        isolated = set(graph.vertices) - used
+        if isolated & graph.terminals:
+            raise GraphOperationError(
+                f"deleting {step.edge!r} would isolate a terminal vertex"
+            )
+        return MultiGraph(used, edges, graph.od_pairs)
+
+    # contract
+    for o, d in graph.od_pairs:
+        if {o, d} == {u, v}:
+            raise TerminalMergeForbidden(
+                f"contracting {step.edge!r} would merge OD pair ({o!r}, {d!r})"
+            )
+    if len(graph.parallel_ids(u, v)) > 1:
+        raise GraphOperationError(
+            f"contracting {step.edge!r} would turn a parallel edge into a loop"
+        )
+    name = step.merged_vertex_name
+    assert name is not None
+    if name in graph.vertices and name not in (u, v):
+        raise GraphOperationError(f"merged vertex name {name!r} already in use")
+
+    def rename(w: str) -> str:
+        return name if w in (u, v) else w
+
+    edges = [
+        (eid, rename(a), rename(b)) for eid, a, b in graph.edges if eid != step.edge
+    ]
+    vertices = {rename(w) for w in graph.vertices}
+    od_pairs = [(rename(o), rename(d)) for o, d in graph.od_pairs]
+    return MultiGraph(vertices, edges, od_pairs)
+
+
+def replay_embedding(target: MultiGraph, steps: Sequence[EmbeddingStep]) -> MultiGraph:
+    """The graph `steps` leave of `target`, one rebuilt graph per step."""
+    for step in steps:
+        target = apply_embedding_step(target, step)
+    return target
+
+
+def _is_gadget_shaped(g: MultiGraph) -> bool:
+    """Three vertices, one doubled and two single sides, two OD pairs on
+    different terminal sets."""
+    if len(g.vertices) != 3 or len(g.edges) != 4 or len(g.od_pairs) != 2:
+        return False
+    counts = Counter(frozenset((u, v)) for _, u, v in g.edges)
+    if sorted(counts.values()) != [1, 1, 2]:
+        return False
+    return frozenset(g.od_pairs[0]) != frozenset(g.od_pairs[1])
+
+
+def _gadget_placement(g: MultiGraph) -> GadgetVariant:
+    """Which gadget a gadget-shaped graph is: OD 2 meets OD 1 on the doubled
+    side at OD 1's destination, off it at OD 1's origin."""
+    counts = Counter(frozenset((u, v)) for _, u, v in g.edges)
+    doubled = next(pair for pair, n in counts.items() if n == 2)
+    shared = set(g.od_pairs[0]) & set(g.od_pairs[1])
+    if shared <= doubled:
+        return GadgetVariant.ORIGIN2_AT_DESTINATION1
+    return GadgetVariant.ORIGIN2_AT_ORIGIN1
+
+
+def lift_by_replay(
+    target: MultiGraph, steps: Sequence[EmbeddingStep], source: IBPInstance
+) -> IBPInstance:
+    """Lift `source`, one of the two `gadget_instance` placements, to
+    `target` through the graph that replaying `steps` leaves.
+
+    Raises StepsDoNotReproduceSource unless the replay ends on the network
+    of `source`'s placement (up to renaming); the lifting itself is the
+    library's `lift_instance`.
+    """
+    variant = next((v for v in GadgetVariant if gadget_instance(v) == source), None)
+    if variant is None:
+        raise ValueError("source must be one of the gadget instances")
+    replayed = replay_embedding(target, steps)
+    if _is_gadget_shaped(replayed) and _gadget_placement(replayed) is not variant:
+        raise StepsDoNotReproduceSource("replayed steps yield the other gadget placement")
+    return lift_instance(target, steps, replayed)
 
 
 def _keeps_invariant(g: MultiGraph) -> bool:

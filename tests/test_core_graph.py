@@ -10,7 +10,6 @@ from ibpcheck.core_graph import (
     MultiGraph,
     _count_simple_paths,
     _path_bound,
-    apply_embedding_step,
     biconnected_blocks,
     connected_components,
     decompose_blocks,
@@ -18,12 +17,7 @@ from ibpcheck.core_graph import (
     is_cycle,
     validate,
 )
-from ibpcheck.errors import (
-    GraphOperationError,
-    InvalidNetwork,
-    PathCapExceeded,
-    TerminalMergeForbidden,
-)
+from ibpcheck.errors import InvalidNetwork, PathCapExceeded
 from ibpcheck.topology import common_blocks, decide_ibp_free
 
 from conftest import (
@@ -38,7 +32,13 @@ from conftest import (
     triangle_two_od,
     two_parallel_pairs_in_series,
 )
-from oracles import path_vertices, validate_by_enumeration
+from oracles import (
+    GraphOperationError,
+    TerminalMergeForbidden,
+    apply_embedding_step,
+    path_vertices,
+    validate_by_enumeration,
+)
 
 
 # -- construction and validation ----------------------------------------------

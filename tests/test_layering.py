@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "RoutingGame",
     "TopologyReport",
     "TravelerType",
-    "apply_embedding_step",
     "check_ibp",
     "common_blocks",
     "cycle_diagnostics",

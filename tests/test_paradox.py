@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ibpcheck.core_graph import EmbeddingStep, MultiGraph, apply_embedding_step, is_cycle
+from ibpcheck.core_graph import EmbeddingStep, MultiGraph, is_cycle
 from ibpcheck.equilibrium import (
     DEFAULT_TOLERANCE,
     EquilibriumResult,
@@ -51,7 +51,12 @@ from conftest import (
     triangle_two_od,
     wheatstone,
 )
-from oracles import gadget_embedding_by_rebuilding
+from oracles import (
+    _is_gadget_shaped,
+    gadget_embedding_by_rebuilding,
+    lift_by_replay,
+    replay_embedding,
+)
 
 
 # -- instance plumbing -----------------------------------------------------------
@@ -180,7 +185,7 @@ def test_auto_never_enumerates_supports(monkeypatch):
 
 def test_zero_step_lift_is_identity():
     src = gadget_instance()
-    lifted = lift_instance(src.game.graph, [], src)
+    lifted = lift_by_replay(src.game.graph, [], src)
     assert lifted.game.graph.edge_ids == src.game.graph.edge_ids
     assert lifted.extension.added_edges == src.extension.added_edges
     assert check_ibp(lifted).margin == pytest.approx(1.0, abs=1e-9)
@@ -204,7 +209,7 @@ def _subdivided_gadget():
 def test_lift_through_one_contraction():
     target = _subdivided_gadget()
     steps = [EmbeddingStep.contract("e1a", "u")]
-    lifted = lift_instance(target, steps, gadget_instance())
+    lifted = lift_by_replay(target, steps, gadget_instance())
     assert lifted.game.latencies["e1a"].coefficients == (0.0,)
     for t in lifted.game.types:
         assert "e1a" in t.info_set
@@ -219,7 +224,7 @@ def test_lift_through_one_deletion():
         g.vertices, list(g.edges) + [("chord", "u", "v")], g.od_pairs
     )
     steps = [EmbeddingStep.delete("chord")]
-    lifted = lift_instance(target, steps, gadget_instance())
+    lifted = lift_by_replay(target, steps, gadget_instance())
     assert lifted.game.latencies["chord"].coefficients == (0.0,)
     for t in lifted.game.types:
         assert "chord" not in t.info_set
@@ -229,7 +234,9 @@ def test_lift_through_one_deletion():
 def test_wrong_steps_are_rejected():
     src = gadget_instance()
     with pytest.raises(StepsDoNotReproduceSource):
-        lift_instance(_subdivided_gadget(), [], src)
+        lift_by_replay(_subdivided_gadget(), [], src)
+    with pytest.raises(StepsDoNotReproduceSource):  # the other placement
+        lift_by_replay(gadget_graph(GadgetVariant.ORIGIN2_AT_DESTINATION1), [], src)
 
 
 def test_lift_soundness_over_corpus():
@@ -247,7 +254,7 @@ def test_lift_soundness_over_corpus():
     )
     base_margin = check_ibp(source).margin
     for target, steps in corpus:
-        lifted = lift_instance(target, steps, source)
+        lifted = lift_by_replay(target, steps, source)
         verdict = check_ibp(lifted)
         assert verdict.occurs
         assert abs(verdict.margin - base_margin) <= 1e-6
@@ -257,7 +264,7 @@ def test_lift_soundness_over_corpus():
 
 
 def test_gadget_embeds_into_itself_with_no_steps():
-    assert find_gadget_embedding(gadget_graph()) == []
+    assert find_gadget_embedding(gadget_graph()) == ([], gadget_graph())
 
 
 def test_cycles_are_rejected():
@@ -278,42 +285,30 @@ def test_coincident_terminals_are_rejected():
 def _assert_reduction_matches_rebuilding(block):
     """The working-graph reduction takes the rebuilding greedy's steps, and
     the graph it returns is the replay of those steps."""
-    from ibpcheck.paradox import _reduce_to_gadget
-
-    steps, h = _reduce_to_gadget(block)
+    steps, reduced = find_gadget_embedding(block)
     assert steps == gadget_embedding_by_rebuilding(block)
-    replayed = block
-    for step in steps:
-        replayed = apply_embedding_step(replayed, step)
-    assert h == replayed
+    assert reduced == replay_embedding(block, steps)
 
 
 def test_k4_embedding_replays_to_gadget_shape():
-    from ibpcheck.paradox import _is_gadget_shaped
-
     block = k4_three_terminals()
-    steps = find_gadget_embedding(block)
+    steps, _ = find_gadget_embedding(block)
     assert steps
-    replayed = block
-    for step in steps:
-        replayed = apply_embedding_step(replayed, step)
-    assert _is_gadget_shaped(replayed)
+    assert _is_gadget_shaped(replay_embedding(block, steps))
     _assert_reduction_matches_rebuilding(block)
 
 
 @pytest.mark.parametrize("rows, cols", [(4, 7), (6, 6), (10, 10)])
 def test_corner_grids_embed_and_lift_to_a_verified_paradox(rows, cols):
     """Grids with more simple paths than the 10,000-path cap still embed."""
-    from ibpcheck.paradox import _is_gadget_shaped, _lift_block_instance
-
     corners = [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")]
     block = grid_graph(rows, cols, corners)
-    steps = find_gadget_embedding(block)
-    replayed = block
-    for step in steps:
-        replayed = apply_embedding_step(replayed, step)
+    steps, reduced = find_gadget_embedding(block)
+    replayed = replay_embedding(block, steps)
     assert _is_gadget_shaped(replayed)
-    verdict = check_ibp(_lift_block_instance(block, steps, replayed))
+    lifted = lift_instance(block, steps, reduced)
+    assert lifted == lift_instance(block, steps, replayed)
+    verdict = check_ibp(lifted)
     assert verdict.occurs
     assert verdict.margin == pytest.approx(1.0, abs=1e-6)
     _assert_reduction_matches_rebuilding(block)
@@ -347,8 +342,9 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
             with pytest.raises(IsCycleError):
                 find_gadget_embedding(cand)
         else:
-            steps = find_gadget_embedding(cand)
+            steps, reduced = find_gadget_embedding(cand)
             assert isinstance(steps, list)
+            assert _is_gadget_shaped(reduced)
             _assert_reduction_matches_rebuilding(cand)
             if synthesized < 8:  # tie the verdict to an end-to-end witness
                 assert check_ibp(synthesize_ibp_witness(cand)).occurs
@@ -403,13 +399,13 @@ def test_synthesize_on_three_block_chain():
     ],
     ids=["k4", "gadget", "corner-grid-5x5"],
 )
-def test_synthesis_never_replays_the_embedding(monkeypatch, make):
+def test_synthesis_never_replays_the_embedding(make):
+    import ibpcheck
+    import ibpcheck.core_graph as core_graph
     import ibpcheck.paradox as paradox
 
-    def replay(*args, **kwargs):
-        raise AssertionError("synthesis replayed an embedding step")
-
-    monkeypatch.setattr(paradox, "apply_embedding_step", replay)
+    for names in (vars(paradox), vars(core_graph), ibpcheck.__all__):
+        assert "apply_embedding_step" not in names
     assert check_ibp(synthesize_ibp_witness(make())).occurs
 
 
