@@ -150,6 +150,18 @@ class ValidationReport:
             and not self.uncovered_vertices
         )
 
+    def require_ok(self) -> BlockDecomposition:
+        """The decomposition, once `ok`; otherwise InvalidNetwork listing
+        every fault.  The verdict and witness synthesis both raise this."""
+        if not self.ok:
+            raise InvalidNetwork(
+                "graph fails validation: "
+                f"connected={self.connected}, "
+                f"uncovered_edges={list(self.uncovered_edges)}, "
+                f"uncovered_vertices={list(self.uncovered_vertices)}"
+            )
+        return self.decomposition
+
 
 def connected_components(graph: MultiGraph) -> list[frozenset[str]]:
     seen: set[str] = set()

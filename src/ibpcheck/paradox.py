@@ -17,19 +17,28 @@ graph by zeroing latencies off the block and granting full information
 elsewhere.  Synthesis runs exactly these two public steps, and no step is
 ever replayed: the replay that checks a step list is a test oracle.
 
+The lift carries the gadget's two equilibria along with its instance, so
+synthesis verifies a witness from them rather than solving it afresh: each
+gadget path with flow becomes the one whole-graph path of its type that
+uses no other gadget edge, and a `cg` solve started there only checks the
+Wardrop gap, with no sweep when the start is an equilibrium.  Re-solving a
+witness from scratch with `check_ibp` is the second route, kept in the tests.
+
 Every public value is immutable; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .core_graph import (
     EmbeddingStep,
@@ -38,6 +47,7 @@ from .core_graph import (
     connected_components,
     enumerate_simple_paths,
     is_cycle,
+    validate,
 )
 from .equilibrium import (
     DEFAULT_TOLERANCE,
@@ -189,6 +199,20 @@ GADGET_LATENCIES = {
     "e4": (10.0, 2.0),
 }
 
+# Per placement, the gadget's equilibrium path flows of each type before and
+# after e4 is revealed: type 1 pays 47, then 48.  The edge latencies are
+# unique (Acemoglu et al. 2018); these splits are the integer ones.
+_GADGET_EQUILIBRIA = {
+    GadgetVariant.ORIGIN2_AT_ORIGIN1: (
+        ({("e2", "e3"): 5.0}, {("e1", "e4"): 5.0}),
+        ({("e2", "e3"): 2.0, ("e2", "e4"): 3.0}, {("e1", "e4"): 4.0, ("e2",): 1.0}),
+    ),
+    GadgetVariant.ORIGIN2_AT_DESTINATION1: (
+        ({("e2", "e3"): 5.0}, {("e4",): 5.0}),
+        ({("e2", "e3"): 2.0, ("e2", "e4"): 3.0}, {("e4",): 4.0, ("e1", "e2"): 1.0}),
+    ),
+}
+
 
 def gadget_graph(variant: GadgetVariant = GadgetVariant.ORIGIN2_AT_ORIGIN1) -> MultiGraph:
     """Three vertices, four edges, doubled w-v side, two OD pairs."""
@@ -216,6 +240,10 @@ def gadget_instance(
     )
 
 
+# Read-only sources of every lift; `gadget_instance` hands out fresh copies.
+_GADGET_SOURCES = {variant: gadget_instance(variant) for variant in GadgetVariant}
+
+
 # -- instance lifting ------------------------------------------------------------------
 
 
@@ -228,6 +256,7 @@ def _vertex_isomorphisms(h: MultiGraph, src: MultiGraph):
     ):
         return
     h_vs = list(h.vertices)
+    src_pairs = Counter(frozenset((u, v)) for _, u, v in src.edges)
     for perm in itertools.permutations(range(len(src.od_pairs))):
         for image in itertools.permutations(src.vertices):
             vmap = dict(zip(h_vs, image))
@@ -239,7 +268,6 @@ def _vertex_isomorphisms(h: MultiGraph, src: MultiGraph):
             h_pairs = Counter(
                 frozenset((vmap[u], vmap[v])) for _, u, v in h.edges
             )
-            src_pairs = Counter(frozenset((u, v)) for _, u, v in src.edges)
             if h_pairs == src_pairs:
                 yield perm, vmap
 
@@ -261,6 +289,21 @@ def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]
     return emap
 
 
+@functools.lru_cache(maxsize=1)  # synthesis reads the match lift_instance just made
+def _gadget_match(
+    reduced: MultiGraph,
+) -> tuple[GadgetVariant, tuple[int, ...], Mapping[str, str]]:
+    """The first gadget placement `reduced` matches: (placement, OD
+    permutation, read-only edge map reduced -> gadget)."""
+    for variant, source in _GADGET_SOURCES.items():
+        src = source.game.graph
+        match = next(_vertex_isomorphisms(reduced, src), None)
+        if match is not None:
+            perm, vmap = match
+            return variant, perm, MappingProxyType(_edge_correspondence(reduced, src, vmap))
+    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
+
+
 def lift_instance(
     block: MultiGraph, steps: Sequence[EmbeddingStep], reduced: MultiGraph
 ) -> IBPInstance:
@@ -276,15 +319,8 @@ def lift_instance(
     block path.  The steps are not replayed: only their contracted edges
     are read.
     """
-    for variant in GadgetVariant:
-        source = gadget_instance(variant)
-        match = next(_vertex_isomorphisms(reduced, source.game.graph), None)
-        if match is not None:
-            break
-    else:
-        raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
-    perm, vmap = match
-    emap = _edge_correspondence(reduced, source.game.graph, vmap)
+    variant, perm, emap = _gadget_match(reduced)
+    source = _GADGET_SOURCES[variant]
     inv_emap = {s: t for t, s in emap.items()}
     inv_perm = {p: k for k, p in enumerate(perm)}
     contracted = frozenset(s.edge for s in steps if s.kind == "contract")
@@ -303,6 +339,49 @@ def lift_instance(
         game=RoutingGame(block, latencies, types),
         extension=InformationExtension(added),
     )
+
+
+def _path_within(graph: MultiGraph, o: str, d: str, allowed: frozenset[str]) -> Path:
+    """A fewest-edge o-d path over `allowed` (breadth first, ties by edge id)."""
+    came_by: dict[str, Optional[tuple[str, str]]] = {o: None}
+    queue = deque([o])
+    while d not in came_by:
+        v = queue.popleft()  # IndexError: no path, which a lift never meets
+        for eid, w in graph.adjacency[v]:
+            if eid in allowed and w not in came_by:
+                came_by[w] = (eid, v)
+                queue.append(w)
+    path = []
+    while came_by[d] is not None:
+        eid, d = came_by[d]
+        path.append(eid)
+    return tuple(reversed(path))
+
+
+def _lift_flows(
+    game: RoutingGame, images: dict[str, str], flows: Sequence[dict[Path, float]]
+) -> list[dict[Path, float]]:
+    """Carry gadget path flows to `game`, in which edge `images[e]` stands
+    for gadget edge e and type k for the gadget's type k.
+
+    A gadget path lifts to its type's o-d path that uses no image of another
+    gadget edge.  Inside the embedded block that path is unique, since the
+    contracted edges form one tree per merged vertex and deleted edges lie
+    in no information set; elsewhere every edge is latency-free.
+    """
+    lifted = []
+    for t, type_flows in zip(game.types, flows):
+        o, d = game.graph.od_pairs[t.od_index]
+        lifted.append(
+            {
+                _path_within(
+                    game.graph, o, d,
+                    t.info_set - {images[e] for e in images if e not in path},
+                ): x
+                for path, x in type_flows.items()
+            }
+        )
+    return lifted
 
 
 # -- gadget embedding search -------------------------------------------------------------
@@ -468,13 +547,18 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     the block to the gadget's shape once, transport the gadget's instance
     to the block, then to the whole graph (zero latencies off the block,
     full information on the other chain blocks), by `find_gadget_embedding`
-    and `lift_instance`.  The result is verified by solving both games.
-    """
-    report = decide_ibp_free(g)
-    if report.verdict == IBP_FREE:
-        raise PreconditionViolated("network is IBP-free; no witness exists")
-    dec = report.decomposition
+    and `lift_instance`.  Such a block alone shows the graph is not
+    IBP-free, so the chains are classified only when there is none, to tell
+    an IBP-free graph (PreconditionViolated) from an SLI failure
+    (UnsupportedFailureSite).
 
+    The result is verified from the gadget's equilibria, transported along
+    the same match: a `cg` solve of each game starts from them and must
+    raise type 1's latency by more than DEFAULT_DECISION_THRESHOLD.  An
+    exact start only has its Wardrop gap checked; any other feasible start
+    is a warm start, so a wrong one costs sweeps, never the verdict.
+    """
+    dec = validate(g).require_ok()
     others = [
         (pair, v)
         for pair, verdicts in common_blocks(g, dec).items()
@@ -482,13 +566,16 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
         if v.kind == OTHER
     ]
     if not others:
+        if decide_ibp_free(g).verdict == IBP_FREE:
+            raise PreconditionViolated("network is IBP-free; no witness exists")
         raise UnsupportedFailureSite(
             "witness synthesis needs a non-cycle non-coincident common block; "
             "single-OD (SLI-condition) failures are out of scope"
         )
     (i, j), v = min(others, key=lambda site: (site[0], site[1].block_id))
     block_graph = g.induced(dec.blocks[v.block_id], [v.terminal_set_in_i, v.terminal_set_in_j])
-    block_instance = lift_instance(block_graph, *find_gadget_embedding(block_graph))
+    steps, reduced = find_gadget_embedding(block_graph)
+    block_instance = lift_instance(block_graph, steps, reduced)
 
     zero = LatencyFunction.zero()
     latencies = {eid: block_instance.game.latencies.get(eid, zero) for eid in g.edge_ids}
@@ -501,10 +588,17 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
         game=RoutingGame(g, latencies, types),
         extension=block_instance.extension,
     )
-    verdict = check_ibp(witness)
-    if not verdict.occurs:
+
+    variant, _, emap = _gadget_match(reduced)
+    images = {s: t for t, s in emap.items()}
+    latency = []
+    for game, flows in zip((witness.game, extended_game(witness)), _GADGET_EQUILIBRIA[variant]):
+        result = solve_icwe(game, backend="cg", start=_lift_flows(game, images, flows))
+        latency.append(result.type_latencies[0])
+    margin = latency[1] - latency[0]
+    if not margin > DEFAULT_DECISION_THRESHOLD:
         raise WitnessVerificationFailed(
-            f"constructed witness has margin {verdict.margin}, expected > "
+            f"constructed witness has margin {margin}, expected > "
             f"{DEFAULT_DECISION_THRESHOLD}"
         )
     return witness

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core_graph import BlockDecomposition, ChainLink, MultiGraph, is_cycle, validate
-from .errors import InvalidNetwork
 
 IBP_FREE = "ibp-free"
 NOT_IBP_FREE = "not-ibp-free"
@@ -213,16 +212,7 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
     entry of the `common_blocks` table, which is only built once every
     chain is SLI.
     """
-    report = validate(g)
-    if not report.ok:
-        raise InvalidNetwork(
-            "graph fails validation: "
-            f"connected={report.connected}, "
-            f"uncovered_edges={list(report.uncovered_edges)}, "
-            f"uncovered_vertices={list(report.uncovered_vertices)}"
-        )
-
-    dec = report.decomposition  # validation ran the block walk already
+    dec = validate(g).require_ok()  # validation ran the block walk already
     reduced: dict[tuple[int, str, str], tuple[bool, bool]] = {}  # one per (block, terminals)
     per_od = tuple(_classify_chain(g, chain, reduced) for chain in dec.chains)
     failure = next(

@@ -35,6 +35,7 @@ from conftest import (
     diamonds_in_series,
     long_path_game,
     second_od_pair_disconnected,
+    wheatstone,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -334,6 +335,24 @@ def test_synthesize_on_ibp_free_network_is_unsupported(tmp_path, capsys):
     code, _, err = run_cli(capsys, "synthesize", str(src))
     assert code == 4
     assert "unsupported" in err
+
+
+def test_synthesize_on_an_sli_failure_exits_4(tmp_path, capsys):
+    g = wheatstone()
+    game = RoutingGame(
+        g,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},
+        [TravelerType(1.0, 0, g.edge_ids)],
+    )
+    path = tmp_path / "wheatstone.json"
+    save_instance(path, game)
+    assert run_cli(capsys, "synthesize", str(path)) == (
+        4,
+        "",
+        "unsupported: witness synthesis needs a non-cycle non-coincident common block; "
+        "single-OD (SLI-condition) failures are out of scope\n",
+    )
+    assert not (tmp_path / "wheatstone.witness.json").exists()
 
 
 # -- search ---------------------------------------------------------------------------

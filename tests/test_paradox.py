@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import ibpcheck.paradox as paradox
 from ibpcheck.core_graph import EmbeddingStep, MultiGraph, is_cycle
 from ibpcheck.equilibrium import (
     DEFAULT_TOLERANCE,
@@ -44,6 +46,7 @@ from conftest import (
     FIXTURE_STEMS,
     chain_with_gadget_middle,
     cycle_graph,
+    diamonds_in_series,
     gadget_multigraph,
     grid_graph,
     k4_three_terminals,
@@ -314,14 +317,13 @@ def test_corner_grids_embed_and_lift_to_a_verified_paradox(rows, cols):
     _assert_reduction_matches_rebuilding(block)
 
 
-def test_embedding_dichotomy_on_random_two_od_blocks():
-    """2-connected non-coincident blocks: cycle XOR gadget-embeddable."""
+def random_two_od_blocks():
+    """Seeded random 2-connected multigraphs on up to five vertices, each with
+    two OD pairs of different terminal sets that both cover every edge."""
     from ibpcheck.core_graph import biconnected_blocks
     from conftest import chain_edges, random_connected_multigraph
 
     rng = random.Random(321)
-    tested = 0
-    synthesized = 0
     for _ in range(600):
         g = random_connected_multigraph(rng, max_vertices=5, max_extra=4)
         if len(g.vertices) < 3:
@@ -337,6 +339,14 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
         cand = MultiGraph(g.vertices, g.edges, [(o1, d1), (o2, d2)])
         if any(chain_edges(cand, i) != cand.edge_ids for i in (0, 1)):
             continue
+        yield cand
+
+
+def test_embedding_dichotomy_on_random_two_od_blocks():
+    """2-connected non-coincident blocks: cycle XOR gadget-embeddable."""
+    tested = 0
+    synthesized = 0
+    for cand in random_two_od_blocks():
         tested += 1
         if is_cycle(cand):
             with pytest.raises(IsCycleError):
@@ -429,6 +439,180 @@ def test_other_verdict_blocks_always_admit_synthesis():
         kinds = [v.kind for verdicts in table.values() for v in verdicts]
         assert OTHER in kinds
         assert check_ibp(synthesize_ibp_witness(g)).occurs
+
+
+# -- verification from the transported gadget equilibria ---------------------------------
+
+
+@pytest.mark.parametrize("variant", list(GadgetVariant))
+def test_gadget_equilibria_are_the_exact_solutions(variant):
+    instance = gadget_instance(variant)
+    games = (instance.game, extended_game(instance))
+    for game, flows in zip(games, paradox._GADGET_EQUILIBRIA[variant]):
+        exact = solve_icwe(game, backend="exact")
+        for want, got in zip(flows, exact.path_flows):
+            used = {path: x for path, x in got.items() if x > 1e-9}
+            assert used.keys() == want.keys()
+            for path, x in want.items():
+                assert used[path] == pytest.approx(x, abs=1e-9)
+
+
+def _synthesize_and_record(g):
+    """Synthesize on `g`, recording each verification solve as (game, start,
+    result)."""
+    solves = []
+
+    def recording(game, *args, **kwargs):
+        result = solve_icwe(game, *args, **kwargs)
+        solves.append((game, kwargs["start"], result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paradox, "solve_icwe", recording)
+        witness = synthesize_ibp_witness(g)
+    return witness, solves
+
+
+def _assert_verified_from_the_gadget(witness, solves):
+    """Each transported start is an exact equilibrium that the solve only
+    checks, and the margin is the gadget's 1, as re-solving finds it."""
+    assert [game for game, _, _ in solves] == [witness.game, extended_game(witness)]
+    for game, start, result in solves:
+        report = verify_wardrop(game, replace(result, path_flows=tuple(start)))
+        assert report.passed and report.max_violation == 0.0
+        assert (result.backend, result.iterations) == ("cg", 0)
+    margin = solves[1][2].type_latencies[0] - solves[0][2].type_latencies[0]
+    assert margin == 1.0
+    assert check_ibp(witness).margin == pytest.approx(margin, abs=1e-6)
+
+
+def _synthesis_corpus():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for stem in ("chain3", "gadget", "gadget_dominated", "gadget_pre", "k4"):
+        yield load_instance(fixtures / f"{stem}.json")[0].graph
+    yield from (k4_three_terminals(), chain_with_gadget_middle())
+    yield from (gadget_multigraph(variant) for variant in ("origin", "destination"))
+    for n in (3, 4, 5):
+        yield grid_graph(n, n, [("g0_0", f"g{n - 1}_{n - 1}"), (f"g0_{n - 1}", f"g{n - 1}_0")])
+    yield from (g for g in random_two_od_blocks() if not is_cycle(g))
+
+
+def test_synthesis_verifies_from_the_transported_gadget_equilibria():
+    count = 0
+    for g in _synthesis_corpus():
+        _assert_verified_from_the_gadget(*_synthesize_and_record(g))
+        count += 1
+    assert count >= 40
+
+
+def test_synthesis_verifies_random_multigraphs_from_the_gadget_equilibria():
+    """Seeded random multigraphs with two or three OD pairs: every one with
+    a common block that is neither coincident nor a cycle."""
+    from conftest import random_connected_multigraph
+
+    rng = random.Random(2207)
+    count = 0
+    for _ in range(400):
+        g = random_connected_multigraph(rng, max_vertices=6, max_extra=4)
+        if len(g.vertices) < 3:
+            continue
+        pairs = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.choice((2, 3)))]
+        g = MultiGraph(g.vertices, g.edges, pairs)
+        try:
+            witness, solves = _synthesize_and_record(g)
+        except (InvalidNetwork, PreconditionViolated, UnsupportedFailureSite):
+            continue
+        _assert_verified_from_the_gadget(witness, solves)
+        count += 1
+    assert count >= 30
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 7), (6, 6), (10, 10)])
+def test_corner_grid_lifts_carry_the_gadget_equilibria(rows, cols):
+    """Past the path cap synthesis stops at validation; the lifted block
+    instance carries the same transported equilibria."""
+    corners = [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")]
+    block = grid_graph(rows, cols, corners)
+    steps, reduced = find_gadget_embedding(block)
+    instance = lift_instance(block, steps, reduced)
+    variant, _, emap = paradox._gadget_match(reduced)
+    images = {s: t for t, s in emap.items()}
+    solves = []
+    for game, flows in zip(
+        (instance.game, extended_game(instance)), paradox._GADGET_EQUILIBRIA[variant]
+    ):
+        start = paradox._lift_flows(game, images, flows)
+        solves.append((game, start, solve_icwe(game, backend="cg", start=start)))
+    _assert_verified_from_the_gadget(instance, solves)
+
+
+def test_a_start_that_is_no_equilibrium_only_costs_sweeps(monkeypatch):
+    """With type 2 all on one path after the extension, the start is
+    feasible but not an equilibrium: the same witness is verified, after
+    sweeps."""
+    graphs = (k4_three_terminals(), chain_with_gadget_middle(), gadget_multigraph("destination"))
+    witnesses = [synthesize_ibp_witness(g) for g in graphs]
+    skewed = {
+        variant: (before, (after[0], {max(after[1], key=after[1].get): 5.0}))
+        for variant, (before, after) in paradox._GADGET_EQUILIBRIA.items()
+    }
+    monkeypatch.setattr(paradox, "_GADGET_EQUILIBRIA", skewed)
+    for g, witness in zip(graphs, witnesses):
+        again, solves = _synthesize_and_record(g)
+        assert again == witness
+        before, after = (result for _, _, result in solves)
+        assert before.iterations == 0 and after.iterations > 0
+        assert after.type_latencies[0] - before.type_latencies[0] == pytest.approx(1.0, abs=1e-6)
+
+
+# -- one decision inside synthesis ---------------------------------------------------------
+
+
+def test_synthesis_walks_the_blocks_once_and_classifies_no_chain(monkeypatch):
+    import ibpcheck.core_graph as core_graph
+    import ibpcheck.topology as topology
+
+    walks, reductions = [], []
+    biconnected_blocks, sp_reduce = core_graph.biconnected_blocks, topology._sp_reduce
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return biconnected_blocks(graph)
+
+    def counting_reduce(*args):
+        reductions.append(args)
+        return sp_reduce(*args)
+
+    monkeypatch.setattr(core_graph, "biconnected_blocks", counting_walk)
+    monkeypatch.setattr(topology, "_sp_reduce", counting_reduce)
+    for g in (k4_three_terminals(), chain_with_gadget_middle()):
+        walks.clear()
+        synthesize_ibp_witness(g)
+        assert walks == [g]
+        assert reductions == []
+
+
+def test_synthesis_errors_are_the_verdicts_errors():
+    from ibpcheck.errors import PathCapExceeded
+    from ibpcheck.topology import decide_ibp_free
+
+    g = second_od_pair_disconnected()
+    with pytest.raises(InvalidNetwork) as from_verdict:
+        decide_ibp_free(g)
+    with pytest.raises(InvalidNetwork) as from_synthesis:
+        synthesize_ibp_witness(g)
+    assert str(from_synthesis.value) == str(from_verdict.value) == (
+        "graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
+        "uncovered_vertices=['c', 'd', 'e']"
+    )
+    with pytest.raises(PreconditionViolated, match="network is IBP-free; no witness exists"):
+        synthesize_ibp_witness(triangle_two_od())
+    with pytest.raises(UnsupportedFailureSite, match="single-OD \\(SLI-condition\\) failures"):
+        synthesize_ibp_witness(wheatstone())
+    corners = [("g0_0", "g5_5"), ("g0_5", "g5_0")]
+    for g in (diamonds_in_series(14), grid_graph(6, 6, corners)):
+        with pytest.raises(PathCapExceeded, match="more than 10000"):
+            synthesize_ibp_witness(g)
 
 
 # -- randomized search ------------------------------------------------------------------
