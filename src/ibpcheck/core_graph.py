@@ -197,9 +197,11 @@ def validate(graph: MultiGraph) -> ValidationReport:
     No path is listed.  Raises PathCapExceeded once a pair has more than
     `DEFAULT_PATH_CAP` simple paths, the product of its per-block counts;
     the cap stays until ROADMAP item 1 moves the benchmark's pin on it.  A
-    pair whose per-block degree bounds multiply to at most the cap is under
-    it; only otherwise are its blocks' paths counted exactly, by a frontier
-    DP, and a bound never stands in for a count.
+    simple path is fixed by its edge set, so a chain of m edges has at most
+    2^m paths and one with 2^m <= the cap is under it unbounded.  Past that,
+    a pair whose per-block degree bounds multiply to at most the cap is
+    under it; only otherwise are its blocks' paths counted exactly, by a
+    frontier DP, and a bound never stands in for a count.
 
     The report carries the `decompose_blocks` result it was read from.
     """
@@ -207,9 +209,14 @@ def validate(graph: MultiGraph) -> ValidationReport:
     covered_edges: set[str] = set()
     for chain in dec.chains:
         links = [(link.origin, link.destination, link.edges) for link in chain]
+        m = 0
         for _, _, edges in links:
             covered_edges |= edges
-        if prod(_path_bound(graph, *link) for link in links) <= DEFAULT_PATH_CAP:
+            m += len(edges)
+        if (
+            1 << m <= DEFAULT_PATH_CAP
+            or prod(_path_bound(graph, *link) for link in links) <= DEFAULT_PATH_CAP
+        ):
             continue
         count = 1
         for link in links:

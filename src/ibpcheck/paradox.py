@@ -31,7 +31,6 @@ reproducibility, with any witness reported at its lowest trial index.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from collections import Counter, deque
@@ -247,31 +246,6 @@ _GADGET_SOURCES = {variant: gadget_instance(variant) for variant in GadgetVarian
 # -- instance lifting ------------------------------------------------------------------
 
 
-def _vertex_isomorphisms(h: MultiGraph, src: MultiGraph):
-    """Yield (od permutation, vertex map h->src) respecting OD pairs as sets."""
-    if (
-        len(h.vertices) != len(src.vertices)
-        or len(h.edges) != len(src.edges)
-        or len(h.od_pairs) != len(src.od_pairs)
-    ):
-        return
-    h_vs = list(h.vertices)
-    src_pairs = Counter(frozenset((u, v)) for _, u, v in src.edges)
-    for perm in itertools.permutations(range(len(src.od_pairs))):
-        for image in itertools.permutations(src.vertices):
-            vmap = dict(zip(h_vs, image))
-            if any(
-                {vmap[o], vmap[d]} != set(src.od_pairs[perm[k]])
-                for k, (o, d) in enumerate(h.od_pairs)
-            ):
-                continue
-            h_pairs = Counter(
-                frozenset((vmap[u], vmap[v])) for _, u, v in h.edges
-            )
-            if h_pairs == src_pairs:
-                yield perm, vmap
-
-
 def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]:
     """Bijection of edge ids under a vertex map; parallels pair off in id order."""
     by_pair_src: dict[frozenset, list[str]] = {}
@@ -293,15 +267,37 @@ def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]
 def _gadget_match(
     reduced: MultiGraph,
 ) -> tuple[GadgetVariant, tuple[int, ...], Mapping[str, str]]:
-    """The first gadget placement `reduced` matches: (placement, OD
-    permutation, read-only edge map reduced -> gadget)."""
-    for variant, source in _GADGET_SOURCES.items():
-        src = source.game.graph
-        match = next(_vertex_isomorphisms(reduced, src), None)
-        if match is not None:
-            perm, vmap = match
-            return variant, perm, MappingProxyType(_edge_correspondence(reduced, src, vmap))
-    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
+    """The gadget placement `reduced` matches: (placement, OD permutation,
+    read-only edge map reduced -> gadget).
+
+    A gadget-shaped graph's two OD pairs share exactly one terminal, and
+    that fixes the match.  If neither pair is the doubled side, it is the
+    origin placement in the given OD order; otherwise it is the destination
+    placement, with the pair on the doubled side as OD 2.  The shared
+    terminal maps to the gadget's shared terminal, and each other terminal
+    to the other end of the OD pair it plays.  Parallel edges pair off in
+    id order.  Any other graph raises StepsDoNotReproduceSource.
+    """
+    ends = [(u, v) for _, u, v in reduced.edges]
+    if not _has_gadget_shape(len(reduced.vertices), ends, reduced.od_pairs):
+        raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
+    sides = Counter(frozenset(uv) for uv in ends)
+    doubled = next(side for side, n in sides.items() if n == 2)
+    pairs = [frozenset(pair) for pair in reduced.od_pairs]
+    if doubled in pairs:
+        variant = GadgetVariant.ORIGIN2_AT_DESTINATION1
+        perm = (1, 0) if pairs[0] == doubled else (0, 1)
+    else:
+        variant, perm = GadgetVariant.ORIGIN2_AT_ORIGIN1, (0, 1)
+    src = _GADGET_SOURCES[variant].game.graph
+    src_pairs = [frozenset(src.od_pairs[p]) for p in perm]
+    (shared,) = pairs[0] & pairs[1]
+    (src_shared,) = src_pairs[0] & src_pairs[1]
+    vmap = {shared: src_shared}
+    for pair, src_pair in zip(pairs, src_pairs):
+        (v,) = pair - {shared}
+        (vmap[v],) = src_pair - {src_shared}
+    return variant, perm, MappingProxyType(_edge_correspondence(reduced, src, vmap))
 
 
 def lift_instance(
@@ -310,14 +306,15 @@ def lift_instance(
     """Transport the gadget's paradox to `block`, which `steps` reduce to
     `reduced`, as `find_gadget_embedding` returns them.
 
-    The gadget is placed with OD 2 at OD 1's origin, else at its
-    destination, and matched to `reduced` up to renaming (OD pairs in either
-    order and either orientation); StepsDoNotReproduceSource is raised when
-    neither placement matches.  Deleted edges get zero latency and stay out
-    of every information set; contracted edges get zero latency and join
-    every information set, so each gadget path lifts to an equal-latency
-    block path.  The steps are not replayed: only their contracted edges
-    are read.
+    The placement is read off `reduced`'s shared terminal: OD 2 at OD 1's
+    origin when neither OD pair is the doubled side, else at its
+    destination, with the pair on the doubled side as OD 2 (OD pairs in
+    either order and either orientation); StepsDoNotReproduceSource is
+    raised when `reduced` is not gadget-shaped.  Deleted edges get zero
+    latency and stay out of every information set; contracted edges get
+    zero latency and join every information set, so each gadget path lifts
+    to an equal-latency block path.  The steps are not replayed: only their
+    contracted edges are read.
     """
     variant, perm, emap = _gadget_match(reduced)
     source = _GADGET_SOURCES[variant]

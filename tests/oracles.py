@@ -19,7 +19,9 @@ every candidate step instead of editing one working graph.  An embedding's
 step list is checked by replay: `apply_embedding_step` builds the graph
 each step leaves, and `lift_by_replay` lifts the gadget through the graph
 the replay ends on, where the library lifts through the graph its
-reduction returns.  The tests compare the library against them.
+reduction returns.  The gadget match is searched as first written, over
+every OD order and vertex map, where the library reads it off the shared
+terminal.  The tests compare the library against them.
 """
 
 import itertools
@@ -61,7 +63,13 @@ from ibpcheck.errors import (
     SolverError,
     StepsDoNotReproduceSource,
 )
-from ibpcheck.paradox import GadgetVariant, IBPInstance, gadget_instance, lift_instance
+from ibpcheck.paradox import (
+    GadgetVariant,
+    IBPInstance,
+    gadget_graph,
+    gadget_instance,
+    lift_instance,
+)
 from ibpcheck.topology import (
     COINCIDENT,
     CYCLE,
@@ -459,6 +467,56 @@ def _gadget_placement(g: MultiGraph) -> GadgetVariant:
     if shared <= doubled:
         return GadgetVariant.ORIGIN2_AT_DESTINATION1
     return GadgetVariant.ORIGIN2_AT_ORIGIN1
+
+
+def _vertex_isomorphisms(h: MultiGraph, src: MultiGraph):
+    """Yield (od permutation, vertex map h->src) respecting OD pairs as sets."""
+    if (
+        len(h.vertices) != len(src.vertices)
+        or len(h.edges) != len(src.edges)
+        or len(h.od_pairs) != len(src.od_pairs)
+    ):
+        return
+    src_pairs = Counter(frozenset((u, v)) for _, u, v in src.edges)
+    for perm in itertools.permutations(range(len(src.od_pairs))):
+        for image in itertools.permutations(src.vertices):
+            vmap = dict(zip(h.vertices, image))
+            if any(
+                {vmap[o], vmap[d]} != set(src.od_pairs[perm[k]])
+                for k, (o, d) in enumerate(h.od_pairs)
+            ):
+                continue
+            if Counter(frozenset((vmap[u], vmap[v])) for _, u, v in h.edges) == src_pairs:
+                yield perm, vmap
+
+
+def _edge_correspondence(h: MultiGraph, src: MultiGraph, vmap) -> dict[str, str]:
+    """Bijection of edge ids under a vertex map; parallels pair off in id order."""
+    by_pair_src: dict[frozenset, list[str]] = {}
+    for eid, u, v in sorted(src.edges):
+        by_pair_src.setdefault(frozenset((u, v)), []).append(eid)
+    emap: dict[str, str] = {}
+    taken: Counter = Counter()
+    for eid, u, v in sorted(h.edges):
+        pair = frozenset((vmap[u], vmap[v]))
+        emap[eid] = by_pair_src[pair][taken[pair]]
+        taken[pair] += 1
+    return emap
+
+
+def gadget_match_by_search(
+    reduced: MultiGraph,
+) -> tuple[GadgetVariant, tuple[int, ...], dict[str, str]]:
+    """The first gadget placement `reduced` matches, found by trying both OD
+    orders and all six vertex maps per placement, origin placement first:
+    (placement, OD permutation, edge map reduced -> gadget)."""
+    for variant in GadgetVariant:
+        src = gadget_graph(variant)
+        match = next(_vertex_isomorphisms(reduced, src), None)
+        if match is not None:
+            perm, vmap = match
+            return variant, perm, _edge_correspondence(reduced, src, vmap)
+    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
 
 
 def lift_by_replay(

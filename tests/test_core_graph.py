@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -18,19 +19,24 @@ from ibpcheck.core_graph import (
     validate,
 )
 from ibpcheck.errors import InvalidNetwork, PathCapExceeded
+from ibpcheck.instance_io import load_instance
 from ibpcheck.topology import common_blocks, decide_ibp_free
 
 from conftest import (
+    FIXTURE_STEMS,
     chain_edges,
+    chain_with_gadget_middle,
     cycle_graph,
     diamonds_in_series,
     gadget_multigraph,
     grid_graph,
+    k4_three_terminals,
     long_path_game,
     random_connected_multigraph,
     series_bundles,
     triangle_two_od,
     two_parallel_pairs_in_series,
+    wheatstone,
 )
 from oracles import (
     GraphOperationError,
@@ -206,6 +212,77 @@ def test_validate_path_cap_boundary():
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(_k4s_in_series(4, bond=17))
     assert validate(_corner_grid(5)).ok  # 8,512 paths per pair
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(_corner_grid(6))
+
+
+def _longest_chain(g: MultiGraph) -> int:
+    """The most edges in one OD chain of `g`."""
+    return max(sum(len(link.edges) for link in chain) for chain in decompose_blocks(g).chains)
+
+
+def _short_chain_corpus():
+    """Corpus graphs whose every OD chain has at most 13 edges, so at most
+    2^13 = 8,192 < 10,000 simple paths."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    graphs = [
+        load_instance(fixtures / f"{stem}.json")[0].graph
+        for stem in FIXTURE_STEMS
+        if stem != "malformed"
+    ]
+    graphs += [
+        gadget_multigraph("origin"),
+        gadget_multigraph("destination"),
+        triangle_two_od(),
+        two_parallel_pairs_in_series(),
+        wheatstone(),
+        k4_three_terminals(),
+        chain_with_gadget_middle(),
+        series_bundles([3, 3, 3]),
+    ]
+    graphs += [diamonds_in_series(k) for k in (1, 2, 3)]
+    rng = random.Random(1313)
+    graphs += [_random_validation_case(rng) for _ in range(300)]
+    return [g for g in graphs if _longest_chain(g) <= 13]
+
+
+def test_short_chains_are_under_the_cap_by_their_edge_count(monkeypatch):
+    import ibpcheck.core_graph as core_graph
+
+    corpus = _short_chain_corpus()
+    expected = [validate(g) for g in corpus]
+
+    def unreachable(*args):
+        raise AssertionError("a chain of at most 13 edges needs no bound or count")
+
+    monkeypatch.setattr(core_graph, "_path_bound", unreachable)
+    monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
+    assert [validate(g) for g in corpus] == expected
+    assert len(corpus) > 250
+    assert any(g == diamonds_in_series(3) for g in corpus)
+
+
+def test_longer_chains_still_meet_the_bound_and_the_count(monkeypatch):
+    import ibpcheck.core_graph as core_graph
+
+    bounds = []
+
+    def recording_bound(graph, *link):
+        bounds.append(link)
+        return _path_bound(graph, *link)
+
+    def unreachable(*args):
+        raise AssertionError("4-13 diamonds are settled by the degree bound")
+
+    monkeypatch.setattr(core_graph, "_path_bound", recording_bound)
+    monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
+    for k in range(4, 14):
+        bounds.clear()
+        assert validate(diamonds_in_series(k)).ok
+        assert len(bounds) == k
+    monkeypatch.setattr(core_graph, "_count_simple_paths", _count_simple_paths)
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        validate(diamonds_in_series(14))
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(_corner_grid(6))
 

@@ -929,13 +929,10 @@ def test_auto_returns_the_cg_result_when_no_support_passes_the_gap(monkeypatch):
     assert repr(auto) == repr(solve_icwe(after, backend="cg", start=before.path_flows))
 
 
-def test_the_polish_drops_the_dear_paths_of_a_support_no_flow_solves(monkeypatch):
-    # One type of rate 3 from v1 to v2: (g00, g01) costs 2.5, (g00, g02)
-    # costs 1, and g03 costs 1e-12 + 1e6 x.  On the support of all three,
-    # no flow equalizes the two constant costs.  On the swept table g03
-    # costs 2.5 too, so the first pivot keeps (g00, g02) alone; the second
-    # adds the then cheaper g03, and that support is accepted at latency 1.
-    # The sweeps alone crawl: cg raises after DEFAULT_MAX_ITERATIONS.
+def _steep_flat_tie_game(slope):
+    """ROADMAP item 15's repro: one type of rate 3 from v1 to v2 over
+    (g00, g01) at cost 2.5, (g00, g02) at cost 1 and g03 at 1e-12 + slope x;
+    its latency is 1 at equilibrium."""
     g = MultiGraph(
         ["v0", "v1", "v2"],
         [("g00", "v1", "v0"), ("g01", "v2", "v0"), ("g02", "v0", "v2"), ("g03", "v2", "v1")],
@@ -945,9 +942,19 @@ def test_the_polish_drops_the_dear_paths_of_a_support_no_flow_solves(monkeypatch
         "g00": LatencyFunction((0.0,)),
         "g01": LatencyFunction((2.5,)),
         "g02": LatencyFunction((1.0,)),
-        "g03": LatencyFunction((1e-12, 1e6)),
+        "g03": LatencyFunction((1e-12, slope)),
     }
-    game = RoutingGame(g, latencies, [TravelerType(3.0, 0, {"g00", "g01", "g02", "g03"})])
+    return RoutingGame(g, latencies, [TravelerType(3.0, 0, {"g00", "g01", "g02", "g03"})])
+
+
+def test_the_polish_drops_the_dear_paths_of_a_support_no_flow_solves(monkeypatch):
+    # One type of rate 3 from v1 to v2: (g00, g01) costs 2.5, (g00, g02)
+    # costs 1, and g03 costs 1e-12 + 1e6 x.  On the support of all three,
+    # no flow equalizes the two constant costs.  On the swept table g03
+    # costs 2.5 too, so the first pivot keeps (g00, g02) alone; the second
+    # adds the then cheaper g03, and that support is accepted at latency 1.
+    # The sweeps alone crawl: cg raises after DEFAULT_MAX_ITERATIONS.
+    game = _steep_flat_tie_game(1e6)
     supports = _record_supports(monkeypatch)
     auto = solve_icwe(game)
     assert auto.backend == "exact"
@@ -956,6 +963,30 @@ def test_the_polish_drops_the_dear_paths_of_a_support_no_flow_solves(monkeypatch
     assert supports == [((0, 1, 2),), ((1,),), ((1, 2),)]
     exact = solve_icwe(game, backend="exact")
     assert auto.type_latencies[0] == pytest.approx(exact.type_latencies[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [pytest.param(10.0**e, id=f"1e{e}") for e in (0, 1, 2, 3, 4, 5, 6, 8, 9)]
+    + [
+        pytest.param(
+            1e7,
+            id="1e7",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=DidNotConverge,
+                reason="ROADMAP item 15: auto stops after DEFAULT_MAX_ITERATIONS "
+                "sweeps at gap 1.5, and exact raises SolverError",
+            ),
+        )
+    ],
+)
+def test_auto_solves_the_steep_flat_tie_across_slopes(slope):
+    game = _steep_flat_tie_game(slope)
+    auto = solve_icwe(game)
+    assert auto.backend == "exact"
+    assert auto.type_latencies[0] == pytest.approx(1.0, rel=1e-9)
+    assert verify_wardrop(game, auto).passed
 
 
 # Rejected polishes on the 90 games below: 52 of 142 polishes when a

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -57,6 +58,7 @@ from conftest import (
 from oracles import (
     _is_gadget_shaped,
     gadget_embedding_by_rebuilding,
+    gadget_match_by_search,
     lift_by_replay,
     replay_embedding,
 )
@@ -360,6 +362,90 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
                 assert check_ibp(synthesize_ibp_witness(cand)).occurs
                 synthesized += 1
     assert tested >= 20
+
+
+# -- the gadget match -------------------------------------------------------------------
+
+
+def _assert_match_agrees(reduced):
+    variant, perm, emap = paradox._gadget_match(reduced)
+    assert (variant, perm, dict(emap)) == gadget_match_by_search(reduced)
+    return variant
+
+
+def _renamed_gadgets(variant):
+    """The gadget placement under every vertex relabelling, both OD orders,
+    both orientations of each pair and every assignment of fresh edge ids,
+    with the edges listed in a shuffled order."""
+    rng = random.Random(23)
+    g = gadget_graph(variant)
+    for image in itertools.permutations(("a", "b", "c")):
+        vmap = dict(zip(g.vertices, image))
+        for order in ((0, 1), (1, 0)):
+            for flips in itertools.product((False, True), repeat=2):
+                od_pairs = []
+                for k, flip in zip(order, flips):
+                    o, d = g.od_pairs[k]
+                    od_pairs.append((vmap[d], vmap[o]) if flip else (vmap[o], vmap[d]))
+                for ids in itertools.permutations(("x1", "x2", "x3", "x4")):
+                    edges = [(i, vmap[u], vmap[v]) for i, (_, u, v) in zip(ids, g.edges)]
+                    rng.shuffle(edges)
+                    yield MultiGraph(image, edges, od_pairs)
+
+
+@pytest.mark.parametrize("variant", list(GadgetVariant))
+def test_gadget_match_agrees_with_the_search_under_every_renaming(variant):
+    count = 0
+    for reduced in _renamed_gadgets(variant):
+        assert _assert_match_agrees(reduced) is variant
+        count += 1
+    assert count == 6 * 2 * 4 * 24
+
+
+def test_gadget_match_agrees_with_the_search_on_every_reduced_corpus_block(monkeypatch):
+    reduced_graphs = []
+
+    def recording(block):
+        steps, reduced = find_gadget_embedding(block)
+        reduced_graphs.append(reduced)
+        return steps, reduced
+
+    monkeypatch.setattr(paradox, "find_gadget_embedding", recording)
+    for g in _synthesis_corpus():  # fixtures, k4, gadget chain, random blocks
+        synthesize_ibp_witness(g)
+    for n in range(3, 11):  # past the path cap, synthesis stops at validation
+        recording(grid_graph(n, n, [("g0_0", f"g{n - 1}_{n - 1}"), (f"g0_{n - 1}", f"g{n - 1}_0")]))
+    variants = [_assert_match_agrees(reduced) for reduced in reduced_graphs]
+    assert len(variants) >= 50 and set(variants) == set(GadgetVariant)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, od_pairs",
+    [
+        (
+            ["u", "v", "w"],
+            [("e1", "u", "v"), ("e2", "u", "w"), ("e3", "w", "v"), ("e4", "w", "v")],
+            [("u", "v"), ("v", "u")],
+        ),
+        (
+            ["u", "v", "w"],
+            [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"), ("e4", "w", "v")],
+            [("u", "v"), ("u", "w")],
+        ),
+        (
+            ["u", "v", "w", "m"],
+            [("e1", "u", "m"), ("e5", "m", "v"), ("e2", "u", "w"), ("e3", "w", "v"), ("e4", "w", "v")],
+            [("u", "v"), ("u", "w")],
+        ),
+    ],
+    ids=["equal-terminal-sets", "tripled-side", "four-vertices"],
+)
+def test_gadget_match_rejects_what_is_not_gadget_shaped(vertices, edges, od_pairs):
+    g = MultiGraph(vertices, edges, od_pairs)
+    with pytest.raises(StepsDoNotReproduceSource):
+        paradox._gadget_match(g)
+    with pytest.raises(StepsDoNotReproduceSource):
+        gadget_match_by_search(g)
 
 
 # -- witness synthesis ------------------------------------------------------------------
