@@ -30,8 +30,6 @@ from .equilibrium import (
 from .errors import (
     IbpcheckError,
     InstanceFileError,
-    InvalidNetwork,
-    PathCapExceeded,
     PreconditionViolated,
     SolverError,
     UnsupportedFailureSite,
@@ -367,9 +365,6 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (InstanceFileError, InvalidNetwork, PathCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR

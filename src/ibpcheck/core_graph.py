@@ -16,10 +16,10 @@ block.  It still raises past the 10,000-path cap until ROADMAP item 1
 moves the cap's pin; a pair's path count is the product of its per-block
 counts, and a per-block degree bound settles most pairs, a frontier DP
 counting the rest exactly.  The report hands the decomposition on to the
-topology verdict.  Path enumeration is exhaustive and capped (default
-10,000 paths, past which it raises); it serves the solver's path sets, the
-randomized search, the cycle diagnostics and the test oracles, not
-`validate`, the topology verdict or the gadget embedding.
+topology verdict.  Path enumeration is exhaustive and capped (it raises
+past 10,000 paths); it serves the solver's path sets, the randomized
+search and the cycle diagnostics, not `validate`, the topology verdict or
+the gadget embedding.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ class MultiGraph:
             return self.edge_map[eid]
         except KeyError:
             raise EdgeNotFound(eid) from None
-
-    def parallel_ids(self, u: str, v: str) -> tuple[str, ...]:
-        """Ids of all edges joining u and v, sorted."""
-        pair = frozenset((u, v))
-        return tuple(
-            sorted(eid for eid, a, b in self.edges if frozenset((a, b)) == pair)
-        )
-
-    @property
-    def terminals(self) -> frozenset[str]:
-        return frozenset(v for pair in self.od_pairs for v in pair)
 
     def induced(
         self, edge_subset: Iterable[str], od_pairs: Iterable[Sequence[str]]
@@ -349,16 +338,15 @@ def enumerate_simple_paths(
     s: str,
     t: str,
     allowed_edges: Optional[Iterable[str]] = None,
-    max_paths: int = DEFAULT_PATH_CAP,
 ) -> tuple[Path, ...]:
     """All simple s-t paths as edge-id sequences, lexicographically ordered.
 
     `allowed_edges` restricts the usable edge set (information sets, blocks).
-    Raises PathCapExceeded once more than `max_paths` paths are found.  The
-    depth-first walk keeps its own stack, as `biconnected_blocks` does, so
-    a long path is not bounded by the recursion limit.  It serves the
-    solver's path sets, the randomized search, the diagnostics and the test
-    oracles; `validate` counts paths and never lists them.
+    Raises PathCapExceeded once more than DEFAULT_PATH_CAP paths are found.
+    The depth-first walk keeps its own stack, as `biconnected_blocks` does,
+    so a long path is not bounded by the recursion limit.  It serves the
+    solver's path sets, the randomized search and the cycle diagnostics;
+    `validate` counts paths and never lists them.
     """
     if s == t:
         raise ValueError("path enumeration requires distinct endpoints")
@@ -367,6 +355,7 @@ def enumerate_simple_paths(
         return ()
 
     adjacency = graph.adjacency  # sorted by edge id -> lex order
+    cap = DEFAULT_PATH_CAP
     paths: list[Path] = []
     path: list[str] = []  # edges from s to the top vertex of the stack
     on_path = [s]
@@ -377,8 +366,8 @@ def enumerate_simple_paths(
             if eid not in allowed or other in visited:
                 continue
             if other == t:
-                if len(paths) >= max_paths:
-                    raise PathCapExceeded(max_paths)
+                if len(paths) >= cap:
+                    raise PathCapExceeded(cap)
                 paths.append((*path, eid))
             else:
                 path.append(eid)

@@ -162,6 +162,8 @@ class TravelerType:
     def __init__(self, rate: float, od_index: int, info_set: Iterable[str]):
         if not 0.0 <= rate < math.inf:
             raise InvalidNetwork("traveler rate must be finite and nonnegative")
+        if isinstance(info_set, str):  # not the set of its characters
+            raise InvalidNetwork(f"info set must be a collection of edge ids: {info_set!r}")
         object.__setattr__(self, "rate", float(rate))
         object.__setattr__(self, "od_index", int(od_index))
         object.__setattr__(self, "info_set", frozenset(info_set))
@@ -218,15 +220,7 @@ class EquilibriumResult:
 
 
 @dataclass(frozen=True)
-class TypeWardropCheck:
-    type_index: int
-    conservation_error: float
-    violation: float
-
-
-@dataclass(frozen=True)
 class WardropReport:
-    per_type: tuple[TypeWardropCheck, ...]
     max_violation: float
     passed: bool
 
@@ -239,10 +233,11 @@ def verify_wardrop(
     """Re-derive everything from the path flows and check the equilibrium.
 
     Deliberately independent of any solver: edge flows are rebuilt from
-    scratch and the per-type violation is the worst gap between a used path
-    and that type's cheapest feasible path.  A path is used when it carries
-    more than FLOW_EPS or, for a type whose rate is at most FLOW_EPS per
-    feasible path, any flow at all.
+    scratch and the violation is the worst gap between a used path and its
+    type's cheapest feasible path.  A path is used when it carries more than
+    FLOW_EPS or, for a type whose rate is at most FLOW_EPS per feasible
+    path, any flow at all.  Passing also needs every type's flows to sum to
+    its rate within CONSERVATION_EPS.
     """
     edge_flows: dict[str, float] = {}
     for flows in result.path_flows:
@@ -250,12 +245,11 @@ def verify_wardrop(
             for eid in path:
                 edge_flows[eid] = edge_flows.get(eid, 0.0) + amount
 
-    checks = []
     worst = 0.0
+    conserved = True
     for j, t in enumerate(game.types):
         flows = result.path_flows[j]
-        conservation = abs(sum(flows.values()) - t.rate)
-        violation = 0.0
+        conserved = conserved and abs(sum(flows.values()) - t.rate) <= CONSERVATION_EPS
         candidates = feasible_paths(game, j)
         if candidates:
             latencies = {p: game.path_latency(p, edge_flows) for p in candidates}
@@ -263,17 +257,8 @@ def verify_wardrop(
             floor = FLOW_EPS if t.rate > FLOW_EPS * len(candidates) else 0.0
             for p, amount in flows.items():
                 if amount > floor:
-                    violation = max(violation, latencies[p] - best)
-        checks.append(
-            TypeWardropCheck(
-                type_index=j, conservation_error=conservation, violation=violation
-            )
-        )
-        worst = max(worst, violation)
-    passed = worst <= epsilon and all(
-        c.conservation_error <= CONSERVATION_EPS for c in checks
-    )
-    return WardropReport(per_type=tuple(checks), max_violation=worst, passed=passed)
+                    worst = max(worst, latencies[p] - best)
+    return WardropReport(max_violation=worst, passed=worst <= epsilon and conserved)
 
 
 # -- the cost core shared by both backends ------------------------------------------

@@ -55,10 +55,6 @@ class BackendUnavailable(SolverError):
 
 # -- paradox layer -----------------------------------------------------------
 
-class IsCycleError(IbpcheckError):
-    """The block is a cycle, hence immune; no gadget embedding exists."""
-
-
 class PreconditionViolated(IbpcheckError):
     """An operation's stated precondition does not hold for the input."""
 

@@ -58,7 +58,6 @@ from .equilibrium import (
 )
 from .errors import (
     InvalidNetwork,
-    IsCycleError,
     NotACycle,
     NotNormalForm,
     PreconditionViolated,
@@ -86,6 +85,8 @@ class InformationExtension:
     added_edges: frozenset[str]
 
     def __init__(self, added_edges):
+        if isinstance(added_edges, str):  # not the set of its characters
+            raise InvalidNetwork(f"added edges must be a collection of edge ids: {added_edges!r}")
         edges = frozenset(added_edges)
         if not edges:
             raise InvalidNetwork("an information extension must add edges")
@@ -458,7 +459,9 @@ def find_gadget_embedding(block: MultiGraph) -> tuple[list[EmbeddingStep], Multi
     contracts the least-id edge whose contraction keeps the invariant; the
     merged vertex keeps a terminal's name, otherwise the lesser name, and an
     OD pair is never merged.  The loop stops once the graph is the gadget's
-    shape, and raises PreconditionViolated if no step keeps the invariant.
+    shape.  PreconditionViolated is raised for a block without exactly two
+    OD pairs, with coincident terminal sets, that is a cycle or is not
+    2-connected, and if no step keeps the invariant.
 
     Every choice is the first in edge-id order, so the step list is a pure
     function of the block's edges and OD pairs.  The working graph is the
@@ -473,7 +476,7 @@ def find_gadget_embedding(block: MultiGraph) -> tuple[list[EmbeddingStep], Multi
     if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
         raise PreconditionViolated("terminal sets coincide; block is coincident")
     if is_cycle(block):
-        raise IsCycleError("cycles are immune; no gadget embedding exists")
+        raise PreconditionViolated("cycles are immune; no gadget embedding exists")
     ends = {eid: (u, v) for eid, u, v in block.edges}
     inc: dict[str, dict[str, str]] = {v: {} for v in block.vertices}
     for eid, u, v in block.edges:
@@ -723,20 +726,7 @@ def random_search_ibp(
 
 
 @dataclass(frozen=True)
-class TypeDiagnostic:
-    type_index: int
-    drained_arc: Path  # flow weakly decreases after the extension
-    drained_latency_before: float
-    drained_latency_after: float
-    latency_increases: bool  # necessary for a paradox
-    rate: float
-    others_rate: float
-    rate_not_dominant: bool  # necessary for a paradox
-
-
-@dataclass(frozen=True)
 class CycleDiagnostics:
-    per_type: tuple[TypeDiagnostic, ...]
     latency_condition_holds: bool
     rate_condition_holds: bool
 
@@ -769,7 +759,6 @@ def cycle_diagnostics(
             raise NotNormalForm("type order must follow OD order")
 
     total_rate = sum(t.rate for t in instance.game.types)
-    diagnostics = []
     latency_ok = True
     rate_ok = True
     for j, t in enumerate(instance.game.types):
@@ -777,31 +766,12 @@ def cycle_diagnostics(
         assert len(arcs) == 2
         before_flows = before_result.path_flows[j]
         after_flows = after_result.path_flows[j]
-        drained = max(
+        drained = max(  # its flow weakly decreases after the extension
             arcs,
             key=lambda p: (before_flows.get(p, 0.0) - after_flows.get(p, 0.0), p),
         )
         lat_before = instance.game.path_latency(drained, before_result.edge_flows)
         lat_after = instance.game.path_latency(drained, after_result.edge_flows)
-        increases = lat_after - lat_before > CYCLE_SLACK
-        others = total_rate - t.rate
-        not_dominant = t.rate < others - CYCLE_SLACK
-        diagnostics.append(
-            TypeDiagnostic(
-                type_index=j,
-                drained_arc=drained,
-                drained_latency_before=lat_before,
-                drained_latency_after=lat_after,
-                latency_increases=increases,
-                rate=t.rate,
-                others_rate=others,
-                rate_not_dominant=not_dominant,
-            )
-        )
-        latency_ok = latency_ok and increases
-        rate_ok = rate_ok and not_dominant
-    return CycleDiagnostics(
-        per_type=tuple(diagnostics),
-        latency_condition_holds=latency_ok,
-        rate_condition_holds=rate_ok,
-    )
+        latency_ok = latency_ok and lat_after - lat_before > CYCLE_SLACK
+        rate_ok = rate_ok and t.rate < total_rate - t.rate - CYCLE_SLACK
+    return CycleDiagnostics(latency_condition_holds=latency_ok, rate_condition_holds=rate_ok)

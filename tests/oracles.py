@@ -3,8 +3,8 @@
 The single-OD classes are a fold of per-block series/parallel reductions
 in `ibpcheck.topology`, and `validate` reads coverage block by block along
 the OD chains; the functions here evaluate the literal definitions by
-enumerating every o-d path instead, so they are exponential in the path
-count.  The verdict's earlier routes stay here as second routes too: one
+enumerating every o-d path instead, with their own uncapped walker
+`simple_paths`, so they are exponential in the path count.  The verdict's earlier routes stay here as second routes too: one
 reduction over a chain's union for SP and LI, and a pair-by-pair scan of
 the common blocks for the failure site.  So does the `cg` sweep as first
 written, with a full Wardrop gap every sweep, fresh move edge sets and a
@@ -58,7 +58,6 @@ from ibpcheck.equilibrium import (
 from ibpcheck.errors import (
     DidNotConverge,
     IbpcheckError,
-    IsCycleError,
     PreconditionViolated,
     SolverError,
     StepsDoNotReproduceSource,
@@ -79,8 +78,6 @@ from ibpcheck.topology import (
     SingleOdClass,
     _sp_reduce,
 )
-
-ORACLE_PATH_CAP = 100_000
 
 
 def latency_integral(latency: LatencyFunction, x: float) -> float:
@@ -239,8 +236,34 @@ def path_vertices(graph: MultiGraph, path: Path, start: str) -> tuple[str, ...]:
     return tuple(seq)
 
 
-def _paths(graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str):
-    return enumerate_simple_paths(graph, o, d, edges, max_paths=ORACLE_PATH_CAP)
+def simple_paths(
+    graph: MultiGraph, s: str, t: str, allowed_edges: Optional[Iterable[str]] = None
+) -> tuple[Path, ...]:
+    """Every simple s-t path inside `allowed_edges`, sorted, with no cap.
+
+    A recursive walk straight from the definition, sharing nothing with
+    `enumerate_simple_paths`; the recursion depth is the longest path, so
+    it suits the small graphs of the tests.
+    """
+    allowed = graph.edge_ids if allowed_edges is None else frozenset(allowed_edges)
+    incident: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertices}
+    for eid, u, v in graph.edges:
+        if eid in allowed:
+            incident[u].append((eid, v))
+            incident[v].append((eid, u))
+    found: list[Path] = []
+
+    def walk(v: str, seen: frozenset[str], path: Path) -> None:
+        if v == t:
+            found.append(path)
+            return
+        for eid, w in incident[v]:
+            if w not in seen:
+                walk(w, seen | {w}, (*path, eid))
+
+    if s in incident and t in incident:
+        walk(s, frozenset((s,)), ())
+    return tuple(sorted(found))
 
 
 def edges_crossed_both_ways(
@@ -248,7 +271,7 @@ def edges_crossed_both_ways(
 ) -> list[str]:
     """Sorted edges that two o-d paths inside `edges` cross in opposite directions."""
     directions: dict[str, set[tuple[str, str]]] = {}
-    for path in _paths(graph, edges, o, d):
+    for path in simple_paths(graph, o, d, edges):
         seq = path_vertices(graph, path, o)
         for eid, u, v in zip(path, seq, seq[1:]):
             directions.setdefault(eid, set()).add((u, v))
@@ -266,7 +289,7 @@ def is_linearly_independent(
     graph: MultiGraph, edges: Optional[Iterable[str]], o: str, d: str
 ) -> bool:
     """LI: every o-d path owns an edge that no other o-d path uses."""
-    paths = _paths(graph, edges, o, d)
+    paths = simple_paths(graph, o, d, edges)
     uses = Counter(eid for path in paths for eid in path)
     return all(any(uses[eid] == 1 for eid in path) for path in paths)
 
@@ -408,7 +431,7 @@ def apply_embedding_step(graph: MultiGraph, step: EmbeddingStep) -> MultiGraph:
         edges = [e for e in graph.edges if e[0] != step.edge]
         used = {w for _, a, b in edges for w in (a, b)}
         isolated = set(graph.vertices) - used
-        if isolated & graph.terminals:
+        if any(w in isolated for pair in graph.od_pairs for w in pair):
             raise GraphOperationError(
                 f"deleting {step.edge!r} would isolate a terminal vertex"
             )
@@ -420,7 +443,7 @@ def apply_embedding_step(graph: MultiGraph, step: EmbeddingStep) -> MultiGraph:
             raise TerminalMergeForbidden(
                 f"contracting {step.edge!r} would merge OD pair ({o!r}, {d!r})"
             )
-    if len(graph.parallel_ids(u, v)) > 1:
+    if [w for _, w in graph.adjacency[u]].count(v) > 1:
         raise GraphOperationError(
             f"contracting {step.edge!r} would turn a parallel edge into a loop"
         )
@@ -550,10 +573,10 @@ def _keeps_invariant(g: MultiGraph) -> bool:
 def _first_contraction(g: MultiGraph) -> Optional[tuple[EmbeddingStep, MultiGraph]]:
     """The least-id contraction that keeps the invariant, with its result."""
     pairs = {frozenset(pair) for pair in g.od_pairs}
-    terminals = g.terminals
+    terminals = {w for pair in g.od_pairs for w in pair}
     for eid in sorted(g.edge_ids):
         u, v = g.endpoints(eid)
-        if frozenset((u, v)) in pairs or len(g.parallel_ids(u, v)) > 1:
+        if frozenset((u, v)) in pairs or [w for _, w in g.adjacency[u]].count(v) > 1:
             continue
         names = [w for w in (u, v) if w in terminals] or [u, v]
         step = EmbeddingStep.contract(eid, min(names))
@@ -579,7 +602,7 @@ def gadget_embedding_by_rebuilding(block: MultiGraph) -> list[EmbeddingStep]:
     if frozenset(block.od_pairs[0]) == frozenset(block.od_pairs[1]):
         raise PreconditionViolated("terminal sets coincide; block is coincident")
     if is_cycle(block):
-        raise IsCycleError("cycles are immune; no gadget embedding exists")
+        raise PreconditionViolated("cycles are immune; no gadget embedding exists")
     if len(biconnected_blocks(block)[0]) != 1:
         raise PreconditionViolated("input is not 2-connected")
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ibpcheck import cli
+from ibpcheck import cli, errors
 from ibpcheck.cli import build_parser, main
 from ibpcheck.core_graph import MultiGraph
 from ibpcheck.equilibrium import (
@@ -497,6 +498,33 @@ def test_exit_codes_are_a_function_of_verdicts(capsys):
     code_occurs, _, _ = run_cli(capsys, "check-ibp", str(FIXTURES / "gadget.json"))
     code_no, _, _ = run_cli(capsys, "check-ibp", str(FIXTURES / "gadget_dominated.json"))
     assert (code_free, code_not, code_occurs, code_no) == (0, 10, 20, 0)
+
+
+ERROR_FAMILY = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.IbpcheckError)
+]
+ERROR_ARGS = {errors.PathCapExceeded: (10_000,), errors.DidNotConverge: (7, 0.5)}
+
+
+@pytest.mark.parametrize("cls", ERROR_FAMILY, ids=lambda cls: cls.__name__)
+def test_every_error_family_exits_in_its_band(cls, monkeypatch, capsys):
+    exc = cls(*ERROR_ARGS.get(cls, ("boom",)))
+
+    def fail(_args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_demo", fail)
+    if issubclass(cls, errors.SolverError):
+        code, prefix = 3, "solver error: "
+    elif issubclass(cls, (errors.UnsupportedFailureSite, errors.PreconditionViolated)):
+        code, prefix = 4, "unsupported: "
+    else:
+        code, prefix = 2, "error: "
+    assert run_cli(capsys, "demo") == (code, "", f"{prefix}{exc}\n")
+    if issubclass(cls, KeyError):
+        assert f"{exc}" == "'boom'"  # a KeyError quotes its text
 
 
 def test_parser_defaults_are_the_module_constants():

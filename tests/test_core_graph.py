@@ -43,6 +43,7 @@ from oracles import (
     TerminalMergeForbidden,
     apply_embedding_step,
     path_vertices,
+    simple_paths,
     validate_by_enumeration,
 )
 
@@ -169,7 +170,7 @@ def test_validate_agrees_with_the_enumerating_oracle():
             for link in chain:
                 assert link.edges == dec.blocks[link.block_id]
         disconnected += not report.connected
-        isolated_terminals += any(not g.adjacency[v] for v in g.terminals)
+        isolated_terminals += any(not g.adjacency[v] for pair in g.od_pairs for v in pair)
         uncovered += bool(report.uncovered_edges)
         bundled += any(eid.startswith("b") for eid in g.edge_ids)
     assert disconnected > 30 and isolated_terminals > 10 and uncovered > 100
@@ -312,9 +313,12 @@ def test_paths_ordered_lexicographically():
 
 
 def test_path_cap_enforced():
-    g = gadget_multigraph()
-    with pytest.raises(PathCapExceeded):
-        enumerate_simple_paths(g, "u", "v", max_paths=2)
+    # 2^13 = 8,192 paths fit under the 10,000-path cap; 2^14 = 16,384 do not
+    g = diamonds_in_series(13)
+    assert len(enumerate_simple_paths(g, "j0", "j13")) == 2**13
+    g = diamonds_in_series(14)
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        enumerate_simple_paths(g, "j0", "j14")
 
 
 def test_same_endpoints_rejected():
@@ -346,7 +350,8 @@ def test_enumeration_matches_recursive_oracle_on_random_graphs():
         if len(g.vertices) < 2:
             continue
         s, t = rng.sample(sorted(g.vertices), 2)
-        paths = enumerate_simple_paths(g, s, t, max_paths=100000)
+        paths = enumerate_simple_paths(g, s, t)
+        assert paths == simple_paths(g, s, t)
         assert len(paths) == _oracle_count_paths(g, s, t)
         assert list(paths) == sorted(set(paths))  # distinct, in lexicographic order
 
@@ -372,7 +377,7 @@ def test_path_count_and_bound_match_enumeration_on_random_graphs():
             edges = frozenset(e for e in sorted(edges) if rng.random() < 0.75)
             restricted += 1
         count = _count_simple_paths(g, s, t, edges)
-        assert count == len(enumerate_simple_paths(g, s, t, edges, max_paths=10**6))
+        assert count == len(simple_paths(g, s, t, edges))
         assert _path_bound(g, s, t, edges) >= count
         disconnected += count == 0
         parallel += len({frozenset(g.edge_map[e]) for e in edges}) < len(edges)
@@ -442,7 +447,7 @@ def test_od_subnetwork_idempotent_on_random_graphs():
 
 def _chain_by_enumeration(g: MultiGraph, o: str, d: str):
     """The OD chain from the subnetwork's own blocks, walked from o to d."""
-    paths = enumerate_simple_paths(g, o, d, max_paths=100000)
+    paths = simple_paths(g, o, d)
     sub = g.induced({eid for p in paths for eid in p}, [(o, d)])
     blocks, _ = biconnected_blocks(sub)
     vertices = {bl: {w for eid in bl for w in sub.endpoints(eid)} for bl in blocks}
@@ -470,7 +475,7 @@ def test_chains_match_enumerated_subnetworks_on_random_graphs():
         dec = decompose_blocks(g)
         on_paths = []
         for i, (o, d) in enumerate(pairs):
-            paths = enumerate_simple_paths(g, o, d, max_paths=100000)
+            paths = simple_paths(g, o, d)
             on_paths.append({eid for p in paths for eid in p})
             assert chain_edges(g, i) == on_paths[i]
             chain = [(link.edges, link.origin, link.destination) for link in dec.chains[i]]
@@ -581,7 +586,7 @@ def test_contract_triangle_edge_gives_parallel_pair():
     )
     assert len(h.vertices) == 2
     assert sorted(h.edge_ids) == ["t1", "t3"]
-    assert h.parallel_ids("x", "y") == ("t1", "t3")
+    assert sorted(eid for eid, w in h.adjacency["x"] if w == "y") == ["t1", "t3"]
 
 
 def test_delete_edge_from_gadget():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,19 @@ def test_positive_rate_without_path_raises():
     )
     with pytest.raises(NoFeasiblePath):
         feasible_paths(broken, 0)
+
+
+def test_a_bare_string_info_set_is_rejected():
+    # with one-letter edge ids, "bc" read as its characters is a real o-d path
+    g = MultiGraph(
+        ["o", "m", "d"], [("a", "o", "d"), ("b", "o", "m"), ("c", "m", "d")], [("o", "d")]
+    )
+    for info in ("bc", "b", ""):
+        with pytest.raises(InvalidNetwork, match="collection of edge ids"):
+            TravelerType(1.0, 0, info)
+    latencies = {eid: LatencyFunction((1.0,)) for eid in g.edge_ids}
+    game = RoutingGame(g, latencies, [TravelerType(1.0, 0, ("b", "c"))])
+    assert solve_icwe(game).path_flows[0] == {("b", "c"): 1.0}
 
 
 # -- potential ------------------------------------------------------------------
@@ -654,6 +668,19 @@ def test_hand_built_bad_flow_fails_wardrop_check():
     report = verify_wardrop(game, bad, epsilon=1e-6)
     assert not report.passed
     assert report.max_violation == pytest.approx(30.0)
+
+
+@pytest.mark.parametrize("excess", [2 * CONSERVATION_EPS, -2 * CONSERVATION_EPS])
+def test_flows_that_miss_the_rate_fail_wardrop_check(excess):
+    game = gadget_game("origin", extended=True)
+    result = solve_icwe(game)
+    assert verify_wardrop(game, result).passed
+    flows = list(result.path_flows)
+    path, amount = max(flows[1].items())
+    flows[1] = {**flows[1], path: amount + excess}
+    report = verify_wardrop(game, replace(result, path_flows=tuple(flows)))
+    assert report.max_violation <= DEFAULT_TOLERANCE  # only conservation fails
+    assert not report.passed
 
 
 def test_zero_rate_game_with_empty_flow_passes():

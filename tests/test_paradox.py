@@ -19,7 +19,6 @@ from ibpcheck.equilibrium import (
 )
 from ibpcheck.errors import (
     InvalidNetwork,
-    IsCycleError,
     NotACycle,
     NotNormalForm,
     PreconditionViolated,
@@ -70,6 +69,20 @@ from oracles import (
 def test_extension_must_be_nonempty():
     with pytest.raises(InvalidNetwork):
         InformationExtension(())
+
+
+def test_extension_rejects_a_bare_string():
+    # with one-letter edge ids, "bc" read as its characters is a valid extension
+    g = MultiGraph(
+        ["o", "m", "d"], [("a", "o", "d"), ("b", "o", "m"), ("c", "m", "d")], [("o", "d")]
+    )
+    latencies = {eid: LatencyFunction((1.0,)) for eid in g.edge_ids}
+    game = RoutingGame(g, latencies, [TravelerType(1.0, 0, ("a",))])
+    for added in ("bc", "b"):
+        with pytest.raises(InvalidNetwork, match="collection of edge ids"):
+            InformationExtension(added)
+    instance = IBPInstance(game, InformationExtension(("b", "c")))
+    assert instance.extension.added_edges == {"b", "c"}
 
 
 def test_extension_must_be_disjoint_from_type1_info():
@@ -273,7 +286,7 @@ def test_gadget_embeds_into_itself_with_no_steps():
 
 
 def test_cycles_are_rejected():
-    with pytest.raises(IsCycleError):
+    with pytest.raises(PreconditionViolated, match="cycles are immune"):
         find_gadget_embedding(triangle_two_od())
 
 
@@ -351,7 +364,7 @@ def test_embedding_dichotomy_on_random_two_od_blocks():
     for cand in random_two_od_blocks():
         tested += 1
         if is_cycle(cand):
-            with pytest.raises(IsCycleError):
+            with pytest.raises(PreconditionViolated, match="cycles are immune"):
                 find_gadget_embedding(cand)
         else:
             steps, reduced = find_gadget_embedding(cand)
