@@ -12,20 +12,20 @@ OD pair's block chain in linear time per pair.  A chain is a tuple of
 edges; the union of a chain's blocks is that pair's OD subnetwork, and a
 disconnected pair's chain is empty.  `validate` reads coverage off the same
 chains without listing a path: an edge is covered iff it lies in a chain
-block.  It still raises past the 10,000-path cap until ROADMAP item 1
-moves the cap's pin; a pair's path count is the product of its per-block
-counts, and a per-block degree bound settles most pairs, a frontier DP
-counting the rest exactly.  The report hands the decomposition on to the
-topology verdict.  Path enumeration is exhaustive and capped (it raises
-past 10,000 paths); it serves the solver's path sets, the randomized
-search and the cycle diagnostics, not `validate`, the topology verdict or
-the gadget embedding.
+block.  It returns the decomposition to the topology verdict or raises
+InvalidNetwork naming every fault, and it raises past the 10,000-path cap
+until ROADMAP item 1 moves the cap's pin; a pair's path count is the
+product of its per-block counts, and a per-block degree bound settles most
+pairs, a frontier DP counting the rest exactly.  Path enumeration is
+exhaustive and capped (it raises past 10,000 paths); it serves the solver's
+path sets, the randomized search and the cycle diagnostics, not `validate`,
+the topology verdict or the gadget embedding.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Iterable, Optional, Sequence
@@ -122,36 +122,6 @@ class MultiGraph:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`; downstream operations need `ok`."""
-
-    connected: bool
-    uncovered_edges: tuple[str, ...]
-    uncovered_vertices: tuple[str, ...]
-    decomposition: BlockDecomposition = field(compare=False, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.connected
-            and not self.uncovered_edges
-            and not self.uncovered_vertices
-        )
-
-    def require_ok(self) -> BlockDecomposition:
-        """The decomposition, once `ok`; otherwise InvalidNetwork listing
-        every fault.  The verdict and witness synthesis both raise this."""
-        if not self.ok:
-            raise InvalidNetwork(
-                "graph fails validation: "
-                f"connected={self.connected}, "
-                f"uncovered_edges={list(self.uncovered_edges)}, "
-                f"uncovered_vertices={list(self.uncovered_vertices)}"
-            )
-        return self.decomposition
-
-
 def connected_components(graph: MultiGraph) -> list[frozenset[str]]:
     seen: set[str] = set()
     comps = []
@@ -171,17 +141,17 @@ def connected_components(graph: MultiGraph) -> list[frozenset[str]]:
     return comps
 
 
-def validate(graph: MultiGraph) -> ValidationReport:
-    """Report connectivity and OD-path coverage (construction rejects loops).
+def validate(graph: MultiGraph) -> BlockDecomposition:
+    """The graph's `decompose_blocks` result, once it is connected and every
+    edge and vertex lies on a simple OD path (construction rejects loops).
 
-    Every edge and every vertex must lie on at least one simple OD path;
-    violating elements are listed rather than raised so callers can render
-    a full diagnosis.  Coverage is read off the OD chains: a simple o-d path
-    is one simple entry-leave path in each chain block, and every edge of a
-    block lies on such a path (a bond's edges are paths themselves, and a
-    2-connected block has a simple path through any edge between any two
-    distinct vertices), so an edge is covered iff it lies in a chain block.
-    A disconnected pair's chain is empty and covers nothing.
+    Otherwise raises InvalidNetwork naming every fault: connectivity and the
+    uncovered edges and vertices.  Coverage is read off the OD chains: a
+    simple o-d path is one simple entry-leave path in each chain block, and
+    every edge of a block lies on such a path (a bond's edges are paths
+    themselves, and a 2-connected block has a simple path through any edge
+    between any two distinct vertices), so an edge is covered iff it lies in
+    a chain block.  A disconnected pair's chain is empty and covers nothing.
 
     No path is listed.  Raises PathCapExceeded once a pair has more than
     `DEFAULT_PATH_CAP` simple paths, the product of its per-block counts;
@@ -191,8 +161,6 @@ def validate(graph: MultiGraph) -> ValidationReport:
     a pair whose per-block degree bounds multiply to at most the cap is
     under it; only otherwise are its blocks' paths counted exactly, by a
     frontier DP, and a bound never stands in for a count.
-
-    The report carries the `decompose_blocks` result it was read from.
     """
     dec = decompose_blocks(graph)
     covered_edges: set[str] = set()
@@ -214,12 +182,15 @@ def validate(graph: MultiGraph) -> ValidationReport:
                 raise PathCapExceeded(DEFAULT_PATH_CAP)
     # an OD path has at least one edge, so its vertices are its edges' endpoints
     covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
-    return ValidationReport(
-        connected=len(connected_components(graph)) <= 1,
-        uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
-        uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
-        decomposition=dec,
-    )
+    connected = len(connected_components(graph)) <= 1
+    uncovered_edges = sorted(graph.edge_ids - covered_edges)
+    uncovered_vertices = sorted(set(graph.vertices) - covered_vertices)
+    if not connected or uncovered_edges or uncovered_vertices:
+        raise InvalidNetwork(
+            f"graph fails validation: connected={connected}, "
+            f"uncovered_edges={uncovered_edges}, uncovered_vertices={uncovered_vertices}"
+        )
+    return dec
 
 
 def _path_bound(graph: MultiGraph, s: str, t: str, edges: frozenset[str]) -> int:
@@ -543,35 +514,24 @@ class EmbeddingStep:
         return EmbeddingStep("contract", edge, merged_vertex_name)
 
 
-def is_cycle(graph: MultiGraph, edge_subset: Optional[Iterable[str]] = None) -> bool:
-    """True iff the (sub)graph is a single cycle.
+def is_cycle(graph: MultiGraph) -> bool:
+    """True iff the graph is a single cycle.
 
     A pair of parallel edges counts as a degenerate 2-cycle; a single edge
     does not.
     """
-    if edge_subset is None:
-        edge_ids = graph.edge_ids
-    else:
-        edge_ids = frozenset(edge_subset)
-    if len(edge_ids) < 2:
+    if len(graph.edges) < 2:
         return False
-    degree: dict[str, int] = {}
-    for eid in edge_ids:
-        u, v = graph.endpoints(eid)
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if len(edge_ids) != len(degree):
-        return False
-    if any(d != 2 for d in degree.values()):
+    degree = Counter(v for _, u, w in graph.edges for v in (u, w))
+    if len(graph.edges) != len(degree) or any(d != 2 for d in degree.values()):
         return False
     # degree-2 everywhere and |E| == |V|: connected iff one component
     start = next(iter(degree))
     seen = {start}
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for eid, other in graph.adjacency[cur]:
-            if eid in edge_ids and other not in seen:
+        for _, other in graph.adjacency[queue.popleft()]:
+            if other not in seen:
                 seen.add(other)
                 queue.append(other)
     return len(seen) == len(degree)

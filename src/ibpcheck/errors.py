@@ -8,7 +8,9 @@ class IbpcheckError(Exception):
 # -- graph layer -------------------------------------------------------------
 
 class InvalidNetwork(IbpcheckError):
-    """A multigraph violates a structural invariant (loops, bad ids, ...)."""
+    """A multigraph violates a structural invariant (loops, bad ids, ...), or
+    fails `validate`: it is disconnected or has an edge or vertex on no OD
+    path."""
 
 
 class EdgeNotFound(IbpcheckError, KeyError):
@@ -56,23 +58,14 @@ class BackendUnavailable(SolverError):
 # -- paradox layer -----------------------------------------------------------
 
 class PreconditionViolated(IbpcheckError):
-    """An operation's stated precondition does not hold for the input."""
-
-
-class StepsDoNotReproduceSource(IbpcheckError):
-    """The graph an embedding leaves matches neither gadget placement."""
+    """An operation's stated precondition does not hold for the input: a
+    block the gadget embedding cannot reduce, a reduced graph of neither
+    gadget placement, a witness sought on an IBP-free network, or cycle
+    diagnostics on a non-cycle or not one type per OD pair in OD order."""
 
 
 class UnsupportedFailureSite(IbpcheckError):
     """Witness synthesis only handles non-cycle non-coincident common blocks."""
-
-
-class NotACycle(IbpcheckError):
-    """Cycle diagnostics were asked about a non-cycle network."""
-
-
-class NotNormalForm(IbpcheckError):
-    """Cycle diagnostics require one traveler type per OD pair."""
 
 
 class WitnessVerificationFailed(IbpcheckError):

@@ -42,10 +42,11 @@ def _is_number(x) -> bool:
 
 def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtension]]:
     _check_fields(data, _TOP_FIELDS, "top level")
-    _require(
-        data.get("schema_version") == SCHEMA_VERSION,
+    version = data.get("schema_version")
+    _require(  # the schema's "const": 1 takes 1.0 but not true
+        _is_number(version) and version == SCHEMA_VERSION,
         "schema_version",
-        f"expected {SCHEMA_VERSION}, got {data.get('schema_version')!r}",
+        f"expected {SCHEMA_VERSION}, got {version!r}",
     )
     for field in ("vertices", "edges", "od_pairs", "types"):
         _require(field in data, "top level", f"missing field {field!r}")
@@ -153,10 +154,16 @@ def load_instance(path) -> tuple[RoutingGame, Optional[InformationExtension]]:
         text = FilePath(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFileError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFileError(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise InstanceFileError(f"{path}: a number has too many digits") from None
+    except RecursionError:
+        raise InstanceFileError(f"{path}: JSON nested too deeply") from None
     return parse_instance(data)
 
 

@@ -58,10 +58,7 @@ from .equilibrium import (
 )
 from .errors import (
     InvalidNetwork,
-    NotACycle,
-    NotNormalForm,
     PreconditionViolated,
-    StepsDoNotReproduceSource,
     UnsupportedFailureSite,
     WitnessVerificationFailed,
 )
@@ -277,11 +274,11 @@ def _gadget_match(
     placement, with the pair on the doubled side as OD 2.  The shared
     terminal maps to the gadget's shared terminal, and each other terminal
     to the other end of the OD pair it plays.  Parallel edges pair off in
-    id order.  Any other graph raises StepsDoNotReproduceSource.
+    id order.  Any other graph raises PreconditionViolated.
     """
     ends = [(u, v) for _, u, v in reduced.edges]
     if not _has_gadget_shape(len(reduced.vertices), ends, reduced.od_pairs):
-        raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
+        raise PreconditionViolated("the reduced block matches neither gadget placement")
     sides = Counter(frozenset(uv) for uv in ends)
     doubled = next(side for side, n in sides.items() if n == 2)
     pairs = [frozenset(pair) for pair in reduced.od_pairs]
@@ -310,11 +307,11 @@ def lift_instance(
     The placement is read off `reduced`'s shared terminal: OD 2 at OD 1's
     origin when neither OD pair is the doubled side, else at its
     destination, with the pair on the doubled side as OD 2 (OD pairs in
-    either order and either orientation); StepsDoNotReproduceSource is
-    raised when `reduced` is not gadget-shaped.  Deleted edges get zero
-    latency and stay out of every information set; contracted edges get
-    zero latency and join every information set, so each gadget path lifts
-    to an equal-latency block path.  The steps are not replayed: only their
+    either order and either orientation); PreconditionViolated is raised
+    when `reduced` is not gadget-shaped.  Deleted edges get zero latency
+    and stay out of every information set; contracted edges get zero
+    latency and join every information set, so each gadget path lifts to
+    an equal-latency block path.  The steps are not replayed: only their
     contracted edges are read.
     """
     variant, perm, emap = _gadget_match(reduced)
@@ -558,7 +555,7 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     exact start only has its Wardrop gap checked; any other feasible start
     is a warm start, so a wrong one costs sweeps, never the verdict.
     """
-    dec = validate(g).require_ok()
+    dec = validate(g)
     others = [
         (pair, v)
         for pair, verdicts in common_blocks(g, dec).items()
@@ -747,16 +744,18 @@ def cycle_diagnostics(
     slower and (b) every rate to be strictly below the sum of the others.  A
     purported cycle witness that fails either condition is refuted; cycles
     admitting a confirmed paradox would contradict the characterization, so
-    this distinguishes solver artifacts from genuine trouble.
+    this distinguishes solver artifacts from genuine trouble.  Raises
+    PreconditionViolated unless the network is a cycle with one type per OD
+    pair, in OD order.
     """
     g = instance.game.graph
     if not is_cycle(g):
-        raise NotACycle("diagnostics are defined for cycle networks only")
+        raise PreconditionViolated("diagnostics are defined for cycle networks only")
     if len(instance.game.types) != len(g.od_pairs):
-        raise NotNormalForm("expected exactly one traveler type per OD pair")
+        raise PreconditionViolated("expected exactly one traveler type per OD pair")
     for j, t in enumerate(instance.game.types):
         if t.od_index != j:
-            raise NotNormalForm("type order must follow OD order")
+            raise PreconditionViolated("type order must follow OD order")
 
     total_rate = sum(t.rate for t in instance.game.types)
     latency_ok = True

@@ -7,18 +7,19 @@ renders that verdict, with the site of the failing condition, and its
 `TopologyReport` carries every per-OD class.
 
 The verdict reads everything off one block decomposition of the whole
-graph, the `decompose_blocks` walk `validate` read its coverage check from:
-each OD chain is its tuple of `ChainLink`s, a series of blocks.  One
-terminal-aware series/parallel reduction per (block, terminal pair) decides
-the block's SP and, by carrying LI and single-path flags through its
-merges, the recursive LI definition; chains that cross a block between the
-same terminals share it, and each chain's classes are a fold over its links.
-`common_blocks` groups the links of all chains by block and applies the
-coincident / cycle / other rule once per shared block, giving the table of
-every pair of chains that meet.  Nothing on the verdict path enumerates
-paths: `validate` reads coverage off the chain blocks and only counts
-paths, for the 10,000-path cap that stays until ROADMAP item 1 moves its
-pin; the literal, enumerating definitions live in the tests as oracles.
+graph, the `decompose_blocks` walk that `validate` checks coverage on and
+returns: each OD chain is its tuple of `ChainLink`s, a series of blocks.
+One terminal-aware series/parallel reduction per (block, terminal pair)
+decides the block's SP and, by carrying LI and single-path flags through
+its merges, the recursive LI definition; chains that cross a block between
+the same terminals share it, and each chain's classes are a fold over its
+links.  `common_blocks` groups the links of all chains by block and applies
+the coincident / cycle / other rule once per shared block, reading a
+block's cycle-ness off its size, giving the table of every pair of chains
+that meet.  Nothing on the verdict path enumerates paths: `validate` reads
+coverage off the chain blocks and only counts paths, for the 10,000-path
+cap that stays until ROADMAP item 1 moves its pin; the literal, enumerating
+definitions live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core_graph import BlockDecomposition, ChainLink, MultiGraph, is_cycle, validate
+from .core_graph import BlockDecomposition, ChainLink, MultiGraph, validate
 
 IBP_FREE = "ibp-free"
 NOT_IBP_FREE = "not-ibp-free"
@@ -175,9 +176,9 @@ def common_blocks(
     verdicts; pairs come in index order and each pair's verdicts in the
     order of the blocks' sorted edge lists.  A shared block is coincident
     when its terminal sets in the two chains are equal (order ignored),
-    else a cycle or other; `is_cycle` runs at most once per block.  Blocks
-    partition the edges, so two OD subnetworks meet exactly in their shared
-    blocks, and a pair that is absent is disjoint.
+    else a cycle or other, tested at most once per block.  Blocks partition
+    the edges, so two OD subnetworks meet exactly in their shared blocks,
+    and a pair that is absent is disjoint.
     """
     crossing: dict[int, list[tuple[int, ChainLink]]] = {}
     for i, chain in enumerate(dec.chains):
@@ -191,7 +192,12 @@ def common_blocks(
                 kind = COINCIDENT
             else:
                 if cycle is None:
-                    cycle = is_cycle(g, dec.blocks[bid])
+                    # a block is 2-connected or one edge, and a 2-connected
+                    # graph with as many vertices as edges has every degree
+                    # 2: a cycle exactly when it has 2+ edges and |V| == |E|
+                    edges = dec.blocks[bid]
+                    ends = {v for eid in edges for v in g.edge_map[eid]}
+                    cycle = len(edges) >= 2 and len(ends) == len(edges)
                 kind = CYCLE if cycle else OTHER
             table.setdefault((i, j), []).append(
                 CommonBlockVerdict(
@@ -212,7 +218,7 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
     entry of the `common_blocks` table, which is only built once every
     chain is SLI.
     """
-    dec = validate(g).require_ok()  # validation ran the block walk already
+    dec = validate(g)  # validation ran the block walk already
     reduced: dict[tuple[int, str, str], tuple[bool, bool]] = {}  # one per (block, terminals)
     per_od = tuple(_classify_chain(g, chain, reduced) for chain in dec.chains)
     failure = next(

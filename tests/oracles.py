@@ -26,6 +26,7 @@ terminal.  The tests compare the library against them.
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ibpcheck.core_graph import (
@@ -34,7 +35,6 @@ from ibpcheck.core_graph import (
     EmbeddingStep,
     MultiGraph,
     Path,
-    ValidationReport,
     biconnected_blocks,
     connected_components,
     enumerate_simple_paths,
@@ -60,7 +60,6 @@ from ibpcheck.errors import (
     IbpcheckError,
     PreconditionViolated,
     SolverError,
-    StepsDoNotReproduceSource,
 )
 from ibpcheck.paradox import (
     GadgetVariant,
@@ -203,22 +202,33 @@ def solve_by_full_sweeps(
     raise DidNotConverge(max_iterations, violation)
 
 
-def validate_by_enumeration(graph: MultiGraph) -> ValidationReport:
+@dataclass(frozen=True)
+class ValidationRecord:
+    """Connectivity and the elements on no simple OD path."""
+
+    connected: bool
+    uncovered_edges: tuple[str, ...]
+    uncovered_vertices: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.connected and not self.uncovered_edges and not self.uncovered_vertices
+
+
+def validate_by_enumeration(graph: MultiGraph) -> ValidationRecord:
     """Coverage from every OD pair's whole simple-path set, under the default cap.
 
     Raises PathCapExceeded when some pair has more than 10,000 simple paths.
-    The report carries no block decomposition: reports compare without it.
     """
     covered_edges: set[str] = set()
     for o, d in graph.od_pairs:
         for path in enumerate_simple_paths(graph, o, d):
             covered_edges.update(path)
     covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
-    return ValidationReport(
+    return ValidationRecord(
         connected=len(connected_components(graph)) <= 1,
         uncovered_edges=tuple(sorted(graph.edge_ids - covered_edges)),
         uncovered_vertices=tuple(sorted(set(graph.vertices) - covered_vertices)),
-        decomposition=None,
     )
 
 
@@ -317,7 +327,7 @@ def common_blocks_of_pair(
             continue
         if {li.origin, li.destination} == {lj.origin, lj.destination}:
             kind = COINCIDENT
-        elif is_cycle(graph, li.edges):
+        elif is_cycle(graph.induced(li.edges, [])):
             kind = CYCLE
         else:
             kind = OTHER
@@ -539,7 +549,7 @@ def gadget_match_by_search(
         if match is not None:
             perm, vmap = match
             return variant, perm, _edge_correspondence(reduced, src, vmap)
-    raise StepsDoNotReproduceSource("the reduced block matches neither gadget placement")
+    raise PreconditionViolated("the reduced block matches neither gadget placement")
 
 
 def lift_by_replay(
@@ -548,7 +558,7 @@ def lift_by_replay(
     """Lift `source`, one of the two `gadget_instance` placements, to
     `target` through the graph that replaying `steps` leaves.
 
-    Raises StepsDoNotReproduceSource unless the replay ends on the network
+    Raises PreconditionViolated unless the replay ends on the network
     of `source`'s placement (up to renaming); the lifting itself is the
     library's `lift_instance`.
     """
@@ -557,7 +567,7 @@ def lift_by_replay(
         raise ValueError("source must be one of the gadget instances")
     replayed = replay_embedding(target, steps)
     if _is_gadget_shaped(replayed) and _gadget_placement(replayed) is not variant:
-        raise StepsDoNotReproduceSource("replayed steps yield the other gadget placement")
+        raise PreconditionViolated("replayed steps yield the other gadget placement")
     return lift_instance(target, steps, replayed)
 
 

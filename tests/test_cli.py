@@ -1,8 +1,10 @@
 import argparse
+import copy
 import inspect
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -99,6 +101,45 @@ def test_wrong_schema_version_rejected():
         parse_instance({"schema_version": 2, "vertices": [], "edges": [], "od_pairs": [], "types": []})
 
 
+def _field_paths(node, prefix=()):
+    """The key path of every value below `node`, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+ODD_VALUES = (True, False, None, 0, 1, 1.0, -1, 0.5, 2, "x", "", [], {}, ["x"], [1])
+
+
+def test_what_the_parser_accepts_the_published_schema_accepts():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((FIXTURES.parent / "docs" / "instance.schema.json").read_text())
+    validator = jsonschema.Draft7Validator(schema)
+    rng = random.Random(2025)
+    fixtures = [
+        json.loads((FIXTURES / f"{stem}.json").read_text())
+        for stem in ("gadget", "pigou", "k4", "cycle4_two_od")
+    ]
+    accepted = version_true = 0
+    for _ in range(2000):  # one field of one fixture set to an odd value
+        data = copy.deepcopy(rng.choice(fixtures))
+        *parents, key = rng.choice(list(_field_paths(data)))
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        version_true += parents == [] and key == "schema_version" and node[key] is True
+        try:
+            parse_instance(data)
+        except InstanceFileError:
+            continue
+        accepted += 1
+        assert validator.is_valid(data), (parents, key, node[key])
+    assert accepted > 100 and version_true > 0
+
+
 def test_negative_latency_coefficient_rejected():
     data = json.loads((FIXTURES / "gadget.json").read_text())
     data["edges"][0]["latency"] = [-1.0]
@@ -159,6 +200,10 @@ def test_fixtures_match_the_published_schema():
         if stem == "malformed":
             continue
         jsonschema.validate(json.loads((FIXTURES / f"{stem}.json").read_text()), schema)
+    witnesses = sorted(GOLDEN.glob("*.synthesize.json")) + [GOLDEN / "gadget.search-witness.json"]
+    assert len(witnesses) == 6
+    for path in witnesses:
+        jsonschema.validate(json.loads(path.read_text()), schema)
 
 
 # -- classify ----------------------------------------------------------------------
@@ -188,6 +233,27 @@ def test_classify_missing_file(capsys):
     code, _, err = run_cli(capsys, "classify", str(FIXTURES / "nope.json"))
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        pytest.param(b"\xff\xfe{}", "not UTF-8 text at byte 0", id="utf-16-byte-order-mark"),
+        pytest.param(b"[" * 200_000, "JSON nested too deeply", id="deep-nesting"),
+        pytest.param(
+            b"[" + b"9" * 5000 + b"]",
+            "a number has too many digits",
+            id="long-integer",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+            ),
+        ),
+    ],
+)
+def test_an_unreadable_instance_file_exits_2(content, reason, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    assert run_cli(capsys, "classify", str(path)) == (2, "", f"error: {path}: {reason}\n")
 
 
 def test_classify_past_the_path_cap_states_the_cap(tmp_path, capsys):
@@ -395,9 +461,15 @@ def test_search_finds_witness_on_gadget(tmp_path, capsys):
         "--coeff-hi",
         "22",
     )
-    assert code == 0
-    assert "witness found" in out
-    assert (tmp_path / "gadget.search-witness.json").exists()
+    witness = tmp_path / "gadget.search-witness.json"
+    assert (code, out) == (
+        0,
+        "seed: 7\n"
+        "trials run: 480\n"
+        "witness found at trial 479, margin 0.125874126\n"  # check_ibp's re-check
+        f"witness written: {witness}\n",
+    )
+    assert witness.read_text() == (GOLDEN / "gadget.search-witness.json").read_text()
 
 
 def test_search_without_an_od_0_path_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from math import prod
 from pathlib import Path
@@ -68,11 +69,27 @@ def test_equal_od_terminals_rejected():
 
 def test_single_edge_network_is_valid():
     g = MultiGraph(["u", "v"], [("e", "u", "v")], [("u", "v")])
-    assert validate(g).ok
+    validate(g)
 
 
 def test_gadget_graph_is_valid():
-    assert validate(gadget_multigraph()).ok
+    validate(gadget_multigraph())
+
+
+def _fault_message(connected, uncovered_edges, uncovered_vertices) -> str:
+    return (
+        f"graph fails validation: connected={connected}, "
+        f"uncovered_edges={list(uncovered_edges)}, "
+        f"uncovered_vertices={list(uncovered_vertices)}"
+    )
+
+
+def _validation_outcome(g: MultiGraph):
+    """What validate gives: its decomposition or its InvalidNetwork message."""
+    try:
+        return validate(g)
+    except InvalidNetwork as exc:
+        return str(exc)
 
 
 def test_pendant_edge_not_on_any_od_path_is_flagged():
@@ -81,10 +98,8 @@ def test_pendant_edge_not_on_any_od_path_is_flagged():
         [("t1", "x", "y"), ("t2", "y", "z"), ("t3", "z", "x"), ("pe", "z", "p")],
         [("x", "y")],
     )
-    report = validate(g)
-    assert not report.ok
-    assert report.uncovered_edges == ("pe",)
-    assert report.uncovered_vertices == ("p",)
+    with pytest.raises(InvalidNetwork, match=re.escape(_fault_message(True, ["pe"], ["p"]))):
+        validate(g)
     with pytest.raises(InvalidNetwork, match="uncovered_edges=\\['pe'\\]"):
         decide_ibp_free(g)
 
@@ -104,8 +119,12 @@ def test_validate_covers_the_vertices_of_every_od_path():
             for path in enumerate_simple_paths(g, o, d)
             for v in path_vertices(g, path, o)
         }
-        report = validate(g)
-        assert report.uncovered_vertices == tuple(sorted(set(g.vertices) - visited))
+        outcome = _validation_outcome(g)
+        uncovered = sorted(set(g.vertices) - visited)
+        if isinstance(outcome, str):
+            assert outcome.endswith(f", uncovered_vertices={uncovered}")
+        else:
+            assert uncovered == []
 
 
 def test_disconnected_graph_reported():
@@ -114,9 +133,8 @@ def test_disconnected_graph_reported():
         [("e1", "a", "b"), ("e2", "c", "d")],
         [("a", "b")],
     )
-    report = validate(g)
-    assert not report.connected
-    assert not report.ok
+    with pytest.raises(InvalidNetwork, match=re.escape(_fault_message(False, ["e2"], ["c", "d"]))):
+        validate(g)
 
 
 def _random_validation_case(rng: random.Random) -> MultiGraph:
@@ -159,19 +177,24 @@ def test_validate_agrees_with_the_enumerating_oracle():
                 validate(g)
             capped += 1
             continue
-        report = validate(g)
-        assert report == expected
         dec = decompose_blocks(g)
-        assert report.decomposition == dec
+        if expected.ok:
+            assert validate(g) == dec
+        else:
+            with pytest.raises(InvalidNetwork) as raised:
+                validate(g)
+            assert str(raised.value) == _fault_message(
+                expected.connected, expected.uncovered_edges, expected.uncovered_vertices
+            )
         components = connected_components(g)
         for (o, d), chain in zip(g.od_pairs, dec.chains):
             joined = any(o in comp and d in comp for comp in components)
             assert (chain != ()) == joined  # a disconnected pair's chain is empty
             for link in chain:
                 assert link.edges == dec.blocks[link.block_id]
-        disconnected += not report.connected
+        disconnected += not expected.connected
         isolated_terminals += any(not g.adjacency[v] for pair in g.od_pairs for v in pair)
-        uncovered += bool(report.uncovered_edges)
+        uncovered += bool(expected.uncovered_edges)
         bundled += any(eid.startswith("b") for eid in g.edge_ids)
     assert disconnected > 30 and isolated_terminals > 10 and uncovered > 100
     assert capped > 10 and bundled > 5
@@ -196,7 +219,7 @@ def _corner_grid(n):
 
 
 def test_validate_path_cap_boundary():
-    assert validate(series_bundles([10, 10, 10, 10])).ok  # exactly 10,000 paths
+    validate(series_bundles([10, 10, 10, 10]))  # exactly 10,000 paths
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(series_bundles([10, 10, 10, 10, 2]))
     with pytest.raises(PathCapExceeded, match="more than 10000"):
@@ -206,13 +229,13 @@ def test_validate_path_cap_boundary():
     chain = decompose_blocks(five).chains[0]
     links = [(link.origin, link.destination, link.edges) for link in chain]
     assert prod(_path_bound(five, *link) for link in links) == 12**5
-    assert validate(five).ok
+    validate(five)
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(_k4s_in_series(6))  # 15,625 paths
-    assert validate(_k4s_in_series(4, bond=16)).ok  # exactly 10,000 counted paths
+    validate(_k4s_in_series(4, bond=16))  # exactly 10,000 counted paths
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(_k4s_in_series(4, bond=17))
-    assert validate(_corner_grid(5)).ok  # 8,512 paths per pair
+    validate(_corner_grid(5))  # 8,512 paths per pair
     with pytest.raises(PathCapExceeded, match="more than 10000"):
         validate(_corner_grid(6))
 
@@ -251,14 +274,14 @@ def test_short_chains_are_under_the_cap_by_their_edge_count(monkeypatch):
     import ibpcheck.core_graph as core_graph
 
     corpus = _short_chain_corpus()
-    expected = [validate(g) for g in corpus]
+    expected = [_validation_outcome(g) for g in corpus]
 
     def unreachable(*args):
         raise AssertionError("a chain of at most 13 edges needs no bound or count")
 
     monkeypatch.setattr(core_graph, "_path_bound", unreachable)
     monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
-    assert [validate(g) for g in corpus] == expected
+    assert [_validation_outcome(g) for g in corpus] == expected
     assert len(corpus) > 250
     assert any(g == diamonds_in_series(3) for g in corpus)
 
@@ -279,7 +302,7 @@ def test_longer_chains_still_meet_the_bound_and_the_count(monkeypatch):
     monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
     for k in range(4, 14):
         bounds.clear()
-        assert validate(diamonds_in_series(k)).ok
+        validate(diamonds_in_series(k))
         assert len(bounds) == k
     monkeypatch.setattr(core_graph, "_count_simple_paths", _count_simple_paths)
     with pytest.raises(PathCapExceeded, match="more than 10000"):
@@ -659,9 +682,9 @@ def test_single_edge_is_not_a_cycle():
 
 def test_edge_subset_variant():
     g = gadget_multigraph()
-    assert is_cycle(g, {"e3", "e4"})
-    assert is_cycle(g, {"e1", "e2", "e3"})
-    assert not is_cycle(g, {"e1", "e2"})
+    assert is_cycle(g.induced({"e3", "e4"}, []))
+    assert is_cycle(g.induced({"e1", "e2", "e3"}, []))
+    assert not is_cycle(g.induced({"e1", "e2"}, []))
 
 
 def test_cycle_splits_into_two_edge_disjoint_paths():

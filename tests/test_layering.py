@@ -78,7 +78,6 @@ def test_all_lists_exactly_the_names_init_imports():
 PUBLIC_DEFAULTED_KEYWORDS = [
     ("cli.main", "argv"),
     ("core_graph.enumerate_simple_paths", "allowed_edges"),
-    ("core_graph.is_cycle", "edge_subset"),
     ("equilibrium.verify_wardrop", "epsilon"),
     ("equilibrium.solve_icwe", "tolerance"),
     ("equilibrium.solve_icwe", "max_iterations"),
@@ -111,4 +110,4 @@ def test_public_defaulted_keywords_are_pinned():
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             found += [(f"{path.stem}.{node.name}", a.arg) for a in defaulted]
     assert found == PUBLIC_DEFAULTED_KEYWORDS
-    assert len(found) == 20
+    assert len(found) == 19

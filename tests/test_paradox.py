@@ -19,10 +19,7 @@ from ibpcheck.equilibrium import (
 )
 from ibpcheck.errors import (
     InvalidNetwork,
-    NotACycle,
-    NotNormalForm,
     PreconditionViolated,
-    StepsDoNotReproduceSource,
     UnsupportedFailureSite,
 )
 from ibpcheck.instance_io import load_instance
@@ -251,9 +248,9 @@ def test_lift_through_one_deletion():
 
 def test_wrong_steps_are_rejected():
     src = gadget_instance()
-    with pytest.raises(StepsDoNotReproduceSource):
+    with pytest.raises(PreconditionViolated, match="matches neither gadget placement"):
         lift_by_replay(_subdivided_gadget(), [], src)
-    with pytest.raises(StepsDoNotReproduceSource):  # the other placement
+    with pytest.raises(PreconditionViolated, match="yield the other gadget placement"):
         lift_by_replay(gadget_graph(GadgetVariant.ORIGIN2_AT_DESTINATION1), [], src)
 
 
@@ -455,9 +452,9 @@ def test_gadget_match_agrees_with_the_search_on_every_reduced_corpus_block(monke
 )
 def test_gadget_match_rejects_what_is_not_gadget_shaped(vertices, edges, od_pairs):
     g = MultiGraph(vertices, edges, od_pairs)
-    with pytest.raises(StepsDoNotReproduceSource):
+    with pytest.raises(PreconditionViolated, match="matches neither gadget placement"):
         paradox._gadget_match(g)
-    with pytest.raises(StepsDoNotReproduceSource):
+    with pytest.raises(PreconditionViolated, match="matches neither gadget placement"):
         gadget_match_by_search(g)
 
 
@@ -902,7 +899,7 @@ def test_equal_rates_violate_the_dominance_condition():
 def test_diagnostics_require_a_cycle():
     inst = gadget_instance()
     verdict = check_ibp(inst)
-    with pytest.raises(NotACycle):
+    with pytest.raises(PreconditionViolated, match="defined for cycle networks only"):
         cycle_diagnostics(inst, verdict.before_result, verdict.after_result)
 
 
@@ -914,7 +911,7 @@ def test_diagnostics_require_normal_form():
         RoutingGame(g, latencies, types), InformationExtension({"r1"})
     )
     verdict = check_ibp(instance)
-    with pytest.raises(NotNormalForm):
+    with pytest.raises(PreconditionViolated, match="one traveler type per OD pair"):
         cycle_diagnostics(instance, verdict.before_result, verdict.after_result)
 
 
