@@ -62,7 +62,8 @@ path, or from ``start``: per-type path flows in the shape of
 ``EquilibriumResult.path_flows``.  A start is feasible when every path it
 names is one of the type's ``feasible_paths`` (inside its information set),
 no flow is negative, and each type's flows sum to its rate within
-``CONSERVATION_EPS``; anything else raises ValueError.  The potential is
+``CONSERVATION_EPS``, or within one ulp of the rate per positive flow when
+that is more (a large rate's sum rounds); anything else raises ValueError.  The potential is
 convex, so the start changes the sweeps but not the equilibrium edge
 latencies.  ``exact`` enumerates supports and ignores ``start``.
 
@@ -696,7 +697,8 @@ def _start_flows(
             if amount > 0.0:
                 alloc[index[path]] = float(amount)
         rate = core.game.types[j].rate
-        if abs(sum(alloc.values()) - rate) > CONSERVATION_EPS:
+        # the sum's float rounding and nothing else: one ulp of the rate per flow
+        if abs(sum(alloc.values()) - rate) > max(CONSERVATION_EPS, len(alloc) * math.ulp(rate)):
             raise ValueError(
                 f"start flows of type {j} sum to {sum(alloc.values())}, not its rate {rate}"
             )
@@ -814,6 +816,8 @@ def solve_icwe(
     mapping from paths to flows, as in `result.path_flows`.  Every path
     must be one of the type's `feasible_paths`, every flow nonnegative, and
     each type's flows must sum to its rate within CONSERVATION_EPS, or
+    within one `math.ulp(rate)` per positive flow when that is more, which
+    allows a large rate's float rounding and nothing else; otherwise
     ValueError is raised, as it is when no flow of an active type is used
     (above FLOW_EPS); types with rate at most FLOW_EPS keep no flow.  The
     result of another game is a feasible start whenever each type's paths

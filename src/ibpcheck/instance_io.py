@@ -8,6 +8,7 @@ fail loudly instead of silently changing the game.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path as FilePath
 from typing import Optional
 
@@ -37,7 +38,14 @@ def _check_fields(obj: dict, allowed: set, where: str) -> None:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that is finite as a float; an integer past the float
+    range is not."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtension]]:
@@ -79,7 +87,7 @@ def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtensi
             and coeffs
             and all(_is_number(c) for c in coeffs),
             where,
-            "latency must be a nonempty coefficient array (constant first)",
+            "latency must be a nonempty array of finite coefficients (constant first)",
         )
         edges.append((edge["id"], ends[0], ends[1]))
         try:
@@ -107,7 +115,7 @@ def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtensi
         _check_fields(typ, _TYPE_FIELDS, where)
         for field in _TYPE_FIELDS:
             _require(field in typ, where, f"missing field {field!r}")
-        _require(_is_number(typ["rate"]), where, "rate must be a number")
+        _require(_is_number(typ["rate"]), where, "rate must be a finite number")
         _require(
             isinstance(typ["od_index"], int)
             and not isinstance(typ["od_index"], bool)

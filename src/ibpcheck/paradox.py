@@ -17,12 +17,13 @@ graph by zeroing latencies off the block and granting full information
 elsewhere.  Synthesis runs exactly these two public steps, and no step is
 ever replayed: the replay that checks a step list is a test oracle.
 
-The lift carries the gadget's two equilibria along with its instance, so
-synthesis verifies a witness from them rather than solving it afresh: each
-gadget path with flow becomes the one whole-graph path of its type that
-uses no other gadget edge, and a `cg` solve started there only checks the
-Wardrop gap, with no sweep when the start is an equilibrium.  Re-solving a
-witness from scratch with `check_ibp` is the second route, kept in the tests.
+The lift carries the gadget's two integer equilibria along with its
+instance, so synthesis certifies a witness from them and calls no solver:
+each gadget path with flow becomes the one whole-graph path of its type
+that uses no other gadget edge, and an exact check in integers (a Fraction
+only for a non-integral number) confirms that those flows are equilibria of
+both games and that type 1's latency rises.  Re-solving a witness from
+scratch with `check_ibp` is the second route, kept in the tests.
 
 Every public value is immutable; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
@@ -31,6 +32,7 @@ reproducibility, with any witness reported at its lowest trial index.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import random
 from collections import Counter, deque
@@ -533,6 +535,110 @@ def find_gadget_embedding(block: MultiGraph) -> tuple[list[EmbeddingStep], Multi
     return steps, MultiGraph(inc, edges, od)
 
 
+# -- exact witness certificates ----------------------------------------------------------
+
+
+def _exact(x: float):
+    """`x` as an exact number: an int when it is integral, else a Fraction."""
+    if x.is_integer():
+        return int(x)
+    from fractions import Fraction  # only a non-integral certificate needs it
+
+    return Fraction(x)
+
+
+def _is_simple_path(graph: MultiGraph, path: Path, o: str, d: str, allowed) -> bool:
+    """Whether `path` walks from o to d over edges in `allowed`, never
+    revisiting a vertex."""
+    v, seen = o, {o}
+    for e in path:
+        if e not in allowed or v not in graph.edge_map[e]:
+            return False
+        a, b = graph.edge_map[e]
+        v = b if v == a else a
+        if v in seen:
+            return False
+        seen.add(v)
+    return v == d
+
+
+def _distance(graph: MultiGraph, o: str, d: str, allowed, cost: Mapping[str, object]):
+    """The least o-d cost over edges in `allowed` (Dijkstra; every cost is
+    nonnegative), or None when d is out of reach."""
+    done = set()
+    heap = [(0, o)]
+    while heap:
+        dist, v = heapq.heappop(heap)
+        if v == d:
+            return dist
+        if v in done:
+            continue
+        done.add(v)
+        for e, w in graph.adjacency[v]:
+            if e in allowed and w not in done:
+                heapq.heappush(heap, (dist + cost[e], w))
+    return None
+
+
+def _certified_latencies(
+    game: RoutingGame, flows: Sequence[Mapping[Path, float]], which: str
+) -> list:
+    """Each type's equilibrium latency in `game`, exactly, when the per-type
+    path flows `flows` are an exact Wardrop equilibrium of it.
+
+    Every coefficient, rate and flow is read as an int or, when it is not
+    integral, a Fraction, so no sum rounds.  Per type, the flows must be
+    nonnegative and sum to its rate, each used path (one with flow) must be
+    a simple o-d path inside its information set, and each must cost the
+    type's o-d distance over its information set under the loaded edge
+    costs, which is the latency returned.  Anything else raises
+    WitnessVerificationFailed, naming the `which` game and the type.
+    """
+    load: dict[str, object] = {}
+    for k, type_flows in enumerate(flows, start=1):
+        for path, x in type_flows.items():
+            if not 0.0 <= x < math.inf:
+                raise WitnessVerificationFailed(
+                    f"{which} game, type {k}: flow {x} on {path} is not finite and >= 0"
+                )
+            x = _exact(x)
+            for e in path:
+                load[e] = load.get(e, 0) + x
+    cost = {}
+    for e, fn in game.latencies.items():
+        x, acc = load.get(e, 0), 0
+        for c in reversed(fn.coefficients):
+            acc = acc * x + _exact(c)
+        cost[e] = acc
+
+    graph = game.graph
+    latencies = []
+    for k, (t, type_flows) in enumerate(zip(game.types, flows, strict=True), start=1):
+        where = f"{which} game, type {k}"
+        o, d = graph.od_pairs[t.od_index]
+        dist = _distance(graph, o, d, t.info_set, cost)
+        if dist is None:
+            raise WitnessVerificationFailed(f"{where}: no {o}-{d} path inside its information set")
+        total = 0
+        for path, x in type_flows.items():
+            total += _exact(x)
+            if x == 0.0:
+                continue
+            if not _is_simple_path(graph, path, o, d, t.info_set):
+                raise WitnessVerificationFailed(
+                    f"{where}: used path {path} is no {o}-{d} path inside its information set"
+                )
+            used = sum(cost[e] for e in path)
+            if used != dist:
+                raise WitnessVerificationFailed(
+                    f"{where}: used path {path} costs {used}, its cheapest path {dist}"
+                )
+        if total != _exact(t.rate):
+            raise WitnessVerificationFailed(f"{where}: flows sum to {total}, not its rate {t.rate}")
+        latencies.append(dist)
+    return latencies
+
+
 # -- witness synthesis ----------------------------------------------------------------
 
 
@@ -549,11 +655,12 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
     an IBP-free graph (PreconditionViolated) from an SLI failure
     (UnsupportedFailureSite).
 
-    The result is verified from the gadget's equilibria, transported along
-    the same match: a `cg` solve of each game starts from them and must
-    raise type 1's latency by more than DEFAULT_DECISION_THRESHOLD.  An
-    exact start only has its Wardrop gap checked; any other feasible start
-    is a warm start, so a wrong one costs sweeps, never the verdict.
+    The result is certified from the gadget's equilibria, transported along
+    the same match, with no solver: they must be exact equilibria of both
+    games, and type 1's exact latency must rise by more than
+    DEFAULT_DECISION_THRESHOLD, or WitnessVerificationFailed is raised.  A
+    start that is no exact equilibrium is a fault of the lift, not a warm
+    start.
     """
     dec = validate(g)
     others = [
@@ -588,14 +695,16 @@ def synthesize_ibp_witness(g: MultiGraph) -> IBPInstance:
 
     variant, _, emap = _gadget_match(reduced)
     images = {s: t for t, s in emap.items()}
-    latency = []
-    for game, flows in zip((witness.game, extended_game(witness)), _GADGET_EQUILIBRIA[variant]):
-        result = solve_icwe(game, backend="cg", start=_lift_flows(game, images, flows))
-        latency.append(result.type_latencies[0])
-    margin = latency[1] - latency[0]
+    before, after = (
+        _certified_latencies(game, _lift_flows(game, images, flows), which)[0]
+        for game, flows, which in zip(
+            (witness.game, extended_game(witness)), _GADGET_EQUILIBRIA[variant], ("before", "after")
+        )
+    )
+    margin = after - before
     if not margin > DEFAULT_DECISION_THRESHOLD:
         raise WitnessVerificationFailed(
-            f"constructed witness has margin {margin}, expected > "
+            f"constructed witness raises type 1's latency by {margin}, expected > "
             f"{DEFAULT_DECISION_THRESHOLD}"
         )
     return witness

@@ -206,6 +206,28 @@ def test_fixtures_match_the_published_schema():
         jsonschema.validate(json.loads(path.read_text()), schema)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["types"][0].update(rate=10**400),
+            "types[0]: rate must be a finite number",
+        ),
+        (
+            lambda d: d["edges"][0]["latency"].__setitem__(0, 10**309),
+            "edges[0]: latency must be a nonempty array of finite coefficients (constant first)",
+        ),
+    ],
+    ids=["rate-10^400", "coefficient-10^309"],
+)
+def test_an_integer_past_the_float_range_exits_2(edit, message, tmp_path, capsys):
+    data = json.loads((FIXTURES / "pigou.json").read_text())
+    edit(data)
+    path = tmp_path / "pigou.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "classify", str(path)) == (2, "", f"error: {message}\n")
+
+
 # -- classify ----------------------------------------------------------------------
 
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from ibpcheck.errors import (
     InvalidNetwork,
     PreconditionViolated,
     UnsupportedFailureSite,
+    WitnessVerificationFailed,
 )
 from ibpcheck.instance_io import load_instance
 from ibpcheck.paradox import (
@@ -153,6 +153,21 @@ def test_scaling_every_gadget_latency_keeps_the_label_and_scales_the_latencies(s
     # At 1e4 the polished solution misses the absolute gap by rounding, so
     # the sweeps go on and their result comes back.
     assert verdict.after_result.backend == ("cg" if scale == 1e4 else "exact")
+
+
+@pytest.mark.parametrize("backend", ["cg", "auto"])
+@pytest.mark.parametrize("rate", [1e12, 1e14])
+def test_a_large_rate_starts_the_after_game_from_the_before_flows(rate, backend):
+    """At rate 1e12 the before flows of type 2 sum to one ulp under it; the
+    after game still starts there.  Type 2 floods e2, so type 1 never takes
+    the revealed e4 and nothing changes."""
+    base = gadget_instance()
+    first, second = base.game.types
+    types = (first, TravelerType(rate, second.od_index, second.info_set))
+    instance = IBPInstance(RoutingGame(base.game.graph, base.game.latencies, types), base.extension)
+    verdict = check_ibp(instance, backend=backend)
+    assert verdict.label == "not-occurs"
+    assert verdict.margin == pytest.approx(0.0, abs=1e-9 * rate)
 
 
 def _parallel_links_instance(n_links):
@@ -553,33 +568,68 @@ def test_gadget_equilibria_are_the_exact_solutions(variant):
                 assert used[path] == pytest.approx(x, abs=1e-9)
 
 
-def _synthesize_and_record(g):
-    """Synthesize on `g`, recording each verification solve as (game, start,
-    result)."""
-    solves = []
+def _images(reduced):
+    """Gadget edge -> the edge that stands for it, along `reduced`'s match."""
+    return {s: t for t, s in paradox._gadget_match(reduced)[2].items()}
 
-    def recording(game, *args, **kwargs):
-        result = solve_icwe(game, *args, **kwargs)
-        solves.append((game, kwargs["start"], result))
-        return result
+
+def _transported_starts(instance, reduced):
+    """Per game of `instance`, before and after, (game, the gadget's
+    equilibrium carried to it along `reduced`'s match)."""
+    variant = paradox._gadget_match(reduced)[0]
+    images = _images(reduced)
+    games = (instance.game, extended_game(instance))
+    return [
+        (game, paradox._lift_flows(game, images, flows))
+        for game, flows in zip(games, paradox._GADGET_EQUILIBRIA[variant])
+    ]
+
+
+def _synthesize_and_record(g):
+    """Synthesize on `g` with every solver call an error; return the witness
+    and the gadget-shaped graph its block was reduced to."""
+    reductions = []
+
+    def recording(block):
+        steps, reduced = find_gadget_embedding(block)
+        reductions.append(reduced)
+        return steps, reduced
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("synthesis called a solver")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paradox, "solve_icwe", recording)
+        mp.setattr(paradox, "find_gadget_embedding", recording)
+        mp.setattr(paradox, "solve_icwe", no_solver)
         witness = synthesize_ibp_witness(g)
-    return witness, solves
+    (reduced,) = reductions
+    return witness, reduced
 
 
-def _assert_verified_from_the_gadget(witness, solves):
-    """Each transported start is an exact equilibrium that the solve only
-    checks, and the margin is the gadget's 1, as re-solving finds it."""
-    assert [game for game, _, _ in solves] == [witness.game, extended_game(witness)]
-    for game, start, result in solves:
-        report = verify_wardrop(game, replace(result, path_flows=tuple(start)))
+def _as_result(path_flows):
+    """`path_flows` in a result's shape, for `verify_wardrop`, which reads
+    nothing else."""
+    return EquilibriumResult(tuple(path_flows), {}, (), 0.0, "cg", 0)
+
+
+def _certified_type1_latencies(games, starts):
+    """Type 1's exact latency in the before and the after game."""
+    return [
+        paradox._certified_latencies(game, start, which)[0]
+        for game, start, which in zip(games, starts, ("before", "after"))
+    ]
+
+
+def _assert_verified_from_the_gadget(witness, reduced):
+    """Each start transported along `reduced`'s match is an equilibrium with
+    no Wardrop gap, the exact check finds type 1 at the gadget's 47 and 48,
+    and re-solving the witness from scratch finds the same margin of 1."""
+    starts = _transported_starts(witness, reduced)
+    for game, start in starts:
+        report = verify_wardrop(game, _as_result(start))
         assert report.passed and report.max_violation == 0.0
-        assert (result.backend, result.iterations) == ("cg", 0)
-    margin = solves[1][2].type_latencies[0] - solves[0][2].type_latencies[0]
-    assert margin == 1.0
-    assert check_ibp(witness).margin == pytest.approx(margin, abs=1e-6)
+    assert _certified_type1_latencies(*zip(*starts)) == [47, 48]
+    assert check_ibp(witness).margin == pytest.approx(1.0, abs=1e-6)
 
 
 def _synthesis_corpus():
@@ -615,10 +665,10 @@ def test_synthesis_verifies_random_multigraphs_from_the_gadget_equilibria():
         pairs = [tuple(rng.sample(sorted(g.vertices), 2)) for _ in range(rng.choice((2, 3)))]
         g = MultiGraph(g.vertices, g.edges, pairs)
         try:
-            witness, solves = _synthesize_and_record(g)
+            witness, reduced = _synthesize_and_record(g)
         except (InvalidNetwork, PreconditionViolated, UnsupportedFailureSite):
             continue
-        _assert_verified_from_the_gadget(witness, solves)
+        _assert_verified_from_the_gadget(witness, reduced)
         count += 1
     assert count >= 30
 
@@ -630,35 +680,106 @@ def test_corner_grid_lifts_carry_the_gadget_equilibria(rows, cols):
     corners = [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")]
     block = grid_graph(rows, cols, corners)
     steps, reduced = find_gadget_embedding(block)
-    instance = lift_instance(block, steps, reduced)
-    variant, _, emap = paradox._gadget_match(reduced)
-    images = {s: t for t, s in emap.items()}
-    solves = []
-    for game, flows in zip(
-        (instance.game, extended_game(instance)), paradox._GADGET_EQUILIBRIA[variant]
-    ):
-        start = paradox._lift_flows(game, images, flows)
-        solves.append((game, start, solve_icwe(game, backend="cg", start=start)))
-    _assert_verified_from_the_gadget(instance, solves)
+    _assert_verified_from_the_gadget(lift_instance(block, steps, reduced), reduced)
 
 
-def test_a_start_that_is_no_equilibrium_only_costs_sweeps(monkeypatch):
+def test_a_start_that_is_no_equilibrium_fails_the_certificate(monkeypatch):
     """With type 2 all on one path after the extension, the start is
-    feasible but not an equilibrium: the same witness is verified, after
-    sweeps."""
+    feasible but not an equilibrium: synthesis raises instead of solving."""
     graphs = (k4_three_terminals(), chain_with_gadget_middle(), gadget_multigraph("destination"))
-    witnesses = [synthesize_ibp_witness(g) for g in graphs]
     skewed = {
         variant: (before, (after[0], {max(after[1], key=after[1].get): 5.0}))
         for variant, (before, after) in paradox._GADGET_EQUILIBRIA.items()
     }
     monkeypatch.setattr(paradox, "_GADGET_EQUILIBRIA", skewed)
-    for g, witness in zip(graphs, witnesses):
-        again, solves = _synthesize_and_record(g)
-        assert again == witness
-        before, after = (result for _, _, result in solves)
-        assert before.iterations == 0 and after.iterations > 0
-        assert after.type_latencies[0] - before.type_latencies[0] == pytest.approx(1.0, abs=1e-6)
+    for g in graphs:
+        with pytest.raises(WitnessVerificationFailed, match="^after game, type 1: used path .* costs"):
+            _synthesize_and_record(g)
+
+
+def _lifted_certificate(g):
+    """A witness synthesized on `g`, the edges standing for the gadget's,
+    and its two games with their transported starts, free to edit."""
+    witness, reduced = _synthesize_and_record(g)
+    games, starts = zip(*_transported_starts(witness, reduced))
+    return witness, _images(reduced), list(games), list(starts)
+
+
+def _with_game(witness, latencies=None, types=None):
+    """`witness` with its latencies or types replaced, as (before, after)."""
+    game = witness.game
+    edited = IBPInstance(
+        RoutingGame(game.graph, latencies or game.latencies, types or game.types),
+        witness.extension,
+    )
+    return [edited.game, extended_game(edited)]
+
+
+def _move_a_used_flow(witness, images, games, starts):
+    after_type1 = starts[1][0]
+    (kept, moved) = sorted(after_type1)
+    after_type1[kept] += after_type1.pop(moved)
+    return games, starts
+
+
+def _raise_an_e3_coefficient(witness, images, games, starts):
+    latencies = dict(witness.game.latencies)
+    e3 = images["e3"]
+    c0, *rest = latencies[e3].coefficients
+    latencies[e3] = LatencyFunction((c0 + 1.0, *rest))
+    return _with_game(witness, latencies=latencies), starts
+
+
+def _drop_e4_from_type_2(witness, images, games, starts):
+    first, second = witness.game.types
+    narrowed = TravelerType(second.rate, second.od_index, second.info_set - {images["e4"]})
+    return _with_game(witness, types=(first, narrowed)), starts
+
+
+def _leave_the_information_set(witness, images, games, starts):
+    (via_e4,) = [p for p in starts[1][0] if images["e4"] in p]
+    starts[0][0] = {via_e4: witness.game.types[0].rate}
+    return games, starts
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (_move_a_used_flow, "after game, type 1: used path .* costs"),
+        (_raise_an_e3_coefficient, "after game, type 1: used path .* costs"),
+        (_drop_e4_from_type_2, "before game, type 2: used path .* inside its information set"),
+        (_leave_the_information_set, "before game, type 1: used path .* inside its information set"),
+    ],
+)
+@pytest.mark.parametrize("make", [k4_three_terminals, chain_with_gadget_middle])
+def test_the_exact_check_rejects_a_mutated_certificate(make, mutate, match):
+    witness, images, games, starts = _lifted_certificate(make())
+    assert _certified_type1_latencies(games, starts) == [47, 48]
+    games, starts = mutate(witness, images, games, starts)
+    with pytest.raises(WitnessVerificationFailed, match=match):
+        _certified_type1_latencies(games, starts)
+
+
+@pytest.mark.parametrize("variant", list(GadgetVariant))
+def test_the_exact_check_certifies_a_binary_scaled_gadget_in_fractions(variant):
+    """Every latency coefficient times 2**-20, rates unchanged: the same
+    flows are the equilibria, and every latency scales exactly."""
+    from fractions import Fraction
+
+    base = gadget_instance(variant)
+    scale = 2.0**-20
+    latencies = {
+        eid: LatencyFunction([c * scale for c in fn.coefficients])
+        for eid, fn in base.game.latencies.items()
+    }
+    instance = IBPInstance(
+        RoutingGame(base.game.graph, latencies, base.game.types), base.extension
+    )
+    games = (instance.game, extended_game(instance))
+    before, after = _certified_type1_latencies(games, paradox._GADGET_EQUILIBRIA[variant])
+    assert (before, after) == (Fraction(47, 2**20), Fraction(48, 2**20))
+    margin = after - before
+    assert type(margin) is Fraction and margin == 2.0**-20
 
 
 # -- one decision inside synthesis ---------------------------------------------------------
