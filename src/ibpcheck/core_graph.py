@@ -11,15 +11,12 @@ OD pair's block chain in linear time per pair.  A chain is a tuple of
 `ChainLink`s, each carrying its block's id, entry and leave vertices and
 edges; the union of a chain's blocks is that pair's OD subnetwork, and a
 disconnected pair's chain is empty.  `validate` reads coverage off the same
-chains without listing a path: an edge is covered iff it lies in a chain
-block.  It returns the decomposition to the topology verdict or raises
-InvalidNetwork naming every fault, and it raises past the 10,000-path cap
-until ROADMAP item 1 moves the cap's pin; a pair's path count is the
-product of its per-block counts, and a per-block degree bound settles most
-pairs, a frontier DP counting the rest exactly.  Path enumeration is
-exhaustive and capped (it raises past 10,000 paths); it serves the solver's
-path sets, the randomized search and the cycle diagnostics, not `validate`,
-the topology verdict or the gadget embedding.
+chains without listing or counting a path: an edge is covered iff it lies
+in a chain block.  It returns the decomposition to the topology verdict or
+raises InvalidNetwork naming every fault.  Path enumeration is exhaustive
+and capped (it raises past 10,000 paths); it serves the solver's path sets,
+the randomized search and the cycle diagnostics, not `validate`, the
+topology verdict or the gadget embedding.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import EdgeNotFound, InvalidNetwork, PathCapExceeded
@@ -152,34 +148,13 @@ def validate(graph: MultiGraph) -> BlockDecomposition:
     themselves, and a 2-connected block has a simple path through any edge
     between any two distinct vertices), so an edge is covered iff it lies in
     a chain block.  A disconnected pair's chain is empty and covers nothing.
-
-    No path is listed.  Raises PathCapExceeded once a pair has more than
-    `DEFAULT_PATH_CAP` simple paths, the product of its per-block counts;
-    the cap stays until ROADMAP item 1 moves the benchmark's pin on it.  A
-    simple path is fixed by its edge set, so a chain of m edges has at most
-    2^m paths and one with 2^m <= the cap is under it unbounded.  Past that,
-    a pair whose per-block degree bounds multiply to at most the cap is
-    under it; only otherwise are its blocks' paths counted exactly, by a
-    frontier DP, and a bound never stands in for a count.
+    No path is listed or counted.
     """
     dec = decompose_blocks(graph)
     covered_edges: set[str] = set()
     for chain in dec.chains:
-        links = [(link.origin, link.destination, link.edges) for link in chain]
-        m = 0
-        for _, _, edges in links:
-            covered_edges |= edges
-            m += len(edges)
-        if (
-            1 << m <= DEFAULT_PATH_CAP
-            or prod(_path_bound(graph, *link) for link in links) <= DEFAULT_PATH_CAP
-        ):
-            continue
-        count = 1
-        for link in links:
-            count *= _count_simple_paths(graph, *link)
-            if count > DEFAULT_PATH_CAP:
-                raise PathCapExceeded(DEFAULT_PATH_CAP)
+        for link in chain:
+            covered_edges |= link.edges
     # an OD path has at least one edge, so its vertices are its edges' endpoints
     covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
     connected = len(connected_components(graph)) <= 1
@@ -191,114 +166,6 @@ def validate(graph: MultiGraph) -> BlockDecomposition:
             f"uncovered_edges={uncovered_edges}, uncovered_vertices={uncovered_vertices}"
         )
     return dec
-
-
-def _path_bound(graph: MultiGraph, s: str, t: str, edges: frozenset[str]) -> int:
-    """Upper bound on the simple s-t paths over `edges`: deg(s) times
-    max(1, deg - 1) for every other vertex but t, degrees taken on `edges`.
-
-    A path picks one of deg(s) edges at s and, at each later vertex, one of
-    the deg - 1 edges it did not arrive by, so one such choice per vertex
-    fixes it.  Exact on a bond (deg(s) parallel edges) and a cycle (2).
-    """
-    degree = Counter(v for eid in edges for v in graph.edge_map[eid])
-    bound = degree[s]
-    for v, d in degree.items():
-        if v != s and v != t:
-            bound *= max(1, d - 1)
-    return bound
-
-
-def _count_simple_paths(
-    graph: MultiGraph, s: str, t: str, edges: frozenset[str]
-) -> int:
-    """Number of simple s-t paths over `edges`, by a frontier DP.
-
-    Knuth's SIMPATH: the edges are decided one at a time in BFS order from
-    s.  A vertex is on the frontier from its first edge to its last, and a
-    state records each frontier vertex's mate: itself while it has no
-    chosen edge, -1 once it has two, else the other end of its path
-    fragment.  s and t take one edge, every other vertex none or two, and
-    no edge may close a fragment into a cycle.  Counts are exact ints.
-    """
-    pos = {s: 0}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for eid, w in graph.adjacency[v]:
-            if eid in edges and w not in pos:
-                pos[w] = len(pos)
-                queue.append(w)
-    if t not in pos:
-        return 0
-    S, T = 0, pos[t]
-    order = sorted(  # edges of s's component, as (vertex, later vertex, id)
-        (*sorted((pos[u], pos[v])), eid)
-        for eid in edges
-        for u, v in (graph.edge_map[eid],)
-        if u in pos
-    )
-    last = {}  # vertex -> index of its last edge, where it leaves the frontier
-    for k, (u, v, _) in enumerate(order):
-        last[u] = last[v] = k
-
-    total = 0
-    frontier: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 1}  # mates of frontier -> paths
-    for k, (u, v, _) in enumerate(order):
-        for w in (u, v):
-            if w not in frontier:
-                frontier.append(w)
-                states = {st + (w,): n for st, n in states.items()}
-        index = {w: i for i, w in enumerate(frontier)}
-        iu, iv = index[u], index[v]
-        u_end, v_end = u in (S, T), v in (S, T)
-        # after its last edge a vertex leaves the frontier: s and t with
-        # their one edge, any other vertex with none or two
-        gone = sorted(
-            ((index[w], w, w in (S, T)) for w in (u, v) if last[w] == k), reverse=True
-        )
-        nxt: dict[tuple[int, ...], int] = {}
-
-        def settle(m: tuple[int, ...], n: int) -> None:
-            for i, w, end in gone:
-                x = m[i]
-                if (x == w or x == -1) if end else (x != w and x != -1):
-                    return
-                m = m[:i] + m[i + 1 :]
-            nxt[m] = nxt.get(m, 0) + n
-
-        for st, n in states.items():
-            settle(st, n)  # edge left out
-            mu, mv = st[iu], st[iv]
-            if mu == -1 or mv == -1 or mu == v:  # interior, or closes a cycle
-                continue
-            if (u_end and mu != u) or (v_end and mv != v):
-                continue  # a terminal takes one edge
-            m = list(st)
-            if mu == u:
-                m[iu] = mv
-            else:
-                m[iu] = -1
-                j = index.get(mu)
-                if j is not None:
-                    m[j] = mv
-            if mv == v:
-                m[iv] = mu
-            else:
-                m[iv] = -1
-                j = index.get(mv)
-                if j is not None:
-                    m[j] = mu
-            if {mu, mv} == {S, T}:  # the fragment runs from s to t
-                if all(x == w or x == -1 or w in (S, T) for w, x in zip(frontier, m)):
-                    total += n  # every later edge left out; no open fragment
-            else:
-                settle(tuple(m), n)
-        states = nxt
-        for _, w, _ in gone:
-            frontier.remove(w)
-    return total
 
 
 # -- simple path enumeration ---------------------------------------------------
@@ -317,7 +184,7 @@ def enumerate_simple_paths(
     The depth-first walk keeps its own stack, as `biconnected_blocks` does,
     so a long path is not bounded by the recursion limit.  It serves the
     solver's path sets, the randomized search and the cycle diagnostics;
-    `validate` counts paths and never lists them.
+    `validate` never lists paths.
     """
     if s == t:
         raise ValueError("path enumeration requires distinct endpoints")

@@ -63,8 +63,9 @@ path, or from ``start``: per-type path flows in the shape of
 names is one of the type's ``feasible_paths`` (inside its information set),
 no flow is negative, and each type's flows sum to its rate within
 ``CONSERVATION_EPS``, or within one ulp of the rate per positive flow when
-that is more (a large rate's sum rounds); anything else raises ValueError.  The potential is
-convex, so the start changes the sweeps but not the equilibrium edge
+that is more (a large rate's sum rounds); anything else raises ValueError.
+``verify_wardrop`` holds a result's flows to the same bound.  The potential
+is convex, so the start changes the sweeps but not the equilibrium edge
 latencies.  ``exact`` enumerates supports and ignores ``start``.
 
 ``result.backend`` names the method that produced the returned flows:
@@ -87,7 +88,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -238,7 +239,7 @@ def verify_wardrop(
     type's cheapest feasible path.  A path is used when it carries more than
     FLOW_EPS or, for a type whose rate is at most FLOW_EPS per feasible
     path, any flow at all.  Passing also needs every type's flows to sum to
-    its rate within CONSERVATION_EPS.
+    its rate within the bound a `start` meets (see `solve_icwe`).
     """
     edge_flows: dict[str, float] = {}
     for flows in result.path_flows:
@@ -250,7 +251,7 @@ def verify_wardrop(
     conserved = True
     for j, t in enumerate(game.types):
         flows = result.path_flows[j]
-        conserved = conserved and abs(sum(flows.values()) - t.rate) <= CONSERVATION_EPS
+        conserved = conserved and _conserves(flows.values(), t.rate)
         candidates = feasible_paths(game, j)
         if candidates:
             latencies = {p: game.path_latency(p, edge_flows) for p in candidates}
@@ -260,6 +261,13 @@ def verify_wardrop(
                 if amount > floor:
                     worst = max(worst, latencies[p] - best)
     return WardropReport(max_violation=worst, passed=worst <= epsilon and conserved)
+
+
+def _conserves(flows: Collection[float], rate: float) -> bool:
+    """Whether a type's flows sum to its rate: within CONSERVATION_EPS, or
+    within one ulp of the rate per flow when that is more, which allows a
+    large rate's float rounding and nothing else."""
+    return abs(sum(flows) - rate) <= max(CONSERVATION_EPS, len(flows) * math.ulp(rate))
 
 
 # -- the cost core shared by both backends ------------------------------------------
@@ -697,8 +705,7 @@ def _start_flows(
             if amount > 0.0:
                 alloc[index[path]] = float(amount)
         rate = core.game.types[j].rate
-        # the sum's float rounding and nothing else: one ulp of the rate per flow
-        if abs(sum(alloc.values()) - rate) > max(CONSERVATION_EPS, len(alloc) * math.ulp(rate)):
+        if not _conserves(alloc.values(), rate):
             raise ValueError(
                 f"start flows of type {j} sum to {sum(alloc.values())}, not its rate {rate}"
             )

@@ -18,10 +18,13 @@ class EdgeNotFound(IbpcheckError, KeyError):
 
 
 class PathCapExceeded(IbpcheckError):
-    """Simple-path enumeration hit the configured cap.
+    """Simple-path enumeration hit the configured cap, or the verdict met a
+    series-parallel OD chain with more simple paths than the cap.
 
     Enumeration is exhaustive and worst-case exponential; the cap turns a
-    runaway instance into an explicit error instead of a hang.
+    runaway instance into an explicit error instead of a hang.  The verdict
+    counts paths in its series-parallel reduction for free and keeps the cap
+    only until ROADMAP item 1 moves the benchmark's pin on it.
     """
 
     def __init__(self, cap: int):

@@ -11,24 +11,29 @@ graph, the `decompose_blocks` walk that `validate` checks coverage on and
 returns: each OD chain is its tuple of `ChainLink`s, a series of blocks.
 One terminal-aware series/parallel reduction per (block, terminal pair)
 decides the block's SP and, by carrying LI and single-path flags through
-its merges, the recursive LI definition; chains that cross a block between
+its merges, the recursive LI definition, and counts the block's paths as
+sums and products along the same merges; chains that cross a block between
 the same terminals share it, and each chain's classes are a fold over its
 links.  `common_blocks` groups the links of all chains by block and applies
 the coincident / cycle / other rule once per shared block, reading a
 block's cycle-ness off its size, giving the table of every pair of chains
 that meet.  Nothing on the verdict path enumerates paths: `validate` reads
-coverage off the chain blocks and only counts paths, for the 10,000-path
-cap that stays until ROADMAP item 1 moves its pin; the literal, enumerating
-definitions live in the tests as oracles.
+coverage off the chain blocks, and the one remaining use of a path count is
+the 10,000-path cap on a series-parallel chain, read off the reductions and
+kept until ROADMAP item 1 moves the benchmark's pin on it; a chain that is
+not SP is decided with no count.  The literal, enumerating definitions live
+in the tests as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
-from .core_graph import BlockDecomposition, ChainLink, MultiGraph, validate
+from .core_graph import DEFAULT_PATH_CAP, BlockDecomposition, ChainLink, MultiGraph, validate
+from .errors import PathCapExceeded
 
 IBP_FREE = "ibp-free"
 NOT_IBP_FREE = "not-ibp-free"
@@ -95,51 +100,57 @@ class TopologyReport:
 
 def _sp_reduce(
     graph: MultiGraph, edge_subset: frozenset[str], s: str, t: str
-) -> tuple[bool, bool]:
+) -> tuple[bool, bool, int]:
     """Series/parallel reduction down to a single terminal edge.
 
-    Returns (is SP, is LI).  Parallel edges merge as they appear, so the
-    shrinking network stays simple and a worklist of vertices whose degree
-    changed finds every series splice (Valdes, Tarjan & Lawler 1982).  Each
-    edge stands for a subnetwork and carries two flags, LI and path (a
+    Returns (is SP, is LI, paths).  Parallel edges merge as they appear, so
+    the shrinking network stays simple and a worklist of vertices whose
+    degree changed finds every series splice (Valdes, Tarjan & Lawler 1982).
+    Each edge stands for a subnetwork and carries two flags, LI and path (a
     single path), which evaluate the recursive LI definition bottom-up: a
     parallel merge is LI iff both parts are, and is never a path; a series
     splice is LI iff both parts are and one is a path, and is a path iff
-    both are.
+    both are.  It also carries the subnetwork's simple-path count between
+    its ends: 1 for an edge, the sum at a parallel merge, the product at a
+    series splice, so an SP network's count is its s-t path count.  A
+    network that is not SP gives (False, False, 0).
     """
-    flags: dict[frozenset[str], tuple[bool, bool]] = {}  # edge -> (LI, path)
+    flags: dict[frozenset[str], tuple[bool, bool, int]] = {}  # edge -> (LI, path, paths)
     neighbours: dict[str, set[str]] = {}
 
-    def add(u: str, v: str, li: bool, path: bool) -> None:
+    def add(u: str, v: str, li: bool, path: bool, paths: int) -> None:
         edge = frozenset((u, v))
         if edge in flags:
-            li, path = li and flags[edge][0], False
-        flags[edge] = (li, path)
+            li_e, _, paths_e = flags[edge]
+            li, path, paths = li and li_e, False, paths + paths_e
+        flags[edge] = (li, path, paths)
         neighbours.setdefault(u, set()).add(v)
         neighbours.setdefault(v, set()).add(u)
 
     for eid in edge_subset:
-        add(*graph.endpoints(eid), True, True)
+        add(*graph.endpoints(eid), True, True, 1)
     work = list(neighbours)
     while work:
         v = work.pop()
         if v in (s, t) or len(neighbours.get(v, ())) != 2:
             continue
         a, b = neighbours.pop(v)
-        li_a, path_a = flags.pop(frozenset((v, a)))
-        li_b, path_b = flags.pop(frozenset((v, b)))
+        li_a, path_a, paths_a = flags.pop(frozenset((v, a)))
+        li_b, path_b, paths_b = flags.pop(frozenset((v, b)))
         neighbours[a].discard(v)
         neighbours[b].discard(v)
-        add(a, b, li_a and li_b and (path_a or path_b), path_a and path_b)
+        add(a, b, li_a and li_b and (path_a or path_b), path_a and path_b, paths_a * paths_b)
         work += (a, b)
-    sp = flags.keys() == {frozenset((s, t))}
-    return sp, sp and flags[frozenset((s, t))][0]
+    if flags.keys() != {frozenset((s, t))}:
+        return False, False, 0
+    li, _, paths = flags[frozenset((s, t))]
+    return True, li, paths
 
 
 def _classify_chain(
     graph: MultiGraph,
     chain: Sequence[ChainLink],
-    reduced: dict[tuple[int, str, str], tuple[bool, bool]],
+    reduced: dict[tuple[int, str, str], tuple[bool, bool, int]],
 ) -> SingleOdClass:
     """Fold the per-block reductions over the chain, a series of blocks.
 
@@ -149,6 +160,11 @@ def _classify_chain(
     `reduced` maps (block id, origin, destination) to the reduction of that
     link; a link not in it is reduced and added, so chains that cross a
     block between the same terminals share one reduction.
+
+    Raises PathCapExceeded when every block is SP and the chain has more
+    than `DEFAULT_PATH_CAP` simple paths, the product of its block counts;
+    the cap stays until ROADMAP item 1 moves the benchmark's pin on it.  A
+    chain that is not SP is never SLI and is decided without a count.
     """
     blocks = []
     for link in chain:
@@ -156,9 +172,12 @@ def _classify_chain(
         if key not in reduced:
             reduced[key] = _sp_reduce(graph, link.edges, link.origin, link.destination)
         blocks.append(reduced[key])
-    sli = all(li for _, li in blocks)
+    sp = all(sp for sp, _, _ in blocks)
+    if sp and prod(paths for _, _, paths in blocks) > DEFAULT_PATH_CAP:
+        raise PathCapExceeded(DEFAULT_PATH_CAP)
+    sli = all(li for _, li, _ in blocks)
     return SingleOdClass(
-        is_sp=all(sp for sp, _ in blocks),
+        is_sp=sp,
         is_li=sli and sum(len(link.edges) > 1 for link in chain) <= 1,
         is_sli=sli,
     )
@@ -219,7 +238,7 @@ def decide_ibp_free(g: MultiGraph) -> TopologyReport:
     chain is SLI.
     """
     dec = validate(g)  # validation ran the block walk already
-    reduced: dict[tuple[int, str, str], tuple[bool, bool]] = {}  # one per (block, terminals)
+    reduced: dict[tuple[int, str, str], tuple[bool, bool, int]] = {}  # one per (block, terminals)
     per_od = tuple(_classify_chain(g, chain, reduced) for chain in dec.chains)
     failure = next(
         (FailureSite(condition="sli", od_index=i) for i, c in enumerate(per_od) if not c.is_sli),

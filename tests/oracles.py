@@ -215,15 +215,35 @@ class ValidationRecord:
         return self.connected and not self.uncovered_edges and not self.uncovered_vertices
 
 
-def validate_by_enumeration(graph: MultiGraph) -> ValidationRecord:
-    """Coverage from every OD pair's whole simple-path set, under the default cap.
+def validate_by_enumeration(graph: MultiGraph, capped: bool = True) -> ValidationRecord:
+    """Coverage from every OD pair's whole simple-path set.
 
-    Raises PathCapExceeded when some pair has more than 10,000 simple paths.
+    Capped, the paths are `enumerate_simple_paths`'s, which raises
+    PathCapExceeded when some pair has more than 10,000 simple paths.
+    Uncapped, they are `simple_paths`'s on the graph with one edge kept per
+    bundle of parallel edges: a simple path through one edge of a bundle
+    runs through any other in its place, so a bundle's edges are covered
+    together, and far fewer paths are listed.
     """
-    covered_edges: set[str] = set()
-    for o, d in graph.od_pairs:
-        for path in enumerate_simple_paths(graph, o, d):
-            covered_edges.update(path)
+    if capped:
+        covered_edges = {
+            eid
+            for o, d in graph.od_pairs
+            for path in enumerate_simple_paths(graph, o, d)
+            for eid in path
+        }
+    else:
+        bundles: dict[frozenset[str], tuple[str, str, str]] = {}  # endpoints -> one edge
+        for edge in graph.edges:
+            bundles.setdefault(frozenset(edge[1:]), edge)
+        one_per_bundle = MultiGraph(graph.vertices, bundles.values(), graph.od_pairs)
+        covered = {
+            frozenset(graph.endpoints(eid))
+            for o, d in graph.od_pairs
+            for path in simple_paths(one_per_bundle, o, d)
+            for eid in path
+        }
+        covered_edges = {eid for eid, u, v in graph.edges if frozenset((u, v)) in covered}
     covered_vertices = {v for eid in covered_edges for v in graph.endpoints(eid)}
     return ValidationRecord(
         connected=len(connected_components(graph)) <= 1,
@@ -309,7 +329,7 @@ def classify_chain_by_union(
 ) -> SingleOdClass:
     """SP and LI from one reduction over the chain's union; SLI asks each block."""
     union = frozenset().union(*(link.edges for link in chain))
-    sp, li = _sp_reduce(graph, union, o, d)
+    sp, li, _ = _sp_reduce(graph, union, o, d)
     blocks_li = (_sp_reduce(graph, b.edges, b.origin, b.destination)[1] for b in chain)
     sli = li or (sp and all(blocks_li))
     return SingleOdClass(is_sp=sp, is_li=li, is_sli=sli)

@@ -657,6 +657,37 @@ def test_out_of_range_numbers_exit_2_without_a_traceback(argv, capsys):
     assert "Traceback" not in err and "error:" in err
 
 
+EXTREMES = (10**400, 10**309, 2**1023, 1e308, 1.7e308, 1e300, 1e-300, 5e-324, 1e-12, 1e12, 0)
+DOCUMENTED_EXITS = {0, 2, 3, 4, 10, 20, 21}
+
+
+def test_extreme_rates_and_coefficients_exit_with_a_documented_code(tmp_path, capsys):
+    """Seeded boundary fuzz: one or two rates or latency coefficients of a
+    fixture set to an extreme, then one command.  Every run ends in a
+    documented exit code and never in a traceback.  `solve` gets 500 sweeps,
+    so a game whose costs overflow fails in milliseconds."""
+    rng = random.Random(2020)
+    stems = ("gadget", "gadget_dominated", "pigou", "triangle_two_od", "chain3")
+    exits = []
+    for run in range(80):
+        data = json.loads((FIXTURES / f"{rng.choice(stems)}.json").read_text())
+        for _ in range(rng.randint(1, 2)):
+            value = rng.choice(EXTREMES)
+            if rng.random() < 0.5:
+                rng.choice(data["types"])["rate"] = value
+            else:
+                latency = rng.choice(data["edges"])["latency"]
+                latency[rng.randrange(len(latency))] = value
+        path = tmp_path / f"run{run}.json"
+        path.write_text(json.dumps(data))
+        command = rng.choice(("classify", "solve", "check-ibp", "synthesize"))
+        flags = ("--max-iters", "500") if command == "solve" else ()
+        code, _, err = run_cli(capsys, command, str(path), *flags)
+        assert code in DOCUMENTED_EXITS and "Traceback" not in err, (run, code, err)
+        exits.append(code)
+    assert {0, 2, 10} <= set(exits)
+
+
 # -- one parser per process ---------------------------------------------------------
 # `main` builds its parser once and reuses it; a call must not see what an
 # earlier call parsed, and must run the subcommand bound on the module now.

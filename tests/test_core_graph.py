@@ -2,16 +2,12 @@ import itertools
 import random
 import re
 import sys
-from math import prod
-from pathlib import Path
 
 import pytest
 
 from ibpcheck.core_graph import (
     EmbeddingStep,
     MultiGraph,
-    _count_simple_paths,
-    _path_bound,
     biconnected_blocks,
     connected_components,
     decompose_blocks,
@@ -20,24 +16,18 @@ from ibpcheck.core_graph import (
     validate,
 )
 from ibpcheck.errors import InvalidNetwork, PathCapExceeded
-from ibpcheck.instance_io import load_instance
-from ibpcheck.topology import common_blocks, decide_ibp_free
+from ibpcheck.topology import IBP_FREE, NOT_IBP_FREE, common_blocks, decide_ibp_free
 
 from conftest import (
-    FIXTURE_STEMS,
     chain_edges,
-    chain_with_gadget_middle,
-    cycle_graph,
     diamonds_in_series,
     gadget_multigraph,
     grid_graph,
-    k4_three_terminals,
     long_path_game,
     random_connected_multigraph,
     series_bundles,
     triangle_two_od,
     two_parallel_pairs_in_series,
-    wheatstone,
 )
 from oracles import (
     GraphOperationError,
@@ -143,7 +133,7 @@ def _random_validation_case(rng: random.Random) -> MultiGraph:
     A vertex left off the spanning tree starts a second component or stays
     isolated; tree edges give pendant edges.  One case in eight also joins
     two vertices by a chain of parallel-edge bundles whose path count
-    straddles the default cap, and puts an OD pair on its ends.
+    straddles the default enumeration cap, and puts an OD pair on its ends.
     """
     n = rng.randint(2, 8)
     vs = [f"v{i}" for i in range(n)]
@@ -172,11 +162,11 @@ def test_validate_agrees_with_the_enumerating_oracle():
         g = _random_validation_case(rng)
         try:
             expected = validate_by_enumeration(g)
-        except PathCapExceeded:
-            with pytest.raises(PathCapExceeded, match="more than 10000"):
-                validate(g)
+        except PathCapExceeded:  # validate has no cap; list every path uncapped
+            expected = validate_by_enumeration(g, capped=False)
             capped += 1
-            continue
+        else:  # the bundle-collapsing route agrees with the whole path set
+            assert validate_by_enumeration(g, capped=False) == expected
         dec = decompose_blocks(g)
         if expected.ok:
             assert validate(g) == dec
@@ -219,96 +209,55 @@ def _corner_grid(n):
 
 
 def test_validate_path_cap_boundary():
-    validate(series_bundles([10, 10, 10, 10]))  # exactly 10,000 paths
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(series_bundles([10, 10, 10, 10, 2]))
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        decide_ibp_free(diamonds_in_series(14))
-    # a degree bound past the cap is only a cue to count: 12^5 bound, 5^5 paths
-    five = _k4s_in_series(5)
-    chain = decompose_blocks(five).chains[0]
-    links = [(link.origin, link.destination, link.edges) for link in chain]
-    assert prod(_path_bound(five, *link) for link in links) == 12**5
-    validate(five)
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(_k4s_in_series(6))  # 15,625 paths
-    validate(_k4s_in_series(4, bond=16))  # exactly 10,000 counted paths
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(_k4s_in_series(4, bond=17))
-    validate(_corner_grid(5))  # 8,512 paths per pair
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(_corner_grid(6))
+    """`validate` counts no paths.  The cap's boundary is the verdict's, on a
+    series-parallel chain; a chain that is not SP is never SLI, so it gets
+    its verdict whatever its path count."""
+    under = (series_bundles([10, 10, 10, 10]), series_bundles([10_000]))  # exactly 10,000
+    over = (series_bundles([10, 10, 10, 10, 2]), series_bundles([10_001]), diamonds_in_series(14))
+    not_sp = (
+        _k4s_in_series(5),  # 5^5 paths
+        _k4s_in_series(6),  # 15,625 paths
+        _k4s_in_series(4, bond=16),  # 10,000 paths
+        _k4s_in_series(4, bond=17),
+        _corner_grid(5),  # 8,512 paths per pair
+        _corner_grid(6),  # 1,262,816 paths per pair
+    )
+    for g in (*under, *over, *not_sp):
+        assert validate(g) == decompose_blocks(g)
+    for g in under:
+        assert decide_ibp_free(g).verdict == IBP_FREE
+    for g in over:
+        with pytest.raises(PathCapExceeded, match="more than 10000"):
+            decide_ibp_free(g)
+    for g in not_sp:
+        report = decide_ibp_free(g)
+        assert report.verdict == NOT_IBP_FREE and not report.per_od[0].is_sp
+        assert report.failure_site.condition == "sli"
+    # an invalid network is reported as such, past the cap or not
+    d = diamonds_in_series(14)
+    pendant = MultiGraph((*d.vertices, "p"), (*d.edges, ("pe", "j0", "p")), d.od_pairs)
+    with pytest.raises(InvalidNetwork, match=re.escape(_fault_message(True, ["pe"], ["p"]))):
+        decide_ibp_free(pendant)
 
 
-def _longest_chain(g: MultiGraph) -> int:
-    """The most edges in one OD chain of `g`."""
-    return max(sum(len(link.edges) for link in chain) for chain in decompose_blocks(g).chains)
-
-
-def _short_chain_corpus():
-    """Corpus graphs whose every OD chain has at most 13 edges, so at most
-    2^13 = 8,192 < 10,000 simple paths."""
-    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-    graphs = [
-        load_instance(fixtures / f"{stem}.json")[0].graph
-        for stem in FIXTURE_STEMS
-        if stem != "malformed"
-    ]
-    graphs += [
-        gadget_multigraph("origin"),
-        gadget_multigraph("destination"),
-        triangle_two_od(),
-        two_parallel_pairs_in_series(),
-        wheatstone(),
-        k4_three_terminals(),
-        chain_with_gadget_middle(),
-        series_bundles([3, 3, 3]),
-    ]
-    graphs += [diamonds_in_series(k) for k in (1, 2, 3)]
-    rng = random.Random(1313)
-    graphs += [_random_validation_case(rng) for _ in range(300)]
-    return [g for g in graphs if _longest_chain(g) <= 13]
-
-
-def test_short_chains_are_under_the_cap_by_their_edge_count(monkeypatch):
+def test_validate_raises_no_path_cap(monkeypatch):
     import ibpcheck.core_graph as core_graph
 
-    corpus = _short_chain_corpus()
-    expected = [_validation_outcome(g) for g in corpus]
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate listed simple paths")
 
-    def unreachable(*args):
-        raise AssertionError("a chain of at most 13 edges needs no bound or count")
-
-    monkeypatch.setattr(core_graph, "_path_bound", unreachable)
-    monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
-    assert [_validation_outcome(g) for g in corpus] == expected
-    assert len(corpus) > 250
-    assert any(g == diamonds_in_series(3) for g in corpus)
-
-
-def test_longer_chains_still_meet_the_bound_and_the_count(monkeypatch):
-    import ibpcheck.core_graph as core_graph
-
-    bounds = []
-
-    def recording_bound(graph, *link):
-        bounds.append(link)
-        return _path_bound(graph, *link)
-
-    def unreachable(*args):
-        raise AssertionError("4-13 diamonds are settled by the degree bound")
-
-    monkeypatch.setattr(core_graph, "_path_bound", recording_bound)
-    monkeypatch.setattr(core_graph, "_count_simple_paths", unreachable)
-    for k in range(4, 14):
-        bounds.clear()
-        validate(diamonds_in_series(k))
-        assert len(bounds) == k
-    monkeypatch.setattr(core_graph, "_count_simple_paths", _count_simple_paths)
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(diamonds_in_series(14))
-    with pytest.raises(PathCapExceeded, match="more than 10000"):
-        validate(_corner_grid(6))
+    monkeypatch.setattr(core_graph, "enumerate_simple_paths", refuse)
+    k4s = _k4s_in_series(8, bond=3)
+    for g in (
+        diamonds_in_series(14),
+        diamonds_in_series(20),
+        diamonds_in_series(200),
+        grid_graph(10, 10, [("g0_0", "g9_9")]),
+        _corner_grid(10),
+        k4s,
+    ):
+        assert validate(g) == decompose_blocks(g)
+    assert len(decompose_blocks(k4s).chains[0]) == 9
 
 
 # -- path enumeration -----------------------------------------------------------
@@ -385,44 +334,6 @@ def test_enumeration_walks_a_path_longer_than_the_recursion_limit():
     g = long_path_game(n).graph
     (path,) = enumerate_simple_paths(g, "v0", f"v{n}")
     assert path == tuple(sorted(g.edge_ids))
-
-
-def test_path_count_and_bound_match_enumeration_on_random_graphs():
-    rng = random.Random(1414)
-    disconnected = restricted = parallel = 0
-    for _ in range(600):
-        g = random_connected_multigraph(rng, max_vertices=8, max_extra=6)
-        if len(g.vertices) < 2:
-            continue
-        s, t = rng.sample(sorted(g.vertices), 2)
-        edges = g.edge_ids
-        if rng.random() < 0.5:
-            edges = frozenset(e for e in sorted(edges) if rng.random() < 0.75)
-            restricted += 1
-        count = _count_simple_paths(g, s, t, edges)
-        assert count == len(simple_paths(g, s, t, edges))
-        assert _path_bound(g, s, t, edges) >= count
-        disconnected += count == 0
-        parallel += len({frozenset(g.edge_map[e]) for e in edges}) < len(edges)
-    assert disconnected > 30 and restricted > 250 and parallel > 100
-
-
-def test_path_bound_is_exact_on_bonds_and_cycles():
-    for n in range(1, 6):
-        bond = series_bundles([n])
-        assert _path_bound(bond, "j0", "j1", bond.edge_ids) == n
-        assert _count_simple_paths(bond, "j0", "j1", bond.edge_ids) == n
-    for n in range(3, 8):
-        cycle = cycle_graph(n, [])
-        for k in range(1, n):
-            assert _path_bound(cycle, "c0", f"c{k}", cycle.edge_ids) == 2
-            assert _count_simple_paths(cycle, "c0", f"c{k}", cycle.edge_ids) == 2
-
-
-def test_path_count_on_corner_grids_is_oeis_a007764():
-    for n, expected in zip(range(2, 8), (2, 12, 184, 8512, 1262816, 575780564)):
-        g = grid_graph(n, n, [])
-        assert _count_simple_paths(g, "g0_0", f"g{n - 1}_{n - 1}", g.edge_ids) == expected
 
 
 # -- OD subnetworks --------------------------------------------------------------

@@ -23,6 +23,7 @@ from ibpcheck.equilibrium import (
     LatencyFunction,
     RoutingGame,
     TravelerType,
+    WardropReport,
     feasible_paths,
     solve_icwe,
     verify_wardrop,
@@ -681,6 +682,36 @@ def test_flows_that_miss_the_rate_fail_wardrop_check(excess):
     report = verify_wardrop(game, replace(result, path_flows=tuple(flows)))
     assert report.max_violation <= DEFAULT_TOLERANCE  # only conservation fails
     assert not report.passed
+
+
+def _gadget_with_type_2_at(rate):
+    game = gadget_game()
+    first, second = game.types
+    return RoutingGame(
+        game.graph, game.latencies, (first, TravelerType(rate, second.od_index, second.info_set))
+    )
+
+
+@pytest.mark.parametrize("backend", ["cg", "auto"])
+def test_a_large_rate_equilibrium_passes_the_wardrop_check(backend):
+    """At rate 1e12 type 2's two flows sum to one ulp under the rate."""
+    game = _gadget_with_type_2_at(1e12)
+    result = solve_icwe(game, backend=backend)
+    assert 0 < 1e12 - sum(result.path_flows[1].values()) <= math.ulp(1e12)
+    assert verify_wardrop(game, result) == WardropReport(max_violation=0.0, passed=True)
+
+
+@pytest.mark.parametrize(
+    "ulps, passed", [(-3, True), (1, True), (-4, False), (2, False), (10_000, False)]
+)
+def test_a_large_rate_sum_off_by_more_than_rounding_fails_the_wardrop_check(ulps, passed):
+    """The 1e12 equilibrium's two flows sum to one ulp under 1e12.  Checked
+    against a rate `ulps` ulps off 1e12, they may miss it by two ulps of
+    rounding and by no more."""
+    result = solve_icwe(_gadget_with_type_2_at(1e12))
+    report = verify_wardrop(_gadget_with_type_2_at(1e12 + ulps * math.ulp(1e12)), result)
+    assert report.max_violation <= DEFAULT_TOLERANCE  # only conservation may fail
+    assert report.passed == passed
 
 
 def test_zero_rate_game_with_empty_flow_passes():

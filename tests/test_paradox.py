@@ -438,7 +438,7 @@ def test_gadget_match_agrees_with_the_search_on_every_reduced_corpus_block(monke
     monkeypatch.setattr(paradox, "find_gadget_embedding", recording)
     for g in _synthesis_corpus():  # fixtures, k4, gadget chain, random blocks
         synthesize_ibp_witness(g)
-    for n in range(3, 11):  # past the path cap, synthesis stops at validation
+    for n in range(3, 11):  # corner grids up to 10x10, reduced directly
         recording(grid_graph(n, n, [("g0_0", f"g{n - 1}_{n - 1}"), (f"g0_{n - 1}", f"g{n - 1}_0")]))
     variants = [_assert_match_agrees(reduced) for reduced in reduced_graphs]
     assert len(variants) >= 50 and set(variants) == set(GadgetVariant)
@@ -675,8 +675,8 @@ def test_synthesis_verifies_random_multigraphs_from_the_gadget_equilibria():
 
 @pytest.mark.parametrize("rows, cols", [(4, 7), (6, 6), (10, 10)])
 def test_corner_grid_lifts_carry_the_gadget_equilibria(rows, cols):
-    """Past the path cap synthesis stops at validation; the lifted block
-    instance carries the same transported equilibria."""
+    """The lifted instance of a grid block with more simple paths than the
+    enumeration cap carries the same transported equilibria."""
     corners = [("g0_0", f"g{rows - 1}_{cols - 1}"), (f"g0_{cols - 1}", f"g{rows - 1}_0")]
     block = grid_graph(rows, cols, corners)
     steps, reduced = find_gadget_embedding(block)
@@ -826,10 +826,11 @@ def test_synthesis_errors_are_the_verdicts_errors():
         synthesize_ibp_witness(triangle_two_od())
     with pytest.raises(UnsupportedFailureSite, match="single-OD \\(SLI-condition\\) failures"):
         synthesize_ibp_witness(wheatstone())
-    corners = [("g0_0", "g5_5"), ("g0_5", "g5_0")]
-    for g in (diamonds_in_series(14), grid_graph(6, 6, corners)):
-        with pytest.raises(PathCapExceeded, match="more than 10000"):
-            synthesize_ibp_witness(g)
+    with pytest.raises(PathCapExceeded, match="more than 10000"):
+        synthesize_ibp_witness(diamonds_in_series(14))
+    # 1,262,816 paths per pair, but validation counts none: a witness
+    witness = synthesize_ibp_witness(grid_graph(6, 6, [("g0_0", "g5_5"), ("g0_5", "g5_0")]))
+    assert check_ibp(witness).margin == pytest.approx(1.0, abs=1e-6)
 
 
 # -- randomized search ------------------------------------------------------------------

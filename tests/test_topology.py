@@ -20,6 +20,7 @@ from ibpcheck.topology import (
 from conftest import (
     chain_edges,
     chain_with_gadget_middle,
+    cycle_graph,
     diamonds_in_series,
     doubled_series_pairs_in_parallel,
     gadget_multigraph,
@@ -27,6 +28,7 @@ from conftest import (
     random_connected_multigraph,
     random_single_od_subnetwork,
     second_od_pair_disconnected,
+    series_bundles,
     triangle_two_od,
     two_parallel_pairs_in_series,
     wheatstone,
@@ -38,6 +40,7 @@ from oracles import (
     failure_site_by_pair_scan,
     is_linearly_independent,
     is_series_parallel_by_definition,
+    simple_paths,
 )
 
 
@@ -177,13 +180,54 @@ def test_recognizers_need_no_path_enumeration(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the verdict enumerated paths")
 
-    monkeypatch.setattr(topology, "validate", decompose_blocks)
+    monkeypatch.setattr(topology, "DEFAULT_PATH_CAP", 2**20)
     monkeypatch.setattr(core_graph, "enumerate_simple_paths", no_enumeration)
     g = diamonds_in_series(20)  # 2^20 simple paths, far above the default cap
     report = decide_ibp_free(g)
     assert report.verdict == IBP_FREE
     assert len(report.decomposition.chains[0]) == 20
     assert report.per_od[0] == SingleOdClass(is_sp=True, is_li=False, is_sli=True)
+
+
+def _random_sp_network(rng: random.Random, size: int) -> MultiGraph:
+    """A two-terminal series-parallel network from s to t with `size` edges.
+
+    Grown from one s-t edge by subdividing an edge (series) or doubling it
+    (parallel), which builds every two-terminal SP multigraph.
+    """
+    edges = [("e0", "s", "t")]
+    for k in range(1, size):
+        i = rng.randrange(len(edges))
+        eid, u, v = edges[i]
+        if rng.random() < 0.5:
+            edges[i : i + 1] = [(eid, u, f"w{k}"), (f"e{k}", f"w{k}", v)]
+        else:
+            edges.append((f"e{k}", u, v))
+    return MultiGraph({x for _, u, v in edges for x in (u, v)}, edges, [("s", "t")])
+
+
+def test_sp_reduction_counts_the_paths_of_random_sp_networks():
+    rng = random.Random(2727)
+    counts = set()
+    for _ in range(300):
+        g = _random_sp_network(rng, rng.randint(1, 14))
+        sp, li, paths = topology._sp_reduce(g, g.edge_ids, "s", "t")
+        assert sp and li == is_linearly_independent(g, None, "s", "t")
+        assert paths == len(simple_paths(g, "s", "t"))
+        counts.add(paths)
+    assert len(counts) > 20
+
+
+def test_sp_reduction_count_is_exact_on_bonds_and_cycles():
+    for n in (1, 2, 3, 5, 10_000):
+        bond = series_bundles([n])
+        assert topology._sp_reduce(bond, bond.edge_ids, "j0", "j1") == (True, True, n)
+    for n in range(3, 8):
+        cycle = cycle_graph(n, [])
+        for k in range(1, n):
+            assert topology._sp_reduce(cycle, cycle.edge_ids, "c0", f"c{k}") == (True, True, 2)
+    w = wheatstone()
+    assert topology._sp_reduce(w, w.edge_ids, "o", "d") == (False, False, 0)
 
 
 # -- common blocks ---------------------------------------------------------------------
