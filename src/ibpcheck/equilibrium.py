@@ -726,7 +726,8 @@ def _solve_cg(
     """Pairwise conditional-gradient sweeps on the cost core's table, from
     `start` (see `solve_icwe`), until the Wardrop gap is at most `tolerance`;
     with `polish`, the ``auto`` backend of the module docstring.  Raises
-    DidNotConverge after `max_iterations` sweeps."""
+    DidNotConverge after `max_iterations` sweeps, or after the first sweep
+    whose gap is not finite."""
     flows = _start_flows(core, start)
     core.load(flows)
     functions, coeffs, lines, edge_sets = core.functions, core.coeffs, core.lines, core.edge_sets
@@ -799,6 +800,8 @@ def _solve_cg(
             previous = support
         if gap <= tolerance:
             return core.result(flows, "cg", sweep)
+        if sweep and not math.isfinite(gap):  # overflowed costs: no later sweep lowers it
+            raise DidNotConverge(sweep, gap)
     raise DidNotConverge(max_iterations, core.violation(flows))
 
 

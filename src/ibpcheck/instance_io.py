@@ -2,7 +2,9 @@
 
 Schema version 1.  Latency functions are serialized as coefficient arrays,
 constant term first.  Unknown fields are rejected everywhere so that typos
-fail loudly instead of silently changing the game.
+fail loudly instead of silently changing the game.  A malformed file's
+error names its first fault, with required fields taken in the order
+`docs/instance.schema.json` lists them; an `extension` needs `added_edges`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .paradox import IBPInstance, InformationExtension
 
 SCHEMA_VERSION = 1
 
-_TOP_FIELDS = {"schema_version", "vertices", "edges", "od_pairs", "types", "extension"}
-_EDGE_FIELDS = {"id", "endpoints", "latency"}
-_OD_FIELDS = {"origin", "destination"}
-_TYPE_FIELDS = {"rate", "od_index", "info_set"}
-_EXTENSION_FIELDS = {"added_edges"}
+# Each object's required fields, in schema order (the top level may add "extension").
+_TOP_FIELDS = ("schema_version", "vertices", "edges", "od_pairs", "types")
+_EDGE_FIELDS = ("id", "endpoints", "latency")
+_OD_FIELDS = ("origin", "destination")
+_TYPE_FIELDS = ("rate", "od_index", "info_set")
+_EXTENSION_FIELDS = ("added_edges",)
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -31,10 +34,26 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise InstanceFileError(f"{where}: {message}")
 
 
-def _check_fields(obj: dict, allowed: set, where: str) -> None:
+def _fields(obj, where: str, names: tuple, optional: tuple = ()) -> list:
+    """`obj`'s values of `names`, after checking in this order that it is an
+    object, has no field outside `names` and `optional`, and has all `names`."""
     _require(isinstance(obj, dict), where, "expected an object")
-    unknown = set(obj) - allowed
-    _require(not unknown, where, f"unknown fields {sorted(unknown)}")
+    for name in obj:  # a plain loop: the common case makes no comprehension frame
+        if name not in names and name not in optional:
+            unknown = sorted(n for n in obj if n not in names and n not in optional)
+            raise InstanceFileError(f"{where}: unknown fields {unknown}")
+    try:
+        return [obj[name] for name in names]
+    except KeyError as exc:  # the first one missing, in `names` order
+        raise InstanceFileError(f"{where}: missing field {exc.args[0]!r}") from None
+
+
+def _build(where: str, make, *args):
+    """`make(*args)`, with its InvalidNetwork reported as a fault at `where`."""
+    try:
+        return make(*args)
+    except InvalidNetwork as exc:
+        raise InstanceFileError(f"{where}: {exc}") from None
 
 
 def _is_number(x) -> bool:
@@ -48,112 +67,72 @@ def _is_number(x) -> bool:
         return False
 
 
+def _is_strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, str) for e in x)
+
+
 def parse_instance(data: dict) -> tuple[RoutingGame, Optional[InformationExtension]]:
-    _check_fields(data, _TOP_FIELDS, "top level")
-    version = data.get("schema_version")
+    _fields(data, "top level", (), (*_TOP_FIELDS, "extension"))  # an object, no unknown field
+    version = data.get("schema_version")  # before the missing fields: a missing one is None
     _require(  # the schema's "const": 1 takes 1.0 but not true
         _is_number(version) and version == SCHEMA_VERSION,
         "schema_version",
         f"expected {SCHEMA_VERSION}, got {version!r}",
     )
-    for field in ("vertices", "edges", "od_pairs", "types"):
-        _require(field in data, "top level", f"missing field {field!r}")
-        _require(isinstance(data[field], list), field, "expected a list")
-
-    vertices = data["vertices"]
-    _require(
-        all(isinstance(v, str) for v in vertices), "vertices", "entries must be strings"
-    )
+    _, *lists = _fields(data, "top level", _TOP_FIELDS, ("extension",))
+    for field, value in zip(_TOP_FIELDS[1:], lists):
+        _require(isinstance(value, list), field, "expected a list")
+    vertices, edge_data, pair_data, type_data = lists
+    _require(_is_strings(vertices), "vertices", "entries must be strings")
 
     edges = []
     latencies = {}
-    for k, edge in enumerate(data["edges"]):
+    for k, edge in enumerate(edge_data):
         where = f"edges[{k}]"
-        _check_fields(edge, _EDGE_FIELDS, where)
-        for field in _EDGE_FIELDS:
-            _require(field in edge, where, f"missing field {field!r}")
-        _require(isinstance(edge["id"], str), where, "id must be a string")
-        ends = edge["endpoints"]
+        eid, ends, coeffs = _fields(edge, where, _EDGE_FIELDS)
+        _require(isinstance(eid, str), where, "id must be a string")
+        _require(_is_strings(ends) and len(ends) == 2, where, "endpoints must be two vertex names")
         _require(
-            isinstance(ends, list)
-            and len(ends) == 2
-            and all(isinstance(v, str) for v in ends),
-            where,
-            "endpoints must be two vertex names",
-        )
-        coeffs = edge["latency"]
-        _require(
-            isinstance(coeffs, list)
-            and coeffs
-            and all(_is_number(c) for c in coeffs),
+            isinstance(coeffs, list) and coeffs and all(_is_number(c) for c in coeffs),
             where,
             "latency must be a nonempty array of finite coefficients (constant first)",
         )
-        edges.append((edge["id"], ends[0], ends[1]))
-        try:
-            latencies[edge["id"]] = LatencyFunction(coeffs)
-        except InvalidNetwork as exc:
-            raise InstanceFileError(f"{where}: {exc}") from None
+        edges.append((eid, *ends))
+        latencies[eid] = _build(where, LatencyFunction, coeffs)
 
     od_pairs = []
-    for k, pair in enumerate(data["od_pairs"]):
+    for k, pair in enumerate(pair_data):
         where = f"od_pairs[{k}]"
-        _check_fields(pair, _OD_FIELDS, where)
-        for field in _OD_FIELDS:
-            _require(field in pair, where, f"missing field {field!r}")
-            _require(isinstance(pair[field], str), where, f"{field} must be a string")
-        od_pairs.append((pair["origin"], pair["destination"]))
+        ends = _fields(pair, where, _OD_FIELDS)
+        for field, end in zip(_OD_FIELDS, ends):
+            _require(isinstance(end, str), where, f"{field} must be a string")
+        od_pairs.append(tuple(ends))
 
-    try:
-        graph = MultiGraph(vertices, edges, od_pairs)
-    except InvalidNetwork as exc:
-        raise InstanceFileError(f"network: {exc}") from None
+    graph = _build("network", MultiGraph, vertices, edges, od_pairs)
 
     types = []
-    for k, typ in enumerate(data["types"]):
+    for k, typ in enumerate(type_data):
         where = f"types[{k}]"
-        _check_fields(typ, _TYPE_FIELDS, where)
-        for field in _TYPE_FIELDS:
-            _require(field in typ, where, f"missing field {field!r}")
-        _require(_is_number(typ["rate"]), where, "rate must be a finite number")
+        rate, od_index, info = _fields(typ, where, _TYPE_FIELDS)
+        _require(_is_number(rate), where, "rate must be a finite number")
         _require(
-            isinstance(typ["od_index"], int)
-            and not isinstance(typ["od_index"], bool)
-            and 0 <= typ["od_index"] < len(od_pairs),
+            isinstance(od_index, int)
+            and not isinstance(od_index, bool)
+            and 0 <= od_index < len(od_pairs),
             where,
             f"od_index must be an integer in [0, {len(od_pairs)})",
         )
-        info = typ["info_set"]
-        _require(
-            isinstance(info, list) and all(isinstance(e, str) for e in info),
-            where,
-            "info_set must be a list of edge ids",
-        )
-        try:
-            types.append(TravelerType(typ["rate"], typ["od_index"], info))
-        except InvalidNetwork as exc:
-            raise InstanceFileError(f"{where}: {exc}") from None
+        _require(_is_strings(info), where, "info_set must be a list of edge ids")
+        types.append(_build(where, TravelerType, rate, od_index, info))
 
-    try:
-        game = RoutingGame(graph, latencies, types)
-    except InvalidNetwork as exc:
-        raise InstanceFileError(f"game: {exc}") from None
+    game = _build("game", RoutingGame, graph, latencies, types)
 
     extension = None
     if "extension" in data:
-        where = "extension"
-        _check_fields(data["extension"], _EXTENSION_FIELDS, where)
-        added = data["extension"].get("added_edges")
-        _require(
-            isinstance(added, list) and all(isinstance(e, str) for e in added),
-            where,
-            "added_edges must be a list of edge ids",
-        )
-        try:
-            extension = InformationExtension(added)
-            IBPInstance(game, extension)  # full cross-validation
-        except InvalidNetwork as exc:
-            raise InstanceFileError(f"{where}: {exc}") from None
+        (added,) = _fields(data["extension"], "extension", _EXTENSION_FIELDS)
+        _require(_is_strings(added), "extension", "added_edges must be a list of edge ids")
+        extension = _build("extension", InformationExtension, added)
+        _build("extension", IBPInstance, game, extension)  # full cross-validation
     return game, extension
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ibpcheck import cli, errors
+from ibpcheck import cli, errors, instance_io
 from ibpcheck.cli import build_parser, main
 from ibpcheck.core_graph import MultiGraph
 from ibpcheck.equilibrium import (
@@ -99,6 +99,71 @@ def test_unknown_nested_field_rejected():
 def test_wrong_schema_version_rejected():
     with pytest.raises(InstanceFileError, match="schema_version"):
         parse_instance({"schema_version": 2, "vertices": [], "edges": [], "od_pairs": [], "types": []})
+
+
+# gadget.json with one object replaced by one that lacks or mistypes several
+# fields, and the error its first fault in schema order gives
+MULTI_FAULT = (
+    ("od_pairs", {"origin": 3}, "od_pairs[0]: missing field 'destination'"),
+    ("edges", {"endpoints": ["u", "v"]}, "edges[0]: missing field 'id'"),
+    ("types", {}, "types[0]: missing field 'rate'"),
+)
+
+_PARSE_EACH = """
+import json, sys
+from ibpcheck.errors import InstanceFileError
+from ibpcheck.instance_io import parse_instance
+for data in json.load(sys.stdin):
+    try:
+        parse_instance(data)
+        print("accepted")
+    except InstanceFileError as exc:
+        print(exc)
+"""
+
+
+def test_a_file_with_several_faults_names_the_first_under_every_hash_seed():
+    corpus = []
+    for section, obj, _ in MULTI_FAULT:
+        data = json.loads((FIXTURES / "gadget.json").read_text())
+        data[section][0] = obj
+        corpus.append(data)
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, paths))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _PARSE_EACH],
+            input=json.dumps(corpus),
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1] == "".join(f"{message}\n" for *_, message in MULTI_FAULT)
+
+
+def test_the_field_tuples_are_the_schemas_required_lists():
+    schema = json.loads((FIXTURES.parent / "docs" / "instance.schema.json").read_text())
+    items = {name: schema["properties"][name]["items"] for name in ("edges", "od_pairs", "types")}
+    tuples = {
+        instance_io._TOP_FIELDS: schema,
+        instance_io._EDGE_FIELDS: items["edges"],
+        instance_io._OD_FIELDS: items["od_pairs"],
+        instance_io._TYPE_FIELDS: items["types"],
+        instance_io._EXTENSION_FIELDS: schema["properties"]["extension"],
+    }
+    for fields, obj in tuples.items():
+        assert fields == tuple(obj["required"])
+    # instance_to_dict writes every object's fields in the same order
+    data = instance_to_dict(*load_instance(FIXTURES / "gadget.json"))
+    assert tuple(data) == (*instance_io._TOP_FIELDS, "extension")
+    assert {tuple(e) for e in data["edges"]} == {instance_io._EDGE_FIELDS}
+    assert {tuple(p) for p in data["od_pairs"]} == {instance_io._OD_FIELDS}
+    assert {tuple(t) for t in data["types"]} == {instance_io._TYPE_FIELDS}
+    assert tuple(data["extension"]) == instance_io._EXTENSION_FIELDS
 
 
 def _field_paths(node, prefix=()):
@@ -307,6 +372,17 @@ def test_classify_with_a_disconnected_od_pair_lists_the_uncovered_edges(tmp_path
         "error: graph fails validation: connected=False, uncovered_edges=['e3', 'e4'], "
         "uncovered_vertices=['c', 'd', 'e']\n",
     )
+
+
+def test_classify_marks_two_od_pairs_with_no_common_block_disjoint(tmp_path, capsys):
+    g = MultiGraph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")], [("a", "b"), ("b", "c")])
+    latencies = {eid: LatencyFunction((1.0,)) for eid in g.edge_ids}
+    types = [TravelerType(1.0, 0, ("ab",)), TravelerType(1.0, 1, ("bc",))]
+    path = tmp_path / "path.json"
+    save_instance(path, RoutingGame(g, latencies, types))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("common blocks:\n  OD pair (0, 1): disjoint\nverdict: IBP-FREE\n")
 
 
 # -- solve -------------------------------------------------------------------------

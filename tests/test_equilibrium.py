@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -37,7 +38,7 @@ from ibpcheck.errors import (
     InvalidNetwork,
     NoFeasiblePath,
 )
-from ibpcheck.instance_io import load_instance
+from ibpcheck.instance_io import load_instance, parse_instance
 
 from conftest import (
     FIXTURE_STEMS,
@@ -1319,6 +1320,37 @@ def test_did_not_converge_reports_the_whole_gap():
     with pytest.raises(DidNotConverge) as info:
         solve_by_full_sweeps(RoutingGame(graph, latencies, types), max_iterations=1)
     assert info.value.violation == alone[1]
+
+
+def _overflowing_instance(stem):
+    """A fixture whose path costs overflow a float once flow moves: the
+    gadget with type 2's rate 2**1023, or chain3 with rate 1e308 and one
+    coefficient 1e300."""
+    data = json.loads((Path(__file__).parent.parent / "fixtures" / f"{stem}.json").read_text())
+    if stem == "gadget":
+        data["types"][1]["rate"] = 2**1023
+    else:
+        data["types"][0]["rate"] = 1e308
+        data["edges"][0]["latency"][-1] = 1e300
+    return parse_instance(data)
+
+
+@pytest.mark.parametrize("backend", ["cg", "auto"])
+@pytest.mark.parametrize("stem", ["gadget", "chain3"])
+def test_an_infinite_gap_stops_the_sweeps_after_the_first(stem, backend):
+    # no later sweep can lower an infinite gap, so the solver stops there
+    # instead of running the other 49,999
+    game, _ = _overflowing_instance(stem)
+    with pytest.raises(DidNotConverge) as info:
+        solve_icwe(game, backend=backend)
+    assert info.value.iterations <= 1 and info.value.violation == math.inf
+
+
+def test_check_ibp_stops_at_an_infinite_gap():
+    game, extension = _overflowing_instance("gadget")
+    with pytest.raises(DidNotConverge) as info:
+        paradox.check_ibp(paradox.IBPInstance(game, extension))
+    assert info.value.iterations <= 1
 
 
 def test_an_affine_latency_is_its_line_bit_for_bit():

@@ -782,6 +782,33 @@ def test_the_exact_check_certifies_a_binary_scaled_gadget_in_fractions(variant):
     assert type(margin) is Fraction and margin == 2.0**-20
 
 
+def _two_links_then_one(info_set):
+    """Parallel links x, y from a to b, then z from b to c; one unit-rate
+    type from a to c with information set `info_set`; every latency 1."""
+    edges = [("x", "a", "b"), ("y", "a", "b"), ("z", "b", "c")]
+    g = MultiGraph(["a", "b", "c"], edges, [("a", "c")])
+    latencies = {eid: LatencyFunction((1.0,)) for eid in g.edge_ids}
+    return RoutingGame(g, latencies, [TravelerType(1.0, 0, info_set)])
+
+
+def test_the_exact_check_rejects_a_used_path_that_revisits_a_vertex():
+    game = _two_links_then_one({"x", "y", "z"})
+    with pytest.raises(
+        WitnessVerificationFailed,
+        match=r"^before game, type 1: used path \('x', 'y', 'x', 'z'\) is no a-c path",
+    ):
+        paradox._certified_latencies(game, [{("x", "y", "x", "z"): 1.0}], "before")
+
+
+def test_the_exact_check_rejects_a_type_with_no_path_inside_its_information_set():
+    game = _two_links_then_one({"x", "y"})
+    with pytest.raises(
+        WitnessVerificationFailed,
+        match="^after game, type 1: no a-c path inside its information set$",
+    ):
+        paradox._certified_latencies(game, [{("x", "z"): 1.0}], "after")
+
+
 # -- one decision inside synthesis ---------------------------------------------------------
 
 
@@ -916,6 +943,17 @@ def test_search_transcripts_are_reproducible():
     b = random_search_ibp(cycle_graph(4, [("c0", "c2"), ("c1", "c3")]), 50, seed=11)
     assert a.transcript == b.transcript
     assert a.witness_trial == b.witness_trial
+
+
+def test_search_skips_every_trial_when_type_1_has_one_path():
+    # type 1's information set is its one path, and no edge is left to reveal
+    g = MultiGraph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")], [("a", "c")])
+    outcome = random_search_ibp(g, trials=3, seed=0)
+    assert outcome.transcript == (
+        "seed=0 trials=3",
+        *(f"trial {k}: skipped (no extension possible)" for k in range(3)),
+    )
+    assert (outcome.trials_run, outcome.hits) == (3, ())
 
 
 def test_search_on_small_cycle_finds_nothing():
