@@ -54,8 +54,17 @@ Three backends:
   were, so ``auto`` never returns a worse answer than ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
-  ``_equal_cost_flows`` solution is feasible and passes the same Wardrop
-  gap, without pivoting.  An oracle only, never on ``auto``'s route.
+  equal-cost system has a unique solution that is an equilibrium, checked
+  exactly: the system is read as integers (every float is a dyadic
+  rational) and solved by fraction-free elimination, a singular support is
+  skipped, and the solution must have no negative flow and no feasible path
+  cheaper than its type's cost level.  The flows come back as the nearest
+  floats and no tolerance is read, so no absolute bound decides the answer
+  when every latency is rescaled.  An oracle only, never on ``auto``'s
+  route.
+
+numpy is imported only where a float system is built, that is by the
+polish; the ``cg`` sweeps and ``exact`` run without it.
 
 ``cg`` and ``auto`` start from each active type's whole rate on its first
 path, or from ``start``: per-type path flows in the shape of
@@ -70,7 +79,8 @@ latencies.  ``exact`` enumerates supports and ignores ``start``.
 
 ``result.backend`` names the method that produced the returned flows:
 ``"exact"`` for the solution of the equal-cost system on one support,
-checked by the Wardrop gap, and ``"cg"`` for sweep flows.
+checked by the Wardrop gap after the polish and exactly by the ``exact``
+backend, and ``"cg"`` for sweep flows.
 
 ``verify_wardrop`` stays outside the core: it rebuilds everything from the
 path-keyed result, as a check independent of either solver.  The other
@@ -88,9 +98,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Sequence
 
 from .core_graph import MultiGraph, Path, enumerate_simple_paths
 from .errors import (
@@ -100,6 +108,9 @@ from .errors import (
     NoFeasiblePath,
     SolverError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np  # imported at run time only where a float system is built
 
 DEFAULT_TOLERANCE = 1e-8
 FLOW_EPS = 1e-9  # the one used-path threshold, absolute; see _CostCore.floors
@@ -238,8 +249,10 @@ def verify_wardrop(
     scratch and the violation is the worst gap between a used path and its
     type's cheapest feasible path.  A path is used when it carries more than
     FLOW_EPS or, for a type whose rate is at most FLOW_EPS per feasible
-    path, any flow at all.  Passing also needs every type's flows to sum to
-    its rate within the bound a `start` meets (see `solve_icwe`).
+    path, any flow at all; a used path that is not feasible for its type
+    (outside its information set) makes the violation infinite.  Passing
+    also needs every type's flows to sum to its rate within the bound a
+    `start` meets (see `solve_icwe`).
     """
     edge_flows: dict[str, float] = {}
     for flows in result.path_flows:
@@ -259,7 +272,7 @@ def verify_wardrop(
             floor = FLOW_EPS if t.rate > FLOW_EPS * len(candidates) else 0.0
             for p, amount in flows.items():
                 if amount > floor:
-                    worst = max(worst, latencies[p] - best)
+                    worst = max(worst, latencies.get(p, math.inf) - best)
     return WardropReport(max_violation=worst, passed=worst <= epsilon and conserved)
 
 
@@ -380,6 +393,8 @@ class _CostCore:
         `cg` never builds a system): the incidence rows of all paths, type
         after type; the first row of each type; and each edge's constant
         and slope."""
+        import numpy as np
+
         first = list(itertools.accumulate(map(len, self.paths), initial=0))
         width = len(self.edge_ids)
         rows = np.zeros((first[-1], width))
@@ -393,6 +408,8 @@ class _CostCore:
     def _derivatives(self) -> np.ndarray:
         """Each edge's derivative coefficients, constant-first, one row per
         edge; only a non-affine core reads them."""
+        import numpy as np
+
         width = max(map(len, self.coeffs))
         return np.array(
             [[k * c[k] if k < len(c) else 0.0 for k in range(1, width)] for c in self.coeffs]
@@ -415,6 +432,8 @@ class _CostCore:
         paths' incidence rows, so the system does not depend on how edge ids
         hash.
         """
+        import numpy as np
+
         incidence, first, const, slope = self._system_table
         rows = incidence[[first[j] + k for j, ks in zip(self.active, support) for k in ks]]
         if not self.affine:
@@ -476,6 +495,8 @@ def _equal_cost_flows(
     holding whatever was loaded last: the accepted flows, or, after a failed
     gap, the rejected solution with its flows clipped at zero.
     """
+    import numpy as np
+
     game = core.game
     if not support:  # no active type: the empty flows are the equilibrium
         flows: list[dict[int, float]] = [{} for _ in game.types]
@@ -572,26 +593,115 @@ def _solve_support(
 # -- exact backend: affine support enumeration ------------------------------------------
 
 
-def _solve_exact(core: _CostCore, tolerance: float) -> EquilibriumResult:
-    """Try every support, smallest first per type, and keep the first one
-    whose equal-cost solution passes; an oracle, never `auto`'s route."""
+def _bareiss_solve(rows: list[list[int]]) -> Optional[tuple[list[int], int]]:
+    """Solve the integer system given as augmented rows [A | b] by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place.
+
+    Returns (X, d) with d > 0 and A X = d b, so X / d is the solution, or
+    None when A is singular.  Every division is exact: each pivot is a minor
+    of A, the last one its determinant up to sign, and d times the solution
+    is integral by Cramer's rule.
+    """
+    m = len(rows)
+    previous = 1
+    for k in range(m):
+        pivot = next((i for i in range(k, m) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        p = top[k]
+        for row in rows[k + 1 :]:
+            a = row[k]
+            row[k:] = [(p * x - a * y) // previous for x, y in zip(row[k:], top[k:])]
+        previous = p
+    det = previous
+    scaled = [0] * m
+    for i in reversed(range(m)):
+        row = rows[i]
+        rest = sum(row[c] * scaled[c] for c in range(i + 1, m))
+        scaled[i] = (det * row[m] - rest) // row[i]
+    if det < 0:
+        return [-x for x in scaled], -det
+    return scaled, det
+
+
+def _solve_exact(core: _CostCore) -> EquilibriumResult:
+    """Try every support, smallest first per type, and keep the first whose
+    equal-cost system has an equilibrium for its unique solution; an oracle,
+    never `auto`'s route.
+
+    Every float is a dyadic rational, so each edge's slope and constant are
+    read as integers over one power of two, each rate as an integer over
+    its own, and the system on a support is solved exactly in integers.  A
+    singular support is skipped: flow can move along a null direction at
+    unchanged costs until a path empties, so a nonsingular optimal support
+    exists.  A support is accepted when no flow is negative and no feasible
+    path of a type costs less than that type's cost level, both checked
+    exactly; its flows come back as the nearest floats, each type's
+    rounding absorbed into its largest flow.
+    """
     if not core.affine:
         raise BackendUnavailable("exact backend requires affine latencies")
-    counts = [len(core.paths[j]) for j in core.active]
+    active = core.active
+    counts = [len(core.paths[j]) for j in active]
     if sum(counts) > EXACT_PATH_LIMIT:
         raise BackendUnavailable(
             f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {sum(counts)}"
         )
+    flows: list[dict[int, float]] = [{} for _ in core.type_paths]
+    if not active:  # the empty flows are the equilibrium
+        core.load(flows)
+        return core.result(flows, "exact", 0)
+    ratios = [x.as_integer_ratio() for line in core.lines for x in line]
+    scale = max(den for _, den in ratios)
+    slope = [num * (scale // den) for num, den in ratios[0::2]]
+    const = [num * (scale // den) for num, den in ratios[1::2]]
+    rates = [core.game.types[j].rate.as_integer_ratio() for j in active]
+    # every path of an active type, type after type: its constant cost and
+    # the slopes it shares with each other path, all times `scale`
+    edge_sets = [s for j in active for s in core.edge_sets[j]]
+    base = [sum(const[e] for e in p) for p in edge_sets]
+    shared = [[sum(slope[e] for e in p & q) for q in edge_sets] for p in edge_sets]
+    first = list(itertools.accumulate(counts, initial=0))
     # per-type candidate supports: nonempty subsets ordered by size then index
     per_type_subsets = [
         [ks for size in range(1, m + 1) for ks in itertools.combinations(range(m), size)]
         for m in counts
     ]
-    bound = max(tolerance, 1e-9)
     for support in itertools.product(*per_type_subsets):
-        flows, _ = _equal_cost_flows(core, support, bound)
-        if flows is not None:
-            return core.result(flows, "exact", 1 if support else 0)
+        # unknowns: the support's flows, then each type's cost times `scale`
+        used = [(t, first[t] + k) for t, ks in enumerate(support) for k in ks]
+        n, m = len(used), len(used) + len(active)
+        rows = []
+        for t, p in used:
+            row = [shared[p][q] for _, q in used] + [0] * (m - n) + [-base[p]]
+            row[n + t] = -1
+            rows.append(row)
+        for t, (num, den) in enumerate(rates):
+            rows.append([den if s == t else 0 for s, _ in used] + [0] * (m - n) + [num])
+        solved = _bareiss_solve(rows)
+        if solved is None:
+            continue
+        scaled, det = solved
+        if min(scaled[:n]) < 0:
+            continue
+        load = [(q, x) for (_, q), x in zip(used, scaled)]
+        if any(  # a path cheaper than its type's level, all times `scale * det`
+            base[p] * det + sum(shared[p][q] * x for q, x in load) < level
+            for t, level in enumerate(scaled[n:])
+            for p in range(first[t], first[t + 1])
+        ):
+            continue
+        values = iter(scaled)
+        for j, ks in zip(active, support):
+            flows[j] = {k: next(values) / det for k in ks}
+            gap = core.game.types[j].rate - sum(flows[j].values())
+            if gap != 0.0:  # absorb the rounding into the largest flow
+                top = max(flows[j], key=flows[j].get)
+                flows[j][top] += gap
+        core.load(flows)
+        return core.result(flows, "exact", 1)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
@@ -820,7 +930,8 @@ def solve_icwe(
     `backend` is one of the module docstring's: "cg" runs the
     conditional-gradient sweeps alone; "auto" polishes them and never
     returns a worse answer than "cg"; "exact" tries every support (affine
-    latencies, at most EXACT_PATH_LIMIT paths) and serves as an oracle.
+    latencies, at most EXACT_PATH_LIMIT paths), solves each in exact integer
+    arithmetic and serves as an oracle.  Only the polish imports numpy.
 
     "cg" and "auto" start from `start` when it is given: per type, a
     mapping from paths to flows, as in `result.path_flows`.  Every path
@@ -832,7 +943,8 @@ def solve_icwe(
     (above FLOW_EPS); types with rate at most FLOW_EPS keep no flow.  The
     result of another game is a feasible start whenever each type's paths
     there are still feasible here, as when only information sets grew.
-    "exact" ignores `start`.  Without one, each type starts on its first
+    "exact" ignores `start` and `tolerance`: it returns the floats nearest
+    an exact equilibrium.  Without a start, each type starts on its first
     path.
 
     `result.backend` names the method that produced the returned flows:
@@ -840,7 +952,7 @@ def solve_icwe(
     `result.iterations` counts sweeps, also for a polished result; the
     enumerator reports 1 (0 with no active type).  A `tolerance` that is
     not finite and nonnegative, or a negative `max_iterations`, raises
-    ValueError.
+    ValueError, also for "exact".
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
@@ -851,7 +963,7 @@ def solve_icwe(
     if backend == "auto":
         return _solve_cg(core, tolerance, max_iterations, start, polish=True)
     if backend == "exact":
-        return _solve_exact(core, tolerance)
+        return _solve_exact(core)
     if backend == "cg":
         return _solve_cg(core, tolerance, max_iterations, start)
     raise ValueError(f"unknown backend {backend!r}")

@@ -308,6 +308,14 @@ def test_tiny_rate_flow_left_on_a_costlier_link_fails_wardrop_check():
         assert report.max_violation == pytest.approx(worst_gap, rel=1e-12)
 
 
+def test_a_used_path_outside_the_information_set_fails_wardrop_check():
+    # after e4 is revealed type 1 uses (e2, e4), which it does not know before
+    instance = paradox.gadget_instance()
+    after = paradox.check_ibp(instance).after_result
+    report = verify_wardrop(instance.game, after)
+    assert report == WardropReport(max_violation=math.inf, passed=False)
+
+
 def _quadratic_two_link_game():
     """Rate 2 on links x^2 and 2: the equilibrium sends sqrt(2) on the first."""
     g = MultiGraph(["s", "t"], [("e", "s", "t"), ("f", "s", "t")], [("s", "t")])
@@ -321,6 +329,56 @@ def _quadratic_two_link_game():
 def test_exact_backend_rejects_nonaffine():
     with pytest.raises(BackendUnavailable):
         solve_icwe(_quadratic_two_link_game(), backend="exact")
+
+
+def _scaled_gadget(scale):
+    """The gadget instance with every latency coefficient times `scale`."""
+    instance = paradox.gadget_instance()
+    game = instance.game
+    latencies = {
+        eid: LatencyFunction(tuple(c * scale for c in fn.coefficients))
+        for eid, fn in game.latencies.items()
+    }
+    return paradox.IBPInstance(
+        RoutingGame(game.graph, latencies, game.types), instance.extension
+    )
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [pytest.param(10.0**k, id=f"1e{k}") for k in range(-6, 7)]
+    + [pytest.param(2.0**-20, id="2^-20")],
+)
+def test_exact_gives_the_gadget_47_and_48_at_every_scale(scale):
+    # each support is solved exactly, so no absolute bound meets the
+    # rescaled costs: type 1 pays 47 and 48 times the scale, to the float
+    verdict = paradox.check_ibp(_scaled_gadget(scale), backend="exact")
+    assert verdict.latency_before == 47 * scale
+    assert verdict.latency_after == 48 * scale
+
+
+def test_exact_reads_no_tolerance():
+    game = paradox.extended_game(_scaled_gadget(1e4))
+    results = {repr(solve_icwe(game, tolerance=t, backend="exact")) for t in (0.0, 1e-8, 1.0)}
+    assert len(results) == 1
+
+
+def test_exact_with_no_active_type_returns_empty_flows():
+    game, _ = _parallel_links([(0.0, 1.0), (1.0,)], 0.0)
+    result = solve_icwe(game, backend="exact")
+    assert (result.path_flows, result.type_latencies, result.iterations) == (({},), (0.0,), 0)
+
+
+def test_exact_skips_singular_supports():
+    # Two constant links of cost 1 and the link x, rate 2: x carries 1 and
+    # the constant links share the other 1 in any split, so every support
+    # holding both constant links is singular.  The first three supports
+    # are not equilibria; {l0, l1} is skipped and {l0, l2} is accepted.
+    game, _ = _parallel_links([(1.0,), (1.0,), (0.0, 1.0)], 2.0)
+    result = solve_icwe(game, backend="exact")
+    assert result.path_flows == ({("l0",): 1.0, ("l2",): 1.0},)
+    assert (result.type_latencies, result.max_wardrop_violation) == ((1.0,), 0.0)
+    assert result.iterations == 1
 
 
 def test_cg_handles_quadratic_latency():
@@ -1188,29 +1246,29 @@ def test_cg_results_are_unchanged_on_grid_and_gadget_games():
 
 
 # sha256 of repr(solve_icwe(game, backend="exact")) on 20 affine games,
-# recorded before `auto`'s polish pivoted: the support enumerator solves
-# each support without pivoting, so its results must not move.
+# recorded when the support enumerator began solving in integers: its
+# results are the floats nearest the exact flows, so they must not move.
 EXACT_RESULT_DIGESTS = (
-    "ac64b3622c1e777d",
+    "c404132eab2d19c1",
     "9297d3a40c242dea",
     "2a08c59ee0a46bd7",
     "4b7ec62b8bcda04b",
     "4c4abf89f56a384c",
-    "5ccc443faa6c0d2e",
+    "b655ae0a44a94581",
     "8190f9e4bc89873c",
-    "7815eea896edadea",
+    "31dca8b6f34f31d4",
     "3faae5d5494cea1a",
     "4f840ddee9068da6",
     "57230b199008b2be",
-    "8d2d4716b25e8570",
+    "2b1912c8f76179ae",
     "7315cadc15b967e3",
-    "01db0568adc62cf9",
+    "f7595f57af9fb7f2",
     "7944162f4a7e7ed5",
-    "e1705134b202d529",
+    "e50b02e0d7a2a360",
     "a40b0340f058eaee",
     "7533010f052d9efe",
     "9b9b10b07f7723b6",
-    "4dea39e4527bf01f",
+    "1bdd6060e0e62322",
 )
 
 
