@@ -21,16 +21,18 @@ order, so affine results do not depend on how the edge ids hash.
 Three backends:
 
 * ``cg``    -- pairwise conditional-gradient on path flows: per type, shift
-  mass from the costliest used path to the cheapest feasible path.  A shift
-  updates the table only on the edges it moves, an affine edge's latency
-  inline; path costs, the line search's starting slope and the per-sweep
-  convergence test read it.  The convergence test stops at the first type
-  over tolerance, and the result is built from a freshly loaded table.  The
-  step size is the zero of the move's potential derivative: closed form
-  when the moved edges are affine, safeguarded Newton otherwise.  Each move
-  (type, to path, from path) is cached per solve with its edges and, when
-  affine, its slope sum.  None of these shortcuts changes a float of the
-  result.  Works for any polynomial latencies.
+  mass from the costliest used path to the cheapest feasible path, by the
+  zero of the move's potential derivative: closed form when the moved
+  edges are affine, safeguarded Newton otherwise.  A shift updates the
+  table on the edges it moves, an affine edge's latency inline from its
+  (slope, constant) pair.  Cached per solve: per type, one list of path
+  costs, which the shifts and the convergence test share until the table
+  moves; per move (type, to path, from path), its gained and dropped edges
+  as tuples in frozenset order with their pairs, getters of their
+  latencies and, when affine, their slope sum.  The convergence test stops
+  at the first type over tolerance; at convergence the table is loaded
+  afresh if it moved, and the result takes that test's whole gap.  None of
+  these shortcuts changes a float of the result.  Any polynomial latency.
 * ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
   game.  Once the used-path support has held for a full sweep, and again at
   convergence, each support at most once in a row, the polish
@@ -287,7 +289,7 @@ def _conserves(flows: Collection[float], rate: float) -> bool:
 
 
 def _edge_getter(path: tuple[int, ...]):
-    """A function from the edge latencies to `path`'s, as a tuple in path order."""
+    """A function from a table keyed by edge to `path`'s entries, as a tuple."""
     if len(path) == 1:
         (e,) = path
         return lambda lat: (lat[e],)
@@ -320,9 +322,8 @@ class _CostCore:
             for c in self.coeffs
         ]
         self.affine = None not in self.lines
-        self.paths = [[tuple(position[eid] for eid in p) for p in tp] for tp in type_paths]
+        self.paths = [[_edge_getter(p)(position) for p in tp] for tp in type_paths]
         self.getters = [[_edge_getter(p) for p in tp] for tp in self.paths]
-        self.edge_sets = [[frozenset(p) for p in tp] for tp in self.paths]
         self.active = [j for j, t in enumerate(game.types) if t.rate > FLOW_EPS]
         # a type with one path is always at equilibrium
         self.contested = [j for j in self.active if len(type_paths[j]) > 1]
@@ -337,8 +338,8 @@ class _CostCore:
         ]
         self.edge_flow = [0.0] * len(self.edge_ids)
         self.edge_lat = [0.0] * len(self.edge_ids)
-        self.lat = self.edge_lat.__getitem__
-        self.costs: dict[int, list[float]] = {}  # per type, valid until the table moves
+        # per type, its path costs, valid until the table moves
+        self.costs: list[Optional[list[float]]] = [None] * len(type_paths)
 
     def load(self, flows: Sequence[Mapping[int, float]]) -> None:
         """Rebuild the edge sums from scratch, adding in `verify_wardrop`'s order."""
@@ -349,11 +350,14 @@ class _CostCore:
                 for e in paths[k]:
                     edge_flow[e] += amount
         self.edge_flow[:] = edge_flow
-        self.edge_lat[:] = [fn(x) for fn, x in zip(self.functions, edge_flow)]
-        self.costs.clear()
+        self.edge_lat[:] = [
+            fn(x) if line is None else line[0] * x + line[1]
+            for fn, line, x in zip(self.functions, self.lines, edge_flow)
+        ]
+        self.costs[:] = [None] * len(self.costs)
 
     def path_costs(self, j: int) -> list[float]:
-        cost = self.costs.get(j)
+        cost = self.costs[j]
         if cost is None:
             lat = self.edge_lat
             cost = self.costs[j] = [sum(get(lat)) for get in self.getters[j]]
@@ -370,14 +374,16 @@ class _CostCore:
         """
         gap, costs = 0.0, self.costs
         for j in self.contested:
-            cost = costs.get(j)
-            if cost is None:
-                cost = self.path_costs(j)
-            floor = self.floors[j]
-            worst = max([cost[k] for k, x in flows[j].items() if x > floor])
-            gap = max(gap, worst - min(cost))
-            if gap > bound:
-                break
+            cost = costs[j] or self.path_costs(j)
+            floor, high = self.floors[j], None
+            for k, x in flows[j].items():  # the costliest used path, as `max` picks it
+                if x > floor and (high is None or cost[k] > high):
+                    high = cost[k]
+            high -= min(cost)
+            if high > gap:  # as `max(gap, high)` picks it
+                gap = high
+                if gap > bound:
+                    break
         return gap
 
     def support(self, flows: Sequence[Mapping[int, float]]) -> tuple[tuple[int, ...], ...]:
@@ -456,9 +462,9 @@ class _CostCore:
         return a_mat, b_vec
 
     def result(
-        self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int
+        self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int, gap: float
     ) -> EquilibriumResult:
-        """The path-keyed result of the flows the table was last loaded with."""
+        """The path-keyed result of the loaded flows, whose whole gap is `gap`."""
         latencies = [0.0] * len(self.type_paths)
         for j in self.active:
             cost = self.path_costs(j)
@@ -473,7 +479,7 @@ class _CostCore:
             ),
             edge_flows={self.edge_ids[e]: self.edge_flow[e] for e in touched},
             type_latencies=tuple(latencies),
-            max_wardrop_violation=self.violation(flows),
+            max_wardrop_violation=gap,
             backend=backend,
             iterations=iterations,
         )
@@ -652,7 +658,7 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
     flows: list[dict[int, float]] = [{} for _ in core.type_paths]
     if not active:  # the empty flows are the equilibrium
         core.load(flows)
-        return core.result(flows, "exact", 0)
+        return core.result(flows, "exact", 0, core.violation(flows))
     ratios = [x.as_integer_ratio() for line in core.lines for x in line]
     scale = max(den for _, den in ratios)
     slope = [num * (scale // den) for num, den in ratios[0::2]]
@@ -660,7 +666,7 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
     rates = [core.game.types[j].rate.as_integer_ratio() for j in active]
     # every path of an active type, type after type: its constant cost and
     # the slopes it shares with each other path, all times `scale`
-    edge_sets = [s for j in active for s in core.edge_sets[j]]
+    edge_sets = [frozenset(p) for j in active for p in core.paths[j]]
     base = [sum(const[e] for e in p) for p in edge_sets]
     shared = [[sum(slope[e] for e in p & q) for q in edge_sets] for p in edge_sets]
     first = list(itertools.accumulate(counts, initial=0))
@@ -701,23 +707,11 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
                 top = max(flows[j], key=flows[j].get)
                 flows[j][top] += gap
         core.load(flows)
-        return core.result(flows, "exact", 1)
+        return core.result(flows, "exact", 1, core.violation(flows))
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
 # -- conditional-gradient backend ----------------------------------------------------
-
-
-def _affine_rise(coefficients: Iterable[tuple[float, ...]]) -> Optional[float]:
-    """The sum of the slopes, in the order given, of edges with these
-    trimmed latency coefficients; None when one has degree above 1."""
-    rise = 0.0
-    for coeffs in coefficients:
-        if len(coeffs) > 2:
-            return None
-        if len(coeffs) == 2:
-            rise += coeffs[1]
-    return rise
 
 
 def _affine_step(slope: float, rise: float, gamma_max: float) -> float:
@@ -746,12 +740,12 @@ def _line_search(
     Newton on Horner evaluations inside the sign-change bracket, stopping once
     a step is below the resolution of the flows it moves.
     """
-    rise = _affine_rise(coeffs for coeffs, _ in (*gain, *drop))
-    if rise is not None:  # g is a line
+    moves = [(c, f, 1.0) for c, f in gain] + [(c, f, -1.0) for c, f in drop]
+    if all(len(c) <= 2 for c, _, _ in moves):  # g is a line, rising by the slopes' sum
+        rise = sum((c[1] for c, _, _ in moves if len(c) == 2), 0.0)
         return _affine_step(slope, rise, gamma_max)
     if slope >= 0.0:
         return 0.0
-    moves = [(c, f, 1.0) for c, f in gain] + [(c, f, -1.0) for c, f in drop]
 
     def g(gamma: float) -> tuple[float, float]:
         value = deriv = 0.0
@@ -801,9 +795,8 @@ def _start_flows(
         raise ValueError(
             f"start gives flows for {len(start)} types, the game has {len(core.type_paths)}"
         )
-    active = set(core.active)
     for j, (paths, given) in enumerate(zip(core.type_paths, start)):
-        index = {p: k for k, p in enumerate(paths)}
+        index = dict(zip(paths, range(len(paths))))
         alloc: dict[int, float] = {}
         for path, amount in given.items():
             if path not in index:
@@ -819,7 +812,7 @@ def _start_flows(
             raise ValueError(
                 f"start flows of type {j} sum to {sum(alloc.values())}, not its rate {rate}"
             )
-        if j in active:
+        if j in core.active:
             if max(alloc.values()) <= core.floors[j]:
                 raise ValueError(f"start flows of type {j} use no path: none is above FLOW_EPS")
             flows[j] = alloc
@@ -840,62 +833,65 @@ def _solve_cg(
     whose gap is not finite."""
     flows = _start_flows(core, start)
     core.load(flows)
-    functions, coeffs, lines, edge_sets = core.functions, core.coeffs, core.lines, core.edge_sets
+    functions, coeffs, paths, path_costs = core.functions, core.coeffs, core.paths, core.path_costs
     edge_flow, edge_lat, costs = core.edge_flow, core.edge_lat, core.costs
-    lat, floors, path_costs = core.lat, core.floors, core.path_costs
-    # (type, to path, from path) -> (gained edges, dropped edges, affine rise or None)
-    moves: dict[tuple[int, int, int], tuple[frozenset, frozenset, Optional[float]]] = {}
-
-    def shift_each_type() -> None:
-        for j in core.contested:
-            cost = costs.get(j)
-            if cost is None:
-                cost = path_costs(j)
-            best = cost.index(min(cost))
-            floor = floors[j]
-            _, worst = max([(cost[k], k) for k, x in flows[j].items() if x > floor])
-            if worst == best or cost[worst] - cost[best] <= tolerance * 1e-3:
+    contested = [(j, flows[j], core.floors[j]) for j in core.contested]
+    unknown = [None] * len(costs)
+    # per edge (edge, slope, constant), the slope None above degree 1
+    steps = [(e, *(line or (None, None))) for e, line in enumerate(core.lines)]
+    # (type, to path, from path) -> the gained and the dropped edges' steps
+    # in frozenset order, their latency getters, their slope sum or None
+    moves: dict[tuple[int, int, int], tuple] = {}
+    loaded = True  # the table holds the sums `load` builds from `flows`
+    previous = tried = None  # the support after the last sweep; the last one polished
+    for sweep in range(max_iterations + 1):
+        for j, f, floor in contested if sweep else ():
+            cost = costs[j] or path_costs(j)
+            best = cost.index(low := min(cost))
+            worst = -1  # the costliest used path, the last of equals, as `max` picks it
+            for k, x in f.items():
+                if x > floor and (worst < 0 or cost[k] > high or cost[k] == high and k > worst):
+                    high, worst = cost[k], k
+            if worst == best or high - low <= tolerance * 1e-3:
                 continue
             move = moves.get((j, best, worst))
             if move is None:
-                gain = edge_sets[j][best] - edge_sets[j][worst]
-                drop = edge_sets[j][worst] - edge_sets[j][best]
-                rise = _affine_rise(coeffs[e] for e in (*gain, *drop))
-                move = moves[j, best, worst] = gain, drop, rise
-            gain, drop, rise = move
-            slope = sum(map(lat, gain)) - sum(map(lat, drop))
+                p, q = frozenset(paths[j][best]), frozenset(paths[j][worst])
+                gain_at, drop_at = _edge_getter(tuple(p - q)), _edge_getter(tuple(q - p))
+                gain, drop = gain_at(steps), drop_at(steps)
+                slopes = [a for _, a, _ in (*gain, *drop)]
+                rise = None if None in slopes else sum(slopes, 0.0)
+                move = moves[j, best, worst] = gain, drop, gain_at, drop_at, rise
+            gain, drop, gain_at, drop_at, rise = move
+            slope = sum(gain_at(edge_lat)) - sum(drop_at(edge_lat))
             if rise is None:
                 gamma = _line_search(
-                    [(coeffs[e], edge_flow[e]) for e in gain],
-                    [(coeffs[e], edge_flow[e]) for e in drop],
+                    [(coeffs[e], edge_flow[e]) for e, _, _ in gain],
+                    [(coeffs[e], edge_flow[e]) for e, _, _ in drop],
                     slope,
-                    flows[j][worst],
+                    f[worst],
                 )
             else:
-                gamma = _affine_step(slope, rise, flows[j][worst])
+                gamma = _affine_step(slope, rise, f[worst])
             if gamma <= 0.0:
                 continue
-            remaining = flows[j][worst] - gamma
+            remaining = f[worst] - gamma
             if remaining <= FLOW_EPS * 1e-3:
                 gamma += remaining  # empty the source exactly
-                del flows[j][worst]
+                del f[worst]
             else:
-                flows[j][worst] = remaining
-            flows[j][best] = flows[j].get(best, 0.0) + gamma
+                f[worst] = remaining
+            f[best] = f.get(best, 0.0) + gamma
             for edges, step in ((gain, gamma), (drop, -gamma)):
-                for e in edges:
+                for e, a, b in edges:
                     x = edge_flow[e] = edge_flow[e] + step
-                    line = lines[e]
-                    edge_lat[e] = functions[e](x) if line is None else line[0] * x + line[1]
-            costs.clear()
-
-    previous = tried = None  # the support after the last sweep; the last one polished
-    for sweep in range(max_iterations + 1):
-        if sweep:
-            shift_each_type()
+                    edge_lat[e] = functions[e](x) if a is None else a * x + b
+            costs[:] = unknown
+            loaded = False
         gap = core.violation(flows, tolerance)  # above tolerance: maybe not the whole gap
-        if gap <= tolerance:
+        if gap <= tolerance and not loaded:
             core.load(flows)
+            loaded = True
             gap = core.violation(flows, tolerance)
         if polish:
             support = core.support(flows)
@@ -904,12 +900,12 @@ def _solve_cg(
                 saved = edge_flow[:], edge_lat[:]
                 polished = _solve_support(core, support, tolerance)
                 if polished is not None:
-                    return core.result(polished, "exact", sweep)
+                    return core.result(polished, "exact", sweep, core.violation(polished))
                 edge_flow[:], edge_lat[:] = saved  # sweep on as if never polished
-                costs.clear()
+                costs[:] = unknown
             previous = support
         if gap <= tolerance:
-            return core.result(flows, "cg", sweep)
+            return core.result(flows, "cg", sweep, gap)  # not over: the whole gap
         if sweep and not math.isfinite(gap):  # overflowed costs: no later sweep lowers it
             raise DidNotConverge(sweep, gap)
     raise DidNotConverge(max_iterations, core.violation(flows))
@@ -951,13 +947,14 @@ def solve_icwe(
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
     `result.iterations` counts sweeps, also for a polished result; the
     enumerator reports 1 (0 with no active type).  A `tolerance` that is
-    not finite and nonnegative, or a negative `max_iterations`, raises
-    ValueError, also for "exact".
+    not finite and nonnegative, or a `max_iterations` that is not a
+    nonnegative integer, raises ValueError before any path is listed, also
+    for "exact".
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
+    if not hasattr(max_iterations, "__index__") or max_iterations < 0:  # an int, as range() takes
+        raise ValueError(f"max_iterations must be a nonnegative integer, got {max_iterations!r}")
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":

@@ -744,17 +744,19 @@ def random_search_ibp(
     around one of its paths, everyone else full information; the extension
     reveals a random nonempty part of the rest.  Fully reproducible: the
     transcript is a pure function of the seed.  Raises ValueError before the
-    first trial unless trials >= 0, 0 <= coefficients low <= high,
+    first trial unless trials, the coefficient bounds and the rate bounds
+    are integers, trials >= 0, 0 <= coefficients low <= high,
     max(rates low, 1) <= rates high and the threshold is finite and >= 0,
     and InvalidNetwork when some OD pair has no path: OD 0's paths carry
     type 1's information set, and every later type sees the whole graph.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    if not 0 <= coeff_range[0] <= coeff_range[1]:
-        raise ValueError(f"coeff_range needs 0 <= low <= high, got {coeff_range}")
-    if not max(rate_range[0], 1) <= rate_range[1]:
-        raise ValueError(f"rate_range needs max(low, 1) <= high, got {rate_range}")
+    integral = lambda *values: all(hasattr(v, "__index__") for v in values)  # as randint takes
+    if not integral(trials) or trials < 0:
+        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    if not integral(*coeff_range) or not 0 <= coeff_range[0] <= coeff_range[1]:
+        raise ValueError(f"coeff_range needs integers 0 <= low <= high, got {coeff_range}")
+    if not integral(*rate_range) or not max(rate_range[0], 1) <= rate_range[1]:
+        raise ValueError(f"rate_range needs integers, max(low, 1) <= high, got {rate_range}")
     _check_threshold(decision_threshold)
     type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])
     if not type1_paths:
@@ -769,9 +771,7 @@ def random_search_ibp(
     edge_ids = sorted(g.edge_ids)
     transcript = [f"seed={seed} trials={trials}"]
     hits: list[tuple[int, IBPInstance]] = []
-    ran = 0
     for trial in range(trials):
-        ran += 1
         latencies = {
             eid: LatencyFunction(
                 (
@@ -822,7 +822,7 @@ def random_search_ibp(
             if stop_at_first:
                 break
     return SearchOutcome(
-        trials_run=ran,
+        trials_run=len(transcript) - 1,  # one line per trial run
         transcript=tuple(transcript),
         hits=tuple(hits),
     )

@@ -125,18 +125,22 @@ def solve_by_full_sweeps(
 
     Every sweep computes every contested type's gap, every shift builds its
     move's edge sets afresh and calls `_line_search`, and every moved edge
-    calls its `LatencyFunction`; path costs are summed from `map`.  The
-    start, the polish and the result are the library's own.  The sweeps
-    `solve_icwe` runs must give exactly these floats.
+    calls its `LatencyFunction`; path costs are summed from `map`, and the
+    table is loaded afresh at every convergence.  The start, the polish and
+    the result builder are the library's own; the gap a `cg` result carries
+    is this function's.  The sweeps `solve_icwe` runs must give exactly
+    these floats.
     """
     core = _CostCore(game, [feasible_paths(game, j) for j in range(len(game.types))])
     polish = {"cg": False, "auto": True}[backend]
     flows = _start_flows(core, start)
     core.load(flows)
-    edge_flow, edge_lat, edge_sets = core.edge_flow, core.edge_lat, core.edge_sets
+    edge_flow, edge_lat = core.edge_flow, core.edge_lat
+    edge_sets = [[frozenset(p) for p in tp] for tp in core.paths]
+    lat = edge_lat.__getitem__
 
     def path_costs(j):
-        return [sum(map(core.lat, p)) for p in core.paths[j]]
+        return [sum(map(lat, p)) for p in core.paths[j]]
 
     def gap():
         worst_gap = 0.0
@@ -158,7 +162,7 @@ def solve_by_full_sweeps(
             gamma = _line_search(
                 [(core.coeffs[e], edge_flow[e]) for e in gain],
                 [(core.coeffs[e], edge_flow[e]) for e in drop],
-                sum(map(core.lat, gain)) - sum(map(core.lat, drop)),
+                sum(map(lat, gain)) - sum(map(lat, drop)),
                 flows[j][worst],
             )
             if gamma <= 0.0:
@@ -176,7 +180,7 @@ def solve_by_full_sweeps(
             for e in drop:
                 edge_flow[e] -= gamma
                 edge_lat[e] = core.functions[e](edge_flow[e])
-            core.costs.clear()
+            core.costs[:] = [None] * len(core.costs)
 
     previous = tried = None
     for sweep in range(max_iterations + 1):
@@ -193,12 +197,12 @@ def solve_by_full_sweeps(
                 saved = edge_flow[:], edge_lat[:]
                 polished = _solve_support(core, support, tolerance)
                 if polished is not None:
-                    return core.result(polished, "exact", sweep)
+                    return core.result(polished, "exact", sweep, core.violation(polished))
                 edge_flow[:], edge_lat[:] = saved
-                core.costs.clear()
+                core.costs[:] = [None] * len(core.costs)
             previous = support
         if violation <= tolerance:
-            return core.result(flows, "cg", sweep)
+            return core.result(flows, "cg", sweep, violation)
     raise DidNotConverge(max_iterations, violation)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibpcheck import paradox
+from ibpcheck import equilibrium, paradox
 from ibpcheck.core_graph import MultiGraph, decompose_blocks
 from ibpcheck.equilibrium import (
     CONSERVATION_EPS,
@@ -413,9 +413,17 @@ def test_did_not_converge_when_no_iterations_allowed():
 
 
 @pytest.mark.parametrize("backend", ["auto", "cg", "exact"])
-def test_negative_iteration_budget_is_a_value_error(backend):
-    with pytest.raises(ValueError, match="max_iterations"):
-        solve_icwe(pigou_game(), max_iterations=-1, backend=backend)
+def test_negative_iteration_budget_is_a_value_error(backend, monkeypatch):
+    # a budget that is not a nonnegative integer is refused before any path is listed
+    def listed(*args):
+        raise AssertionError("listed paths before checking max_iterations")
+
+    monkeypatch.setattr(equilibrium, "feasible_paths", listed)
+    for budget in (-1, 1e3, 2.5, Fraction(3), "3"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_icwe(pigou_game(), max_iterations=budget, backend=backend)
+    monkeypatch.undo()
+    assert solve_icwe(pigou_game(), max_iterations=np.int64(50)).iterations <= 50
 
 
 def _grid_games(seed, per_degree=2, **kwargs):
@@ -995,7 +1003,7 @@ def test_the_polish_drops_a_path_the_equilibrium_leaves_empty(degree, latency, m
     supports = _record_supports(monkeypatch)
     flows = _solve_support(core, [(0, 1, 2)], DEFAULT_TOLERANCE)
     assert supports == [((0, 1, 2),), ((0, 1),)]
-    result = core.result(flows, "exact", 0)
+    result = core.result(flows, "exact", 0, core.violation(flows))
     assert ("l2",) not in result.path_flows[0]
     assert result.type_latencies[0] == pytest.approx(latency, rel=1e-12)
     assert verify_wardrop(game, result).passed
@@ -1011,7 +1019,7 @@ def test_the_polish_grows_a_support_that_misses_the_cheapest_path(degree, monkey
     supports = _record_supports(monkeypatch)
     flows = _solve_support(core, [(0, 1)], DEFAULT_TOLERANCE)
     assert supports == [((0, 1),), ((0, 1, 2),)]
-    result = core.result(flows, "exact", 0)
+    result = core.result(flows, "exact", 0, core.violation(flows))
     assert verify_wardrop(game, result).passed
     reference = solve_icwe(game, backend="cg", tolerance=1e-12)
     assert _edge_latency_gap(game, result, reference) <= 1e-9
@@ -1335,6 +1343,72 @@ def test_sweeps_match_the_plain_sweeps_on_search_games(name, backend, monkeypatc
     for instance in instances:
         before = _assert_identical(instance.game, backend)
         _assert_identical(paradox.extended_game(instance), backend, start=before.path_flows)
+
+
+# sha256 of three seeded `cg` searches of 40 trials on each `search` shape:
+# their transcripts, then the repr of every trial's before and after result.
+# The oracle sweeps share the start, the cost core and the result builder
+# with the library, so these pin what a rewrite of those would move.
+# Recorded before the sweep began keeping one cost list per type.
+SEARCH_DIGESTS = {
+    "cycle2": "7437e7e3b4acf45d",
+    "cycle3": "6c6c08a79e0f04e7",
+    "cycle4": "133aae44bc52ee46",
+    "cycle5": "6b57ad2cfe412939",
+    "gadget-chain": "e8b2e8b3430d796c",
+    "gadget-destination": "569582b15c996cf8",
+    "gadget-origin": "be4589ec03cf3b08",
+    "k4": "1b85c020ed094f4d",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() of floats changed in 3.12")
+@pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+def test_search_results_are_unchanged(name, monkeypatch):
+    verdicts = []
+
+    def record(instance, **kwargs):
+        verdicts.append(check_ibp(instance, **kwargs))
+        return verdicts[-1]
+
+    check_ibp = paradox.check_ibp
+    monkeypatch.setattr(paradox, "check_ibp", record)
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        outcome = paradox.random_search_ibp(
+            SEARCH_GRAPHS[name], 40, seed=seed, backend="cg", stop_at_first=False
+        )
+        digest.update("\n".join(outcome.transcript).encode())
+    monkeypatch.undo()
+    assert len(verdicts) == 120
+    for verdict in verdicts:
+        digest.update(repr(verdict.before_result).encode())
+        digest.update(repr(verdict.after_result).encode())
+    assert digest.hexdigest()[:16] == SEARCH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("exponent", range(5))
+def test_sweeps_match_the_plain_sweeps_on_parallel_links(exponent):
+    # the `cli-instances` shapes: one type on 2-14 parallel links, knowing
+    # about half of them, every latency times 10**exponent; the extended
+    # game reveals the rest and starts from the equilibrium before
+    rng = random.Random(7919 + exponent)
+    scale = 10.0**exponent
+    for n_links in range(2, 15):
+        ids = [f"l{i:02d}" for i in range(n_links)]
+        graph = MultiGraph(["s", "t"], [(eid, "s", "t") for eid in ids], [("s", "t")])
+        free = rng.uniform(1.0, 10.0)
+        latencies = {
+            eid: LatencyFunction((round(free * scale, 6), round(rng.uniform(0.5, 4.0) * scale, 6)))
+            for eid in ids
+        }
+        rate = float(rng.randint(2, 12))
+        known = rng.sample(ids, max(1, n_links // 2))
+        game = RoutingGame(graph, latencies, [TravelerType(rate, 0, known)])
+        after = RoutingGame(graph, latencies, [TravelerType(rate, 0, ids)])
+        for backend in ("cg", "auto"):
+            before = _assert_identical(game, backend)
+            _assert_identical(after, backend, start=before.path_flows)
 
 
 @pytest.mark.parametrize("degree", GRID_LATENCY_DEGREES)

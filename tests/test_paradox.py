@@ -885,6 +885,12 @@ def test_check_ibp_rejects_a_bad_threshold_before_solving(monkeypatch, threshold
         ({"rate_range": (-3, 0)}, "rate_range"),
         ({"decision_threshold": math.nan}, "decision_threshold"),
         ({"decision_threshold": -1.0}, "decision_threshold"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": 3.0}, "trials"),
+        ({"coeff_range": (0, 2.5)}, "coeff_range"),
+        ({"coeff_range": (0.0, 3)}, "coeff_range"),
+        ({"rate_range": (1.5, 3)}, "rate_range"),
+        ({"rate_range": (1, 3.0)}, "rate_range"),
     ],
 )
 def test_search_rejects_bad_numbers_before_the_first_trial(monkeypatch, kwargs, match):
