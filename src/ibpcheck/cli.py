@@ -362,6 +362,10 @@ def main(argv=None) -> int:
             parser.error("search needs 0 <= --coeff-lo <= --coeff-hi")
         if not max(args.rate_lo, 1) <= args.rate_hi:
             parser.error("search needs max(--rate-lo, 1) <= --rate-hi")
+        try:
+            float(args.coeff_hi), float(args.rate_hi)
+        except OverflowError:
+            parser.error("search needs --coeff-hi and --rate-hi that fit a float")
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

@@ -25,6 +25,14 @@ only for a non-integral number) confirms that those flows are equilibria of
 both games and that type 1's latency rises.  Re-solving a witness from
 scratch with `check_ibp` is the second route, kept in the tests.
 
+`check_ibp` solves the game before the extension, then the game after it
+from the before equilibrium.  With "cg" the second solve is skipped when
+the before equilibrium is still one: only type 1's information set grows,
+so every other type keeps its paths and their costs, and only type 1's
+paths are priced again.  The result built from the before one is the
+result the warm-started sweeps would return at sweep 0, float for float;
+anything else goes to the solver.
+
 Every public value is immutable; search trials run sequentially for
 reproducibility, with any witness reported at its lowest trial index.
 """
@@ -51,11 +59,14 @@ from .core_graph import (
     validate,
 )
 from .equilibrium import (
+    CONSERVATION_EPS,
     DEFAULT_TOLERANCE,
+    FLOW_EPS,
     EquilibriumResult,
     LatencyFunction,
     RoutingGame,
     TravelerType,
+    feasible_paths,
     solve_icwe,
 )
 from .errors import (
@@ -139,6 +150,48 @@ def _check_threshold(decision_threshold: float) -> None:
         )
 
 
+def _unmoved_after(
+    game: RoutingGame, before: EquilibriumResult, tolerance: float
+) -> Optional[EquilibriumResult]:
+    """The "cg" result of the extended `game` started from `before`, a "cg"
+    result of the game before, when those sweeps would stop at sweep 0;
+    None when they might sweep or raise.
+
+    Only type 1's paths differ between the games, so the sweep-0 gap is
+    the larger of `before`'s whole gap and type 1's gap under the extended
+    game's used-path floor; that floor is at most the floor before, so type
+    1's gap can only grow.  Each path is priced by `path_latency` at
+    `before`'s edge flows, the edge sums the start loads: the same `sum`
+    of the same latencies as the cost core.  Falls through when type 1 uses
+    no path (as when it is inactive, and so carries no flow), when its gap
+    is not finite, or when some type's flows miss its rate by more than
+    CONSERVATION_EPS, which is stricter than the start's own check.
+    """
+    if not all(
+        abs(sum(f.values()) - t.rate) <= CONSERVATION_EPS
+        for t, f in zip(game.types, before.path_flows)
+    ):
+        return None
+    paths = feasible_paths(game, 0)
+    floor = FLOW_EPS if game.types[0].rate > FLOW_EPS * len(paths) else 0.0
+    cost = {p: game.path_latency(p, before.edge_flows) for p in paths}
+    # each path before is one after; one that were not would make the gap inf
+    used = [cost.get(p, math.inf) for p, x in before.path_flows[0].items() if x > floor]
+    if not used:
+        return None
+    gap = max(used) - min(cost.values())
+    if not gap <= tolerance:  # also when it is not a number
+        return None
+    return EquilibriumResult(
+        path_flows=tuple(dict(f) for f in before.path_flows),
+        edge_flows=dict(before.edge_flows),
+        type_latencies=(min(used), *before.type_latencies[1:]),
+        max_wardrop_violation=max(before.max_wardrop_violation, gap),
+        backend="cg",
+        iterations=0,
+    )
+
+
 def check_ibp(
     instance: IBPInstance,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -154,6 +207,15 @@ def check_ibp(
     equilibrium, the sweeps only have to move the flow the revealed edges
     attract ("exact" ignores the start).
 
+    With "cg", the after game is not solved again when the before
+    equilibrium is still one: when no path the extension opens to type 1
+    costs less, at the before flows, than its costliest used path, within
+    the tolerance.  Every other type keeps its paths and their costs, so
+    the result is built from the before result, and it is the one the
+    warm-started sweeps would return at sweep 0, float for float.  "auto"
+    polishes even at sweep 0, and "exact" ignores the start, so both
+    always solve.
+
     The decision threshold sits well above solver tolerance; margins between
     the two are labeled inconclusive rather than treated as paradoxes.  A
     threshold or tolerance that is not finite and nonnegative raises
@@ -161,12 +223,10 @@ def check_ibp(
     """
     _check_threshold(decision_threshold)
     before = solve_icwe(instance.game, tolerance=tolerance, backend=backend)
-    after = solve_icwe(
-        extended_game(instance),
-        tolerance=tolerance,
-        backend=backend,
-        start=before.path_flows,
-    )
+    game = extended_game(instance)
+    after = _unmoved_after(game, before, tolerance) if backend == "cg" else None
+    if after is None:
+        after = solve_icwe(game, tolerance=tolerance, backend=backend, start=before.path_flows)
     margin = after.type_latencies[0] - before.type_latencies[0]
     occurs = margin > decision_threshold
     label = OCCURS if occurs else (INCONCLUSIVE if margin > tolerance else NOT_OCCURS)
@@ -746,9 +806,11 @@ def random_search_ibp(
     transcript is a pure function of the seed.  Raises ValueError before the
     first trial unless trials, the coefficient bounds and the rate bounds
     are integers, trials >= 0, 0 <= coefficients low <= high,
-    max(rates low, 1) <= rates high and the threshold is finite and >= 0,
-    and InvalidNetwork when some OD pair has no path: OD 0's paths carry
-    type 1's information set, and every later type sees the whole graph.
+    max(rates low, 1) <= rates high, both high bounds convert to finite
+    floats (every draw is made a float) and the threshold is finite and
+    >= 0, and InvalidNetwork when some OD pair has no path: OD 0's paths
+    carry type 1's information set, and every later type sees the whole
+    graph.
     """
     integral = lambda *values: all(hasattr(v, "__index__") for v in values)  # as randint takes
     if not integral(trials) or trials < 0:
@@ -757,6 +819,11 @@ def random_search_ibp(
         raise ValueError(f"coeff_range needs integers 0 <= low <= high, got {coeff_range}")
     if not integral(*rate_range) or not max(rate_range[0], 1) <= rate_range[1]:
         raise ValueError(f"rate_range needs integers, max(low, 1) <= high, got {rate_range}")
+    for name, bounds in (("coeff_range", coeff_range), ("rate_range", rate_range)):
+        try:
+            float(bounds[1])
+        except OverflowError:  # a bound this large is left out of the message
+            raise ValueError(f"{name} needs a high bound that fits a float") from None
     _check_threshold(decision_threshold)
     type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])
     if not type1_paths:

@@ -174,6 +174,18 @@ def cycle_graph(n_vertices, od_pairs):
     return MultiGraph(vs, edges, od_pairs)
 
 
+SEARCH_GRAPHS = {  # the `search` benchmark's shapes; cycles with antipodal OD pairs
+    **{
+        f"cycle{n}": cycle_graph(2 * n, [(f"c{i}", f"c{i + n}") for i in range(n)])
+        for n in (2, 3, 4, 5)
+    },
+    "gadget-origin": gadget_multigraph("origin"),
+    "gadget-destination": gadget_multigraph("destination"),
+    "k4": k4_three_terminals(),
+    "gadget-chain": chain_with_gadget_middle(),
+}
+
+
 def random_connected_multigraph(rng: random.Random, max_vertices=7, max_extra=4):
     """Random connected multigraph: spanning tree plus extra (maybe parallel) edges."""
     n = rng.randint(2, max_vertices)
@@ -220,6 +232,21 @@ def gadget_game(variant="origin", extended=False):
     )
     instance = gadget_instance(gv)
     return extended_game(instance) if extended else instance.game
+
+
+def drifting_gadget_instance():
+    """A gadget instance on which `cg` lets a 1e12 rate's flows drift: type 1
+    (rate 1, knowing e1) gets e4 revealed; type 2 (rate 1e12) knows all."""
+    from ibpcheck.paradox import IBPInstance, InformationExtension, gadget_graph
+
+    graph = gadget_graph()
+    coefficients = {"e1": (0, 3), "e2": (10, 3), "e3": (1e6, 3), "e4": (1e6, 0.001)}
+    game = RoutingGame(
+        graph,
+        {eid: LatencyFunction(c) for eid, c in coefficients.items()},
+        [TravelerType(1.0, 0, {"e1"}), TravelerType(1e12, 1, graph.edge_ids)],
+    )
+    return IBPInstance(game, InformationExtension({"e4"}))
 
 
 def seeded_start(game, seed):

@@ -733,6 +733,24 @@ def test_out_of_range_numbers_exit_2_without_a_traceback(argv, capsys):
     assert "Traceback" not in err and "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--coeff-hi", "--rate-hi"])
+def test_search_bounds_that_overflow_a_float_exit_2_before_the_first_trial(
+    flag, monkeypatch, capsys
+):
+    import ibpcheck.cli as cli
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched with a bound past the float range")
+
+    monkeypatch.setattr(cli, "random_search_ibp", search)
+    with pytest.raises(SystemExit) as info:
+        main(["search", str(FIXTURES / "pigou.json"), "--trials", "2", flag, "1" + "0" * 400])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "Traceback" not in err
+    assert "error: search needs --coeff-hi and --rate-hi that fit a float" in err
+
+
 EXTREMES = (10**400, 10**309, 2**1023, 1e308, 1.7e308, 1e300, 1e-300, 5e-324, 1e-12, 1e12, 0)
 DOCUMENTED_EXITS = {0, 2, 3, 4, 10, 20, 21}
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,11 @@ from ibpcheck.paradox import (
 
 from conftest import (
     FIXTURE_STEMS,
+    SEARCH_GRAPHS,
     chain_with_gadget_middle,
     cycle_graph,
     diamonds_in_series,
+    drifting_gadget_instance,
     gadget_multigraph,
     grid_graph,
     k4_three_terminals,
@@ -904,6 +907,26 @@ def test_search_rejects_bad_numbers_before_the_first_trial(monkeypatch, kwargs, 
         random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
 
 
+@pytest.mark.parametrize("name", ["coeff_range", "rate_range"])
+@pytest.mark.parametrize("high", [10**400, 2**1024])
+def test_search_rejects_bounds_that_overflow_a_float_before_the_first_trial(
+    monkeypatch, name, high
+):
+    import ibpcheck.paradox as paradox
+
+    def trial(*args, **kwargs):
+        raise AssertionError("ran a trial with a bound past the float range")
+
+    monkeypatch.setattr(paradox, "check_ibp", trial)
+    with pytest.raises(ValueError, match=f"^{name} needs a high bound that fits a float$"):
+        random_search_ibp(gadget_graph(), trials=3, seed=0, **{name: (1, high)})
+    # the largest integer that rounds to a finite float is a bound
+    outcome = random_search_ibp(
+        gadget_graph(), trials=0, seed=0, **{name: (1, 2**1024 - 2**970 - 1)}
+    )
+    assert outcome.trials_run == 0
+
+
 def test_search_without_an_od_0_path_raises_before_the_first_trial(monkeypatch):
     import ibpcheck.paradox as paradox
 
@@ -984,26 +1007,13 @@ def test_gadget_warm_cg_after_game_gives_47_to_48(variant):
     assert verify_wardrop(extended_game(instance), verdict.after_result).passed
 
 
-# The graph shapes of the benchmark's search deck.
-SEARCH_SHAPES = {
-    **{
-        f"cycle{n}": lambda n=n: cycle_graph(2 * n, [(f"c{i}", f"c{i + n}") for i in range(n)])
-        for n in (2, 3, 4, 5)
-    },
-    "gadget-origin": lambda: gadget_multigraph("origin"),
-    "gadget-destination": lambda: gadget_multigraph("destination"),
-    "k4": k4_three_terminals,
-    "gadget-chain": chain_with_gadget_middle,
-}
-
-
 def _label(margin):
     if margin > DEFAULT_DECISION_THRESHOLD:
         return "occurs"
     return "inconclusive" if margin > DEFAULT_TOLERANCE else "not-occurs"
 
 
-@pytest.mark.parametrize("shape", sorted(SEARCH_SHAPES))
+@pytest.mark.parametrize("shape", sorted(SEARCH_GRAPHS))
 def test_warm_after_solve_agrees_with_a_cold_one_in_fewer_sweeps(monkeypatch, shape):
     import ibpcheck.paradox as paradox
 
@@ -1015,7 +1025,7 @@ def test_warm_after_solve_agrees_with_a_cold_one_in_fewer_sweeps(monkeypatch, sh
         return verdict
 
     monkeypatch.setattr(paradox, "check_ibp", recording_check)
-    random_search_ibp(SEARCH_SHAPES[shape](), trials=200, seed=1, stop_at_first=False)
+    random_search_ibp(SEARCH_GRAPHS[shape], trials=200, seed=1, stop_at_first=False)
     assert len(checked) == 200
     warm_sweeps = cold_sweeps = 0
     for instance, verdict in checked:
@@ -1028,6 +1038,97 @@ def test_warm_after_solve_agrees_with_a_cold_one_in_fewer_sweeps(monkeypatch, sh
         warm_sweeps += warm.iterations
         cold_sweeps += cold.iterations
     assert warm_sweeps < cold_sweeps
+
+
+def _outcome(route):
+    """`route()`'s repr, or the type and message of what it raised."""
+    try:
+        return repr(route())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _with_variants(instance, rng):
+    """`instance`, then with type 1 at rates 0, 1e-10 and 3e-9 (at 3e-9 the
+    used-path floor drops from FLOW_EPS to 0 once type 1 has three paths),
+    then with a random quadratic term on every latency."""
+    game, first = instance.game, instance.game.types[0]
+    yield instance
+    for rate in (0.0, 1e-10, 3e-9):
+        types = (TravelerType(rate, first.od_index, first.info_set), *game.types[1:])
+        yield IBPInstance(RoutingGame(game.graph, game.latencies, types), instance.extension)
+    quadratic = {
+        eid: LatencyFunction(((*fn.coefficients, 0.0)[:2]) + (rng.choice((0.5, 1.0, 3.0)),))
+        for eid, fn in game.latencies.items()
+    }
+    yield IBPInstance(RoutingGame(game.graph, quadratic, game.types), instance.extension)
+
+
+def _links_instance(coefficients, rate, known):
+    """One type on parallel links s-t, knowing `known`; the rest is revealed."""
+    graph = MultiGraph(["s", "t"], [(eid, "s", "t") for eid in coefficients], [("s", "t")])
+    latencies = {eid: LatencyFunction(c) for eid, c in coefficients.items()}
+    game = RoutingGame(graph, latencies, [TravelerType(rate, 0, known)])
+    return IBPInstance(game, InformationExtension(set(coefficients) - set(known)))
+
+
+# Revealed links next to a known one that costs 2 at the before flows:
+# cheaper by less than the tolerance (kept, with type 1's gap), cheaper by
+# more (solved again), and, at rate 3e-9, a third link that drops the
+# used-path floor to 0, so that the 9.5e-10 left on `b` counts as used and
+# its cost, one ulp under `a`'s, is type 1's latency after.
+HAND_BUILT = [
+    _links_instance({"a": (1.0, 1.0), "b": (2.0 - 5e-9,)}, 1.0, {"a"}),
+    _links_instance({"a": (1.0, 1.0), "b": (2.0 - 5e-8,)}, 1.0, {"a"}),
+    _links_instance({"a": (1.0, 100.0), "b": (1.0 + 1.1e-7, 100.0), "c": (2.0,)}, 3e-9, {"a", "b"}),
+]
+
+
+def test_check_ibp_after_result_is_the_warm_started_solve(monkeypatch):
+    """With "cg", `check_ibp` builds the after result itself when the before
+    equilibrium still holds; it must be the result, or the error, of the
+    after game solved from the before flows, float for float."""
+    import ibpcheck.paradox as paradox
+
+    drifting = drifting_gadget_instance()
+    searched = [gadget_instance(variant) for variant in GadgetVariant]  # one path until e4
+    check = paradox.check_ibp
+
+    def record(instance, **kwargs):
+        searched.append(instance)
+        return check(instance, **kwargs)
+
+    monkeypatch.setattr(paradox, "check_ibp", record)
+    for graph in SEARCH_GRAPHS.values():
+        random_search_ibp(graph, 12, seed=31, backend="cg", stop_at_first=False)
+    monkeypatch.undo()
+    rng = random.Random(31)
+    corpus = [v for instance in searched for v in _with_variants(instance, rng)]
+    corpus += [*HAND_BUILT, drifting]
+    solves = []
+
+    def counted_solve(game, **kwargs):
+        solves.append(game)
+        return solve_icwe(game, **kwargs)
+
+    monkeypatch.setattr(paradox, "solve_icwe", counted_solve)
+    solved = []  # per instance, the solves of a check that returned: 1 when it built
+    for instance in corpus:
+        solves.clear()
+        got = _outcome(lambda: check_ibp(instance, backend="cg").after_result)
+        solved.append(len(solves) if isinstance(got, str) else None)
+
+        def warm_started():
+            before = solve_icwe(instance.game, backend="cg")
+            return solve_icwe(extended_game(instance), backend="cg", start=before.path_flows)
+
+        assert got == _outcome(warm_started)
+    assert len(corpus) == 5 * 98 + 4
+    assert Counter(solved[:-4]) == {1: 152, 2: 338}  # the shortcut fires, and falls back
+    assert solved[-4:] == [1, 2, 1, None]
+    # the drifting gadget's before flows miss the start check, on both routes
+    assert got[0] is ValueError
+    assert got[1].startswith("start flows of type 1 sum to 1000000000000.0244")
 
 
 # -- cycle diagnostics -------------------------------------------------------------------
