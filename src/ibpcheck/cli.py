@@ -5,6 +5,10 @@ not-IBP-free topology verdict, 20/21 for paradox occurs/inconclusive, and
 2/3/4 for input errors, solver failures, and unsupported synthesis targets.
 All numeric output uses 9 significant digits so reports are byte-stable.
 
+Flags parse as plain numbers: the library function that takes each one
+checks it, and one out of range raises `InvalidArgument` (exit 2) before
+anything is solved.
+
 `main` builds its parser on the first call and reuses it for the rest of
 the process; it looks the subcommand function (`cmd_` + the command name,
 `-` as `_`) up in this module when the command runs, so a function
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from pathlib import Path as FilePath
 
@@ -234,19 +237,6 @@ def cmd_demo(_args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _nonnegative(kind):
-    """An argparse type: `kind` parsed from the text, finite and >= 0."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its own errors
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibpcheck",
@@ -269,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON instance file; an extension block is ignored")
     p.add_argument(
         "--tol",
-        type=_nonnegative(float),
+        type=float,
         default=DEFAULT_TOLERANCE,
         help="absolute Wardrop gap accepted on path costs (default: %(default)s)",
     )
     p.add_argument(
         "--max-iters",
-        type=_nonnegative(int),
+        type=int,
         default=DEFAULT_MAX_ITERATIONS,
         help="most solver sweeps before failing with exit 3 (default: %(default)s)",
     )
@@ -285,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON instance file with an extension block")
     p.add_argument(
         "--tol",
-        type=_nonnegative(float),
+        type=float,
         default=DEFAULT_TOLERANCE,
         help=(
             "absolute Wardrop gap accepted on path costs; a margin at or below "
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threshold",
-        type=_nonnegative(float),
+        type=float,
         default=DEFAULT_DECISION_THRESHOLD,
         help=threshold_help,
     )
@@ -308,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trials",
-        type=_nonnegative(int),
+        type=int,
         default=1000,
         help="random affine games to try, stopping at the first paradox (default: %(default)s)",
     )
@@ -317,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threshold",
-        type=_nonnegative(float),
+        type=float,
         default=DEFAULT_DECISION_THRESHOLD,
         help=threshold_help,
     )
@@ -355,17 +345,7 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
-    if args.command == "search":
-        if not 0 <= args.coeff_lo <= args.coeff_hi:
-            parser.error("search needs 0 <= --coeff-lo <= --coeff-hi")
-        if not max(args.rate_lo, 1) <= args.rate_hi:
-            parser.error("search needs max(--rate-lo, 1) <= --rate-hi")
-        try:
-            float(args.coeff_hi), float(args.rate_hi)
-        except OverflowError:
-            parser.error("search needs --coeff-hi and --rate-hi that fit a float")
+    args = _parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import EdgeNotFound, InvalidNetwork, PathCapExceeded
+from .errors import EdgeNotFound, InvalidArgument, InvalidNetwork, PathCapExceeded
 
 DEFAULT_PATH_CAP = 10_000
 
@@ -187,7 +187,7 @@ def enumerate_simple_paths(
     `validate` never lists paths.
     """
     if s == t:
-        raise ValueError("path enumeration requires distinct endpoints")
+        raise InvalidArgument("path enumeration requires distinct endpoints")
     allowed = graph.edge_ids if allowed_edges is None else frozenset(allowed_edges)
     if s not in graph.adjacency or t not in graph.adjacency:
         return ()
@@ -368,9 +368,9 @@ class EmbeddingStep:
 
     def __post_init__(self):
         if self.kind not in ("delete", "contract"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
+            raise InvalidArgument(f"unknown step kind {self.kind!r}")
         if self.kind == "contract" and not self.merged_vertex_name:
-            raise ValueError("contract steps need a merged vertex name")
+            raise InvalidArgument("contract steps need a merged vertex name")
 
     @staticmethod
     def delete(edge: str) -> "EmbeddingStep":

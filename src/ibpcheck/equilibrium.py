@@ -74,7 +74,7 @@ path, or from ``start``: per-type path flows in the shape of
 names is one of the type's ``feasible_paths`` (inside its information set),
 no flow is negative, and each type's flows sum to its rate within
 ``CONSERVATION_EPS``, or within one ulp of the rate per positive flow when
-that is more (a large rate's sum rounds); anything else raises ValueError.
+that is more (a large rate's sum rounds); anything else raises InvalidArgument.
 ``verify_wardrop`` holds a result's flows to the same bound.  The potential
 is convex, so the start changes the sweeps but not the equilibrium edge
 latencies.  ``exact`` enumerates supports and ignores ``start``.
@@ -106,6 +106,7 @@ from .core_graph import MultiGraph, Path, enumerate_simple_paths
 from .errors import (
     BackendUnavailable,
     DidNotConverge,
+    InvalidArgument,
     InvalidNetwork,
     NoFeasiblePath,
     SolverError,
@@ -792,7 +793,7 @@ def _start_flows(
             flows[j] = {0: core.game.types[j].rate}
         return flows
     if len(start) != len(core.type_paths):
-        raise ValueError(
+        raise InvalidArgument(
             f"start gives flows for {len(start)} types, the game has {len(core.type_paths)}"
         )
     for j, (paths, given) in enumerate(zip(core.type_paths, start)):
@@ -800,21 +801,23 @@ def _start_flows(
         alloc: dict[int, float] = {}
         for path, amount in given.items():
             if path not in index:
-                raise ValueError(f"start path {path} is not feasible for type {j}")
+                raise InvalidArgument(f"start path {path} is not feasible for type {j}")
             if not 0.0 <= amount < math.inf:
-                raise ValueError(
+                raise InvalidArgument(
                     f"start flow {amount} on {path} of type {j} is not finite and >= 0"
                 )
             if amount > 0.0:
                 alloc[index[path]] = float(amount)
         rate = core.game.types[j].rate
         if not _conserves(alloc.values(), rate):
-            raise ValueError(
+            raise InvalidArgument(
                 f"start flows of type {j} sum to {sum(alloc.values())}, not its rate {rate}"
             )
         if j in core.active:
             if max(alloc.values()) <= core.floors[j]:
-                raise ValueError(f"start flows of type {j} use no path: none is above FLOW_EPS")
+                raise InvalidArgument(
+                    f"start flows of type {j} use no path: none is above FLOW_EPS"
+                )
             flows[j] = alloc
     return flows
 
@@ -935,8 +938,8 @@ def solve_icwe(
     each type's flows must sum to its rate within CONSERVATION_EPS, or
     within one `math.ulp(rate)` per positive flow when that is more, which
     allows a large rate's float rounding and nothing else; otherwise
-    ValueError is raised, as it is when no flow of an active type is used
-    (above FLOW_EPS); types with rate at most FLOW_EPS keep no flow.  The
+    InvalidArgument is raised, as it is when no flow of an active type is
+    used (above FLOW_EPS); types with rate at most FLOW_EPS keep no flow.  The
     result of another game is a feasible start whenever each type's paths
     there are still feasible here, as when only information sets grew.
     "exact" ignores `start` and `tolerance`: it returns the floats nearest
@@ -948,13 +951,15 @@ def solve_icwe(
     `result.iterations` counts sweeps, also for a polished result; the
     enumerator reports 1 (0 with no active type).  A `tolerance` that is
     not finite and nonnegative, or a `max_iterations` that is not a
-    nonnegative integer, raises ValueError before any path is listed, also
-    for "exact".
+    nonnegative integer, raises InvalidArgument before any path is listed,
+    also for "exact".
     """
     if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+        raise InvalidArgument(f"tolerance must be finite and nonnegative, got {tolerance}")
     if not hasattr(max_iterations, "__index__") or max_iterations < 0:  # an int, as range() takes
-        raise ValueError(f"max_iterations must be a nonnegative integer, got {max_iterations!r}")
+        raise InvalidArgument(
+            f"max_iterations must be a nonnegative integer, got {max_iterations!r}"
+        )
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
     if backend == "auto":
@@ -963,4 +968,4 @@ def solve_icwe(
         return _solve_exact(core)
     if backend == "cg":
         return _solve_cg(core, tolerance, max_iterations, start)
-    raise ValueError(f"unknown backend {backend!r}")
+    raise InvalidArgument(f"unknown backend {backend!r}")

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all ibpcheck modules."""
+"""Exception hierarchy shared by all ibpcheck modules.
+
+A bad argument raises `InvalidArgument` from the function that takes it, so
+the CLI checks no argument itself: it maps each family to an exit code.
+"""
 
 
 class IbpcheckError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidArgument(IbpcheckError, ValueError):
+    """An argument breaks its documented rule (a range, a count, a name)."""
 
 
 # -- graph layer -------------------------------------------------------------

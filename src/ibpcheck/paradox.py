@@ -70,6 +70,7 @@ from .equilibrium import (
     solve_icwe,
 )
 from .errors import (
+    InvalidArgument,
     InvalidNetwork,
     PreconditionViolated,
     UnsupportedFailureSite,
@@ -145,7 +146,7 @@ class IBPVerdict:
 
 def _check_threshold(decision_threshold: float) -> None:
     if not 0.0 <= decision_threshold < math.inf:
-        raise ValueError(
+        raise InvalidArgument(
             f"decision_threshold must be finite and nonnegative, got {decision_threshold}"
         )
 
@@ -219,7 +220,7 @@ def check_ibp(
     The decision threshold sits well above solver tolerance; margins between
     the two are labeled inconclusive rather than treated as paradoxes.  A
     threshold or tolerance that is not finite and nonnegative raises
-    ValueError before anything is solved.
+    InvalidArgument before anything is solved.
     """
     _check_threshold(decision_threshold)
     before = solve_icwe(instance.game, tolerance=tolerance, backend=backend)
@@ -803,8 +804,8 @@ def random_search_ibp(
     One traveler type per OD pair; type 1 gets a random information set built
     around one of its paths, everyone else full information; the extension
     reveals a random nonempty part of the rest.  Fully reproducible: the
-    transcript is a pure function of the seed.  Raises ValueError before the
-    first trial unless trials, the coefficient bounds and the rate bounds
+    transcript is a pure function of the seed.  Raises InvalidArgument before
+    the first trial unless trials, the coefficient bounds and the rate bounds
     are integers, trials >= 0, 0 <= coefficients low <= high,
     max(rates low, 1) <= rates high, both high bounds convert to finite
     floats (every draw is made a float) and the threshold is finite and
@@ -814,16 +815,16 @@ def random_search_ibp(
     """
     integral = lambda *values: all(hasattr(v, "__index__") for v in values)  # as randint takes
     if not integral(trials) or trials < 0:
-        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+        raise InvalidArgument(f"trials must be a nonnegative integer, got {trials!r}")
     if not integral(*coeff_range) or not 0 <= coeff_range[0] <= coeff_range[1]:
-        raise ValueError(f"coeff_range needs integers 0 <= low <= high, got {coeff_range}")
+        raise InvalidArgument(f"coeff_range needs integers 0 <= low <= high, got {coeff_range}")
     if not integral(*rate_range) or not max(rate_range[0], 1) <= rate_range[1]:
-        raise ValueError(f"rate_range needs integers, max(low, 1) <= high, got {rate_range}")
+        raise InvalidArgument(f"rate_range needs integers, max(low, 1) <= high, got {rate_range}")
     for name, bounds in (("coeff_range", coeff_range), ("rate_range", rate_range)):
         try:
             float(bounds[1])
         except OverflowError:  # a bound this large is left out of the message
-            raise ValueError(f"{name} needs a high bound that fits a float") from None
+            raise InvalidArgument(f"{name} needs a high bound that fits a float") from None
     _check_threshold(decision_threshold)
     type1_paths = enumerate_simple_paths(g, *g.od_pairs[0])
     if not type1_paths:

@@ -725,30 +725,29 @@ def test_parser_defaults_are_the_module_constants():
     ],
 )
 def test_out_of_range_numbers_exit_2_without_a_traceback(argv, capsys):
+    # the flags parse as plain numbers; the library rejects them, nothing is solved
     command, name, *flags = argv
-    with pytest.raises(SystemExit) as info:
-        main([command, str(FIXTURES / name), *flags])
-    err = capsys.readouterr().err
-    assert info.value.code == 2
-    assert "Traceback" not in err and "error:" in err
+    code, out, err = run_cli(capsys, command, str(FIXTURES / name), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--coeff-hi", "--rate-hi"])
 def test_search_bounds_that_overflow_a_float_exit_2_before_the_first_trial(
     flag, monkeypatch, capsys
 ):
-    import ibpcheck.cli as cli
+    import ibpcheck.paradox as paradox
 
-    def search(*args, **kwargs):
-        raise AssertionError("searched with a bound past the float range")
+    def trial(*args, **kwargs):
+        raise AssertionError("ran a trial with a bound past the float range")
 
-    monkeypatch.setattr(cli, "random_search_ibp", search)
-    with pytest.raises(SystemExit) as info:
-        main(["search", str(FIXTURES / "pigou.json"), "--trials", "2", flag, "1" + "0" * 400])
-    err = capsys.readouterr().err
-    assert info.value.code == 2
-    assert "Traceback" not in err
-    assert "error: search needs --coeff-hi and --rate-hi that fit a float" in err
+    monkeypatch.setattr(paradox, "enumerate_simple_paths", trial)
+    monkeypatch.setattr(paradox, "check_ibp", trial)
+    argv = ("search", str(FIXTURES / "pigou.json"), "--trials", "2", flag, "1" + "0" * 400)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    name = {"--coeff-hi": "coeff_range", "--rate-hi": "rate_range"}[flag]
+    assert err == f"error: {name} needs a high bound that fits a float\n"
 
 
 EXTREMES = (10**400, 10**309, 2**1023, 1e308, 1.7e308, 1e300, 1e-300, 5e-324, 1e-12, 1e12, 0)

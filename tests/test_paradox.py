@@ -18,6 +18,7 @@ from ibpcheck.equilibrium import (
     verify_wardrop,
 )
 from ibpcheck.errors import (
+    InvalidArgument,
     InvalidNetwork,
     PreconditionViolated,
     UnsupportedFailureSite,
@@ -1127,7 +1128,7 @@ def test_check_ibp_after_result_is_the_warm_started_solve(monkeypatch):
     assert Counter(solved[:-4]) == {1: 152, 2: 338}  # the shortcut fires, and falls back
     assert solved[-4:] == [1, 2, 1, None]
     # the drifting gadget's before flows miss the start check, on both routes
-    assert got[0] is ValueError
+    assert got[0] is InvalidArgument
     assert got[1].startswith("start flows of type 1 sum to 1000000000000.0244")
 
 
