@@ -140,7 +140,10 @@ class LatencyFunction:
     coefficients: tuple[float, ...]
 
     def __init__(self, coefficients: Iterable[float]):
-        coeffs = tuple(float(c) + 0.0 for c in coefficients)  # -0.0 + 0.0 is 0.0
+        try:
+            coeffs = tuple(float(c) + 0.0 for c in coefficients)  # -0.0 + 0.0 is 0.0
+        except (OverflowError, TypeError, ValueError):  # 10**400, None, "x"
+            raise InvalidNetwork("latency coefficients must be finite numbers") from None
         if not coeffs:
             coeffs = (0.0,)
         if not all(0.0 <= c < math.inf for c in coeffs):
@@ -176,7 +179,11 @@ class TravelerType:
     info_set: frozenset[str]
 
     def __init__(self, rate: float, od_index: int, info_set: Iterable[str]):
-        if not 0.0 <= rate < math.inf:
+        try:
+            finite = 0.0 <= rate and float(rate) < math.inf
+        except (OverflowError, TypeError):  # 10**400, "5"
+            finite = False
+        if not finite:
             raise InvalidNetwork("traveler rate must be finite and nonnegative")
         if isinstance(info_set, str):  # not the set of its characters
             raise InvalidNetwork(f"info set must be a collection of edge ids: {info_set!r}")
@@ -372,6 +379,7 @@ class _CostCore:
         Types are checked in order, and the first whose gap exceeds `bound`
         ends the check: the value returned is then above `bound`, but may
         fall short of the whole gap.  Without `bound`, every type is read.
+        A gap that is not a number (costs that overflowed to inf) is inf.
         """
         gap, costs = 0.0, self.costs
         for j in self.contested:
@@ -381,8 +389,8 @@ class _CostCore:
                 if x > floor and (high is None or cost[k] > high):
                     high = cost[k]
             high -= min(cost)
-            if high > gap:  # as `max(gap, high)` picks it
-                gap = high
+            if not high <= gap:  # as `max(gap, high)` picks it, but a NaN gap is inf
+                gap = high if high > gap else math.inf
                 if gap > bound:
                     break
         return gap
@@ -876,7 +884,7 @@ def _solve_cg(
                 )
             else:
                 gamma = _affine_step(slope, rise, f[worst])
-            if gamma <= 0.0:
+            if not gamma > 0.0:  # also a NaN step, from costs that overflowed
                 continue
             remaining = f[worst] - gamma
             if remaining <= FLOW_EPS * 1e-3:

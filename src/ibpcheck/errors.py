@@ -36,7 +36,7 @@ class PathCapExceeded(IbpcheckError):
     """
 
     def __init__(self, cap: int):
-        super().__init__(f"more than {cap} simple paths, the enumeration cap")
+        super().__init__(f"more than {cap} simple paths, the path cap")
         self.cap = cap
 
 

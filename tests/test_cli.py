@@ -14,7 +14,7 @@ import pytest
 
 from ibpcheck import cli, errors, instance_io
 from ibpcheck.cli import build_parser, main
-from ibpcheck.core_graph import MultiGraph
+from ibpcheck.core_graph import EmbeddingStep, MultiGraph, enumerate_simple_paths
 from ibpcheck.equilibrium import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -31,12 +31,19 @@ from ibpcheck.instance_io import (
     save_instance,
 )
 from ibpcheck.errors import InstanceFileError, InvalidNetwork
-from ibpcheck.paradox import DEFAULT_DECISION_THRESHOLD
+from ibpcheck.paradox import (
+    DEFAULT_DECISION_THRESHOLD,
+    check_ibp,
+    gadget_graph,
+    gadget_instance,
+    random_search_ibp,
+)
 
 from conftest import (
     FIXTURE_STEMS,
     diamonds_in_series,
     long_path_game,
+    pigou_game,
     second_od_pair_disconnected,
     wheatstone,
 )
@@ -697,6 +704,95 @@ def test_every_error_family_exits_in_its_band(cls, monkeypatch, capsys):
         assert f"{exc}" == "'boom'"  # a KeyError quotes its text
 
 
+def _two_link_game(rate):
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], [("s", "t")])
+    latencies = {"a": LatencyFunction((0.0, 1.0)), "b": LatencyFunction((1.0, 1.0))}
+    return RoutingGame(g, latencies, [TravelerType(rate, 0, {"a", "b"})])
+
+
+def _search(**kwargs):
+    return lambda: random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
+
+
+# One case per documented argument rule of the library; the CLI checks none
+# of them itself and relies on each raising an IbpcheckError (exit 2).
+ARGUMENT_RULES = {
+    "solve-tolerance-nan": (lambda: solve_icwe(pigou_game(), tolerance=math.nan), "tolerance"),
+    "solve-tolerance-negative": (lambda: solve_icwe(pigou_game(), tolerance=-1.0), "tolerance"),
+    "solve-tolerance-inf-exact": (
+        lambda: solve_icwe(pigou_game(), tolerance=math.inf, backend="exact"),
+        "tolerance",
+    ),
+    "solve-max-iterations-negative": (
+        lambda: solve_icwe(pigou_game(), max_iterations=-1),
+        "max_iterations",
+    ),
+    "solve-max-iterations-float": (
+        lambda: solve_icwe(pigou_game(), max_iterations=10.0),
+        "max_iterations",
+    ),
+    "solve-backend-unknown": (lambda: solve_icwe(pigou_game(), backend="newton"), "backend"),
+    "solve-start-type-count": (lambda: solve_icwe(pigou_game(), start=()), "for 0 types"),
+    "solve-start-path-infeasible": (
+        lambda: solve_icwe(pigou_game(), start=({("a",): 1.0},)),
+        "not feasible",
+    ),
+    "solve-start-flow-negative": (
+        lambda: solve_icwe(pigou_game(), start=({("fast",): 2.0, ("flat",): -1.0},)),
+        "finite and >= 0",
+    ),
+    "solve-start-flow-nan": (
+        lambda: solve_icwe(pigou_game(), start=({("fast",): math.nan},)),
+        "finite and >= 0",
+    ),
+    "solve-start-sum": (lambda: solve_icwe(pigou_game(), start=({("fast",): 0.5},)), "sum to"),
+    "solve-start-no-used-path": (
+        lambda: solve_icwe(
+            _two_link_game(2.5e-9), backend="cg", start=({("a",): 1e-9, ("b",): 1e-9},)
+        ),
+        "use no path",
+    ),
+    "check-threshold-nan": (
+        lambda: check_ibp(gadget_instance(), decision_threshold=math.nan),
+        "decision_threshold",
+    ),
+    "check-threshold-negative": (
+        lambda: check_ibp(gadget_instance(), decision_threshold=-1e-4),
+        "decision_threshold",
+    ),
+    "check-tolerance-inf": (
+        lambda: check_ibp(gadget_instance(), tolerance=math.inf),
+        "tolerance",
+    ),
+    "search-trials-negative": (_search(trials=-1), "trials"),
+    "search-trials-float": (_search(trials=3.0), "trials"),
+    "search-threshold-inf": (_search(decision_threshold=math.inf), "decision_threshold"),
+    "search-coeff-low-negative": (_search(coeff_range=(-1, 10)), "coeff_range"),
+    "search-coeff-low-above-high": (_search(coeff_range=(5, 1)), "coeff_range"),
+    "search-coeff-float": (_search(coeff_range=(0, 10.0)), "coeff_range"),
+    "search-coeff-high-overflows": (_search(coeff_range=(0, 2**1024)), "coeff_range"),
+    "search-rate-high-below-1": (_search(rate_range=(-3, 0)), "rate_range"),
+    "search-rate-low-above-high": (_search(rate_range=(5, 1)), "rate_range"),
+    "search-rate-float": (_search(rate_range=(1.0, 10)), "rate_range"),
+    "search-rate-high-overflows": (_search(rate_range=(1, 10**400)), "rate_range"),
+    "paths-same-endpoints": (
+        lambda: enumerate_simple_paths(gadget_graph(), "u", "u"),
+        "distinct endpoints",
+    ),
+    "step-kind-unknown": (lambda: EmbeddingStep("merge", "e1"), "step kind"),
+    "step-contract-unnamed": (lambda: EmbeddingStep("contract", "e1"), "merged vertex"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_RULES)
+def test_every_argument_rule_raises_invalid_argument(case):
+    call, match = ARGUMENT_RULES[case]
+    with pytest.raises(errors.InvalidArgument, match=match) as info:
+        call()
+    assert isinstance(info.value, errors.IbpcheckError)
+    assert isinstance(info.value, ValueError)
+
+
 def test_parser_defaults_are_the_module_constants():
     parser = build_parser()
     solve = parser.parse_args(["solve", "f.json"])
@@ -748,6 +844,13 @@ def test_search_bounds_that_overflow_a_float_exit_2_before_the_first_trial(
     assert (code, out) == (2, "")
     name = {"--coeff-hi": "coeff_range", "--rate-hi": "rate_range"}[flag]
     assert err == f"error: {name} needs a high bound that fits a float\n"
+
+
+def test_a_search_whose_costs_overflow_exits_3_without_a_traceback(capsys):
+    argv = ("search", str(FIXTURES / "gadget.json"), "--trials", "3", "--coeff-hi", "1" + "0" * 308)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "solver error: no equilibrium after 1 iterations (wardrop violation inf)\n"
 
 
 EXTREMES = (10**400, 10**309, 2**1023, 1e308, 1.7e308, 1e300, 1e-300, 5e-324, 1e-12, 1e12, 0)

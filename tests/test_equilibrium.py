@@ -70,6 +70,15 @@ from oracles import (
 def test_negative_coefficients_rejected():
     with pytest.raises(InvalidNetwork):
         LatencyFunction((1.0, -0.5))
+    # so is a number with no finite float, or a rate that is no number,
+    # instead of escaping as a bare OverflowError or TypeError
+    for build in (
+        lambda: LatencyFunction([10**400]),
+        lambda: TravelerType(10**400, 0, ()),
+        lambda: TravelerType("5", 0, ()),
+    ):
+        with pytest.raises(InvalidNetwork, match="must be finite"):
+            build()
 
 
 def test_zero_latency_allowed_and_evaluates():
@@ -1481,6 +1490,22 @@ def test_check_ibp_stops_at_an_infinite_gap():
     with pytest.raises(DidNotConverge) as info:
         paradox.check_ibp(paradox.IBPInstance(game, extension))
     assert info.value.iterations <= 1
+
+
+@pytest.mark.parametrize("backend", ["cg", "auto"])
+def test_a_gap_between_two_infinite_costs_is_infinite(backend):
+    # Pigou's two links, each costing inf under half of the rate: worst minus
+    # cheapest is NaN, and the gap counts as inf, not as 0, so the solve
+    # fails after one sweep
+    data = json.loads((Path(__file__).parent.parent / "fixtures" / "pigou.json").read_text())
+    for edge in data["edges"]:
+        edge["latency"] = [1e308, 1e308]
+    data["types"][0]["rate"] = 10.0
+    game, _ = parse_instance(data)
+    start = [{path: 5.0 for path in feasible_paths(game, 0)}]
+    with pytest.raises(DidNotConverge) as info:
+        solve_icwe(game, backend=backend, start=start)
+    assert (info.value.iterations, info.value.violation) == (1, math.inf)
 
 
 def test_an_affine_latency_is_its_line_bit_for_bit():

@@ -18,6 +18,7 @@ from ibpcheck.equilibrium import (
     verify_wardrop,
 )
 from ibpcheck.errors import (
+    DidNotConverge,
     InvalidArgument,
     InvalidNetwork,
     PreconditionViolated,
@@ -926,6 +927,14 @@ def test_search_rejects_bounds_that_overflow_a_float_before_the_first_trial(
         gadget_graph(), trials=0, seed=0, **{name: (1, 2**1024 - 2**970 - 1)}
     )
     assert outcome.trials_run == 0
+
+
+def test_search_whose_costs_overflow_stops_after_one_sweep():
+    # a coefficient this near the float limit makes a shift's step NaN: the
+    # sweep skips it, and the infinite gap ends the trial's first solve
+    with pytest.raises(DidNotConverge) as info:
+        random_search_ibp(gadget_graph(), 1, seed=0, coeff_range=(0, 2**1024 - 2**970 - 1))
+    assert (info.value.iterations, info.value.violation) == (1, math.inf)
 
 
 def test_search_without_an_od_0_path_raises_before_the_first_trial(monkeypatch):
