@@ -835,7 +835,7 @@ def _solve_cg(
     tolerance: float,
     max_iterations: int,
     start: Optional[Sequence[Mapping[Path, float]]],
-    polish: bool = False,
+    polish: bool,
 ) -> EquilibriumResult:
     """Pairwise conditional-gradient sweeps on the cost core's table, from
     `start` (see `solve_icwe`), until the Wardrop gap is at most `tolerance`;
@@ -958,9 +958,9 @@ def solve_icwe(
     "exact" for an equal-cost solution on one support, "cg" for sweep flows.
     `result.iterations` counts sweeps, also for a polished result; the
     enumerator reports 1 (0 with no active type).  A `tolerance` that is
-    not finite and nonnegative, or a `max_iterations` that is not a
-    nonnegative integer, raises InvalidArgument before any path is listed,
-    also for "exact".
+    not finite and nonnegative, a `max_iterations` that is not a
+    nonnegative integer, or an unknown `backend` raises InvalidArgument
+    before any path is listed, also for "exact".
     """
     if not 0.0 <= tolerance < math.inf:
         raise InvalidArgument(f"tolerance must be finite and nonnegative, got {tolerance}")
@@ -968,12 +968,10 @@ def solve_icwe(
         raise InvalidArgument(
             f"max_iterations must be a nonnegative integer, got {max_iterations!r}"
         )
+    if backend not in ("auto", "cg", "exact"):
+        raise InvalidArgument(f"unknown backend {backend!r}")
     type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
     core = _CostCore(game, type_paths)
-    if backend == "auto":
-        return _solve_cg(core, tolerance, max_iterations, start, polish=True)
     if backend == "exact":
         return _solve_exact(core)
-    if backend == "cg":
-        return _solve_cg(core, tolerance, max_iterations, start)
-    raise InvalidArgument(f"unknown backend {backend!r}")
+    return _solve_cg(core, tolerance, max_iterations, start, polish=backend == "auto")

@@ -710,6 +710,12 @@ def _two_link_game(rate):
     return RoutingGame(g, latencies, [TravelerType(rate, 0, {"a", "b"})])
 
 
+def _diamonds_game(k):
+    g = diamonds_in_series(k)
+    latencies = {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids}
+    return RoutingGame(g, latencies, [TravelerType(1.0, 0, g.edge_ids)])
+
+
 def _search(**kwargs):
     return lambda: random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
 
@@ -731,7 +737,11 @@ ARGUMENT_RULES = {
         lambda: solve_icwe(pigou_game(), max_iterations=10.0),
         "max_iterations",
     ),
-    "solve-backend-unknown": (lambda: solve_icwe(pigou_game(), backend="newton"), "backend"),
+    # past the path cap, so the backend must be checked before the paths are listed
+    "solve-backend-unknown": (
+        lambda: solve_icwe(_diamonds_game(14), backend="newton"),
+        "backend",
+    ),
     "solve-start-type-count": (lambda: solve_icwe(pigou_game(), start=()), "for 0 types"),
     "solve-start-path-infeasible": (
         lambda: solve_icwe(pigou_game(), start=({("a",): 1.0},)),
