@@ -12,11 +12,15 @@ table of edge flows and cached edge latencies on renumbered edges and paths,
 the path costs read off it, the used-path rule, the Wardrop gap (worst used
 path cost minus cheapest path cost), the equal-cost system on one support,
 linearized at the table's flows (``equal_cost_system``), and the one builder
-of ``EquilibriumResult``.  ``FLOW_EPS`` is the one used-path threshold: a path
-is used when it carries more than ``FLOW_EPS``, or any flow at all for a type
-whose rate is at most ``FLOW_EPS`` per path.  The system is built from the
-core's own renumbered paths and latency coefficients, adding terms in edge
-order, so affine results do not depend on how the edge ids hash.
+of ``EquilibriumResult``.  Its path sets are every type's ``feasible_paths``,
+with one graph walk per type that no earlier type covers: a type whose
+information set lies inside an earlier type's on the same OD pair keeps
+that type's paths inside its own set, in their order (``_type_paths``).
+``FLOW_EPS`` is the one used-path threshold: a path is used when it carries
+more than ``FLOW_EPS``, or any flow at all for a type whose rate is at most
+``FLOW_EPS`` per path.  The system is built from the core's own renumbered
+paths and latency coefficients, adding terms in edge order, so affine
+results do not depend on how the edge ids hash.
 
 Three backends:
 
@@ -40,20 +44,22 @@ Three backends:
   (``_equal_cost_flows``, the only caller of the system builder) by least
   squares: linearized at the table's flows and solved again at each
   solution until the flows stop moving, which is Newton's method; an affine
-  system is exact after one solve.  A solution is accepted when it solves
-  the system, no flow is negative and it passes the Wardrop gap.  The
-  polish is an active-set step: a rejected solution changes the support and
-  the system is solved again, at most ``PIVOTS`` times.  Paths with
-  negative flow leave the support; if the flows are nonnegative but fail
-  the gap, each type's cheapest path outside the support joins it; if no
-  solution solves the system, the paths that cost more than their type's
-  cheapest support path by more than the gap leave.  The
-  edge latencies of an equilibrium are unique but its path flows need not
-  be, so a singular system has many solutions; least squares returns the
-  one of least norm, and a rejected one is pivoted like any other.  An
-  accepted solution is returned with backend ``"exact"``; a polish that
-  runs out of pivots, or of paths to drop or add, leaves the sweeps as they
-  were, so ``auto`` never returns a worse answer than ``cg``.
+  system is exact after one solve.  The system is built once per support,
+  and each Newton step rewrites only its block of path costs in place.  A
+  solution is accepted when it solves the system, no flow is negative and
+  it passes the Wardrop gap.  The polish is an active-set step: a rejected
+  solution changes the support and the system is solved again, at most
+  ``PIVOTS`` times.  Paths with negative flow leave the support; if the
+  flows are nonnegative but fail the gap, each type's cheapest path outside
+  the support joins it; if no solution solves the system, the paths that
+  cost more than their type's cheapest support path by more than the gap
+  leave.  The edge latencies of an equilibrium are unique but its path
+  flows need not be, so a singular system has many solutions; least
+  squares returns the one of least norm, and a rejected one is pivoted like
+  any other.  An accepted solution is returned with backend ``"exact"``; a
+  polish that runs out of pivots, or of paths to drop or add, leaves the
+  sweeps as they were, so ``auto`` never returns a worse answer than
+  ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
   equal-cost system has a unique solution that is an equilibrium, checked
@@ -62,8 +68,9 @@ Three backends:
   skipped, and the solution must have no negative flow and no feasible path
   cheaper than its type's cost level.  The flows come back as the nearest
   floats and no tolerance is read, so no absolute bound decides the answer
-  when every latency is rescaled.  An oracle only, never on ``auto``'s
-  route.
+  when every latency is rescaled; costs that overflow a float, and so have
+  no nearest floats, raise DidNotConverge as ``cg`` does.  An oracle only,
+  never on ``auto``'s route.
 
 numpy is imported only where a float system is built, that is by the
 polish; the ``cg`` sweeps and ``exact`` run without it.
@@ -100,7 +107,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .core_graph import MultiGraph, Path, enumerate_simple_paths
 from .errors import (
@@ -140,9 +147,9 @@ class LatencyFunction:
     coefficients: tuple[float, ...]
 
     def __init__(self, coefficients: Iterable[float]):
-        try:
-            coeffs = tuple(float(c) + 0.0 for c in coefficients)  # -0.0 + 0.0 is 0.0
-        except (OverflowError, TypeError, ValueError):  # 10**400, None, "x"
+        try:  # c + 0 turns -0.0 into 0.0 and refuses a str, as TravelerType does
+            coeffs = tuple(float(c + 0) for c in coefficients)
+        except (OverflowError, TypeError, ValueError):  # 10**400, None, "5"
             raise InvalidNetwork("latency coefficients must be finite numbers") from None
         if not coeffs:
             coeffs = (0.0,)
@@ -223,10 +230,38 @@ def feasible_paths(game: RoutingGame, j: int) -> tuple[Path, ...]:
     """Type j's OD paths inside its information set, lexicographically ordered."""
     t = game.types[j]
     o, d = game.graph.od_pairs[t.od_index]
-    paths = enumerate_simple_paths(game.graph, o, d, t.info_set)
-    if t.rate > 0 and not paths:
-        raise NoFeasiblePath(f"type {j} has rate {t.rate} but no feasible path")
+    return _routable(game, j, enumerate_simple_paths(game.graph, o, d, t.info_set))
+
+
+def _routable(game: RoutingGame, j: int, paths: tuple[Path, ...]) -> tuple[Path, ...]:
+    """`paths`, type j's feasible paths, unless the type has a rate and none."""
+    rate = game.types[j].rate
+    if rate > 0 and not paths:
+        raise NoFeasiblePath(f"type {j} has rate {rate} but no feasible path")
     return paths
+
+
+def _type_paths(game: RoutingGame) -> list[tuple[Path, ...]]:
+    """Every type's `feasible_paths`, type by type, walking the graph once
+    per OD pair and information set that no earlier type covers.
+
+    A type whose information set lies inside that of an earlier type on its
+    OD pair keeps the earlier type's paths that lie in its own set, in their
+    order: a walk restricted to fewer edges finds exactly those paths, in
+    the same order, so this is the tuple `feasible_paths` lists.  Errors
+    come at the same type's turn: `NoFeasiblePath` at that type's, and the
+    path cap only at the earlier type's, which lists at least as many.
+    """
+    type_paths: list[tuple[Path, ...]] = []
+    for j, t in enumerate(game.types):
+        for s, paths in zip(game.types, type_paths):  # the earlier types
+            if s.od_index == t.od_index and t.info_set <= s.info_set:
+                inside = tuple(filter(t.info_set.issuperset, paths))
+                type_paths.append(_routable(game, j, inside))
+                break
+        else:
+            type_paths.append(feasible_paths(game, j))
+    return type_paths
 
 
 # -- results -------------------------------------------------------------------
@@ -403,21 +438,14 @@ class _CostCore:
         )
 
     @cached_property
-    def _system_table(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-        """What every equal-cost system slices, built on first use (plain
-        `cg` never builds a system): the incidence rows of all paths, type
-        after type; the first row of each type; and each edge's constant
-        and slope."""
+    def _system_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's constant and slope, built on first use (plain `cg`
+        never builds a system); an affine core's systems read them."""
         import numpy as np
 
-        first = list(itertools.accumulate(map(len, self.paths), initial=0))
-        width = len(self.edge_ids)
-        rows = np.zeros((first[-1], width))
-        paths = itertools.chain.from_iterable(self.paths)
-        rows.put([r * width + e for r, p in enumerate(paths) for e in p], 1.0)
         const = np.array([c[0] for c in self.coeffs])
         slope = np.array([c[1] if len(c) > 1 else 0.0 for c in self.coeffs])
-        return rows, first, const, slope
+        return const, slope
 
     @cached_property
     def _derivatives(self) -> np.ndarray:
@@ -432,8 +460,8 @@ class _CostCore:
 
     def equal_cost_system(
         self, support: Sequence[Sequence[int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The equal-cost system on one support, as (A, b).
+    ) -> tuple[np.ndarray, np.ndarray, Callable[[], None]]:
+        """The equal-cost system on one support, as (A, b, refresh).
 
         `support` lists, per active type in order, the indices of its used
         paths.  The unknowns are those paths' flows, in order, then one cost
@@ -444,31 +472,44 @@ class _CostCore:
         edges plus, for every used path, that path's flow times the slopes of
         the edges the two share) equals its type's cost; a type's row says
         its flows sum to its rate.  Costs are summed in edge order from the
-        paths' incidence rows, so the system does not depend on how edge ids
-        hash.
+        support's incidence rows, so the system does not depend on how edge
+        ids hash.
+
+        Only the path rows' cost block reads the table.  `refresh()`
+        rewrites that block in place, linearized at the table's flows then,
+        so a Newton loop builds the incidence rows and the conservation rows
+        and columns once per support; the refreshed system is the one a new
+        call would build.
         """
         import numpy as np
 
-        incidence, first, const, slope = self._system_table
-        rows = incidence[[first[j] + k for j, ks in zip(self.active, support) for k in ks]]
-        if not self.affine:
-            flow = np.array(self.edge_flow)
-            slope = np.zeros_like(flow)
-            for column in reversed(self._derivatives.T):  # Horner: l'(f) per edge
-                slope = slope * flow + column
-            const = np.array(self.edge_lat) - slope * flow
-        n, dim = len(rows), len(rows) + len(support)
+        paths = [self.paths[j][k] for j, ks in zip(self.active, support) for k in ks]
+        n, dim, width = len(paths), len(paths) + len(support), len(self.edge_ids)
+        rows = np.zeros((n, width))
+        rows.put([r * width + e for r, p in enumerate(paths) for e in p], 1.0)
         a_mat = np.zeros((dim, dim))
         b_vec = np.zeros(dim)
-        a_mat[:n, :n] = (rows * slope) @ rows.T
-        b_vec[:n] = -(rows @ const)
         row = 0
         for tpos, (j, ks) in enumerate(zip(self.active, support)):
             a_mat[row : row + len(ks), n + tpos] = -1.0
             a_mat[n + tpos, row : row + len(ks)] = 1.0
             b_vec[n + tpos] = self.game.types[j].rate
             row += len(ks)
-        return a_mat, b_vec
+
+        def refresh() -> None:
+            if self.affine:
+                const, slope = self._system_table
+            else:
+                flow = np.array(self.edge_flow)
+                slope = np.zeros_like(flow)
+                for column in reversed(self._derivatives.T):  # Horner: l'(f) per edge
+                    slope = slope * flow + column
+                const = np.array(self.edge_lat) - slope * flow
+            a_mat[:n, :n] = (rows * slope) @ rows.T
+            b_vec[:n] = -(rows @ const)
+
+        refresh()
+        return a_mat, b_vec, refresh
 
     def result(
         self, flows: Sequence[Mapping[int, float]], backend: str, iterations: int, gap: float
@@ -526,8 +567,10 @@ def _equal_cost_flows(
             flows[j] = {k: next(values) for k in ks}
         return flows
 
-    for _ in range(NEWTON_STEPS):
-        a_mat, b_vec = core.equal_cost_system(support)
+    a_mat, b_vec, refresh = core.equal_cost_system(support)
+    for step in range(NEWTON_STEPS):
+        if step:  # linearized again at the last solution's flows
+            refresh()
         solution = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
         if core.affine or not np.isfinite(solution).all():
             break
@@ -654,7 +697,8 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
     exists.  A support is accepted when no flow is negative and no feasible
     path of a type costs less than that type's cost level, both checked
     exactly; its flows come back as the nearest floats, each type's
-    rounding absorbed into its largest flow.
+    rounding absorbed into its largest flow.  Raises DidNotConverge when
+    their Wardrop gap is infinite: the costs overflowed a float.
     """
     if not core.affine:
         raise BackendUnavailable("exact backend requires affine latencies")
@@ -716,7 +760,10 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
                 top = max(flows[j], key=flows[j].get)
                 flows[j][top] += gap
         core.load(flows)
-        return core.result(flows, "exact", 1, core.violation(flows))
+        violation = core.violation(flows)
+        if violation == math.inf:  # costs that overflowed a float: no answer to round to
+            raise DidNotConverge(1, violation)
+        return core.result(flows, "exact", 1, violation)
     raise SolverError("exact backend found no optimal support (degenerate input?)")
 
 
@@ -970,8 +1017,7 @@ def solve_icwe(
         )
     if backend not in ("auto", "cg", "exact"):
         raise InvalidArgument(f"unknown backend {backend!r}")
-    type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
-    core = _CostCore(game, type_paths)
+    core = _CostCore(game, _type_paths(game))
     if backend == "exact":
         return _solve_exact(core)
     return _solve_cg(core, tolerance, max_iterations, start, polish=backend == "auto")

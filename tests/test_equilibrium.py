@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ibpcheck import equilibrium, paradox
-from ibpcheck.core_graph import MultiGraph, decompose_blocks
+from ibpcheck.core_graph import MultiGraph, decompose_blocks, enumerate_simple_paths
 from ibpcheck.equilibrium import (
     CONSERVATION_EPS,
     DEFAULT_MAX_ITERATIONS,
@@ -46,6 +46,8 @@ from conftest import (
     SEARCH_GRAPHS,
     drifting_gadget_instance,
     gadget_game,
+    gadget_multigraph,
+    grid_graph,
     long_path_game,
     pigou_game,
     random_affine_game,
@@ -76,6 +78,7 @@ def test_negative_coefficients_rejected():
         lambda: LatencyFunction([10**400]),
         lambda: TravelerType(10**400, 0, ()),
         lambda: TravelerType("5", 0, ()),
+        lambda: LatencyFunction(["5", "1e3"]),
     ):
         with pytest.raises(InvalidNetwork, match="must be finite"):
             build()
@@ -121,6 +124,100 @@ def test_positive_rate_without_path_raises():
     )
     with pytest.raises(NoFeasiblePath):
         feasible_paths(broken, 0)
+
+
+def _recorded_type_paths(monkeypatch, game):
+    """The path sets `solve_icwe` hands its cost core, and the number of
+    `enumerate_simple_paths` calls it makes to list them."""
+    recorded, calls = [], []
+
+    class Recording(_CostCore):
+        def __init__(self, game, type_paths):
+            recorded.append(type_paths)
+            super().__init__(game, type_paths)
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_simple_paths(*args)
+
+    monkeypatch.setattr(equilibrium, "_CostCore", Recording)
+    monkeypatch.setattr(equilibrium, "enumerate_simple_paths", counted)
+    solve_icwe(game, backend="cg")
+    monkeypatch.undo()
+    (type_paths,) = recorded
+    return type_paths, len(calls)
+
+
+def _shared_od_game(rng, graph, edges):
+    """2-4 types, most on OD pair 0; after the first, each type's information
+    set is a subset of an earlier one's, equal to it, a superset of it or
+    drawn afresh (crossing it), and has rate 0 when it holds no path."""
+    infos, ods = [], []
+    for j in range(rng.randint(2, 4)):
+        kind = rng.choice(("subset", "equal", "superset", "fresh")) if j else "fresh"
+        if kind == "fresh":
+            od = rng.choice((0, 0, 1))
+            info = {e for e in edges if rng.random() < 0.7}
+        else:
+            i = rng.randrange(j)
+            od, info = ods[i], set(infos[i])
+            if kind == "subset":
+                info = {e for e in info if rng.random() < 0.8}
+            elif kind == "superset":
+                info |= {e for e in edges if rng.random() < 0.3}
+        infos.append(info)
+        ods.append(od)
+    types = [
+        TravelerType(
+            float(rng.randint(1, 5))
+            if enumerate_simple_paths(graph, *graph.od_pairs[od], info)
+            else 0.0,
+            od,
+            info,
+        )
+        for od, info in zip(ods, infos)
+    ]
+    latencies = {e: LatencyFunction((rng.uniform(1.0, 5.0), rng.uniform(0.5, 2.0))) for e in edges}
+    return RoutingGame(graph, latencies, types)
+
+
+def test_solve_lists_each_types_feasible_paths_with_fewer_walks(monkeypatch):
+    # a type whose information set lies inside an earlier type's on the same
+    # OD pair takes that type's paths: the same tuples, in the same order
+    rng = random.Random(3301)
+    grid = grid_graph(3, 4, [("g0_0", "g2_3"), ("g0_3", "g2_0")])
+    graphs = [grid, gadget_multigraph("origin"), gadget_multigraph("destination")]
+    types = walks = 0
+    for _ in range(30):
+        for graph in graphs:
+            game = _shared_od_game(rng, graph, sorted(graph.edge_ids))
+            type_paths, calls = _recorded_type_paths(monkeypatch, game)
+            assert type_paths == [feasible_paths(game, j) for j in range(len(game.types))]
+            types += len(game.types)
+            walks += calls
+    assert walks < 0.8 * types  # the corpus does share walks
+
+
+@pytest.mark.parametrize("degree", GRID_LATENCY_DEGREES)
+def test_a_grid_solve_walks_the_graph_once_per_od_pair(monkeypatch, degree):
+    # types 0 and 2 share an OD pair and type 0 knows every edge
+    rng = random.Random(3302)
+    for _ in range(5):
+        game = random_grid_game(rng, degree)
+        _, calls = _recorded_type_paths(monkeypatch, game)
+        assert calls == 2
+
+
+def test_a_later_subset_type_without_a_path_raises_at_its_turn():
+    game = random_grid_game(random.Random(3303), 1)
+    narrow = replace(game.types[2], info_set=frozenset({"h0_0", "v0_0"}))
+    broken = RoutingGame(game.graph, game.latencies, [game.types[0], game.types[1], narrow])
+    with pytest.raises(NoFeasiblePath, match="^type 2 has rate"):
+        solve_icwe(broken)
+    # a rate-0 type with no path is fine, and lists none
+    idle = replace(narrow, rate=0.0)
+    result = solve_icwe(RoutingGame(game.graph, game.latencies, [game.types[0], idle]))
+    assert result.path_flows[1] == {} and result.type_latencies[1] == 0.0
 
 
 def test_a_bare_string_info_set_is_rejected():
@@ -1197,11 +1294,31 @@ def test_equal_cost_system_matches_the_definition():
         ]
         paths = [type_paths[j][k] for j, ks in zip(core.active, support) for k in ks]
         const, interact = equal_cost_terms(game, paths)
-        a_mat, b_vec = core.equal_cost_system(support)
+        a_mat, b_vec, _ = core.equal_cost_system(support)
         n = len(paths)
         np.testing.assert_allclose(a_mat[:n, :n], interact, rtol=1e-12, atol=0)
         np.testing.assert_allclose(-b_vec[:n], const, rtol=1e-12, atol=0)
         assert list(b_vec[n:]) == [game.types[j].rate for j in core.active]
+    # a quadratic system is linearized at the table's flows; refreshed in place
+    # after a table is loaded, it is the system a new build gives there
+    game = random_grid_game(rng, 2)
+    type_paths = [feasible_paths(game, j) for j in range(len(game.types))]
+    core = _CostCore(game, type_paths)
+    support = [
+        sorted(rng.sample(range(len(type_paths[j])), min(3, len(type_paths[j]))))
+        for j in core.active
+    ]
+    a_mat, b_vec, refresh = core.equal_cost_system(support)
+    seen = []
+    for _ in range(2):
+        core.load([{k: rng.uniform(0.1, 2.0) for k in range(len(tp))} for tp in type_paths])
+        refresh()
+        fresh_a, fresh_b, _ = core.equal_cost_system(support)
+        assert np.array_equal(a_mat, fresh_a) and np.array_equal(b_vec, fresh_b)
+        seen.append((a_mat.copy(), b_vec.copy()))
+    # the two tables linearize differently, so the refresh did rewrite the block
+    assert not np.array_equal(seen[0][0], seen[1][0])
+    assert not np.array_equal(seen[0][1], seen[1][1])
 
 
 # Solves affine games in a fresh interpreter and prints one repr per result.
@@ -1492,11 +1609,12 @@ def test_check_ibp_stops_at_an_infinite_gap():
     assert info.value.iterations <= 1
 
 
-@pytest.mark.parametrize("backend", ["cg", "auto"])
+@pytest.mark.parametrize("backend", ["cg", "auto", "exact"])
 def test_a_gap_between_two_infinite_costs_is_infinite(backend):
     # Pigou's two links, each costing inf under half of the rate: worst minus
     # cheapest is NaN, and the gap counts as inf, not as 0, so the solve
-    # fails after one sweep
+    # fails after one sweep; `exact`, which ignores the start, finds the
+    # 5/5 split and fails on its gap instead of rounding inf costs
     data = json.loads((Path(__file__).parent.parent / "fixtures" / "pigou.json").read_text())
     for edge in data["edges"]:
         edge["latency"] = [1e308, 1e308]
