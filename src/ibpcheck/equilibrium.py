@@ -148,8 +148,8 @@ class LatencyFunction:
 
     def __init__(self, coefficients: Iterable[float]):
         try:  # c + 0 turns -0.0 into 0.0 and refuses a str, as TravelerType does
-            coeffs = tuple(float(c + 0) for c in coefficients)
-        except (OverflowError, TypeError, ValueError):  # 10**400, None, "5"
+            coeffs = tuple([float(c + 0) for c in coefficients])
+        except (ArithmeticError, TypeError, ValueError):  # 10**400, None, "5", Decimal("sNaN")
             raise InvalidNetwork("latency coefficients must be finite numbers") from None
         if not coeffs:
             coeffs = (0.0,)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,7 @@ def test_negative_coefficients_rejected():
         lambda: TravelerType(10**400, 0, ()),
         lambda: TravelerType("5", 0, ()),
         lambda: LatencyFunction(["5", "1e3"]),
+        lambda: LatencyFunction([Decimal("sNaN")]),
     ):
         with pytest.raises(InvalidNetwork, match="must be finite"):
             build()
