@@ -1430,6 +1430,49 @@ def test_exact_results_are_unchanged_on_affine_games():
     assert digests == EXACT_RESULT_DIGESTS
 
 
+# sha256 of repr(solve_icwe(game)), the default `auto` backend, on three
+# affine, three quadratic and three quartic grid games and the gadget games,
+# recorded before the polish's acceptance and pivots moved into one loop:
+# the polished flows must not move.
+AUTO_RESULT_DIGESTS = (
+    "b8fa25aac66070ac",
+    "b5db06ffc6cbdd84",
+    "4b365dfedeb50ee9",
+    "94750e1f355a648f",
+    "e205f914465b5d21",
+    "2049bc337117bd1d",
+    "10f464e3d0f599a3",
+    "1894139a933c6fcf",
+    "557c932822a6bccc",
+    "4c52aff75759762d",
+    "f3c54d4a138850ac",
+    "c49256b83a25153b",
+    "50252e7fb5c530c2",
+)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() of floats changed in 3.12")
+def test_auto_results_are_unchanged_on_grid_and_gadget_games(monkeypatch):
+    import ibpcheck.equilibrium as equilibrium
+
+    games = _grid_games(2025, per_degree=3)
+    games += [gadget_game(v, e) for v in ("origin", "destination") for e in (False, True)]
+    supports = _record_supports(monkeypatch)
+    solve_support = equilibrium._solve_support
+    polishes = []
+
+    def record(*args):
+        polishes.append(args[1])
+        return solve_support(*args)
+
+    monkeypatch.setattr(equilibrium, "_solve_support", record)
+    digests = tuple(
+        hashlib.sha256(repr(solve_icwe(game)).encode()).hexdigest()[:16] for game in games
+    )
+    assert digests == AUTO_RESULT_DIGESTS
+    assert len(supports) > len(polishes)  # some polishes pivot
+
+
 # -- the sweep kernel against the plain sweeps -------------------------------------------
 
 
