@@ -40,26 +40,27 @@ Three backends:
 * ``auto``  -- the default: ``cg`` sweeps, polished for every polynomial
   game.  Once the used-path support has held for a full sweep, and again at
   convergence, each support at most once in a row, the polish
-  (``_solve_support``) solves the equal-cost system on that support
-  (``_equal_cost_flows``, the only caller of the system builder) by least
-  squares: linearized at the table's flows and solved again at each
-  solution until the flows stop moving, which is Newton's method; an affine
-  system is exact after one solve.  The system is built once per support,
-  and each Newton step rewrites only its block of path costs in place.  A
-  solution is accepted when it solves the system, no flow is negative and
-  it passes the Wardrop gap.  The polish is an active-set step: a rejected
-  solution changes the support and the system is solved again, at most
-  ``PIVOTS`` times.  Paths with negative flow leave the support; if the
-  flows are nonnegative but fail the gap, each type's cheapest path outside
-  the support joins it; if no solution solves the system, the paths that
-  cost more than their type's cheapest support path by more than the gap
-  leave.  The edge latencies of an equilibrium are unique but its path
-  flows need not be, so a singular system has many solutions; least
-  squares returns the one of least norm, and a rejected one is pivoted like
-  any other.  An accepted solution is returned with backend ``"exact"``; a
-  polish that runs out of pivots, or of paths to drop or add, leaves the
-  sweeps as they were, so ``auto`` never returns a worse answer than
-  ``cg``.
+  (``_solve_support``) has the equal-cost system on that support solved
+  by least squares (``_equal_cost_flows``, which only solves: linearized at
+  the table's flows and solved again at each solution until the flows stop
+  moving, which is Newton's method; an affine system is exact after one
+  solve).  The system is built once per support, and each Newton step
+  rewrites only its block of path costs in place.  ``_solve_support`` alone
+  accepts or pivots: a solution is accepted when it solves the system, no
+  flow is negative and, with each type's rounding absorbed into its largest
+  flow (``_support_flows``, shared with ``exact``), it passes the Wardrop
+  gap.  The polish is an active-set step: a rejected solution changes the
+  support and the system is solved again, at most ``PIVOTS`` times.  Paths
+  with negative flow leave the support; if the flows are nonnegative but
+  fail the gap, each type's cheapest path outside the support joins it; if
+  no solution solves the system, the paths that cost more than their
+  type's cheapest support path by more than the gap leave.  The edge
+  latencies of an equilibrium are unique but its path flows need not be,
+  so a singular system has many solutions; least squares returns the one
+  of least norm, and a rejected one is pivoted like any other.  An
+  accepted solution is returned with backend ``"exact"``; a polish that
+  runs out of pivots, or of paths to drop or add, leaves the sweeps as
+  they were, so ``auto`` never returns a worse answer than ``cg``.
 * ``exact`` -- for affine latencies on small instances: enumerate supports of
   used paths, per type by size then index, and keep the first whose
   equal-cost system has a unique solution that is an equilibrium, checked
@@ -438,16 +439,6 @@ class _CostCore:
         )
 
     @cached_property
-    def _system_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each edge's constant and slope, built on first use (plain `cg`
-        never builds a system); an affine core's systems read them."""
-        import numpy as np
-
-        const = np.array([c[0] for c in self.coeffs])
-        slope = np.array([c[1] if len(c) > 1 else 0.0 for c in self.coeffs])
-        return const, slope
-
-    @cached_property
     def _derivatives(self) -> np.ndarray:
         """Each edge's derivative coefficients, constant-first, one row per
         edge; only a non-affine core reads them."""
@@ -498,7 +489,7 @@ class _CostCore:
 
         def refresh() -> None:
             if self.affine:
-                const, slope = self._system_table
+                slope, const = map(np.array, zip(*self.lines))
             else:
                 flow = np.array(self.edge_flow)
                 slope = np.zeros_like(flow)
@@ -538,35 +529,37 @@ class _CostCore:
 # -- solving the equal-cost system on one support ---------------------------------
 
 
-def _equal_cost_flows(
-    core: _CostCore, support: Sequence[Sequence[int]], tolerance: float
-) -> tuple[Optional[list[dict[int, float]]], Optional[list[dict[int, float]]]]:
-    """Flows on which every used path of a type costs the same, on one support.
+def _support_flows(
+    core: _CostCore, support: Sequence[Sequence[int]], values: Iterable[float]
+) -> list[dict[int, float]]:
+    """Per type, the flows `values` gives the paths of `support`, in its
+    order, with each active type's rounding, its rate minus the sum of its
+    flows, added to its largest flow."""
+    flows: list[dict[int, float]] = [{} for _ in core.type_paths]
+    values = iter(values)
+    for j, ks in zip(core.active, support):
+        f = flows[j] = {k: next(values) for k in ks}
+        gap = core.game.types[j].rate - sum(f.values())
+        if gap != 0.0:
+            f[max(f, key=f.get)] += gap
+    return flows
+
+
+def _equal_cost_flows(core: _CostCore, support: Sequence[Sequence[int]]) -> Optional[list[float]]:
+    """The flows of `support`'s paths, in its order, on which every path of
+    a type costs the same, or None when no solution solves the system or a
+    latency overflows at a Newton iterate.
 
     `support` lists, per active type in order, the indices of the paths it
-    uses.  Returns (accepted, rejected): the accepted flows, or the last
-    solution, per type and unclipped, when it solved the system but had a
-    flow below -1e-9 or a Wardrop gap above `tolerance`; the other is None,
-    and both are None when no solution solved the system.  The table is left
-    holding whatever was loaded last: the accepted flows, or, after a failed
-    gap, the rejected solution with its flows clipped at zero.
+    uses.  An affine system is solved once; any other is linearized at the
+    table's flows and solved again at each solution until the flows stop
+    moving.  The table is left holding the last iterate loaded, if any.
     """
     import numpy as np
 
-    game = core.game
-    if not support:  # no active type: the empty flows are the equilibrium
-        flows: list[dict[int, float]] = [{} for _ in game.types]
-        core.load(flows)
-        return flows, None
+    if not support:  # no active type: the empty flows
+        return []
     n = sum(map(len, support))  # the path-flow unknowns come first
-
-    def unpack(x: Sequence[float]) -> list[dict[int, float]]:
-        flows: list[dict[int, float]] = [{} for _ in game.types]
-        values = iter(x)
-        for j, ks in zip(core.active, support):
-            flows[j] = {k: next(values) for k in ks}
-        return flows
-
     a_mat, b_vec, refresh = core.equal_cost_system(support)
     for step in range(NEWTON_STEPS):
         if step:  # linearized again at the last solution's flows
@@ -575,77 +568,65 @@ def _equal_cost_flows(
         if core.affine or not np.isfinite(solution).all():
             break
         before = core.edge_flow[:]
-        core.load(unpack(solution[:n].tolist()))
+        iterate: list[dict[int, float]] = [{} for _ in core.type_paths]
+        values = iter(solution[:n].tolist())
+        for j, ks in zip(core.active, support):
+            iterate[j] = {k: next(values) for k in ks}
+        core.load(iterate)
         if not all(map(math.isfinite, core.edge_lat)):
-            return None, None  # diverged: a latency overflowed
+            return None  # diverged: a latency overflowed
         moved = max(abs(x - y) for x, y in zip(core.edge_flow, before))
         if moved <= NEWTON_RESOLUTION * max(before):
             break
-
     if not np.isfinite(solution).all() or np.abs(a_mat @ solution - b_vec).max() > 1e-7:
-        return None, None
-    x = solution[:n].tolist()
-    if min(x) < -1e-9:
-        return None, unpack(x)
-    flows = unpack([max(v, 0.0) for v in x])
-    for j in core.active:  # absorb solver rounding into the largest flow
-        gap = game.types[j].rate - sum(flows[j].values())
-        if gap != 0.0:
-            top = max(flows[j], key=flows[j].get)
-            flows[j][top] += gap
-            if flows[j][top] < 0:
-                return None, None
-    core.load(flows)
-    if core.violation(flows, tolerance) <= tolerance:
-        return flows, None
-    return None, unpack(x)
+        return None
+    return solution[:n].tolist()
 
 
 def _solve_support(
     core: _CostCore, support: Sequence[Sequence[int]], tolerance: float
 ) -> Optional[list[dict[int, float]]]:
     """The polish: accepted equal-cost flows on `support`, or on a support at
-    most PIVOTS pivots away from it, or None.  The table is left holding
+    most PIVOTS pivots away from it, or None.  A solution is accepted when
+    no flow is below -1e-9 and, clipped at zero with each type's rounding
+    absorbed, its flows pass the Wardrop gap.  The table is left holding
     whatever was loaded last; on acceptance, the returned flows."""
-    flows, rejected = _equal_cost_flows(core, support, tolerance)
-    for _ in range(PIVOTS):
-        if flows is not None:
-            break
-        if rejected is None:
-            # no solution solved the system: on the loaded table, unless a
-            # latency overflowed, the paths dearer than their type's cheapest
-            # support path by more than the gap leave
+    for _ in range(PIVOTS + 1):
+        x = _equal_cost_flows(core, support)
+        flows = None
+        if x is not None:  # clipped at zero, each type's rounding absorbed
+            flows = _support_flows(core, support, [max(v, 0.0) for v in x])
+        if x is not None and min(x, default=0.0) < -1e-9:
+            # the paths with negative flow leave
+            values = iter(x)
+            pivoted = [tuple(k for k in ks if next(values) >= -1e-9) for ks in support]
+        elif flows is None or any(v < 0.0 for f in flows for v in f.values()):
+            # no solution solved the system, or a type's rounding outweighed its
+            # largest flow: on the loaded table, unless a latency overflowed,
+            # the paths dearer than their type's cheapest support path by more
+            # than the gap leave
             if not all(map(math.isfinite, core.edge_lat)):
                 return None
-            kept = []
+            pivoted = []
             for j, ks in zip(core.active, support):
                 cost = core.path_costs(j)
                 cheapest = min(cost[k] for k in ks)
-                kept.append(tuple(k for k in ks if cost[k] <= cheapest + tolerance))
-            if kept == list(support):
-                return None
-            support = kept
-        elif any(x < -1e-9 for f in rejected for x in f.values()):
-            # the paths with negative flow leave; no type may be left without one
-            support = [
-                tuple(k for k in ks if rejected[j][k] >= -1e-9)
-                for j, ks in zip(core.active, support)
-            ]
-            if () in support:
-                return None
+                pivoted.append(tuple(k for k in ks if cost[k] <= cheapest + tolerance))
         else:
-            # nonnegative but over the gap on the loaded table: each type's
-            # cheapest path joins its support, if it is not in it yet
-            grown = []
+            core.load(flows)
+            if core.violation(flows, tolerance) <= tolerance:
+                return flows
+            # over the gap on the loaded table: each type's cheapest path joins
+            # its support, if it is not in it yet
+            pivoted = []
             for j, ks in zip(core.active, support):
                 cost = core.path_costs(j)
                 best = cost.index(min(cost))
-                grown.append(ks if best in ks else tuple(sorted((*ks, best))))
-            if grown == list(support):
-                return None
-            support = grown
-        flows, rejected = _equal_cost_flows(core, support, tolerance)
-    return flows
+                pivoted.append(ks if best in ks else tuple(sorted((*ks, best))))
+        if () in pivoted or pivoted == list(support):  # a type left without a path, or no move
+            return None
+        support = pivoted
+    return None
 
 
 # -- exact backend: affine support enumeration ------------------------------------------
@@ -708,8 +689,8 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
         raise BackendUnavailable(
             f"exact backend limited to {EXACT_PATH_LIMIT} paths, got {sum(counts)}"
         )
-    flows: list[dict[int, float]] = [{} for _ in core.type_paths]
     if not active:  # the empty flows are the equilibrium
+        flows: list[dict[int, float]] = [{} for _ in core.type_paths]
         core.load(flows)
         return core.result(flows, "exact", 0, core.violation(flows))
     ratios = [x.as_integer_ratio() for line in core.lines for x in line]
@@ -752,13 +733,7 @@ def _solve_exact(core: _CostCore) -> EquilibriumResult:
             for p in range(first[t], first[t + 1])
         ):
             continue
-        values = iter(scaled)
-        for j, ks in zip(active, support):
-            flows[j] = {k: next(values) / det for k in ks}
-            gap = core.game.types[j].rate - sum(flows[j].values())
-            if gap != 0.0:  # absorb the rounding into the largest flow
-                top = max(flows[j], key=flows[j].get)
-                flows[j][top] += gap
+        flows = _support_flows(core, support, [x / det for x in scaled[:n]])
         core.load(flows)
         violation = core.violation(flows)
         if violation == math.inf:  # costs that overflowed a float: no answer to round to
