@@ -228,7 +228,10 @@ class RoutingGame:
 
 
 def feasible_paths(game: RoutingGame, j: int) -> tuple[Path, ...]:
-    """Type j's OD paths inside its information set, lexicographically ordered."""
+    """Type j's OD paths inside its information set, lexicographically
+    ordered; InvalidArgument unless j is an integer index of a type."""
+    if not hasattr(j, "__index__") or not 0 <= j < len(game.types):
+        raise InvalidArgument(f"type index must be in 0..{len(game.types) - 1}, got {j!r}")
     t = game.types[j]
     o, d = game.graph.od_pairs[t.od_index]
     return _routable(game, j, enumerate_simple_paths(game.graph, o, d, t.info_set))
@@ -296,10 +299,20 @@ def verify_wardrop(
     type's cheapest feasible path.  A path is used when it carries more than
     FLOW_EPS or, for a type whose rate is at most FLOW_EPS per feasible
     path, any flow at all; a used path that is not feasible for its type
-    (outside its information set) makes the violation infinite.  Passing
-    also needs every type's flows to sum to its rate within the bound a
-    `start` meets (see `solve_icwe`).
+    (outside its information set) makes the violation infinite, and so does
+    a negative or non-finite amount, which is no flow.  Passing also needs
+    every type's flows to sum to its rate within the bound a `start` meets
+    (see `solve_icwe`).  InvalidArgument is raised unless the result gives
+    flows for exactly the game's types and `epsilon` is finite and
+    nonnegative, as `solve_icwe` requires of `tolerance`.
     """
+    if len(result.path_flows) != len(game.types):
+        raise InvalidArgument(
+            f"result gives flows for {len(result.path_flows)} types, "
+            f"the game has {len(game.types)}"
+        )
+    if not 0.0 <= epsilon < math.inf:
+        raise InvalidArgument(f"epsilon must be finite and nonnegative, got {epsilon}")
     edge_flows: dict[str, float] = {}
     for flows in result.path_flows:
         for path, amount in flows.items():
@@ -311,6 +324,8 @@ def verify_wardrop(
     for j, t in enumerate(game.types):
         flows = result.path_flows[j]
         conserved = conserved and _conserves(flows.values(), t.rate)
+        if not all(0.0 <= x < math.inf for x in flows.values()):
+            worst = math.inf
         candidates = feasible_paths(game, j)
         if candidates:
             latencies = {p: game.path_latency(p, edge_flows) for p in candidates}

@@ -805,8 +805,8 @@ def random_search_ibp(
     around one of its paths, everyone else full information; the extension
     reveals a random nonempty part of the rest.  Fully reproducible: the
     transcript is a pure function of the seed.  Raises InvalidArgument before
-    the first trial unless trials, the coefficient bounds and the rate bounds
-    are integers, trials >= 0, 0 <= coefficients low <= high,
+    the first trial unless the seed, trials, the coefficient bounds and the
+    rate bounds are integers, trials >= 0, 0 <= coefficients low <= high,
     max(rates low, 1) <= rates high, both high bounds convert to finite
     floats (every draw is made a float) and the threshold is finite and
     >= 0, and InvalidNetwork when some OD pair has no path: OD 0's paths
@@ -816,6 +816,8 @@ def random_search_ibp(
     integral = lambda *values: all(hasattr(v, "__index__") for v in values)  # as randint takes
     if not integral(trials) or trials < 0:
         raise InvalidArgument(f"trials must be a nonnegative integer, got {trials!r}")
+    if not integral(seed):
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
     if not integral(*coeff_range) or not 0 <= coeff_range[0] <= coeff_range[1]:
         raise InvalidArgument(f"coeff_range needs integers 0 <= low <= high, got {coeff_range}")
     if not integral(*rate_range) or not max(rate_range[0], 1) <= rate_range[1]:

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from ibpcheck.equilibrium import (
     LatencyFunction,
     RoutingGame,
     TravelerType,
+    feasible_paths,
     solve_icwe,
     verify_wardrop,
 )
@@ -720,6 +722,12 @@ def _search(**kwargs):
     return lambda: random_search_ibp(gadget_graph(), **{"trials": 3, "seed": 0, **kwargs})
 
 
+def _verify(epsilon=DEFAULT_TOLERANCE, **changes):
+    """`verify_wardrop` of Pigou's equilibrium with `changes` to the result."""
+    game = pigou_game()
+    return lambda: verify_wardrop(game, replace(solve_icwe(game), **changes), epsilon)
+
+
 # One case per documented argument rule of the library; the CLI checks none
 # of them itself and relies on each raising an IbpcheckError (exit 2).
 ARGUMENT_RULES = {
@@ -762,6 +770,12 @@ ARGUMENT_RULES = {
         ),
         "use no path",
     ),
+    "verify-fewer-types": (_verify(path_flows=()), "for 0 types"),
+    "verify-more-types": (_verify(path_flows=({}, {})), "for 2 types"),
+    "verify-epsilon-nan": (_verify(epsilon=math.nan), "epsilon"),
+    "verify-epsilon-negative": (_verify(epsilon=-1e-8), "epsilon"),
+    "paths-type-negative": (lambda: feasible_paths(pigou_game(), -1), "type index"),
+    "paths-type-past-the-last": (lambda: feasible_paths(pigou_game(), 1), "type index"),
     "check-threshold-nan": (
         lambda: check_ibp(gadget_instance(), decision_threshold=math.nan),
         "decision_threshold",
@@ -776,6 +790,8 @@ ARGUMENT_RULES = {
     ),
     "search-trials-negative": (_search(trials=-1), "trials"),
     "search-trials-float": (_search(trials=3.0), "trials"),
+    "search-seed-none": (_search(seed=None), "seed"),
+    "search-seed-tuple": (_search(seed=(1, 2)), "seed"),
     "search-threshold-inf": (_search(decision_threshold=math.inf), "decision_threshold"),
     "search-coeff-low-negative": (_search(coeff_range=(-1, 10)), "coeff_range"),
     "search-coeff-low-above-high": (_search(coeff_range=(5, 1)), "coeff_range"),

@@ -857,6 +857,31 @@ def test_flows_that_miss_the_rate_fail_wardrop_check(excess):
     assert not report.passed
 
 
+NO_FLOW = WardropReport(max_violation=math.inf, passed=False)
+
+
+@pytest.mark.parametrize(
+    "flows, report",
+    [
+        ({("a",): 6.0, ("b",): -1.0}, NO_FLOW),
+        ({("a",): math.inf, ("b",): 5.0}, NO_FLOW),
+        ({("a",): math.nan, ("b",): 5.0}, NO_FLOW),
+        # the polish's clipping can leave a signed zero, which is a zero flow
+        ({("a",): 5.0, ("b",): -0.0}, WardropReport(max_violation=0.0, passed=True)),
+    ],
+    ids=["negative", "inf", "nan", "negative-zero"],
+)
+def test_flows_that_are_no_flow_fail_wardrop_check(flows, report):
+    # two parallel links, a at latency 1 and b at 5, one type of rate 5: a
+    # negative amount can sum to the rate and leave b looking unused
+    g = MultiGraph(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], [("s", "t")])
+    latencies = {"a": LatencyFunction((1.0,)), "b": LatencyFunction((5.0,))}
+    game = RoutingGame(g, latencies, [TravelerType(5.0, 0, {"a", "b"})])
+    result = solve_icwe(game)
+    assert verify_wardrop(game, result) == WardropReport(max_violation=0.0, passed=True)
+    assert verify_wardrop(game, replace(result, path_flows=(flows,))) == report
+
+
 def _gadget_with_type_2_at(rate):
     game = gadget_game()
     first, second = game.types
