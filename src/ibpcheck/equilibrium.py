@@ -231,7 +231,7 @@ def feasible_paths(game: RoutingGame, j: int) -> tuple[Path, ...]:
     """Type j's OD paths inside its information set, lexicographically
     ordered; InvalidArgument unless j is an integer index of a type."""
     if not hasattr(j, "__index__") or not 0 <= j < len(game.types):
-        raise InvalidArgument(f"type index must be in 0..{len(game.types) - 1}, got {j!r}")
+        raise InvalidArgument(f"type index {j!r} names none of the game's {len(game.types)} types")
     t = game.types[j]
     o, d = game.graph.od_pairs[t.od_index]
     return _routable(game, j, enumerate_simple_paths(game.graph, o, d, t.info_set))
