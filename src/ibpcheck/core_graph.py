@@ -16,15 +16,18 @@ in a chain block.  It returns the decomposition to the topology verdict or
 raises InvalidNetwork naming every fault.  Path enumeration is exhaustive
 and capped (it raises past 10,000 paths); it serves the solver's path sets,
 the randomized search and the cycle diagnostics, not `validate`, the
-topology verdict or the gadget embedding.
+topology verdict or the gadget embedding.  `cheapest_path`, a Dijkstra
+over an edge subset that adds ints and Fractions exactly, is the one
+shortest-path walk: witness synthesis reads its costs and its paths.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EdgeNotFound, InvalidArgument, InvalidNetwork, PathCapExceeded
 
@@ -180,7 +183,8 @@ def enumerate_simple_paths(
     """All simple s-t paths as edge-id sequences, lexicographically ordered.
 
     `allowed_edges` restricts the usable edge set (information sets, blocks).
-    Raises PathCapExceeded once more than DEFAULT_PATH_CAP paths are found.
+    Raises InvalidArgument when s equals t or either is no vertex, and
+    PathCapExceeded once more than DEFAULT_PATH_CAP paths are found.
     The depth-first walk keeps its own stack, as `biconnected_blocks` does,
     so a long path is not bounded by the recursion limit.  It serves the
     solver's path sets, the randomized search and the cycle diagnostics;
@@ -188,9 +192,10 @@ def enumerate_simple_paths(
     """
     if s == t:
         raise InvalidArgument("path enumeration requires distinct endpoints")
+    for v in (s, t):
+        if v not in graph.adjacency:
+            raise InvalidArgument(f"path enumeration names unknown vertex {v!r}")
     allowed = graph.edge_ids if allowed_edges is None else frozenset(allowed_edges)
-    if s not in graph.adjacency or t not in graph.adjacency:
-        return ()
 
     adjacency = graph.adjacency  # sorted by edge id -> lex order
     cap = DEFAULT_PATH_CAP
@@ -219,6 +224,53 @@ def enumerate_simple_paths(
                 path.pop()
                 visited.remove(on_path.pop())
     return tuple(paths)
+
+
+# -- cheapest paths ----------------------------------------------------------------
+
+
+def cheapest_path(
+    graph: MultiGraph, o: str, d: str, allowed, cost: Mapping[str, object]
+) -> Optional[tuple[object, Path]]:
+    """(least o-d cost over edges in `allowed`, one simple path of that
+    cost), or None when d is out of reach.
+
+    Dijkstra: every cost must be nonnegative.  A vertex keeps the edge it
+    is settled by, and the path is read back along those edges from d.
+    """
+    adjacency, pop, push = graph.adjacency, heapq.heappop, heapq.heappush
+    came_by: dict[str, tuple] = {}  # settled vertex -> (edge, vertex before)
+    heap = [(0, o, None, None)]
+    while heap:
+        dist, v, e, u = pop(heap)
+        if v in came_by:
+            continue
+        came_by[v] = (e, u)
+        if v == d:
+            path = []
+            while v != o:
+                e, v = came_by[v]
+                path.append(e)
+            return dist, tuple(path[::-1])
+        for e, w in adjacency[v]:
+            if e in allowed and w not in came_by:
+                push(heap, (dist + cost[e], w, e, v))
+    return None
+
+
+def is_simple_path(graph: MultiGraph, path: Path, o: str, d: str, allowed) -> bool:
+    """Whether `path` walks from o to d over edges in `allowed`, never
+    revisiting a vertex."""
+    v, seen = o, {o}
+    for e in path:
+        if e not in allowed or v not in graph.edge_map[e]:
+            return False
+        a, b = graph.edge_map[e]
+        v = b if v == a else a
+        if v in seen:
+            return False
+        seen.add(v)
+    return v == d
 
 
 # -- biconnected decomposition ---------------------------------------------------
@@ -382,23 +434,10 @@ class EmbeddingStep:
 
 
 def is_cycle(graph: MultiGraph) -> bool:
-    """True iff the graph is a single cycle.
+    """True iff the graph is a single cycle: connected, each vertex of degree 2.
 
     A pair of parallel edges counts as a degenerate 2-cycle; a single edge
-    does not.
+    does not, and neither does a cycle beside an isolated vertex.
     """
-    if len(graph.edges) < 2:
-        return False
     degree = Counter(v for _, u, w in graph.edges for v in (u, w))
-    if len(graph.edges) != len(degree) or any(d != 2 for d in degree.values()):
-        return False
-    # degree-2 everywhere and |E| == |V|: connected iff one component
-    start = next(iter(degree))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for _, other in graph.adjacency[queue.popleft()]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return len(seen) == len(degree)
+    return all(degree[v] == 2 for v in graph.vertices) and len(connected_components(graph)) == 1

@@ -193,6 +193,8 @@ class TravelerType:
             finite = False
         if not finite:
             raise InvalidNetwork("traveler rate must be finite and nonnegative")
+        if not hasattr(od_index, "__index__"):  # 1.5 and "1" are no OD index
+            raise InvalidNetwork(f"OD index must be an integer, got {od_index!r}")
         if isinstance(info_set, str):  # not the set of its characters
             raise InvalidNetwork(f"info set must be a collection of edge ids: {info_set!r}")
         object.__setattr__(self, "rate", float(rate))

@@ -22,8 +22,10 @@ instance, so synthesis certifies a witness from them and calls no solver:
 each gadget path with flow becomes the one whole-graph path of its type
 that uses no other gadget edge, and an exact check in integers (a Fraction
 only for a non-integral number) confirms that those flows are equilibria of
-both games and that type 1's latency rises.  Re-solving a witness from
-scratch with `check_ibp` is the second route, kept in the tests.
+both games and that type 1's latency rises.  Both walk the graph with
+`core_graph.cheapest_path`; the embedding's early-exit block check is the
+only walk kept here.  Re-solving a witness from scratch with `check_ibp` is
+the second route, kept in the tests.
 
 `check_ibp` solves the game before the extension, then the game after it
 from the before equilibrium.  With "cg" the second solve is skipped when
@@ -40,10 +42,9 @@ reproducibility, with any witness reported at its lowest trial index.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -53,9 +54,11 @@ from .core_graph import (
     EmbeddingStep,
     MultiGraph,
     Path,
+    cheapest_path,
     connected_components,
     enumerate_simple_paths,
     is_cycle,
+    is_simple_path,
     validate,
 )
 from .equilibrium import (
@@ -399,23 +402,6 @@ def lift_instance(
     )
 
 
-def _path_within(graph: MultiGraph, o: str, d: str, allowed: frozenset[str]) -> Path:
-    """A fewest-edge o-d path over `allowed` (breadth first, ties by edge id)."""
-    came_by: dict[str, Optional[tuple[str, str]]] = {o: None}
-    queue = deque([o])
-    while d not in came_by:
-        v = queue.popleft()  # IndexError: no path, which a lift never meets
-        for eid, w in graph.adjacency[v]:
-            if eid in allowed and w not in came_by:
-                came_by[w] = (eid, v)
-                queue.append(w)
-    path = []
-    while came_by[d] is not None:
-        eid, d = came_by[d]
-        path.append(eid)
-    return tuple(reversed(path))
-
-
 def _lift_flows(
     game: RoutingGame, images: dict[str, str], flows: Sequence[dict[Path, float]]
 ) -> list[dict[Path, float]]:
@@ -425,17 +411,19 @@ def _lift_flows(
     A gadget path lifts to its type's o-d path that uses no image of another
     gadget edge.  Inside the embedded block that path is unique, since the
     contracted edges form one tree per merged vertex and deleted edges lie
-    in no information set; elsewhere every edge is latency-free.
+    in no information set; elsewhere every edge is latency-free, and any
+    fewest-edge path there will do.
     """
+    graph = game.graph
+    unit = dict.fromkeys(graph.edge_ids, 1)
     lifted = []
     for t, type_flows in zip(game.types, flows):
-        o, d = game.graph.od_pairs[t.od_index]
+        o, d = graph.od_pairs[t.od_index]
         lifted.append(
             {
-                _path_within(
-                    game.graph, o, d,
-                    t.info_set - {images[e] for e in images if e not in path},
-                ): x
+                cheapest_path(
+                    graph, o, d, t.info_set - {images[e] for e in images if e not in path}, unit
+                )[1]: x
                 for path, x in type_flows.items()
             }
         )
@@ -608,39 +596,6 @@ def _exact(x: float):
     return Fraction(x)
 
 
-def _is_simple_path(graph: MultiGraph, path: Path, o: str, d: str, allowed) -> bool:
-    """Whether `path` walks from o to d over edges in `allowed`, never
-    revisiting a vertex."""
-    v, seen = o, {o}
-    for e in path:
-        if e not in allowed or v not in graph.edge_map[e]:
-            return False
-        a, b = graph.edge_map[e]
-        v = b if v == a else a
-        if v in seen:
-            return False
-        seen.add(v)
-    return v == d
-
-
-def _distance(graph: MultiGraph, o: str, d: str, allowed, cost: Mapping[str, object]):
-    """The least o-d cost over edges in `allowed` (Dijkstra; every cost is
-    nonnegative), or None when d is out of reach."""
-    done = set()
-    heap = [(0, o)]
-    while heap:
-        dist, v = heapq.heappop(heap)
-        if v == d:
-            return dist
-        if v in done:
-            continue
-        done.add(v)
-        for e, w in graph.adjacency[v]:
-            if e in allowed and w not in done:
-                heapq.heappush(heap, (dist + cost[e], w))
-    return None
-
-
 def _certified_latencies(
     game: RoutingGame, flows: Sequence[Mapping[Path, float]], which: str
 ) -> list:
@@ -677,15 +632,16 @@ def _certified_latencies(
     for k, (t, type_flows) in enumerate(zip(game.types, flows, strict=True), start=1):
         where = f"{which} game, type {k}"
         o, d = graph.od_pairs[t.od_index]
-        dist = _distance(graph, o, d, t.info_set, cost)
-        if dist is None:
+        cheapest = cheapest_path(graph, o, d, t.info_set, cost)
+        if cheapest is None:
             raise WitnessVerificationFailed(f"{where}: no {o}-{d} path inside its information set")
+        dist = cheapest[0]
         total = 0
         for path, x in type_flows.items():
             total += _exact(x)
             if x == 0.0:
                 continue
-            if not _is_simple_path(graph, path, o, d, t.info_set):
+            if not is_simple_path(graph, path, o, d, t.info_set):
                 raise WitnessVerificationFailed(
                     f"{where}: used path {path} is no {o}-{d} path inside its information set"
                 )

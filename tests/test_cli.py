@@ -335,6 +335,7 @@ def test_classify_missing_file(capsys):
     "content, reason",
     [
         pytest.param(b"\xff\xfe{}", "not UTF-8 text at byte 0", id="utf-16-byte-order-mark"),
+        pytest.param(b'{\n  "schema_version": 1,\n  oops\n}', "invalid JSON at line 3", id="not-json"),
         pytest.param(b"[" * 200_000, "JSON nested too deeply", id="deep-nesting"),
         pytest.param(
             b"[" + b"9" * 5000 + b"]",
@@ -804,6 +805,10 @@ ARGUMENT_RULES = {
     "paths-same-endpoints": (
         lambda: enumerate_simple_paths(gadget_graph(), "u", "u"),
         "distinct endpoints",
+    ),
+    "paths-unknown-vertex": (
+        lambda: enumerate_simple_paths(gadget_graph(), "u", "nope"),
+        "unknown vertex 'nope'",
     ),
     "step-kind-unknown": (lambda: EmbeddingStep("merge", "e1"), "step kind"),
     "step-contract-unnamed": (lambda: EmbeddingStep("contract", "e1"), "merged vertex"),

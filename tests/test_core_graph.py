@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,15 @@ from ibpcheck.core_graph import (
     EmbeddingStep,
     MultiGraph,
     biconnected_blocks,
+    cheapest_path,
     connected_components,
     decompose_blocks,
     enumerate_simple_paths,
     is_cycle,
+    is_simple_path,
     validate,
 )
-from ibpcheck.errors import InvalidNetwork, PathCapExceeded
+from ibpcheck.errors import EdgeNotFound, InvalidNetwork, PathCapExceeded
 from ibpcheck.topology import IBP_FREE, NOT_IBP_FREE, common_blocks, decide_ibp_free
 
 from conftest import (
@@ -591,6 +594,14 @@ def test_single_edge_is_not_a_cycle():
     assert not is_cycle(g)
 
 
+def test_a_cycle_beside_an_isolated_vertex_is_not_a_cycle():
+    edges = [("r0", "a", "b"), ("r1", "b", "c"), ("r2", "c", "a")]
+    assert not is_cycle(MultiGraph(["a", "b", "c", "z"], edges, []))
+    assert is_cycle(MultiGraph(["a", "b", "c"], edges, []))
+    two_triangles = edges + [("s0", "x", "y"), ("s1", "y", "z"), ("s2", "z", "x")]
+    assert not is_cycle(MultiGraph(["a", "b", "c", "x", "y", "z"], two_triangles, []))
+
+
 def test_edge_subset_variant():
     g = gadget_multigraph()
     assert is_cycle(g.induced({"e3", "e4"}, []))
@@ -611,3 +622,51 @@ def test_cycle_splits_into_two_edge_disjoint_paths():
             assert len(paths) == 2
             assert set(paths[0]) & set(paths[1]) == set()
             assert set(paths[0]) | set(paths[1]) == set(g.edge_ids)
+
+
+# -- cheapest paths -----------------------------------------------------------------
+
+
+def test_cheapest_path_is_a_least_cost_enumerated_path():
+    """On random multigraphs, edge subsets and nonnegative int or Fraction
+    costs (zeros and ties included), `cheapest_path` is None exactly when
+    no simple path exists; otherwise it is one of the enumerated simple
+    paths inside the subset, and its cost is theirs at the least."""
+    rng = random.Random(35)
+    reached = unreached = 0
+    for trial in range(400):
+        g = random_connected_multigraph(rng)
+        s, t = rng.sample(sorted(g.vertices), 2)
+        allowed = frozenset(e for e in sorted(g.edge_ids) if rng.random() < 0.7)
+        if trial % 2:
+            cost = {e: Fraction(rng.randint(0, 6), rng.randint(1, 4)) for e in sorted(g.edge_ids)}
+        else:
+            cost = {e: rng.randint(0, 6) for e in sorted(g.edge_ids)}
+        paths = enumerate_simple_paths(g, s, t, allowed)
+        found = cheapest_path(g, s, t, allowed, cost)
+        if not paths:
+            assert found is None
+            unreached += 1
+            continue
+        dist, path = found
+        assert path in paths and is_simple_path(g, path, s, t, allowed)
+        assert dist == sum(cost[e] for e in path) == min(sum(cost[e] for e in p) for p in paths)
+        reached += 1
+    assert reached > 200 and unreached > 30
+
+
+def test_is_simple_path_rejects_revisits_foreign_edges_and_wrong_ends():
+    g = gadget_multigraph()
+    assert is_simple_path(g, ("e2", "e3"), "u", "v", g.edge_ids)
+    assert not is_simple_path(g, ("e2", "e3"), "u", "v", {"e2"})  # e3 outside the set
+    assert not is_simple_path(g, ("e2", "e3", "e4", "e3"), "u", "v", g.edge_ids)  # w twice
+    assert not is_simple_path(g, ("e2",), "u", "v", g.edge_ids)  # ends at w
+    assert not is_simple_path(g, ("e3",), "u", "v", g.edge_ids)  # does not leave u
+
+
+def test_unknown_edge_ids_raise_edge_not_found():
+    g = gadget_multigraph()
+    with pytest.raises(EdgeNotFound, match="nope"):
+        g.endpoints("nope")
+    with pytest.raises(EdgeNotFound, match="nope"):
+        g.induced({"e1", "nope"}, [])

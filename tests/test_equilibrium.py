@@ -19,6 +19,7 @@ from ibpcheck.equilibrium import (
     CONSERVATION_EPS,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    EXACT_PATH_LIMIT,
     FLOW_EPS,
     PIVOTS,
     EquilibriumResult,
@@ -84,6 +85,50 @@ def test_negative_coefficients_rejected():
     ):
         with pytest.raises(InvalidNetwork, match="must be finite"):
             build()
+
+
+def test_empty_coefficients_are_the_zero_function():
+    assert LatencyFunction([]) == LatencyFunction.zero()
+    assert LatencyFunction([]).coefficients == (0.0,)
+    assert LatencyFunction([])(5.0) == 0.0
+
+
+@pytest.mark.parametrize("od_index", [1.5, 1.9, "1"])
+def test_od_index_must_be_an_integer(od_index):
+    with pytest.raises(InvalidNetwork, match="OD index must be an integer"):
+        TravelerType(1.0, od_index, ())
+
+
+def test_od_index_takes_any_integer_type():
+    assert TravelerType(1.0, np.int64(1), ()).od_index == 1
+    assert type(TravelerType(1.0, np.int64(1), ()).od_index) is int
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda lat, types: lat.pop("e1"), "latencies must cover exactly the edge set"),
+        (
+            lambda lat, types: lat.update(nope=LatencyFunction((1.0,))),
+            "latencies must cover exactly the edge set",
+        ),
+        (lambda lat, types: types.append(TravelerType(1.0, 2, {"e1"})), "unknown OD index 2"),
+        (lambda lat, types: types.append(TravelerType(1.0, -1, {"e1"})), "unknown OD index -1"),
+        (
+            lambda lat, types: types.append(TravelerType(1.0, 0, {"e1", "nope"})),
+            "info set references unknown edges",
+        ),
+    ],
+    ids=["latency-missing", "latency-extra", "od-index-past-the-last", "od-index-negative",
+         "info-set-unknown-edge"],
+)
+def test_routing_game_rejects_what_its_graph_lacks(edit, match):
+    graph = gadget_multigraph()
+    latencies = {eid: LatencyFunction((1.0,)) for eid in graph.edge_ids}
+    types = []
+    edit(latencies, types)
+    with pytest.raises(InvalidNetwork, match=match):
+        RoutingGame(graph, latencies, types)
 
 
 def test_zero_latency_allowed_and_evaluates():
@@ -435,6 +480,21 @@ def _quadratic_two_link_game():
 def test_exact_backend_rejects_nonaffine():
     with pytest.raises(BackendUnavailable):
         solve_icwe(_quadratic_two_link_game(), backend="exact")
+
+
+def test_exact_backend_rejects_more_paths_than_its_limit():
+    links = EXACT_PATH_LIMIT + 1
+    g = MultiGraph(["s", "t"], [(f"l{k:02d}", "s", "t") for k in range(links)], [("s", "t")])
+    game = RoutingGame(
+        g,
+        {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids},
+        [TravelerType(1.0, 0, g.edge_ids)],
+    )
+    with pytest.raises(
+        BackendUnavailable, match=f"limited to {EXACT_PATH_LIMIT} paths, got {links}"
+    ):
+        solve_icwe(game, backend="exact")
+    assert solve_icwe(game, backend="auto").backend == "exact"  # the polish has no limit
 
 
 def _scaled_gadget(scale):

@@ -317,6 +317,47 @@ def test_coincident_terminals_are_rejected():
         find_gadget_embedding(g)
 
 
+_TRIANGLE = [("t0", "a", "b"), ("t1", "b", "c"), ("t2", "c", "a")]
+
+
+@pytest.mark.parametrize(
+    "block, match",
+    [
+        (MultiGraph("uvw", gadget_multigraph().edges, [("u", "v")]), "exactly two OD pairs"),
+        (
+            MultiGraph("uvw", gadget_multigraph().edges, [("u", "v"), ("u", "w"), ("w", "v")]),
+            "exactly two OD pairs",
+        ),
+        (  # two triangles sharing vertex c
+            MultiGraph(
+                "abcde",
+                _TRIANGLE + [("s0", "c", "d"), ("s1", "d", "e"), ("s2", "e", "c")],
+                [("a", "b"), ("d", "e")],
+            ),
+            "not 2-connected",
+        ),
+        (  # the gadget with a pendant edge
+            MultiGraph(
+                "uvwz", gadget_multigraph().edges + (("e5", "v", "z"),), [("u", "v"), ("u", "w")]
+            ),
+            "not 2-connected",
+        ),
+        (  # two disjoint triangles
+            MultiGraph(
+                "abcxyz",
+                _TRIANGLE + [("s0", "x", "y"), ("s1", "y", "z"), ("s2", "z", "x")],
+                [("a", "b"), ("x", "y")],
+            ),
+            "not 2-connected",
+        ),
+    ],
+    ids=["one-od-pair", "three-od-pairs", "bowtie", "pendant-edge", "two-components"],
+)
+def test_embedding_needs_two_od_pairs_on_one_block(block, match):
+    with pytest.raises(PreconditionViolated, match=match):
+        find_gadget_embedding(block)
+
+
 def _assert_reduction_matches_rebuilding(block):
     """The working-graph reduction takes the rebuilding greedy's steps, and
     the graph it returns is the replay of those steps."""
@@ -814,6 +855,36 @@ def test_the_exact_check_rejects_a_type_with_no_path_inside_its_information_set(
         paradox._certified_latencies(game, [{("x", "z"): 1.0}], "after")
 
 
+@pytest.mark.parametrize("flow", [math.inf, math.nan, -1.0])
+def test_the_exact_check_rejects_a_flow_that_is_not_finite_and_nonnegative(flow):
+    game = _two_links_then_one({"x", "y", "z"})
+    with pytest.raises(
+        WitnessVerificationFailed,
+        match=rf"^before game, type 1: flow {flow} on \('x', 'z'\) is not finite and >= 0$",
+    ):
+        paradox._certified_latencies(game, [{("x", "z"): flow}], "before")
+
+
+def test_the_exact_check_reads_no_path_of_a_zero_flow():
+    game = _two_links_then_one({"x", "y", "z"})
+    flows = [{("x", "z"): 1.0, ("x", "y", "x", "z"): 0.0}]
+    assert paradox._certified_latencies(game, flows, "before") == [2]
+
+
+@pytest.mark.parametrize(
+    "flows, total",
+    [({("x", "z"): 0.5}, "1/2"), ({("x", "z"): 1.0, ("y", "z"): 0.5}, "3/2")],
+    ids=["under", "over"],
+)
+def test_the_exact_check_rejects_flows_that_miss_the_rate(flows, total):
+    game = _two_links_then_one({"x", "y", "z"})
+    with pytest.raises(
+        WitnessVerificationFailed,
+        match=f"^after game, type 1: flows sum to {total}, not its rate 1.0$",
+    ):
+        paradox._certified_latencies(game, [flows], "after")
+
+
 # -- one decision inside synthesis ---------------------------------------------------------
 
 
@@ -1189,6 +1260,16 @@ def test_diagnostics_require_normal_form():
     )
     verdict = check_ibp(instance)
     with pytest.raises(PreconditionViolated, match="one traveler type per OD pair"):
+        cycle_diagnostics(instance, verdict.before_result, verdict.after_result)
+
+
+def test_diagnostics_require_types_in_od_order():
+    g = cycle_graph(4, [("c0", "c2"), ("c1", "c3")])
+    latencies = {eid: LatencyFunction((1.0, 1.0)) for eid in g.edge_ids}
+    types = [TravelerType(1.0, 1, {"r1", "r2"}), TravelerType(1.0, 0, g.edge_ids)]
+    instance = IBPInstance(RoutingGame(g, latencies, types), InformationExtension({"r0"}))
+    verdict = check_ibp(instance)
+    with pytest.raises(PreconditionViolated, match="type order must follow OD order"):
         cycle_diagnostics(instance, verdict.before_result, verdict.after_result)
 
 
